@@ -25,18 +25,15 @@ ONE = Fraction(1)
 
 def unit(value) -> Fraction:
     """Coerce to an exact rational in [0, 1]."""
-    q = Fraction(value)
-    if not ZERO <= q <= ONE:
+    q = value if isinstance(value, Fraction) else Fraction(value)
+    # the denominator is positive, so this is exactly 0 <= q <= 1
+    if not 0 <= q.numerator <= q.denominator:
         raise ValueError(f"value {q} outside [0, 1]")
     return q
 
 
 def parse_unit(text: str) -> Fraction:
     return unit(Fraction(text))
-
-
-def format_unit(q: Fraction) -> str:
-    return str(q)
 
 
 class TwistValue(NamedTuple):
@@ -228,10 +225,6 @@ def _apply2(kind: str, a: TwistValue, b: TwistValue) -> TwistValue:
 
 def valuation_from_json(obj: Mapping[str, str]) -> dict[str, Fraction]:
     return {k: parse_unit(v) for k, v in obj.items()}
-
-
-def valuation_to_json(e: Mapping[str, Fraction]) -> dict[str, str]:
-    return {k: str(v) for k, v in e.items()}
 
 
 def twist_valuation_from_json(obj: Mapping[str, list]) -> dict[str, TwistValue]:

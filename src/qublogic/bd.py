@@ -4,6 +4,10 @@ States are indexed 0..n-1 and state sets are held as bitmasks, which caps
 models at 64 states (far beyond anything the tests need).  Entailment is
 decided over the four-element De Morgan lattice; the frame direction is
 covered by the one-state counterpart construction.
+
+This module owns the state-set codec of every model's JSON form: a mask
+is written as its ascending list of states (:func:`_mask_to_list`) and read
+back by :func:`_list_to_mask`.
 """
 
 from __future__ import annotations

@@ -16,6 +16,7 @@ from fractions import Fraction
 from typing import Callable, Iterable, Mapping, Sequence
 
 from . import bd, decide, qp, syntax
+from .measures import assignment_masks, cpl_truth_set
 from .syntax import Formula, LanguageError, desugar, mk, parse, print_formula, vars_of
 
 CALCULI = ("HBIG", "HG2ORD", "HG2NEL", "HQG", "HQPG", "HQPG_TOP",
@@ -35,7 +36,6 @@ _IMP_KIND = {
 }
 
 MAX_KPS_M = 4
-MAX_CPL_VARS = 20
 
 
 # ---------------------------------------------------------------------------
@@ -48,39 +48,7 @@ def truth_table(f: Formula, names: Sequence[str]) -> int:
     Bit a is set iff the assignment making names[i] true exactly when
     ``a >> i & 1`` satisfies the formula.
     """
-    k = len(names)
-    if k > MAX_CPL_VARS:
-        raise ValueError(f"too many variables (> {MAX_CPL_VARS})")
-    full = (1 << (1 << k)) - 1
-    index = {p: i for i, p in enumerate(names)}
-    pattern = [sum(1 << a for a in range(1 << k) if a >> i & 1) for i in range(k)]
-
-    def rec(g: Formula) -> int:
-        kind = g.kind
-        if kind == "var":
-            try:
-                return pattern[index[g.var]]
-            except KeyError:
-                raise KeyError(f"variable {g.var!r} not among {names}") from None
-        if kind == "top":
-            return full
-        if kind == "bot":
-            return 0
-        if kind == "not":
-            return full & ~rec(g.children[0])
-        a = rec(g.children[0])
-        b = rec(g.children[1])
-        if kind == "and":
-            return a & b
-        if kind == "or":
-            return a | b
-        if kind == "matimp":
-            return (full & ~a) | b
-        if kind == "iff":
-            return full & ~(a ^ b)
-        raise ValueError(f"kind {kind!r} is not classical")
-
-    return rec(f)
+    return cpl_truth_set(f, assignment_masks(names), (1 << (1 << len(names))) - 1)
 
 
 def cpl_valid(f: Formula) -> bool:
@@ -529,20 +497,18 @@ class _OuterEngine:
             self._bake_qg_facts()
 
     def _bake_qg_facts(self) -> None:
-        inners = [r.children[0] for r in self.reps]
-        taut = [cpl_valid(g) for g in inners]
-        contr = [cpl_valid(mk("CPL", "not", g)) for g in inners]
+        masks, full = decide._inner_masks(self.reps)
         seed: list[tuple] = []
-        for i in range(len(self.reps)):
-            for j in range(len(self.reps)):
-                if i != j and cpl_valid(mk("CPL", "matimp", inners[i], inners[j])):
+        for i, mi in enumerate(masks):
+            for j, mj in enumerate(masks):
+                if i != j and mi & ~mj == 0:
                     seed.append(("le", i, j))
-                if taut[i] and contr[j]:
+                if mi == full and mj == 0:
                     seed.append(("lt", j, i))
             if self.with_cap:
-                if taut[i]:
+                if mi == full:
                     seed.append(("one", i))
-                if contr[i]:
+                if mi == 0:
                     seed.append(("zero", i))
         self.facts.add(seed)
 

@@ -62,8 +62,6 @@ def _bool_exit(ok: bool, payload: dict) -> int:
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(prog="qublogic",
                                      description="qualitative-uncertainty logic workbench")
-    parser.add_argument("--seed", type=int, default=0, help="seed for randomized generators")
-    parser.add_argument("--json", action="store_true", help="JSON output (always on)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("parse")
@@ -313,7 +311,7 @@ def _dispatch_model(args) -> int:
         payload = {"valid": ok}
         if witness is not None:
             payload["countervaluation"] = {
-                key: {p: measures.bd._mask_to_list(mask) for p, mask in val.items()}
+                key: {p: bd._mask_to_list(mask) for p, mask in val.items()}
                 for key, val in witness.items()
             }
         return _bool_exit(ok, payload)

@@ -23,6 +23,7 @@ from typing import Iterable, Mapping, Sequence
 
 from . import algebra, syntax
 from .algebra import ONE, ZERO, TwistValue, eval_big, eval_g2
+from .measures import assignment_masks, cpl_truth_set
 from .syntax import Formula, mk, print_formula
 
 
@@ -169,18 +170,6 @@ def g2_valid(variant: str, f: Formula) -> Verdict:
 # QG: saturation with modal axiom instances
 # ---------------------------------------------------------------------------
 
-def _cpl_valid(f: Formula) -> bool:
-    from . import calculi  # deferred: calculi imports this module
-
-    return calculi.cpl_valid(f)
-
-
-def _cpl_signature(f: Formula, names: Sequence[str]) -> int:
-    from . import calculi
-
-    return calculi.truth_table(f, names)
-
-
 def qg_b_atoms(formulas: Iterable[Formula]) -> list[Formula]:
     """B-atoms occurring in ``formulas`` plus B(Top) and B(Bot), sorted."""
     atoms: set[Formula] = set()
@@ -199,14 +188,19 @@ def qg_merge_atoms(formulas: Sequence[Formula]) -> tuple[list[Formula], dict[For
     rewriting through the map preserves entailment exactly.
     """
     atoms = qg_b_atoms(formulas)
-    names = sorted({v for a in atoms for v in syntax.vars_of(a.children[0])})
+    masks, _ = _inner_masks(atoms)
     classes: dict[int, Formula] = {}
-    mapping: dict[Formula, Formula] = {}
-    for a in atoms:
-        sig = _cpl_signature(a.children[0], names)
-        rep = classes.setdefault(sig, a)
-        mapping[a] = rep
+    mapping = {a: classes.setdefault(mask, a) for a, mask in zip(atoms, masks)}
     return atoms, mapping, sorted(set(mapping.values()), key=print_formula)
+
+
+def _inner_masks(atoms: Sequence[Formula]) -> tuple[list[int], int]:
+    """Truth tables of the atoms' inner formulas over their joint variables,
+    and the full mask."""
+    names = sorted({v for a in atoms for v in syntax.vars_of(a.children[0])})
+    env = assignment_masks(names)
+    full = (1 << (1 << len(names))) - 1
+    return [cpl_truth_set(a.children[0], env, full) for a in atoms], full
 
 
 def _rewrite_atoms(f: Formula, mapping: Mapping[Formula, Formula]) -> Formula:
@@ -226,14 +220,14 @@ def qg_saturation(reps: Sequence[Formula], with_cap: bool = False) -> list[Formu
     value-forcing shape.
     """
     sat: list[Formula] = []
-    inners = [a.children[0] for a in reps]
-    taut = [_cpl_valid(phi) for phi in inners]
-    contr = [_cpl_valid(mk("CPL", "not", phi)) for phi in inners]
+    masks, full = _inner_masks(reps)
+    taut = [mask == full for mask in masks]
+    contr = [mask == 0 for mask in masks]
     for i, a in enumerate(reps):
         for j, b in enumerate(reps):
             if i == j:
                 continue
-            if _cpl_valid(mk("CPL", "matimp", inners[i], inners[j])):
+            if masks[i] & ~masks[j] == 0:
                 imp = mk("QG", "gimp", a, b)
                 sat.append(mk("QG", "delta", imp))
                 sat.append(imp)

@@ -15,8 +15,9 @@ from fractions import Fraction
 from itertools import product
 from typing import Iterable, Mapping, Sequence
 
+from . import bd
 from .algebra import ONE, ZERO, TwistValue, unit
-from .syntax import Formula
+from .syntax import Formula, vars_of
 
 _G2_KINDS = {"var", "dneg", "and", "or", "gimp", "gcoimp", "nimp", "ncoimp",
              "top", "bot", "snot", "delta1", "deltan", "deltabang", "simp", "siff", "iff"}
@@ -66,8 +67,8 @@ class G2KripkeModel:
         return {
             "states": self.states,
             "order": list(self.order),
-            "vplus": {p: _mask_list(m) for p, m in sorted(self.vplus.items())},
-            "vminus": {p: _mask_list(m) for p, m in sorted(self.vminus.items())},
+            "vplus": {p: bd._mask_to_list(m) for p, m in sorted(self.vplus.items())},
+            "vminus": {p: bd._mask_to_list(m) for p, m in sorted(self.vminus.items())},
         }
 
     @classmethod
@@ -75,20 +76,9 @@ class G2KripkeModel:
         return cls(
             states=obj["states"],
             order=tuple(obj["order"]),
-            vplus={p: _mask(v) for p, v in obj.get("vplus", {}).items()},
-            vminus={p: _mask(v) for p, v in obj.get("vminus", {}).items()},
+            vplus={p: bd._list_to_mask(v) for p, v in obj.get("vplus", {}).items()},
+            vminus={p: bd._list_to_mask(v) for p, v in obj.get("vminus", {}).items()},
         )
-
-
-def _mask_list(mask: int) -> list[int]:
-    return [i for i in range(mask.bit_length()) if mask >> i & 1]
-
-
-def _mask(states: Iterable[int]) -> int:
-    out = 0
-    for s in states:
-        out |= 1 << s
-    return out
 
 
 def support_table(m: G2KripkeModel, formulas: Iterable[Formula]) -> dict[Formula, tuple[int, int]]:
@@ -193,19 +183,13 @@ def kentails(max_states: int, gamma: Sequence[Formula], f: Formula) -> tuple[boo
 
     Returns (holds-at-bound, countermodel, state).
     """
-    variables = sorted(set().union(*(_vars(g) for g in [*gamma, f])) or set())
+    variables = sorted(set().union(*(vars_of(g) for g in [*gamma, f])) or set())
     for m in iter_chain_models(variables, max_states):
         table = support_table(m, [*gamma, f])
         for s in range(m.states):
             if all(table[g][0] >> s & 1 for g in gamma) and not table[f][0] >> s & 1:
                 return False, m, s
     return True, None, None
-
-
-def _vars(f: Formula) -> set[str]:
-    from .syntax import vars_of
-
-    return vars_of(f)
 
 
 # ---------------------------------------------------------------------------

@@ -1,14 +1,21 @@
-"""Two-layered models over uncertainty measures.
+"""Two-layered models over uncertainty measures, and the inner CPL layer.
+
+This module owns the classical state-set semantics of the inner layer:
+:func:`cpl_truth_set` is the one recursion over the CPL connectives.
+Model truth sets, truth tables (``calculi``), QP truth sets (``qp``) and
+the B-atom masks of the QG decision (``decide``) all go through it.
 
 An uncertainty model pairs a classical valuation with a measure given
 extensionally on every subset of the (small) state space; a belief model
 pairs a Belnap-Dunn valuation with such a measure.  Storing the measure
 densely is what lets the property checkers quantify over arbitrary subsets
-rather than just definable ones.
+rather than just definable ones.  State sets are bitmasks; their JSON form
+is the state list of :mod:`qublogic.bd`.
 """
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
@@ -16,23 +23,19 @@ from typing import Callable, Iterator, Mapping, Sequence
 
 from . import bd
 from .algebra import ONE, ZERO, TwistValue, eval_big, eval_g2, unit
-from .syntax import Formula, LanguageError, mk, print_formula, vars_of
+from .syntax import Formula, LanguageError, mk, modal_atoms, print_formula, vars_of
 
 MAX_DENSE_STATES = 16
+MAX_CPL_VARS = 20
 
 
 def _mask_key(mask: int) -> str:
-    return "[" + ",".join(str(i) for i in range(mask.bit_length()) if mask >> i & 1) + "]"
+    return json.dumps(bd._mask_to_list(mask), separators=(",", ":"))
 
 
 def _key_mask(key: str) -> int:
     body = key.strip()[1:-1].strip()
-    if not body:
-        return 0
-    out = 0
-    for part in body.split(","):
-        out |= 1 << int(part)
-    return out
+    return bd._list_to_mask(int(part) for part in body.split(",")) if body else 0
 
 
 def _check_measure(states: int, mu: Mapping[int, Fraction]) -> None:
@@ -90,13 +93,6 @@ class UncertaintyModel:
     def full(self) -> int:
         return (1 << self.states) - 1
 
-    def flags(self) -> dict[str, bool]:
-        return {
-            "monotone": measure_monotone(self.states, self.mu)[0],
-            "nontrivial": measure_nontrivial(self.states, self.mu)[0],
-            "capacity": measure_capacity(self.states, self.mu)[0],
-        }
-
     def to_json(self) -> dict:
         return {
             "states": self.states,
@@ -132,16 +128,6 @@ class BeliefModel:
     def full(self) -> int:
         return (1 << self.states) - 1
 
-    def bd_model(self) -> bd.BDModel:
-        return bd.BDModel(self.states, self.vplus, self.vminus)
-
-    def flags(self) -> dict[str, bool]:
-        return {
-            "monotone": measure_monotone(self.states, self.pi)[0],
-            "nontrivial": measure_nontrivial(self.states, self.pi)[0],
-            "capacity": measure_capacity(self.states, self.pi)[0],
-        }
-
     def to_json(self) -> dict:
         return {
             "states": self.states,
@@ -164,40 +150,61 @@ class BeliefModel:
 # Inner-layer truth sets and two-layered evaluation
 # ---------------------------------------------------------------------------
 
-def truth_set(m: UncertaintyModel, f: Formula) -> int:
-    """States satisfying a CPL formula, as a bitmask."""
+def cpl_truth_set(f: Formula, env: Mapping[str, int], full: int,
+                  other: Callable[[str, int, int], int] | None = None) -> int:
+    """States satisfying a CPL formula, as a bitmask.
+
+    ``env`` maps each variable to its truth mask and ``full`` is the mask of
+    all states.  A binary kind outside CPL goes to ``other`` with the masks
+    of its operands; QP passes its comparisons this way.
+    """
     kind = f.kind
     if kind == "var":
         try:
-            return m.v[f.var]
+            return env[f.var]
         except KeyError:
             raise KeyError(f"variable {f.var!r} unbound in model") from None
     if kind == "top":
-        return m.full
+        return full
     if kind == "bot":
         return 0
     if kind == "not":
-        return m.full & ~truth_set(m, f.children[0])
-    a = truth_set(m, f.children[0])
-    b = truth_set(m, f.children[1])
+        return full & ~cpl_truth_set(f.children[0], env, full, other)
+    a = cpl_truth_set(f.children[0], env, full, other)
+    b = cpl_truth_set(f.children[1], env, full, other)
     if kind == "and":
         return a & b
     if kind == "or":
         return a | b
     if kind == "matimp":
-        return (m.full & ~a) | b
+        return (full & ~a) | b
     if kind == "iff":
-        return m.full & ~(a ^ b)
+        return full & ~(a ^ b)
+    if other is not None:
+        return other(kind, a, b)
     raise ValueError(f"kind {kind!r} is not a CPL connective")
+
+
+def assignment_masks(names: Sequence) -> dict:
+    """Variable masks of the model whose states are the assignments to
+    ``names``: state ``a`` makes ``names[i]`` true iff ``a >> i & 1``.
+    Its full mask is ``(1 << (1 << len(names))) - 1``."""
+    if len(names) > MAX_CPL_VARS:
+        raise ValueError(f"too many variables (> {MAX_CPL_VARS})")
+    states = 1 << len(names)
+    return {p: sum(1 << a for a in range(states) if a >> i & 1) for i, p in enumerate(names)}
+
+
+def truth_set(m: UncertaintyModel, f: Formula) -> int:
+    """States of the model satisfying a CPL formula, as a bitmask."""
+    return cpl_truth_set(f, m.v, m.full)
 
 
 def eval_qg(m: UncertaintyModel, alpha: Formula) -> Fraction:
     """Value of a QG formula: B-atoms get the measure of their truth set."""
     if alpha.lang != "QG":
         raise LanguageError("eval_qg expects a QG formula")
-    env = {print_formula(a): m.mu[truth_set(m, a.children[0])]
-           for a in _modal_atoms(alpha)}
-    return eval_big(alpha, env)
+    return _value("QG", m.states, {"v": m.v}, m.mu, alpha)
 
 
 def eval_layer(m: BeliefModel, variant: str, alpha: Formula) -> TwistValue:
@@ -206,18 +213,24 @@ def eval_layer(m: BeliefModel, variant: str, alpha: Formula) -> TwistValue:
         raise ValueError("variant must be MCB or NMCB")
     if alpha.lang != variant:
         raise LanguageError(f"eval_layer expects an {variant} formula")
-    inner = m.bd_model()
-    env: dict[str, TwistValue] = {}
-    for a in _modal_atoms(alpha):
+    return _value(variant, m.states, {"vplus": m.vplus, "vminus": m.vminus}, m.pi, alpha)
+
+
+def _value(layer: str, states: int, val: Mapping[str, Mapping[str, int]],
+           mu: Mapping[int, Fraction], f: Formula):
+    """Value of a two-layered formula.  ``val`` is the inner valuation as the
+    keyword arguments of the layer's model; ``mu`` is already checked."""
+    if layer == "QG":
+        full = (1 << states) - 1
+        env = {print_formula(a): mu[cpl_truth_set(a.children[0], val["v"], full)]
+               for a in modal_atoms(f)}
+        return eval_big(f, env)
+    inner = bd.BDModel(states, val["vplus"], val["vminus"])
+    twist_env: dict[str, TwistValue] = {}
+    for a in modal_atoms(f):
         pos, neg = bd.truth_sets(inner, a.children[0])
-        env[print_formula(a)] = TwistValue(m.pi[pos], m.pi[neg])
-    return eval_g2(alpha, env, variant)
-
-
-def _modal_atoms(f: Formula) -> set[Formula]:
-    from .syntax import modal_atoms
-
-    return modal_atoms(f)
+        twist_env[print_formula(a)] = TwistValue(mu[pos], mu[neg])
+    return eval_g2(f, twist_env, layer)
 
 
 # ---------------------------------------------------------------------------
@@ -340,25 +353,6 @@ def _mcb_ii(states, pi):
     return True, None
 
 
-def _mcb_iii(states, pi):
-    for y in _subsets(states):
-        for y2 in _subsets(states):
-            if pi[y & y2] == ZERO and pi[y] > ZERO and pi[y2] > ZERO:
-                if not (pi[y | y2] > pi[y] and pi[y | y2] > pi[y2]):
-                    return False, (y, y2)
-    return True, None
-
-
-def _mcb_iv(states, pi):
-    for y in _subsets(states):
-        if pi[y] != ZERO:
-            continue
-        for y2 in _subsets(states):
-            if pi[y | y2] != pi[y2]:
-                return False, (y, y2)
-    return True, None
-
-
 _PROPS: dict[str, Callable] = {
     "monotone": measure_monotone,
     "nontrivial": measure_nontrivial,
@@ -370,8 +364,8 @@ _PROPS: dict[str, Callable] = {
     "mupm": _mu_pm,
     "mcb_i": _mcb_i,
     "mcb_ii": _mcb_ii,
-    "mcb_iii": _mcb_iii,
-    "mcb_iv": _mcb_iv,
+    "mcb_iii": _cond_ii,
+    "mcb_iv": _cond_iii,
 }
 
 
@@ -403,24 +397,39 @@ def frame_validates(states: int, measure: Mapping[int, Fraction], formula: Formu
     names = sorted(vars_of(formula))
     if len(names) > _MAX_FRAME_VARS:
         raise ValueError(f"too many variables for frame validation (> {_MAX_FRAME_VARS})")
-    subsets = list(_subsets(states))
+    _check_layer(layer, [formula])
+    _check_measure(states, measure)
+    for val in _inner_valuations(states, names, layer):
+        value = _value(layer, states, val, measure, formula)
+        if layer == "QG":
+            ok = value == ONE
+        else:
+            ok = value.truth == ONE if layer == "NMCB" else value == (ONE, ZERO)
+        if not ok:
+            return False, val
+    return True, None
+
+
+def _check_layer(layer: str, formulas: Sequence[Formula]) -> None:
+    if layer not in ("QG", "MCB", "NMCB"):
+        raise ValueError(f"unknown layer {layer!r}")
+    for f in formulas:
+        if f.lang != layer:
+            raise LanguageError(f"the {layer} layer takes {layer} formulas, not {f.lang}")
+
+
+def _inner_valuations(states: int, names: Sequence[str],
+                      layer: str) -> Iterator[dict[str, dict[str, int]]]:
+    """Every inner valuation of ``names``, as the keyword arguments of the
+    layer's model: ``v`` for QG, ``vplus`` and ``vminus`` for MCB/NMCB."""
+    subsets = range(1 << states)
     if layer == "QG":
         for combo in product(subsets, repeat=len(names)):
-            model = UncertaintyModel(states, dict(zip(names, combo)), measure)
-            if eval_qg(model, formula) != ONE:
-                return False, {"v": dict(zip(names, combo))}
-        return True, None
-    if layer in ("MCB", "NMCB"):
+            yield {"v": dict(zip(names, combo))}
+    else:
         for combo in product(subsets, repeat=2 * len(names)):
-            vplus = {p: combo[2 * i] for i, p in enumerate(names)}
-            vminus = {p: combo[2 * i + 1] for i, p in enumerate(names)}
-            model = BeliefModel(states, vplus, vminus, measure)
-            value = eval_layer(model, layer, formula)
-            ok = value.truth == ONE if layer == "NMCB" else value == (ONE, ZERO)
-            if not ok:
-                return False, {"vplus": vplus, "vminus": vminus}
-        return True, None
-    raise ValueError(f"unknown layer {layer!r}")
+            yield {"vplus": dict(zip(names, combo[::2])),
+                   "vminus": dict(zip(names, combo[1::2]))}
 
 
 #: frame-condition name -> (layer, named formula text, property name)
@@ -504,7 +513,7 @@ def correspondence_test(cond: str, max_states: int, denominator: int) -> dict:
 # Countermodel search
 # ---------------------------------------------------------------------------
 
-def _refuted_on(models_value, xi_values: list, alpha_value, layer: str) -> bool:
+def _refuted_on(xi_values: list, alpha_value, layer: str) -> bool:
     if layer == "QG":
         return min(xi_values, default=ONE) > alpha_value
     if layer == "NMCB":
@@ -523,26 +532,18 @@ def find_frame_countermodel(xi: Sequence[Formula], alpha: Formula, layer: str,
     Deterministic order: ascending state count, then grid denominator, then
     lexicographic measures and valuations.  Returns the first hit or None.
     """
+    _check_layer(layer, [*xi, alpha])
     names = sorted(set().union(*(vars_of(f) for f in [*xi, alpha])))
     for states in range(1, max_states + 1):
         for denom in range(1, denominator + 1):
             for mu in iter_monotone_measures(states, denom, nontrivial=nontrivial,
                                              capacity=capacity):
-                subsets = list(_subsets(states))
-                if layer == "QG":
-                    for combo in product(subsets, repeat=len(names)):
-                        model = UncertaintyModel(states, dict(zip(names, combo)), mu)
-                        if _refuted_on(model, [eval_qg(model, g) for g in xi],
-                                       eval_qg(model, alpha), layer):
-                            return model
-                else:
-                    for combo in product(subsets, repeat=2 * len(names)):
-                        vplus = {p: combo[2 * i] for i, p in enumerate(names)}
-                        vminus = {p: combo[2 * i + 1] for i, p in enumerate(names)}
-                        model = BeliefModel(states, vplus, vminus, mu)
-                        if _refuted_on(model, [eval_layer(model, layer, g) for g in xi],
-                                       eval_layer(model, layer, alpha), layer):
-                            return model
+                for val in _inner_valuations(states, names, layer):
+                    if _refuted_on([_value(layer, states, val, mu, g) for g in xi],
+                                   _value(layer, states, val, mu, alpha), layer):
+                        if layer == "QG":
+                            return UncertaintyModel(states, mu=mu, **val)
+                        return BeliefModel(states, pi=mu, **val)
     return None
 
 
@@ -563,20 +564,18 @@ def canonical_qg_model(e: Mapping[str, Fraction], formulas: Sequence[Formula]) -
     """
     atoms: set[Formula] = set()
     for f in formulas:
-        atoms |= _modal_atoms(f)
+        atoms |= modal_atoms(f)
     names = sorted(set().union(*(vars_of(a.children[0]) for a in atoms)) | set())
     states = 1 << len(names)
     if states > MAX_DENSE_STATES:
         raise ValueError("too many inner variables for a dense canonical model")
-    v = {p: sum(1 << w for w in range(states) if w >> i & 1)
-         for i, p in enumerate(names)}
-    stub = UncertaintyModel(states, v, {x: ZERO for x in range(1 << states)})
+    v = assignment_masks(names)
     defined: dict[int, Fraction] = {}
     for a in sorted(atoms, key=print_formula):
         key = print_formula(a)
         if key not in e:
             raise KeyError(f"no value for atom {key!r}")
-        x = truth_set(stub, a.children[0])
+        x = cpl_truth_set(a.children[0], v, (1 << states) - 1)
         val = unit(e[key])
         if x in defined and defined[x] != val:
             raise CanonicalModelError(
@@ -602,7 +601,7 @@ def canonical_mcb_model(e: Mapping[str, TwistValue], formulas: Sequence[Formula]
     """
     atoms: set[Formula] = set()
     for f in formulas:
-        atoms |= _modal_atoms(f)
+        atoms |= modal_atoms(f)
     names = sorted(set().union(*(vars_of(a.children[0]) for a in atoms)) if atoms else set())
     literals = [var_ for p in names
                 for var_ in (mk("BD", "var", var=p), mk("BD", "dneg", mk("BD", "var", var=p)))]
@@ -612,8 +611,7 @@ def canonical_mcb_model(e: Mapping[str, TwistValue], formulas: Sequence[Formula]
         raise ValueError("too many literals for a dense canonical model")
     vplus: dict[str, int] = {}
     vminus: dict[str, int] = {}
-    for i, lit in enumerate(lit_list):
-        mask = sum(1 << w for w in range(states) if w >> i & 1)
+    for lit, mask in assignment_masks(lit_list).items():
         if lit.kind == "var":
             vplus[lit.var] = vplus.get(lit.var, 0) | mask
         else:

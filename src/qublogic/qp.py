@@ -10,13 +10,14 @@ rational LP with maximized strictness slack.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
-from . import lp
+from . import bd, lp
 from .algebra import ONE, ZERO
-from .measures import UncertaintyModel
+from .measures import UncertaintyModel, cpl_truth_set
 from .syntax import Formula, LanguageError, desugar, is_sif, mk, retag
 
 
@@ -56,53 +57,29 @@ class GardenforsModel:
         return {
             "states": self.states,
             "weights": {str(x): [str(q) for q in w] for x, w in sorted(self.weights.items())},
-            "v": {p: [i for i in range(self.states) if m >> i & 1]
-                  for p, m in sorted(self.v.items())},
+            "v": {p: bd._mask_to_list(m) for p, m in sorted(self.v.items())},
         }
 
     @classmethod
     def from_json(cls, obj: dict) -> "GardenforsModel":
         weights = {int(x): tuple(Fraction(q) for q in w) for x, w in obj["weights"].items()}
-        v = {}
-        for p, states in obj.get("v", {}).items():
-            mask = 0
-            for s in states:
-                mask |= 1 << s
-            v[p] = mask
+        v = {p: bd._list_to_mask(states) for p, states in obj.get("v", {}).items()}
         return cls(obj["states"], weights, v)
+
+
+_COMPARE = {"leq": operator.le, "approx": operator.eq, "less": operator.lt}
 
 
 def truth_set_qp(m: GardenforsModel, f: Formula) -> int:
     """States where ``f`` holds; comparisons may nest arbitrarily."""
-    kind = f.kind
-    if kind == "var":
+    def compare(kind: str, a: int, b: int) -> int:
         try:
-            return m.v[f.var]
+            holds = _COMPARE[kind]
         except KeyError:
-            raise KeyError(f"variable {f.var!r} unbound in model") from None
-    if kind == "top":
-        return m.full
-    if kind == "bot":
-        return 0
-    if kind == "not":
-        return m.full & ~truth_set_qp(m, f.children[0])
-    a = truth_set_qp(m, f.children[0])
-    b = truth_set_qp(m, f.children[1])
-    if kind == "and":
-        return a & b
-    if kind == "or":
-        return a | b
-    if kind == "matimp":
-        return (m.full & ~a) | b
-    if kind == "iff":
-        return m.full & ~(a ^ b)
-    if kind == "leq":
-        return sum(1 << x for x in range(m.states) if m.prob(x, a) <= m.prob(x, b))
-    if kind == "approx":
-        return sum(1 << x for x in range(m.states) if m.prob(x, a) == m.prob(x, b))
-    if kind == "less":
-        return sum(1 << x for x in range(m.states) if m.prob(x, a) < m.prob(x, b))
-    raise ValueError(f"kind {kind!r} is not a QP connective")
+            raise ValueError(f"kind {kind!r} is not a QP connective") from None
+        return sum(1 << x for x in range(m.states) if holds(m.prob(x, a), m.prob(x, b)))
+
+    return cpl_truth_set(f, m.v, m.full, compare)
 
 
 def qp_sat(m: GardenforsModel, x: int, f: Formula) -> bool:

@@ -25,6 +25,25 @@ def test_unit_bounds_enforced():
         unit(F(-1, 2))
 
 
+@pytest.mark.parametrize("lang, key", [("BIG", "p"), ("QG", "B(p)")])
+def test_eval_big_range_checks_atom_values(lang, key):
+    f = parse(lang, key)
+    for bad in (F(3, 2), F(-1, 2), 2, "-1/3"):
+        with pytest.raises(ValueError):
+            eval_big(f, {key: bad})
+    assert eval_big(f, {key: 1}) == ONE
+    assert eval_big(f, {key: "1/3"}) == F(1, 3)
+
+
+@pytest.mark.parametrize("lang, key", [("G2ORD", "p"), ("MCB", "C(p)"), ("NMCB", "C(p)")])
+def test_eval_g2_range_checks_atom_values(lang, key):
+    f = parse(lang, key)
+    for bad in ((F(3, 2), ZERO), (ZERO, F(-1, 2)), (0, "2")):
+        with pytest.raises(ValueError):
+            eval_g2(f, {key: bad})
+    assert eval_g2(f, {key: (1, "1/3")}) == TwistValue(ONE, F(1, 3))
+
+
 def test_residuation_exhaustive_denominator_six():
     grid = [F(i, 6) for i in range(7)]
     for a in grid:

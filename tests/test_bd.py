@@ -1,10 +1,15 @@
+from fractions import Fraction as F
 from itertools import product
 
 import pytest
 
+from qublogic.algebra import ONE, ZERO
 from qublogic.bd import (BDModel, FOUR, bd_entails, four_eval, four_eval_table, le4,
                          sequent_valid_on_model, single_point_counterpart, support,
                          support_table, truth_sets)
+from qublogic.kripke import G2KripkeModel
+from qublogic.measures import BeliefModel, UncertaintyModel
+from qublogic.qp import GardenforsModel
 from qublogic.syntax import parse, vars_of
 
 from helpers import gen_bd
@@ -142,3 +147,16 @@ def test_model_validation():
 def test_model_json_round_trip():
     m = BDModel(3, {"p": 0b011}, {"p": 0b100, "q": 0b001})
     assert BDModel.from_json(m.to_json()) == m
+
+
+_MU3 = {x: F(bin(x).count("1"), 3) for x in range(8)}
+
+
+@pytest.mark.parametrize("model", [
+    UncertaintyModel(3, {"p": 0b101, "q": 0, "r": 0b111}, _MU3),
+    BeliefModel(3, {"p": 0b011, "q": 0}, {"p": 0b100, "q": 0b111}, _MU3),
+    GardenforsModel(2, {0: (F(1, 3), F(2, 3)), 1: (ONE, ZERO)}, {"p": 0b10, "q": 0}),
+    G2KripkeModel(3, (2, 0, 1), {"p": 0b101, "q": 0}, {"p": 0b001}),
+], ids=lambda m: type(m).__name__)
+def test_two_layered_model_json_round_trip(model):
+    assert type(model).from_json(model.to_json()) == model

@@ -1,11 +1,13 @@
+import random
 from fractions import Fraction as F
 
 import pytest
 
 from qublogic import calculi, measures
 from qublogic.algebra import ONE, eval_big, eval_g2
-from qublogic.decide import big_entails, big_valid, g2_entails, g2_valid, grid, qg_entails
-from qublogic.syntax import LanguageError, mk, parse, var
+from qublogic.decide import (big_entails, big_valid, g2_entails, g2_valid, grid, qg_entails,
+                             qg_merge_atoms, qg_saturation)
+from qublogic.syntax import LanguageError, mk, parse, print_formula, var
 
 
 def test_big_valid_examples():
@@ -119,6 +121,44 @@ def test_qg_coherence_with_frame_search():
                 verdict.witness, [*xi, alpha, parse("QG", "B(Top)"), parse("QG", "B(Bot)")])
             vals = [measures.eval_qg(model, g) for g in xi]
             assert min(vals, default=ONE) > measures.eval_qg(model, alpha)
+
+
+def _pairwise_saturation(reps, with_cap):
+    """qg_saturation by its definition: a classical validity check per side condition."""
+    inners = [a.children[0] for a in reps]
+    taut = [calculi.cpl_valid(phi) for phi in inners]
+    contr = [calculi.cpl_valid(mk("CPL", "not", phi)) for phi in inners]
+    sat = []
+    for i, a in enumerate(reps):
+        for j, b in enumerate(reps):
+            if i == j:
+                continue
+            if calculi.cpl_valid(mk("CPL", "matimp", inners[i], inners[j])):
+                imp = mk("QG", "gimp", a, b)
+                sat += [mk("QG", "delta", imp), imp]
+            if taut[i] and contr[j]:
+                sat.append(mk("QG", "snot", mk("QG", "delta", mk("QG", "gimp", a, b))))
+        if with_cap:
+            if taut[i]:
+                sat.append(mk("QG", "delta", a))
+            if contr[i]:
+                sat.append(mk("QG", "snot", a))
+    return sat
+
+
+@pytest.mark.parametrize("with_cap", [False, True])
+def test_qg_saturation_matches_pairwise_reference(with_cap):
+    # equivalent (p, ~~p, ...), tautological and contradictory inner formulas
+    pool = [parse("CPL", t) for t in (
+        "p", "~(~p)", "(p & q) | (p & ~q)", "q", "r", "~p", "p & q", "p | q", "p => q",
+        "p <-> q", "~(q => p)", "p | ~p", "q => q", "Top", "p & ~p", "Bot", "r & ~r")]
+    rng = random.Random(3)
+    for _ in range(60):
+        atoms = sorted({mk("QG", "bmod", phi) for phi in rng.sample(pool, rng.randint(1, 7))},
+                       key=print_formula)
+        _, _, reps = qg_merge_atoms(atoms)
+        for group in (atoms, reps):
+            assert qg_saturation(group, with_cap) == _pairwise_saturation(group, with_cap)
 
 
 def test_qg_rejects_foreign_languages():

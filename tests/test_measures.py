@@ -87,6 +87,29 @@ def test_frame_validates_examples():
                            parse("QG", "delta B(p) <-> snot B(~p)"), "QG")[0]
 
 
+def test_frame_checks_validate_the_measure_once(monkeypatch):
+    checked = []
+    real = measures._check_measure
+    monkeypatch.setattr(measures, "_check_measure",
+                        lambda states, mu: checked.append(states) or real(states, mu))
+    mu = {0: F(0), 1: F(1, 2), 2: F(1, 2), 3: F(1)}
+    assert frame_validates(2, mu, parse("QG", "B(p) -> B(p | q)"), "QG")[0]
+    assert frame_validates(2, mu, parse("MCB", "C(p & q) -> C(p)"), "MCB")[0]
+    assert checked == [2, 2]
+    checked.clear()
+    # the search visits many frames and valuations; only the hit is built
+    m = find_frame_countermodel([parse("QG", "B(p)")], parse("QG", "B(p & q)"), "QG", 2, 2)
+    assert m is not None and checked == [m.states]
+
+
+def test_mask_keys():
+    assert measures._mask_key(0) == "[]"
+    assert measures._mask_key(0b1101) == "[0,2,3]"
+    for key in ("[0,2,3]", " [ 0 , 2, 3 ] ", "[3,2,0]", "[0,0,2,3]"):
+        assert measures._key_mask(key) == 0b1101
+    assert measures._key_mask("[ ]") == 0
+
+
 def test_correspondence_small_bounds():
     for cond in ("cond_i", "cond_iv"):
         report = correspondence_test(cond, 1, 2)
