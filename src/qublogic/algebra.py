@@ -1,9 +1,12 @@
 """Exact evaluation over the bi-Goedel algebra and its twist product.
 
-Values are :class:`fractions.Fraction` throughout: every law the package
-tests is an exact order statement, so floats are never used.  Twist values
-are pairs (truth, falsity) ordered by ``(x, y) <= (x', y')`` iff ``x <= x'``
-and ``y >= y'``.
+Values are :class:`fractions.Fraction`: every law the package tests is an
+exact order statement, so floats are never used.  Twist values are pairs
+(truth, falsity) ordered by ``(x, y) <= (x', y')`` iff ``x <= x'`` and
+``y >= y'``.  Since every twist clause depends only on the order of its
+arguments, :func:`compile_twist` also evaluates twist formulas on integer
+ranks of a finite chain; the twist decision uses it, while biG evaluation
+(:func:`eval_big`) stays on Fractions.
 
 Sugar connectives are evaluated directly from their value tables rather
 than by expanding them, which keeps the reserved expansion variable out of
@@ -15,7 +18,8 @@ constants.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Mapping, NamedTuple
+from operator import itemgetter
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 from .syntax import RESERVED_VAR, Formula, print_formula
 
@@ -217,6 +221,120 @@ def _apply2(kind: str, a: TwistValue, b: TwistValue) -> TwistValue:
     if kind == "nimp":
         return TwistValue(godel_impl(a.truth, b.truth), meet(a.truth, b.falsity))
     raise ValueError(kind)
+
+
+# ---------------------------------------------------------------------------
+# Twist-product evaluation on integer ranks
+# ---------------------------------------------------------------------------
+
+RankPair = tuple[int, int]
+
+
+def compile_twist(f: Formula, slots: Mapping[str, int], top: int,
+                  nelson: bool) -> Callable[[Sequence[RankPair]], RankPair]:
+    """Compile a twist formula to a function of integer rank pairs.
+
+    The function takes a sequence of (truth, falsity) ranks on the chain
+    0 < 1 < ... < ``top``, indexed by ``slots[key]`` for each atom key, and
+    returns the formula's value as such a pair.  Every clause of
+    :func:`eval_g2` depends only on the order of its arguments and on the
+    endpoints, so dividing the result by ``top`` gives exactly what
+    ``eval_g2`` returns on the valuation of the ranks divided by ``top``.
+    Atom keys are resolved once, here; an atom without a slot raises
+    :class:`UnboundVariableError`.
+    """
+    tv_top = (top, 0)
+    tv_bot = (0, top)
+
+    def imp(a: RankPair, b: RankPair) -> RankPair:
+        t = top if a[0] <= b[0] else b[0]
+        if nelson:
+            return t, (a[0] if a[0] < b[1] else b[1])
+        return t, (0 if b[1] <= a[1] else b[1])
+
+    def conj(a: RankPair, b: RankPair) -> RankPair:
+        return (a[0] if a[0] < b[0] else b[0]), (a[1] if a[1] > b[1] else b[1])
+
+    def comp(f: Formula) -> Callable[[Sequence[RankPair]], RankPair]:
+        kind = f.kind
+        if kind == "var" or kind == "cmod":
+            key = f.var if kind == "var" else print_formula(f)
+            if key not in slots:
+                raise UnboundVariableError(f"no slot for atom {key!r}")
+            return itemgetter(slots[key])
+        if kind == "top":
+            return lambda v: tv_top
+        if kind == "bot":
+            return lambda v: tv_bot
+        if kind in ("dneg", "snot", "delta1", "deltabang", "deltan"):
+            a = comp(f.children[0])
+            if kind == "dneg":
+                def ev(v):
+                    x, y = a(v)
+                    return y, x
+            elif kind == "snot" and nelson:
+                def ev(v):
+                    x = a(v)[0]
+                    return (top if x == 0 else 0), x
+            elif kind == "snot":
+                def ev(v):
+                    x, y = a(v)
+                    return (top if x == 0 else 0), (top if y < top else 0)
+            elif kind == "deltan":
+                def ev(v):
+                    return tv_top if a(v)[0] == top else tv_bot
+            else:
+                def ev(v):
+                    return tv_top if a(v) == tv_top else tv_bot
+            return ev
+        a, b = (comp(c) for c in f.children)
+        if kind == "and":
+            def ev(v):
+                x, y = a(v)
+                x2, y2 = b(v)
+                return (x if x < x2 else x2), (y if y > y2 else y2)
+        elif kind == "or":
+            def ev(v):
+                x, y = a(v)
+                x2, y2 = b(v)
+                return (x if x > x2 else x2), (y if y < y2 else y2)
+        elif kind == "gimp":
+            def ev(v):
+                x, y = a(v)
+                x2, y2 = b(v)
+                return (top if x <= x2 else x2), (0 if y2 <= y else y2)
+        elif kind == "gcoimp":
+            def ev(v):
+                x, y = a(v)
+                x2, y2 = b(v)
+                return (0 if x <= x2 else x), (top if y2 <= y else y)
+        elif kind == "nimp":
+            def ev(v):
+                x, _ = a(v)
+                x2, y2 = b(v)
+                return (top if x <= x2 else x2), (x if x < y2 else y2)
+        elif kind == "ncoimp":
+            def ev(v):
+                x, y = a(v)
+                x2, _ = b(v)
+                return (0 if x <= x2 else x), (y if y > x2 else x2)
+        elif kind == "iff":
+            def ev(v):
+                p, q = a(v), b(v)
+                return conj(imp(p, q), imp(q, p))
+        elif kind == "simp" or kind == "siff":
+            both = kind == "siff"
+
+            def ev(v):
+                p, q = a(v), b(v)
+                np_, nq = (p[1], p[0]), (q[1], q[0])
+                out = conj(imp(p, q), imp(nq, np_))
+                return conj(out, conj(imp(q, p), imp(np_, nq))) if both else out
+        else:
+            raise ValueError(f"cannot evaluate kind {kind!r} over the twist product")
+        return ev
+
+    return comp(f)
 
 
 # ---------------------------------------------------------------------------

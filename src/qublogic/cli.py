@@ -7,6 +7,7 @@ Exit codes: 0 for holds/accept/true results, 1 for fails/reject/false,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -59,7 +60,9 @@ def _bool_exit(ok: bool, payload: dict) -> int:
     return _emit(payload, 0 if ok else 1)
 
 
-def main(argv: list[str] | None = None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and reused after it."""
     parser = argparse.ArgumentParser(prog="qublogic",
                                      description="qualitative-uncertainty logic workbench")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -174,9 +177,12 @@ def main(argv: list[str] | None = None) -> int:
     d.add_argument("text")
     d = psub.add_parser("check")
     d.add_argument("derivation", help="derivation JSON (inline or a file path)")
+    return parser
 
+
+def main(argv: list[str] | None = None) -> int:
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:

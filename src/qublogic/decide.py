@@ -6,6 +6,13 @@ logic.  The twist-product logics use denominator 2k+1 so every relative
 ordering of the 2k coordinates is realizable; the test suite cross-checks
 this against an independent order-type oracle.
 
+The twist decision runs on integer ranks: each formula is compiled once by
+:func:`qublogic.algebra.compile_twist`, rank i stands for the grid value
+i/(2k+1), and Fractions are built only for the returned witness.  The biG
+and QG decisions still evaluate Fractions at every grid point.  A query
+over more atoms than a decision admits is refused with a ValueError that
+states the number of grid points it would visit.
+
 QG entailment reduces to biG entailment after saturating with modal axiom
 instances over the B-atoms in play.  Instances are added both plain and
 under delta: a refuting valuation must then satisfy them exactly, which is
@@ -22,7 +29,7 @@ from itertools import product
 from typing import Iterable, Mapping, Sequence
 
 from . import algebra, syntax
-from .algebra import ONE, ZERO, TwistValue, eval_big, eval_g2
+from .algebra import ONE, TwistValue, eval_big
 from .measures import assignment_masks, cpl_truth_set
 from .syntax import Formula, mk, print_formula
 
@@ -98,10 +105,12 @@ def big_entails(gamma: Sequence[Formula], f: Formula) -> Verdict:
     """Decide ``gamma |= f`` in biG; B-atoms are treated as atoms."""
     _check_big_lang([*gamma, f])
     keys = _atom_keys([*gamma, f])
-    if len(keys) > MAX_BIG_ATOMS:
-        raise ValueError(f"grid decision over {len(keys)} atoms (> {MAX_BIG_ATOMS})")
-    values = grid(len(keys) + 1)
-    for combo in product(values, repeat=len(keys)):
+    k = len(keys)
+    if k > MAX_BIG_ATOMS:
+        raise ValueError(f"grid decision over {k} atoms (> {MAX_BIG_ATOMS}): "
+                         f"{(k + 2) ** k:,} grid points")
+    values = grid(k + 1)
+    for combo in product(values, repeat=k):
         e = dict(zip(keys, combo))
         target = eval_big(f, e)
         if target == ONE:
@@ -137,29 +146,22 @@ def g2_entails(variant: str, gamma: Sequence[Formula], f: Formula) -> Verdict:
     keys = _atom_keys([*gamma, f])
     k = len(keys)
     if k > MAX_G2_ATOMS:
-        raise ValueError(f"twist grid decision over {k} atoms (> {MAX_G2_ATOMS})")
-    values = grid(2 * k + 1)
-    pairs = [TwistValue(a, b) for a in values for b in values]
+        raise ValueError(f"twist grid decision over {k} atoms (> {MAX_G2_ATOMS}): "
+                         f"{(2 * k + 2) ** (2 * k):,} grid points")
+    # ranks i stand for the grid values i/d, in the grid's order
+    d = 2 * k + 1
+    slots = {key: i for i, key in enumerate(keys)}
     nelson = variant == "G2NEL"
+    goal = algebra.compile_twist(f, slots, d, nelson)
+    premises = [algebra.compile_twist(g, slots, d, nelson) for g in gamma]
+    pairs = [(a, b) for a in range(d + 1) for b in range(d + 1)]
     for combo in product(pairs, repeat=k):
-        e = dict(zip(keys, combo))
-        if _refutes_g2(gamma, f, e, nelson):
-            return Verdict("fails", e)
+        t, fl = goal(combo)
+        if (t < d and all(g(combo)[0] > t for g in premises)) or \
+                (not nelson and fl > 0 and all(g(combo)[1] < fl for g in premises)):
+            return Verdict("fails", {key: TwistValue(Fraction(a, d), Fraction(b, d))
+                                     for key, (a, b) in zip(keys, combo)})
     return HOLDS
-
-
-def _refutes_g2(gamma, f, e, nelson: bool) -> bool:
-    variant = "G2NEL" if nelson else "G2ORD"
-    vf = eval_g2(f, e, variant)
-    if vf.truth < ONE:
-        vs = [eval_g2(g, e, variant).truth for g in gamma]
-        if min(vs, default=ONE) > vf.truth:
-            return True
-    if not nelson and vf.falsity > ZERO:
-        vs2 = [eval_g2(g, e, variant).falsity for g in gamma]
-        if max(vs2, default=ZERO) < vf.falsity:
-            return True
-    return False
 
 
 def g2_valid(variant: str, f: Formula) -> Verdict:

@@ -204,7 +204,7 @@ def eval_qg(m: UncertaintyModel, alpha: Formula) -> Fraction:
     """Value of a QG formula: B-atoms get the measure of their truth set."""
     if alpha.lang != "QG":
         raise LanguageError("eval_qg expects a QG formula")
-    return _value("QG", m.states, {"v": m.v}, m.mu, alpha)
+    return _value("QG", m.states, {"v": m.v}, m.mu, alpha, _keyed_atoms(alpha))
 
 
 def eval_layer(m: BeliefModel, variant: str, alpha: Formula) -> TwistValue:
@@ -213,23 +213,29 @@ def eval_layer(m: BeliefModel, variant: str, alpha: Formula) -> TwistValue:
         raise ValueError("variant must be MCB or NMCB")
     if alpha.lang != variant:
         raise LanguageError(f"eval_layer expects an {variant} formula")
-    return _value(variant, m.states, {"vplus": m.vplus, "vminus": m.vminus}, m.pi, alpha)
+    return _value(variant, m.states, {"vplus": m.vplus, "vminus": m.vminus}, m.pi, alpha,
+                  _keyed_atoms(alpha))
+
+
+def _keyed_atoms(f: Formula) -> list[tuple[str, Formula]]:
+    """The modal atoms of ``f`` as (printed key, inner formula) pairs."""
+    return [(print_formula(a), a.children[0]) for a in modal_atoms(f)]
 
 
 def _value(layer: str, states: int, val: Mapping[str, Mapping[str, int]],
-           mu: Mapping[int, Fraction], f: Formula):
-    """Value of a two-layered formula.  ``val`` is the inner valuation as the
-    keyword arguments of the layer's model; ``mu`` is already checked."""
+           mu: Mapping[int, Fraction], f: Formula, atoms: Sequence[tuple[str, Formula]]):
+    """Value of a two-layered formula whose modal atoms are ``atoms``, from
+    :func:`_keyed_atoms`.  ``val`` is the inner valuation as the keyword
+    arguments of the layer's model; ``mu`` is already checked."""
     if layer == "QG":
         full = (1 << states) - 1
-        env = {print_formula(a): mu[cpl_truth_set(a.children[0], val["v"], full)]
-               for a in modal_atoms(f)}
-        return eval_big(f, env)
-    inner = bd.BDModel(states, val["vplus"], val["vminus"])
+        return eval_big(f, {key: mu[cpl_truth_set(inner, val["v"], full)]
+                            for key, inner in atoms})
+    model = bd.BDModel(states, val["vplus"], val["vminus"])
     twist_env: dict[str, TwistValue] = {}
-    for a in modal_atoms(f):
-        pos, neg = bd.truth_sets(inner, a.children[0])
-        twist_env[print_formula(a)] = TwistValue(mu[pos], mu[neg])
+    for key, inner in atoms:
+        pos, neg = bd.truth_sets(model, inner)
+        twist_env[key] = TwistValue(mu[pos], mu[neg])
     return eval_g2(f, twist_env, layer)
 
 
@@ -399,8 +405,9 @@ def frame_validates(states: int, measure: Mapping[int, Fraction], formula: Formu
         raise ValueError(f"too many variables for frame validation (> {_MAX_FRAME_VARS})")
     _check_layer(layer, [formula])
     _check_measure(states, measure)
+    atoms = _keyed_atoms(formula)
     for val in _inner_valuations(states, names, layer):
-        value = _value(layer, states, val, measure, formula)
+        value = _value(layer, states, val, measure, formula, atoms)
         if layer == "QG":
             ok = value == ONE
         else:
@@ -534,13 +541,16 @@ def find_frame_countermodel(xi: Sequence[Formula], alpha: Formula, layer: str,
     """
     _check_layer(layer, [*xi, alpha])
     names = sorted(set().union(*(vars_of(f) for f in [*xi, alpha])))
+    xi_atoms = [_keyed_atoms(g) for g in xi]
+    alpha_atoms = _keyed_atoms(alpha)
     for states in range(1, max_states + 1):
         for denom in range(1, denominator + 1):
             for mu in iter_monotone_measures(states, denom, nontrivial=nontrivial,
                                              capacity=capacity):
                 for val in _inner_valuations(states, names, layer):
-                    if _refuted_on([_value(layer, states, val, mu, g) for g in xi],
-                                   _value(layer, states, val, mu, alpha), layer):
+                    if _refuted_on([_value(layer, states, val, mu, g, atoms)
+                                    for g, atoms in zip(xi, xi_atoms)],
+                                   _value(layer, states, val, mu, alpha, alpha_atoms), layer):
                         if layer == "QG":
                             return UncertaintyModel(states, mu=mu, **val)
                         return BeliefModel(states, pi=mu, **val)

@@ -1,5 +1,8 @@
 import json
+import os
 import pathlib
+import subprocess
+import sys
 
 from qublogic import cli
 
@@ -124,3 +127,21 @@ def test_qg_entails_cli(capsys):
     assert code == 0
     code, out = run(capsys, "decide", "qg-entails", "B(r | ~r)")
     assert code == 1 and "witness" in out
+
+
+def test_reused_parser_matches_fresh_processes(capsys):
+    calls = [
+        (["decide", "g2-entails", "p ~> p"], 2),  # usage error: --lang is missing
+        (["decide", "big-entails", "--premise", "p", "--premise", "p -> q", "q"], 0),
+        (["decide", "big-entails", "q"], 1),  # no premises left over from the call before
+    ]
+    src = pathlib.Path(cli.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    for argv, expected in calls:
+        code = cli.main(argv)
+        captured = capsys.readouterr()
+        fresh = subprocess.run([sys.executable, "-m", "qublogic.cli", *argv], env=env,
+                               capture_output=True, text=True, timeout=60)
+        assert code == expected
+        assert (code, captured.out, captured.err) == \
+            (fresh.returncode, fresh.stdout, fresh.stderr), argv

@@ -1,13 +1,20 @@
+import json
+import pathlib
 import random
 from fractions import Fraction as F
+from itertools import product
 
+import oracles
 import pytest
+from helpers import gen_g2
 
-from qublogic import calculi, measures
-from qublogic.algebra import ONE, eval_big, eval_g2
-from qublogic.decide import (big_entails, big_valid, g2_entails, g2_valid, grid, qg_entails,
-                             qg_merge_atoms, qg_saturation)
-from qublogic.syntax import LanguageError, mk, parse, print_formula, var
+from qublogic import calculi, cli, measures
+from qublogic.algebra import (ONE, ZERO, TwistValue, UnboundVariableError, compile_twist,
+                              eval_big, eval_g2)
+from qublogic.decide import (Verdict, big_entails, big_valid, g2_entails, g2_valid, grid,
+                             qg_entails, qg_merge_atoms, qg_saturation)
+from qublogic.syntax import (BINARY_KINDS, NULLARY_KINDS, PRIMITIVE_KINDS, SUGAR_KINDS,
+                             UNARY_KINDS, LanguageError, mk, parse, print_formula, var, vars_of)
 
 
 def test_big_valid_examples():
@@ -164,3 +171,87 @@ def test_qg_saturation_matches_pairwise_reference(with_cap):
 def test_qg_rejects_foreign_languages():
     with pytest.raises(LanguageError):
         qg_entails([], parse("BIG", "p -> p"))
+
+
+_TWIST_LANGS = {"G2ORD": "G2ORD", "MCB": "G2ORD", "G2NEL": "G2NEL", "NMCB": "G2NEL"}
+
+
+def _twist_atoms(lang):
+    if lang in ("MCB", "NMCB"):
+        return [mk(lang, "cmod", parse("BD", t)) for t in ("p", "neg p & q")]
+    return [var(lang, "p"), var(lang, "q")]
+
+
+@pytest.mark.parametrize("lang", sorted(_TWIST_LANGS))
+def test_compiled_twist_clauses_match_eval_g2(lang):
+    variant = _TWIST_LANGS[lang]
+    a, b = _twist_atoms(lang)
+    keys = [print_formula(a), print_formula(b)]
+    slots = {key: i for i, key in enumerate(keys)}
+    formulas = [a]
+    for kind in sorted(PRIMITIVE_KINDS[lang] | SUGAR_KINDS[lang]):
+        if kind in NULLARY_KINDS:
+            formulas.append(mk(lang, kind))
+        elif kind in UNARY_KINDS:
+            formulas.append(mk(lang, kind, a))
+        elif kind in BINARY_KINDS:
+            formulas.append(mk(lang, kind, a, b))
+    rng = random.Random(5)
+    for f in formulas:
+        for top in (1, 2, 5):
+            ev = compile_twist(f, slots, top, variant == "G2NEL")
+            for _ in range(30):
+                ranks = tuple((rng.randint(0, top), rng.randint(0, top)) for _ in keys)
+                t, fl = ev(ranks)
+                e = {key: TwistValue(F(x, top), F(y, top)) for key, (x, y) in zip(keys, ranks)}
+                assert (F(t, top), F(fl, top)) == eval_g2(f, e, variant), (print_formula(f), ranks)
+
+
+def test_compile_twist_needs_a_slot_per_atom():
+    with pytest.raises(UnboundVariableError):
+        compile_twist(parse("G2ORD", "p -> q"), {"p": 0}, 3, False)
+
+
+def _reference_g2_entails(variant, gamma, f):
+    """The twist grid decision by its definition: eval_g2 at each grid point,
+    keys sorted, truth coordinate major."""
+    keys = sorted(set().union(*(vars_of(g) for g in [*gamma, f])))
+    values = grid(2 * len(keys) + 1)
+    pairs = [TwistValue(x, y) for x in values for y in values]
+    for combo in product(pairs, repeat=len(keys)):
+        e = dict(zip(keys, combo))
+        vf = eval_g2(f, e, variant)
+        vs = [eval_g2(g, e, variant) for g in gamma]
+        if min((v.truth for v in vs), default=ONE) > vf.truth:
+            return Verdict("fails", e)
+        if variant == "G2ORD" and max((v.falsity for v in vs), default=ZERO) < vf.falsity:
+            return Verdict("fails", e)
+    return Verdict("holds")
+
+
+@pytest.mark.parametrize("variant", ["G2ORD", "G2NEL"])
+def test_g2_entails_matches_the_grid_definition(variant):
+    pool = gen_g2(variant, max_depth=3)
+    rng = random.Random(11)
+    for _ in range(40):
+        gamma = rng.sample(pool, rng.randint(0, 2))
+        f = rng.choice(pool)
+        assert g2_entails(variant, gamma, f) == _reference_g2_entails(variant, gamma, f), \
+            ([print_formula(g) for g in gamma], print_formula(f))
+
+
+def test_oracles_do_not_use_the_twist_compiler():
+    assert "compile_twist" not in pathlib.Path(oracles.__file__).read_text()
+
+
+def test_refusals_state_the_grid_size(capsys):
+    with pytest.raises(ValueError, match=r"over 9 atoms \(> 8\): 2,357,947,691 grid points"):
+        big_valid(parse("BIG", "a | b | c | d | e | f | g | h | i"))
+    with pytest.raises(ValueError,
+                       match=r"^twist grid decision over 4 atoms \(> 3\): 100,000,000 grid points$"):
+        g2_valid("G2ORD", parse("G2ORD", "p | q | r | s"))
+    assert cli.main(["decide", "g2-entails", "--lang", "g2nel", "p | q | r | s"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err) == {
+        "error": "ValueError: twist grid decision over 4 atoms (> 3): 100,000,000 grid points"}
