@@ -3,16 +3,16 @@
 Values are :class:`fractions.Fraction`: every law the package tests is an
 exact order statement, so floats are never used.  Twist values are pairs
 (truth, falsity) ordered by ``(x, y) <= (x', y')`` iff ``x <= x'`` and
-``y >= y'``.  Since every twist clause depends only on the order of its
-arguments, :func:`compile_twist` also evaluates twist formulas on integer
-ranks of a finite chain; the twist decision uses it, while biG evaluation
-(:func:`eval_big`) stays on Fractions.
+``y >= y'``.  Every twist clause depends only on the order of its
+arguments, so twist values are computed by one compiler,
+:func:`compile_twist`: :func:`eval_g2` runs it on Fractions with top 1, and
+the twist decision on integer ranks of a finite chain.  biG evaluation
+(:func:`eval_big`) stays a Fraction walk.
 
 Sugar connectives are evaluated directly from their value tables rather
 than by expanding them, which keeps the reserved expansion variable out of
-valuations.  For the Nelson-style sugar only the truth coordinate is pinned
-by those tables; the falsity coordinate uses the definable (1,0)/(0,1)
-constants.
+valuations.  The tables equal the expansions of
+:func:`qublogic.syntax.desugar` on both coordinates, in both variants.
 """
 
 from __future__ import annotations
@@ -95,8 +95,12 @@ class UnboundVariableError(KeyError):
     pass
 
 
-def _lookup(e: Mapping[str, object], f: Formula, default=None):
-    key = f.var if f.kind == "var" else print_formula(f)
+def _key(f: Formula) -> str:
+    """The valuation key of an atom: a variable's name or a modal atom's text."""
+    return f.var if f.kind == "var" else print_formula(f)
+
+
+def _lookup(e: Mapping[str, object], key: str, default=None):
     try:
         return e[key]
     except KeyError:
@@ -110,8 +114,10 @@ def _lookup(e: Mapping[str, object], f: Formula, default=None):
 def eval_big(f: Formula, e: Mapping[str, Fraction]) -> Fraction:
     """Evaluate a biG formula (or a QG formula with B-atoms as atoms)."""
     kind = f.kind
-    if kind == "var" or kind == "bmod":
-        return unit(_lookup(e, f, ZERO))
+    if kind == "var":
+        return unit(_lookup(e, f.var, ZERO))
+    if kind == "bmod":
+        return unit(_lookup(e, print_formula(f), ZERO))
     if kind == "top":
         return ONE
     if kind == "bot":
@@ -149,78 +155,20 @@ def eval_g2(f: Formula, e: Mapping[str, TwistValue], variant: str | None = None)
         raise ValueError(f"{lang} is not a twist-product language")
     if f.lang not in _ORD_LANGS | _NEL_LANGS:
         raise ValueError(f"formula language {f.lang} has no twist semantics")
-    nelson = lang in _NEL_LANGS
-    return _ev2(f, e, nelson)
+    slots: dict[str, int] = {}
+    values: list[TwistValue] = []
+    for key in dict.fromkeys(map(_key, _twist_atoms(f))):
+        v = _lookup(e, key, (ZERO, ZERO))
+        slots[key] = len(values)
+        values.append(TwistValue(unit(v[0]), unit(v[1])))
+    return TwistValue(*compile_twist(f, slots, ONE, lang in _NEL_LANGS)(values))
 
 
-def _ev2(f: Formula, e: Mapping[str, TwistValue], nelson: bool) -> TwistValue:
-    kind = f.kind
-    if kind == "var" or kind == "cmod":
-        v = _lookup(e, f, (ZERO, ZERO))
-        return TwistValue(unit(v[0]), unit(v[1]))
-    if kind == "top":
-        return TV_TOP
-    if kind == "bot":
-        return TV_BOT
-    if kind == "dneg":
-        a = _ev2(f.children[0], e, nelson)
-        return TwistValue(a.falsity, a.truth)
-    if kind == "and":
-        a, b = (_ev2(c, e, nelson) for c in f.children)
-        return TwistValue(meet(a.truth, b.truth), join(a.falsity, b.falsity))
-    if kind == "or":
-        a, b = (_ev2(c, e, nelson) for c in f.children)
-        return TwistValue(join(a.truth, b.truth), meet(a.falsity, b.falsity))
-    if kind == "gimp":
-        a, b = (_ev2(c, e, nelson) for c in f.children)
-        return TwistValue(godel_impl(a.truth, b.truth), godel_coimpl(b.falsity, a.falsity))
-    if kind == "gcoimp":
-        a, b = (_ev2(c, e, nelson) for c in f.children)
-        return TwistValue(godel_coimpl(a.truth, b.truth), godel_impl(b.falsity, a.falsity))
-    if kind == "nimp":
-        # falsity clause: antecedent true and consequent false
-        a, b = (_ev2(c, e, nelson) for c in f.children)
-        return TwistValue(godel_impl(a.truth, b.truth), meet(a.truth, b.falsity))
-    if kind == "ncoimp":
-        a, b = (_ev2(c, e, nelson) for c in f.children)
-        return TwistValue(godel_coimpl(a.truth, b.truth), join(a.falsity, b.truth))
-    if kind == "snot":
-        a = _ev2(f.children[0], e, nelson)
-        t = ONE if a.truth == ZERO else ZERO
-        if nelson:
-            return TwistValue(t, a.truth)
-        return TwistValue(t, ONE if a.falsity < ONE else ZERO)
-    if kind == "delta1" or kind == "deltabang":
-        a = _ev2(f.children[0], e, nelson)
-        return TV_TOP if a == TV_TOP else TV_BOT
-    if kind == "deltan":
-        a = _ev2(f.children[0], e, nelson)
-        return TV_TOP if a.truth == ONE else TV_BOT
-    if kind in ("iff", "simp", "siff"):
-        a, b = (_ev2(c, e, nelson) for c in f.children)
-        imp = "nimp" if nelson else "gimp"
-        fwd = _apply2(imp, a, b)
-        bwd = _apply2(imp, b, a)
-        if kind == "iff":
-            return _apply2("and", fwd, bwd)
-        fwd_n = _apply2(imp, TwistValue(b.falsity, b.truth), TwistValue(a.falsity, a.truth))
-        s1 = _apply2("and", fwd, fwd_n)
-        if kind == "simp":
-            return s1
-        bwd_n = _apply2(imp, TwistValue(a.falsity, a.truth), TwistValue(b.falsity, b.truth))
-        s2 = _apply2("and", bwd, bwd_n)
-        return _apply2("and", s1, s2)
-    raise ValueError(f"cannot evaluate kind {kind!r} over the twist product")
-
-
-def _apply2(kind: str, a: TwistValue, b: TwistValue) -> TwistValue:
-    if kind == "and":
-        return TwistValue(meet(a.truth, b.truth), join(a.falsity, b.falsity))
-    if kind == "gimp":
-        return TwistValue(godel_impl(a.truth, b.truth), godel_coimpl(b.falsity, a.falsity))
-    if kind == "nimp":
-        return TwistValue(godel_impl(a.truth, b.truth), meet(a.truth, b.falsity))
-    raise ValueError(kind)
+def _twist_atoms(f: Formula) -> list[Formula]:
+    """The variables and modal atoms of a twist formula, left to right."""
+    if f.kind == "var" or f.kind == "cmod":
+        return [f]
+    return [a for c in f.children for a in _twist_atoms(c)]
 
 
 # ---------------------------------------------------------------------------
@@ -232,25 +180,27 @@ RankPair = tuple[int, int]
 
 def compile_twist(f: Formula, slots: Mapping[str, int], top: int,
                   nelson: bool) -> Callable[[Sequence[RankPair]], RankPair]:
-    """Compile a twist formula to a function of integer rank pairs.
+    """Compile a twist formula to a function of (truth, falsity) pairs.
 
-    The function takes a sequence of (truth, falsity) ranks on the chain
-    0 < 1 < ... < ``top``, indexed by ``slots[key]`` for each atom key, and
-    returns the formula's value as such a pair.  Every clause of
-    :func:`eval_g2` depends only on the order of its arguments and on the
-    endpoints, so dividing the result by ``top`` gives exactly what
-    ``eval_g2`` returns on the valuation of the ranks divided by ``top``.
+    The function takes a sequence of (truth, falsity) pairs on the chain
+    from ``top - top`` to ``top``, indexed by ``slots[key]`` for each atom
+    key, and returns the formula's value as such a pair.  Every clause
+    depends only on the order of its arguments and on the endpoints, so the
+    same function evaluates integer ranks 0..``top`` and, with ``top`` the
+    Fraction 1, values in [0, 1] (:func:`eval_g2`); dividing the ranks'
+    result by ``top`` gives the value on the ranks divided by ``top``.
     Atom keys are resolved once, here; an atom without a slot raises
     :class:`UnboundVariableError`.
     """
-    tv_top = (top, 0)
-    tv_bot = (0, top)
+    bot = top - top
+    tv_top = (top, bot)
+    tv_bot = (bot, top)
 
     def imp(a: RankPair, b: RankPair) -> RankPair:
         t = top if a[0] <= b[0] else b[0]
         if nelson:
             return t, (a[0] if a[0] < b[1] else b[1])
-        return t, (0 if b[1] <= a[1] else b[1])
+        return t, (bot if b[1] <= a[1] else b[1])
 
     def conj(a: RankPair, b: RankPair) -> RankPair:
         return (a[0] if a[0] < b[0] else b[0]), (a[1] if a[1] > b[1] else b[1])
@@ -258,7 +208,7 @@ def compile_twist(f: Formula, slots: Mapping[str, int], top: int,
     def comp(f: Formula) -> Callable[[Sequence[RankPair]], RankPair]:
         kind = f.kind
         if kind == "var" or kind == "cmod":
-            key = f.var if kind == "var" else print_formula(f)
+            key = _key(f)
             if key not in slots:
                 raise UnboundVariableError(f"no slot for atom {key!r}")
             return itemgetter(slots[key])
@@ -275,11 +225,11 @@ def compile_twist(f: Formula, slots: Mapping[str, int], top: int,
             elif kind == "snot" and nelson:
                 def ev(v):
                     x = a(v)[0]
-                    return (top if x == 0 else 0), x
+                    return (top if x == bot else bot), x
             elif kind == "snot":
                 def ev(v):
                     x, y = a(v)
-                    return (top if x == 0 else 0), (top if y < top else 0)
+                    return (top if x == bot else bot), (top if y < top else bot)
             elif kind == "deltan":
                 def ev(v):
                     return tv_top if a(v)[0] == top else tv_bot
@@ -302,12 +252,12 @@ def compile_twist(f: Formula, slots: Mapping[str, int], top: int,
             def ev(v):
                 x, y = a(v)
                 x2, y2 = b(v)
-                return (top if x <= x2 else x2), (0 if y2 <= y else y2)
+                return (top if x <= x2 else x2), (bot if y2 <= y else y2)
         elif kind == "gcoimp":
             def ev(v):
                 x, y = a(v)
                 x2, y2 = b(v)
-                return (0 if x <= x2 else x), (top if y2 <= y else y)
+                return (bot if x <= x2 else x), (top if y2 <= y else y)
         elif kind == "nimp":
             def ev(v):
                 x, _ = a(v)
@@ -317,7 +267,7 @@ def compile_twist(f: Formula, slots: Mapping[str, int], top: int,
             def ev(v):
                 x, y = a(v)
                 x2, _ = b(v)
-                return (0 if x <= x2 else x), (y if y > x2 else x2)
+                return (bot if x <= x2 else x), (y if y > x2 else x2)
         elif kind == "iff":
             def ev(v):
                 p, q = a(v), b(v)

@@ -1,9 +1,13 @@
 """Belnap-Dunn models, four-valued evaluation, and entailment.
 
 States are indexed 0..n-1 and state sets are held as bitmasks, which caps
-models at 64 states (far beyond anything the tests need).  Entailment is
-decided over the four-element De Morgan lattice; the frame direction is
-covered by the one-state counterpart construction.
+models at 64 states (far beyond anything the tests need).  Supports come
+from one memoized recursion over the BD connectives, which the Kripke
+semantics of :mod:`qublogic.kripke` and the belief models of
+:mod:`qublogic.measures` share.  Entailment is decided over the
+four-element De Morgan lattice, a second route that tests compare with the
+supports; the frame direction is covered by the one-state counterpart
+construction.
 
 This module owns the state-set codec of every model's JSON form: a mask
 is written as its ascending list of states (:func:`_mask_to_list`) and read
@@ -14,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import product
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .syntax import Formula, vars_of
 
@@ -62,7 +66,7 @@ class BDModel:
         if not 1 <= self.states <= MAX_STATES:
             raise ValueError(f"state count must be in 1..{MAX_STATES}")
         full = self.full
-        for v in dict(self.vplus, **self.vminus).values():
+        for v in [*self.vplus.values(), *self.vminus.values()]:
             if v & ~full:
                 raise ValueError("valuation references states outside the model")
 
@@ -97,24 +101,55 @@ def _list_to_mask(states: Iterable[int]) -> int:
     return mask
 
 
+def _support_masks(vplus: Mapping[str, int], vminus: Mapping[str, int],
+                   other: Callable[[Formula, Callable], tuple[int, int]] | None = None
+                   ) -> Callable[[Formula], tuple[int, int]]:
+    """The positive and negative support masks of formulas, memoized.
+
+    This is the one recursion over the BD connectives.  A variable bound on
+    one side only is supported nowhere on the other; one bound on neither
+    side raises :class:`KeyError`.  Any kind other than ``var``, ``dneg``,
+    ``and`` and ``or`` goes to ``other`` with the formula and the returned
+    function itself, which Kripke semantics uses for its implications.
+    """
+    memo: dict[Formula, tuple[int, int]] = {}
+
+    def rec(f: Formula) -> tuple[int, int]:
+        got = memo.get(f)
+        if got is not None:
+            return got
+        kind = f.kind
+        if kind == "var":
+            name = f.var
+            if name not in vplus and name not in vminus:
+                raise KeyError(f"variable {name!r} unbound in model")
+            res = vplus.get(name, 0), vminus.get(name, 0)
+        elif kind == "dneg":
+            p, n = rec(f.children[0])
+            res = n, p
+        elif kind == "and" or kind == "or":
+            p1, n1 = rec(f.children[0])
+            p2, n2 = rec(f.children[1])
+            res = (p1 & p2, n1 | n2) if kind == "and" else (p1 | p2, n1 & n2)
+        elif other is not None:
+            res = other(f, rec)
+        else:
+            raise ValueError(f"kind {kind!r} is not a BD connective")
+        memo[f] = res
+        return res
+
+    return rec
+
+
 def truth_sets(m: BDModel, f: Formula) -> tuple[int, int]:
     """Positive and negative interpretations |f|+ and |f|- as bitmasks."""
-    kind = f.kind
-    if kind == "var":
-        try:
-            return m.vplus[f.var], m.vminus[f.var]
-        except KeyError:
-            raise KeyError(f"variable {f.var!r} unbound in model") from None
-    if kind == "dneg":
-        p, n = truth_sets(m, f.children[0])
-        return n, p
-    p1, n1 = truth_sets(m, f.children[0])
-    p2, n2 = truth_sets(m, f.children[1])
-    if kind == "and":
-        return p1 & p2, n1 | n2
-    if kind == "or":
-        return p1 | p2, n1 & n2
-    raise ValueError(f"kind {kind!r} is not a BD connective")
+    return _support_masks(m.vplus, m.vminus)(f)
+
+
+def support_table(m: BDModel, formulas: Iterable[Formula]) -> dict[Formula, tuple[int, int]]:
+    """Truth-set masks for many formulas, sharing subformula work."""
+    masks = _support_masks(m.vplus, m.vminus)
+    return {f: masks(f) for f in formulas}
 
 
 def support(m: BDModel, s: int, f: Formula) -> tuple[bool, bool]:
@@ -127,23 +162,14 @@ def support(m: BDModel, s: int, f: Formula) -> tuple[bool, bool]:
 
 def sequent_valid_on_model(m: BDModel, phi: Formula, chi: Formula) -> bool:
     """|phi|+ contained in |chi|+ and |chi|- contained in |phi|-."""
-    p1, n1 = truth_sets(m, phi)
-    p2, n2 = truth_sets(m, chi)
+    masks = _support_masks(m.vplus, m.vminus)
+    (p1, n1), (p2, n2) = masks(phi), masks(chi)
     return (p1 & ~p2) == 0 and (n2 & ~n1) == 0
 
 
 def four_eval(v: Mapping[str, str], f: Formula) -> str:
-    kind = f.kind
-    if kind == "var":
-        try:
-            return v[f.var]
-        except KeyError:
-            raise KeyError(f"variable {f.var!r} unbound") from None
-    if kind == "dneg":
-        return neg4(four_eval(v, f.children[0]))
-    a = four_eval(v, f.children[0])
-    b = four_eval(v, f.children[1])
-    return meet4(a, b) if kind == "and" else join4(a, b)
+    """Value of ``f`` in the four-element lattice under ``v``."""
+    return four_eval_table([v], [f])[f][0]
 
 
 def single_point_counterpart(v: Mapping[str, str]) -> BDModel:
@@ -153,39 +179,13 @@ def single_point_counterpart(v: Mapping[str, str]) -> BDModel:
     return BDModel(1, vplus, vminus)
 
 
-def support_table(m: BDModel, formulas: Iterable[Formula]) -> dict[Formula, tuple[int, int]]:
-    """Truth-set masks for many formulas, sharing subformula work."""
-    memo: dict[Formula, tuple[int, int]] = {}
-
-    def rec(f: Formula) -> tuple[int, int]:
-        got = memo.get(f)
-        if got is not None:
-            return got
-        kind = f.kind
-        if kind == "var":
-            res = (m.vplus.get(f.var, _missing(f.var, m)), m.vminus.get(f.var, 0))
-        elif kind == "dneg":
-            p, n = rec(f.children[0])
-            res = (n, p)
-        else:
-            p1, n1 = rec(f.children[0])
-            p2, n2 = rec(f.children[1])
-            res = (p1 & p2, n1 | n2) if kind == "and" else (p1 | p2, n1 & n2)
-        memo[f] = res
-        return res
-
-    return {f: rec(f) for f in formulas}
-
-
-def _missing(name: str, m: BDModel) -> int:
-    if name not in m.vplus and name not in m.vminus:
-        raise KeyError(f"variable {name!r} unbound in model")
-    return 0
-
-
 def four_eval_table(valuations: Sequence[Mapping[str, str]],
                     formulas: Iterable[Formula]) -> dict[Formula, tuple[str, ...]]:
-    """Four-valued evaluation of many formulas over many valuations at once."""
+    """Four-valued evaluation of many formulas over many valuations at once.
+
+    This is the one recursion over the lattice operations of 4; it stays
+    apart from the support masks so that tests can compare the two routes.
+    """
     memo: dict[Formula, tuple[str, ...]] = {}
 
     def rec(f: Formula) -> tuple[str, ...]:
@@ -194,7 +194,10 @@ def four_eval_table(valuations: Sequence[Mapping[str, str]],
             return got
         kind = f.kind
         if kind == "var":
-            res = tuple(v[f.var] for v in valuations)
+            try:
+                res = tuple(v[f.var] for v in valuations)
+            except KeyError:
+                raise KeyError(f"variable {f.var!r} unbound") from None
         elif kind == "dneg":
             res = tuple(neg4(x) for x in rec(f.children[0]))
         else:

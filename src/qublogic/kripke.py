@@ -2,10 +2,15 @@
 
 Frames are finite reflexive linear orders; valuations are upward closed, so
 supports of all formulas are up-sets and a chain model is determined by
-support-set sizes.  The counterpart constructions translate between twist
-valuations and chain models; the rational carrier of the original
-construction is replaced by a finite chain, which realizes the same order
-constraints because only finitely many formulas are ever compared.
+support-set sizes.  Support masks extend the BD recursion of
+:mod:`qublogic.bd`: an implication quantifies over earlier or later
+states, which on a chain is a down- or up-closure in rank order, and sugar
+is expanded by :func:`qublogic.syntax.desugar`.
+
+The counterpart constructions translate between twist valuations and chain
+models; the rational carrier of the original construction is replaced by a
+finite chain, which realizes the same order constraints because only
+finitely many formulas are ever compared.
 """
 
 from __future__ import annotations
@@ -13,14 +18,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from . import bd
 from .algebra import ONE, ZERO, TwistValue, unit
-from .syntax import Formula, vars_of
+from .syntax import RESERVED_VAR, SUGAR_KINDS, Formula, desugar, vars_of
 
-_G2_KINDS = {"var", "dneg", "and", "or", "gimp", "gcoimp", "nimp", "ncoimp",
-             "top", "bot", "snot", "delta1", "deltan", "deltabang", "simp", "siff", "iff"}
+_SUGAR_KINDS = SUGAR_KINDS["G2ORD"] | SUGAR_KINDS["G2NEL"]
+_IMPLICATION_KINDS = {"gimp", "gcoimp", "nimp", "ncoimp"}
 
 
 @dataclass(frozen=True)
@@ -42,23 +47,14 @@ class G2KripkeModel:
             raise ValueError("at least one state required")
         if sorted(self.order) != list(range(self.states)):
             raise ValueError("order must be a permutation of ranks 0..n-1")
-        for name, mask in dict(self.vplus, **self.vminus).items():
+        valuation = [*self.vplus.items(), *self.vminus.items()]
+        for name, mask in valuation:
             if mask >> self.states:
                 raise ValueError(f"valuation of {name!r} references unknown states")
-        for vmap in (self.vplus, self.vminus):
-            for name, mask in vmap.items():
-                if not self._upward_closed(mask):
-                    raise ValueError(f"valuation of {name!r} is not upward closed")
-
-    def _upward_closed(self, mask: int) -> bool:
-        ranks = {self.order[s] for s in range(self.states) if mask >> s & 1}
-        return all(r in ranks for r in range(min(ranks, default=0), self.states)) if ranks else True
-
-    def up(self, s: int) -> list[int]:
-        return [t for t in range(self.states) if self.order[t] >= self.order[s]]
-
-    def down(self, s: int) -> list[int]:
-        return [t for t in range(self.states) if self.order[t] <= self.order[s]]
+        _, ups = _rank_closures(self.order)
+        for name, mask in valuation:
+            if mask not in ups:
+                raise ValueError(f"valuation of {name!r} is not upward closed")
 
     def bottom(self) -> int:
         return self.order.index(0)
@@ -81,83 +77,82 @@ class G2KripkeModel:
         )
 
 
+def _rank_closures(order: Sequence[int]) -> tuple[list[int], list[int]]:
+    """The down-sets and the up-sets of a linear order as masks, each list
+    growing one state at a time from the empty set to the full one."""
+    by_rank = sorted(range(len(order)), key=order.__getitem__)
+    downs, ups = [0], [0]
+    for s in by_rank:
+        downs.append(downs[-1] | 1 << s)
+    for s in reversed(by_rank):
+        ups.append(ups[-1] | 1 << s)
+    return downs, ups
+
+
+def _support_masks(m: G2KripkeModel) -> Callable[[Formula], tuple[int, int]]:
+    """Memoized positive/negative support masks on ``m``.
+
+    The BD connectives are those of :mod:`qublogic.bd`; sugar is expanded,
+    and each implication clause is a down- or up-closure of the states
+    where its condition holds.  The variable reserved for sugar expansion
+    defaults to empty supports; the expansions do not depend on its value.
+    """
+    downs, ups = _rank_closures(m.order)
+    full = downs[-1]
+
+    def down(x: int) -> int:
+        return next(d for d in downs if not x & ~d)
+
+    def up(x: int) -> int:
+        return next(u for u in ups if not x & ~u)
+
+    def clause(f: Formula, rec: Callable[[Formula], tuple[int, int]]) -> tuple[int, int]:
+        kind = f.kind
+        if kind in _SUGAR_KINDS:
+            return rec(desugar(f))
+        if kind not in _IMPLICATION_KINDS:
+            raise ValueError(f"kind {kind!r} has no Kripke clause")
+        (p1, n1), (p2, n2) = rec(f.children[0]), rec(f.children[1])
+        if kind == "gimp" or kind == "nimp":
+            # no later state supports the antecedent without the consequent
+            pos = full & ~down(p1 & ~p2)
+        else:
+            # some earlier state supports the antecedent without the consequent
+            pos = up(p1 & ~p2)
+        if kind == "gimp":
+            neg = up(n2 & ~n1)
+        elif kind == "gcoimp":
+            # falsity mirrors the implication clause on negative supports,
+            # so the quantifier runs upward
+            neg = full & ~down(n2 & ~n1)
+        elif kind == "nimp":
+            neg = p1 & n2
+        else:
+            neg = n1 | p2
+        return pos, neg
+
+    return bd._support_masks({RESERVED_VAR: 0, **m.vplus}, m.vminus, clause)
+
+
 def support_table(m: G2KripkeModel, formulas: Iterable[Formula]) -> dict[Formula, tuple[int, int]]:
     """Positive/negative support masks for each formula (shared bottom-up)."""
-    memo: dict[Formula, tuple[int, int]] = {}
-    for f in formulas:
-        _supports(m, f, memo)
-    return {f: memo[f] for f in formulas}
+    masks = _support_masks(m)
+    return {f: masks(f) for f in formulas}
 
 
 def ksupport(m: G2KripkeModel, s: int, f: Formula) -> tuple[bool, bool]:
     """Positive and negative support of ``f`` at state ``s``."""
     if not 0 <= s < m.states:
         raise IndexError(f"state {s} out of range")
-    pos, neg = _supports(m, f, {})
+    pos, neg = _support_masks(m)(f)
     return bool(pos >> s & 1), bool(neg >> s & 1)
 
 
 def global_support(m: G2KripkeModel, f: Formula) -> tuple[bool, bool]:
     """Support at every state (equivalently, at the bottom of the chain)."""
-    pos, neg = _supports(m, f, {})
+    pos, neg = _support_masks(m)(f)
     full = (1 << m.states) - 1
     return pos == full, neg == full
-
-
-def _supports(m: G2KripkeModel, f: Formula, memo: dict) -> tuple[int, int]:
-    if f in memo:
-        return memo[f]
-    if f.kind not in _G2_KINDS:
-        raise ValueError(f"kind {f.kind!r} has no Kripke clause")
-    full = (1 << m.states) - 1
-    kind = f.kind
-    if kind == "var":
-        if f.var not in m.vplus and f.var not in m.vminus:
-            from .syntax import RESERVED_VAR
-
-            if f.var != RESERVED_VAR:
-                raise KeyError(f"variable {f.var!r} unbound in model")
-        res = (m.vplus.get(f.var, 0), m.vminus.get(f.var, 0))
-    elif kind in ("top", "bot", "snot", "delta1", "deltan", "deltabang", "simp", "siff", "iff"):
-        from .syntax import desugar
-
-        res = _supports(m, desugar(f), memo)
-    elif kind == "dneg":
-        p, n = _supports(m, f.children[0], memo)
-        res = (n, p)
-    elif kind == "and":
-        p1, n1 = _supports(m, f.children[0], memo)
-        p2, n2 = _supports(m, f.children[1], memo)
-        res = (p1 & p2, n1 | n2)
-    elif kind == "or":
-        p1, n1 = _supports(m, f.children[0], memo)
-        p2, n2 = _supports(m, f.children[1], memo)
-        res = (p1 | p2, n1 & n2)
-    else:
-        p1, n1 = _supports(m, f.children[0], memo)
-        p2, n2 = _supports(m, f.children[1], memo)
-        pos = neg = 0
-        for s in range(m.states):
-            up, down = m.up(s), m.down(s)
-            if kind == "gimp":
-                p = all(not p1 >> t & 1 or p2 >> t & 1 for t in up)
-                n = any(not n1 >> t & 1 and n2 >> t & 1 for t in down)
-            elif kind == "gcoimp":
-                p = any(p1 >> t & 1 and not p2 >> t & 1 for t in down)
-                # falsity mirrors the implication clause on negative
-                # supports, so the quantifier runs upward
-                n = all(n1 >> t & 1 or not n2 >> t & 1 for t in up)
-            elif kind == "nimp":
-                p = all(not p1 >> t & 1 or p2 >> t & 1 for t in up)
-                n = bool(p1 >> s & 1 and n2 >> s & 1)
-            else:  # ncoimp
-                p = any(p1 >> t & 1 and not p2 >> t & 1 for t in down)
-                n = bool(n1 >> s & 1 or p2 >> s & 1)
-            pos |= p << s
-            neg |= n << s
-        res = (pos, neg)
-    memo[f] = res
-    return res
 
 
 # ---------------------------------------------------------------------------

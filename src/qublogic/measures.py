@@ -22,7 +22,7 @@ from itertools import product
 from typing import Callable, Iterator, Mapping, Sequence
 
 from . import bd
-from .algebra import ONE, ZERO, TwistValue, eval_big, eval_g2, unit
+from .algebra import ONE, ZERO, TwistValue, compile_twist, eval_big, unit
 from .syntax import Formula, LanguageError, mk, modal_atoms, print_formula, vars_of
 
 MAX_DENSE_STATES = 16
@@ -120,7 +120,7 @@ class BeliefModel:
 
     def __post_init__(self):
         _check_measure(self.states, self.pi)
-        for name, mask in dict(self.vplus, **self.vminus).items():
+        for name, mask in [*self.vplus.items(), *self.vminus.items()]:
             if mask >> self.states:
                 raise ValueError(f"valuation of {name!r} references unknown states")
 
@@ -204,7 +204,7 @@ def eval_qg(m: UncertaintyModel, alpha: Formula) -> Fraction:
     """Value of a QG formula: B-atoms get the measure of their truth set."""
     if alpha.lang != "QG":
         raise LanguageError("eval_qg expects a QG formula")
-    return _value("QG", m.states, {"v": m.v}, m.mu, alpha, _keyed_atoms(alpha))
+    return _evaluator("QG", alpha)(m.states, {"v": m.v}, m.mu)
 
 
 def eval_layer(m: BeliefModel, variant: str, alpha: Formula) -> TwistValue:
@@ -213,30 +213,30 @@ def eval_layer(m: BeliefModel, variant: str, alpha: Formula) -> TwistValue:
         raise ValueError("variant must be MCB or NMCB")
     if alpha.lang != variant:
         raise LanguageError(f"eval_layer expects an {variant} formula")
-    return _value(variant, m.states, {"vplus": m.vplus, "vminus": m.vminus}, m.pi, alpha,
-                  _keyed_atoms(alpha))
+    return _evaluator(variant, alpha)(m.states, {"vplus": m.vplus, "vminus": m.vminus}, m.pi)
 
 
-def _keyed_atoms(f: Formula) -> list[tuple[str, Formula]]:
-    """The modal atoms of ``f`` as (printed key, inner formula) pairs."""
-    return [(print_formula(a), a.children[0]) for a in modal_atoms(f)]
-
-
-def _value(layer: str, states: int, val: Mapping[str, Mapping[str, int]],
-           mu: Mapping[int, Fraction], f: Formula, atoms: Sequence[tuple[str, Formula]]):
-    """Value of a two-layered formula whose modal atoms are ``atoms``, from
-    :func:`_keyed_atoms`.  ``val`` is the inner valuation as the keyword
-    arguments of the layer's model; ``mu`` is already checked."""
+def _evaluator(layer: str, f: Formula) -> Callable:
+    """The value of a two-layered formula as a function of the state count,
+    the inner valuation, given as the keyword arguments of the layer's
+    model, and the measure, which is already checked.  The modal-atom keys
+    are printed, and an MCB/NMCB formula compiled, once, here."""
+    atoms = [(print_formula(a), a.children[0]) for a in modal_atoms(f)]
     if layer == "QG":
-        full = (1 << states) - 1
-        return eval_big(f, {key: mu[cpl_truth_set(inner, val["v"], full)]
-                            for key, inner in atoms})
-    model = bd.BDModel(states, val["vplus"], val["vminus"])
-    twist_env: dict[str, TwistValue] = {}
-    for key, inner in atoms:
-        pos, neg = bd.truth_sets(model, inner)
-        twist_env[key] = TwistValue(mu[pos], mu[neg])
-    return eval_g2(f, twist_env, layer)
+        def value(states: int, val: Mapping[str, Mapping[str, int]],
+                  mu: Mapping[int, Fraction]) -> Fraction:
+            full = (1 << states) - 1
+            return eval_big(f, {key: mu[cpl_truth_set(inner, val["v"], full)]
+                                for key, inner in atoms})
+        return value
+    ev = compile_twist(f, {key: i for i, (key, _) in enumerate(atoms)}, ONE, layer == "NMCB")
+    inners = [inner for _, inner in atoms]
+
+    def value(states: int, val: Mapping[str, Mapping[str, int]],
+              mu: Mapping[int, Fraction]) -> TwistValue:
+        masks = bd._support_masks(val["vplus"], val["vminus"])
+        return TwistValue(*ev([TwistValue(mu[pos], mu[neg]) for pos, neg in map(masks, inners)]))
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -405,9 +405,9 @@ def frame_validates(states: int, measure: Mapping[int, Fraction], formula: Formu
         raise ValueError(f"too many variables for frame validation (> {_MAX_FRAME_VARS})")
     _check_layer(layer, [formula])
     _check_measure(states, measure)
-    atoms = _keyed_atoms(formula)
+    value_of = _evaluator(layer, formula)
     for val in _inner_valuations(states, names, layer):
-        value = _value(layer, states, val, measure, formula, atoms)
+        value = value_of(states, val, measure)
         if layer == "QG":
             ok = value == ONE
         else:
@@ -541,16 +541,15 @@ def find_frame_countermodel(xi: Sequence[Formula], alpha: Formula, layer: str,
     """
     _check_layer(layer, [*xi, alpha])
     names = sorted(set().union(*(vars_of(f) for f in [*xi, alpha])))
-    xi_atoms = [_keyed_atoms(g) for g in xi]
-    alpha_atoms = _keyed_atoms(alpha)
+    xi_evals = [_evaluator(layer, g) for g in xi]
+    alpha_eval = _evaluator(layer, alpha)
     for states in range(1, max_states + 1):
         for denom in range(1, denominator + 1):
             for mu in iter_monotone_measures(states, denom, nontrivial=nontrivial,
                                              capacity=capacity):
                 for val in _inner_valuations(states, names, layer):
-                    if _refuted_on([_value(layer, states, val, mu, g, atoms)
-                                    for g, atoms in zip(xi, xi_atoms)],
-                                   _value(layer, states, val, mu, alpha, alpha_atoms), layer):
+                    if _refuted_on([ev(states, val, mu) for ev in xi_evals],
+                                   alpha_eval(states, val, mu), layer):
                         if layer == "QG":
                             return UncertaintyModel(states, mu=mu, **val)
                         return BeliefModel(states, pi=mu, **val)

@@ -499,16 +499,18 @@ def desugar(f: Formula) -> Formula:
             a, b = kids
             return mk(lang, "and", mk(lang, "gimp", a, b), mk(lang, "gimp", b, a))
     else:  # G2NEL, NMCB
+        # zero and one are (0,1) and (1,0) whatever the reserved atom's
+        # value; snot and deltaN built on them agree with the value tables
+        # on both coordinates
         topn = mk(lang, "nimp", unit, unit)
-        botn = mk(lang, "ncoimp", unit, unit)
         zero = mk(lang, "ncoimp", topn, topn)
         one = mk(lang, "nimp", zero, zero)
 
         def snot(x: Formula) -> Formula:
-            return mk(lang, "nimp", x, botn)
+            return mk(lang, "nimp", x, zero)
 
         def deltan(x: Formula) -> Formula:
-            return snot(mk(lang, "ncoimp", topn, x))
+            return snot(mk(lang, "ncoimp", one, x))
 
         def simp(a: Formula, b: Formula) -> Formula:
             return mk(lang, "and", mk(lang, "nimp", a, b),

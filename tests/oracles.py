@@ -11,7 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import product
 
-from qublogic.syntax import Formula
+from qublogic.syntax import Formula, print_formula
 
 
 def chain_eval_big(f: Formula, env: dict[str, int], top: int) -> int:
@@ -69,9 +69,13 @@ def _chain_pair(kind: str, a, b, top):
 
 def chain_eval_g2(f: Formula, env: dict[str, tuple[int, int]], top: int,
                   nelson: bool) -> tuple[int, int]:
+    """Twist value on ranks; ``env`` keys variables by name and modal atoms
+    by their printed form."""
     k = f.kind
     if k == "var":
         return env[f.var]
+    if k == "cmod":
+        return env[print_formula(f)]
     if k == "top":
         return (top, 0)
     if k == "bot":

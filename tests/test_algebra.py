@@ -154,21 +154,17 @@ def test_two_valued_outputs(p):
 @given(p=twists, q=twists)
 @settings(max_examples=150)
 def test_sugar_matches_expansion(p, q):
-    """Sugar tables agree with their expansions; on the Nelson side only the
-    truth coordinate is pinned by the tables."""
+    """Sugar tables agree with their expansions on both coordinates, in
+    both variants and under the De Morgan negation."""
     from qublogic.syntax import desugar
 
     e = {"p": p, "q": q}
-    for lang, both in (("G2ORD", True), ("G2NEL", False)):
-        for text in ("snot p", "Top", "Bot",
-                     "delta1 (p -> q)" if lang == "G2ORD" else "deltaN (p ~> q)"):
-            f = parse(lang, text)
-            direct = eval_g2(f, e)
-            expanded = eval_g2(desugar(f), e)
-            if both:
-                assert direct == expanded
-            else:
-                assert direct.truth == expanded.truth
+    for lang, texts in (("G2ORD", ("snot p", "Top", "Bot", "delta1 (p -> q)", "p <-> q")),
+                        ("G2NEL", ("snot p", "Top", "Bot", "deltaN (p ~> q)", "deltaBangN p",
+                                   "p ==> q", "p <==> q", "p <-> q"))):
+        for text in texts:
+            for f in (parse(lang, text), parse(lang, f"neg ({text})")):
+                assert eval_g2(f, e) == eval_g2(desugar(f), e), (lang, text)
 
 
 def test_nelson_strong_arrow_convention():

@@ -3,6 +3,7 @@ from itertools import product
 
 import pytest
 
+from qublogic import kripke
 from qublogic.algebra import ONE, ZERO
 from qublogic.bd import (BDModel, FOUR, bd_entails, four_eval, four_eval_table, le4,
                          sequent_valid_on_model, single_point_counterpart, support,
@@ -142,6 +143,30 @@ def test_model_validation():
         BDModel(1, {"p": 0b10}, {})
     with pytest.raises(KeyError):
         truth_sets(BDModel(1), parse("BD", "p"))
+
+
+def test_one_sided_bindings_read_as_empty():
+    m = BDModel(2, {"p": 0b01}, {"q": 0b10})
+    f = parse("BD", "p | neg q")
+    assert truth_sets(m, parse("BD", "p")) == (0b01, 0)
+    assert truth_sets(m, parse("BD", "q")) == (0, 0b10)
+    assert truth_sets(m, f) == support_table(m, [f])[f] == (0b11, 0)
+    g = parse("G2ORD", "p | neg q")
+    assert kripke.support_table(G2KripkeModel(2, (0, 1), {"p": 0b11}, {"q": 0b10}), [g]) == \
+        {g: (0b11, 0)}
+    with pytest.raises(KeyError):
+        truth_sets(m, parse("BD", "r"))
+
+
+@pytest.mark.parametrize("build", [
+    lambda: BDModel(1, {"p": 0b10}, {"p": 0}),
+    lambda: BeliefModel(1, {"p": 0b10}, {"p": 0}, {0: ZERO, 1: ONE}),
+    lambda: G2KripkeModel(1, (0,), {"p": 0b10}, {"p": 0}),
+], ids=["BDModel", "BeliefModel", "G2KripkeModel"])
+def test_both_valuations_are_range_checked(build):
+    # a variable bound in both maps used to be checked in its negative map only
+    with pytest.raises(ValueError):
+        build()
 
 
 def test_model_json_round_trip():

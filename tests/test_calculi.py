@@ -321,3 +321,87 @@ def test_sequent_axiom_matching():
     assert match_sequent_axiom(parse("BD", "p & (q | r)"),
                                parse("BD", "(p & q) | (p & r)")) == "distrib"
     assert match_sequent_axiom(parse("BD", "p"), parse("BD", "q")) is None
+
+
+# ---------------------------------------------------------------------------
+# The order-fact engine against the exact QG decision
+# ---------------------------------------------------------------------------
+
+def _engine_verdict(calc, cited, instances, target, max_atoms):
+    """"holds", "fails" or None (undecided) from the order-fact engine for
+    one outer step, or "skip" when the step has more than ``max_atoms``
+    merged atoms."""
+    engine = calculi._OuterEngine(calc, [*cited, *instances], target)
+    if len(engine.reps) > max_atoms:
+        return "skip"
+    if engine.check():
+        return "holds"
+    return None if engine.canonical_refutation() is None else "fails"
+
+
+def _exact_verdict(calc, cited, instances, target):
+    return decide.qg_entails(cited, target, with_cap=calc == "HQPG_TOP", extra=instances).status
+
+
+def _fixture_outer_steps():
+    """Each outer step of the fixtures and its strong-negation mutation, as
+    (calculus, cited formulas, cited axiom instances, target)."""
+    out = []
+    for name in FIXTURES:
+        deriv = Derivation.from_json(_load(name))
+        lang = CALC_LANG[deriv.calculus]
+        for step in deriv.steps:
+            if "outer" not in step.just:
+                continue
+            cited = [deriv.steps[r - 1].formula for r in step.just["outer"]]
+            instances = []
+            if "axiom" in step.just:
+                params = dict(step.just["axiom"])
+                params.setdefault("schema", params.get("axiom"))
+                instances.append(calculi._axiom_from_params(deriv.calculus, params))
+            for target in (step.formula, mk(lang, "snot", step.formula)):
+                out.append((deriv.calculus, cited, instances, target))
+    return out
+
+
+def test_order_fact_engine_agrees_with_exact_decision_on_fixtures():
+    # the steps over 6 merged atoms take seconds each to decide exactly
+    seen = []
+    for calc, cited, instances, target in _fixture_outer_steps():
+        verdict = _engine_verdict(calc, cited, instances, target, 5)
+        if verdict in ("holds", "fails"):
+            assert _exact_verdict(calc, cited, instances, target) == verdict, \
+                print_formula(target)
+        seen.append(verdict)
+    assert seen.count("holds") >= 5 and seen.count("fails") >= 5, seen
+
+
+def test_order_fact_engine_agrees_with_exact_decision_on_generated_steps():
+    # premises are two-valued, as derivation lines under delta are: the
+    # engine forces premises to 1, while the exact decision compares degrees,
+    # and the two agree only when every premise is 0 or 1
+    pool = [parse("CPL", t) for t in (
+        "p", "q", "r", "~p", "p & q", "p | q", "p => q", "~(~p)", "p | ~p", "p & ~p", "Top", "Bot")]
+    premise_shapes = ("delta({a} -> {b})", "snot {a}", "delta {a}", "snot delta({a} -> {b})",
+                      "delta({a} <-> {b})", "delta({a} -> {b}) & snot {b}")
+    target_shapes = premise_shapes + ("{a} -> {b}", "{a} & {b}", "{a} | {b}", "{a}")
+    rng = random.Random(17)
+    seen = []
+    while len(seen) < 80:
+        calc = rng.choice(("HQG", "HQPG", "HQPG_TOP"))
+        atoms = [f"B({print_formula(phi)})" for phi in rng.sample(pool, 3)]
+
+        def formula(shapes):
+            a, b = rng.sample(atoms, 2)
+            return parse("QG", rng.choice(shapes).format(a=a, b=b))
+
+        cited = [formula(premise_shapes) for _ in range(rng.randint(0, 3))]
+        target = rng.choice(cited) if cited and rng.random() < 0.2 else formula(target_shapes)
+        verdict = _engine_verdict(calc, cited, [], target, 4)
+        if verdict == "skip":
+            continue
+        if verdict is not None:
+            assert _exact_verdict(calc, cited, [], target) == verdict, \
+                ([print_formula(g) for g in cited], print_formula(target))
+        seen.append(verdict)
+    assert seen.count("holds") >= 10 and seen.count("fails") >= 10, seen

@@ -1,12 +1,14 @@
 import json
 import os
 import pathlib
+import shlex
 import subprocess
 import sys
 
 from qublogic import cli
 
 DATA = pathlib.Path(__file__).parent / "data"
+ROOT = DATA.parents[1]
 
 
 def run(capsys, *argv):
@@ -98,6 +100,15 @@ def test_eval_layer(tmp_path, capsys):
     assert code == 0 and out["value"] == ["1/2", "1/2"]
 
 
+def test_model_out_of_range_in_either_map_exits_2(capsys):
+    model = {"states": 1, "v": {"p": [1, 2]}, "vminus": {"p": []},
+             "mu": {"[]": "0", "[0]": "1"}}
+    code = cli.main(["eval-layer", "--lang", "mcb", "--model", json.dumps(model), "C(p)"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert json.loads(captured.err)["error"].startswith("ValueError: ")
+
+
 def test_kripke_counterpart(capsys):
     code, out = run(capsys, "kripke", "counterpart", "--valuation",
                     json.dumps({"p": ["1", "0"]}))
@@ -145,3 +156,23 @@ def test_reused_parser_matches_fresh_processes(capsys):
         assert code == expected
         assert (code, captured.out, captured.err) == \
             (fresh.returncode, fresh.stdout, fresh.stderr), argv
+
+
+def _readme_examples():
+    """The argument lists of the README's command-line examples, in order."""
+    text = (ROOT / "README.md").read_text()
+    block = text.split("## Command line", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    return [shlex.split(line)[1:] for line in block.splitlines() if line.startswith("qublogic ")]
+
+
+def test_readme_examples_print_the_recorded_output(capsys, monkeypatch):
+    """Every README example, run in-process from the repository root with
+    the model files it names given inline, prints the recorded bytes and
+    exit code (tests/data/readme_cli.json)."""
+    golden = json.loads((DATA / "readme_cli.json").read_text())
+    assert [g["argv"] for g in golden["examples"]] == _readme_examples()
+    monkeypatch.chdir(ROOT)
+    for g in golden["examples"]:
+        argv = [json.dumps(golden["files"][a]) if a in golden["files"] else a for a in g["argv"]]
+        code = cli.main(argv)
+        assert (code, capsys.readouterr().out) == (g["exit"], g["stdout"]), g["argv"]

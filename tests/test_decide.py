@@ -1,4 +1,5 @@
 import json
+import math
 import pathlib
 import random
 from fractions import Fraction as F
@@ -9,8 +10,8 @@ import pytest
 from helpers import gen_g2
 
 from qublogic import calculi, cli, measures
-from qublogic.algebra import (ONE, ZERO, TwistValue, UnboundVariableError, compile_twist,
-                              eval_big, eval_g2)
+from qublogic.algebra import (ONE, TwistValue, UnboundVariableError, compile_twist, eval_big,
+                              eval_g2)
 from qublogic.decide import (Verdict, big_entails, big_valid, g2_entails, g2_valid, grid,
                              qg_entails, qg_merge_atoms, qg_saturation)
 from qublogic.syntax import (BINARY_KINDS, NULLARY_KINDS, PRIMITIVE_KINDS, SUGAR_KINDS,
@@ -182,12 +183,9 @@ def _twist_atoms(lang):
     return [var(lang, "p"), var(lang, "q")]
 
 
-@pytest.mark.parametrize("lang", sorted(_TWIST_LANGS))
-def test_compiled_twist_clauses_match_eval_g2(lang):
-    variant = _TWIST_LANGS[lang]
+def _one_of_each_kind(lang):
+    """The atoms of ``lang`` and one formula per connective over them."""
     a, b = _twist_atoms(lang)
-    keys = [print_formula(a), print_formula(b)]
-    slots = {key: i for i, key in enumerate(keys)}
     formulas = [a]
     for kind in sorted(PRIMITIVE_KINDS[lang] | SUGAR_KINDS[lang]):
         if kind in NULLARY_KINDS:
@@ -196,15 +194,47 @@ def test_compiled_twist_clauses_match_eval_g2(lang):
             formulas.append(mk(lang, kind, a))
         elif kind in BINARY_KINDS:
             formulas.append(mk(lang, kind, a, b))
+    return [print_formula(a), print_formula(b)], formulas
+
+
+@pytest.mark.parametrize("lang", sorted(_TWIST_LANGS))
+def test_compiled_twist_clauses_match_eval_g2(lang):
+    """The compiled clauses on integer ranks against the chain oracle,
+    which evaluates the same ranks without the compiler."""
+    nelson = _TWIST_LANGS[lang] == "G2NEL"
+    keys, formulas = _one_of_each_kind(lang)
+    slots = {key: i for i, key in enumerate(keys)}
     rng = random.Random(5)
     for f in formulas:
         for top in (1, 2, 5):
-            ev = compile_twist(f, slots, top, variant == "G2NEL")
+            ev = compile_twist(f, slots, top, nelson)
             for _ in range(30):
                 ranks = tuple((rng.randint(0, top), rng.randint(0, top)) for _ in keys)
-                t, fl = ev(ranks)
-                e = {key: TwistValue(F(x, top), F(y, top)) for key, (x, y) in zip(keys, ranks)}
-                assert (F(t, top), F(fl, top)) == eval_g2(f, e, variant), (print_formula(f), ranks)
+                assert ev(ranks) == oracles.chain_eval_g2(f, dict(zip(keys, ranks)), top, nelson), \
+                    (print_formula(f), ranks)
+
+
+@pytest.mark.parametrize("lang", sorted(_TWIST_LANGS))
+def test_eval_g2_matches_the_chain_oracle_on_scaled_ranks(lang):
+    """eval_g2 on Fractions equals the chain oracle on the ranks that the
+    common denominator makes of them, for every connective."""
+    variant = _TWIST_LANGS[lang]
+    keys, formulas = _one_of_each_kind(lang)
+    rng = random.Random(13)
+
+    def unit_fraction():
+        d = rng.choice((1, 2, 3, 4, 6))
+        return F(rng.randint(0, d), d)
+
+    for f in formulas:
+        for _ in range(30):
+            e = {key: TwistValue(unit_fraction(), unit_fraction()) for key in keys}
+            top = math.lcm(*(x.denominator for v in e.values() for x in v))
+            env = {key: (int(v.truth * top), int(v.falsity * top)) for key, v in e.items()}
+            t, fl = oracles.chain_eval_g2(f, env, top, variant == "G2NEL")
+            value = eval_g2(f, e, variant)
+            assert value == (F(t, top), F(fl, top)), (print_formula(f), e)
+            assert all(type(x) is F for x in value), (print_formula(f), value)
 
 
 def test_compile_twist_needs_a_slot_per_atom():
@@ -213,19 +243,20 @@ def test_compile_twist_needs_a_slot_per_atom():
 
 
 def _reference_g2_entails(variant, gamma, f):
-    """The twist grid decision by its definition: eval_g2 at each grid point,
-    keys sorted, truth coordinate major."""
+    """The twist grid decision by its definition: the chain oracle at each
+    grid point i/d taken as rank i below top d, keys sorted, truth
+    coordinate major."""
     keys = sorted(set().union(*(vars_of(g) for g in [*gamma, f])))
-    values = grid(2 * len(keys) + 1)
-    pairs = [TwistValue(x, y) for x in values for y in values]
+    d = 2 * len(keys) + 1
+    nelson = variant == "G2NEL"
+    pairs = [(x, y) for x in range(d + 1) for y in range(d + 1)]
     for combo in product(pairs, repeat=len(keys)):
-        e = dict(zip(keys, combo))
-        vf = eval_g2(f, e, variant)
-        vs = [eval_g2(g, e, variant) for g in gamma]
-        if min((v.truth for v in vs), default=ONE) > vf.truth:
-            return Verdict("fails", e)
-        if variant == "G2ORD" and max((v.falsity for v in vs), default=ZERO) < vf.falsity:
-            return Verdict("fails", e)
+        env = dict(zip(keys, combo))
+        vf = oracles.chain_eval_g2(f, env, d, nelson)
+        vs = [oracles.chain_eval_g2(g, env, d, nelson) for g in gamma]
+        if min((v[0] for v in vs), default=d) > vf[0] or \
+                not nelson and max((v[1] for v in vs), default=0) < vf[1]:
+            return Verdict("fails", {key: TwistValue(F(x, d), F(y, d)) for key, (x, y) in env.items()})
     return Verdict("holds")
 
 

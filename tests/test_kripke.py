@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -5,7 +6,7 @@ import pytest
 from qublogic.algebra import ONE, TwistValue, eval_g2
 from qublogic.kripke import (G2KripkeModel, global_support, iter_chain_models, kentails,
                              ksupport, model_to_valuation, support_table, valuation_to_model)
-from qublogic.syntax import parse
+from qublogic.syntax import parse, print_formula
 
 from helpers import gen_g2
 
@@ -65,16 +66,17 @@ def test_valuation_to_model_examples():
 def test_lemma_a7_small_grid():
     grid = [F(i, 2) for i in range(3)]
     vals = [TwistValue(a, b) for a in grid for b in grid]
-    formulas = gen_g2("G2ORD", 3, sugar=False) + gen_g2("G2NEL", 3, sugar=False)
-    for vp in vals:
-        e = {"p": vp, "q": TwistValue(F(1, 2), F(1, 2))}
-        m = valuation_to_model(e)
-        full = (1 << m.states) - 1
-        table = support_table(m, formulas)
-        for f in formulas[::17]:
-            v = eval_g2(f, e, f.lang)
-            assert (v.truth == ONE) == (table[f][0] == full)
-            assert (v.falsity == ONE) == (table[f][1] == full)
+    for sugar in (False, True):
+        formulas = gen_g2("G2ORD", 3, sugar=sugar) + gen_g2("G2NEL", 3, sugar=sugar)
+        for vp in vals:
+            e = {"p": vp, "q": TwistValue(F(1, 2), F(1, 2))}
+            m = valuation_to_model(e)
+            full = (1 << m.states) - 1
+            table = support_table(m, formulas)
+            for f in formulas[::17]:
+                v = eval_g2(f, e, f.lang)
+                assert (v.truth == ONE) == (table[f][0] == full), print_formula(f)
+                assert (v.falsity == ONE) == (table[f][1] == full), print_formula(f)
 
 
 def test_persistence():
@@ -116,3 +118,49 @@ def test_chain_model_iteration_counts():
 def test_global_support():
     m = G2KripkeModel(2, (0, 1), {"p": 0b11}, {"p": 0})
     assert global_support(m, parse("G2ORD", "p")) == (True, False)
+
+
+def _quantifier_supports(m, f):
+    """Supports by the clauses as stated: implications quantify over the
+    states above or below each state of the order."""
+    n = m.states
+    below = [[t for t in range(n) if m.order[t] <= m.order[s]] for s in range(n)]
+    above = [[t for t in range(n) if m.order[t] >= m.order[s]] for s in range(n)]
+    if f.kind == "var":
+        return m.vplus.get(f.var, 0), m.vminus.get(f.var, 0)
+    if f.kind == "dneg":
+        p, q = _quantifier_supports(m, f.children[0])
+        return q, p
+    (p1, n1), (p2, n2) = (_quantifier_supports(m, c) for c in f.children)
+    at = lambda mask, t: bool(mask >> t & 1)
+    pos = neg = 0
+    for s in range(n):
+        if f.kind == "and":
+            p, q = at(p1 & p2, s), at(n1 | n2, s)
+        elif f.kind == "or":
+            p, q = at(p1 | p2, s), at(n1 & n2, s)
+        elif f.kind in ("gimp", "nimp"):
+            p = all(not at(p1, t) or at(p2, t) for t in above[s])
+            q = any(not at(n1, t) and at(n2, t) for t in below[s]) if f.kind == "gimp" \
+                else at(p1, s) and at(n2, s)
+        else:
+            p = any(at(p1, t) and not at(p2, t) for t in below[s])
+            q = all(at(n1, t) or not at(n2, t) for t in above[s]) if f.kind == "gcoimp" \
+                else at(n1, s) or at(p2, s)
+        pos |= p << s
+        neg |= q << s
+    return pos, neg
+
+
+def test_closure_masks_match_the_quantifier_clauses_on_permuted_orders():
+    formulas = gen_g2("G2ORD", 3, sugar=False) + gen_g2("G2NEL", 3, sugar=False)
+    rng = random.Random(3)
+    for _ in range(12):
+        n = rng.randint(1, 4)
+        order = rng.sample(range(n), n)
+        by_rank = sorted(range(n), key=order.__getitem__)
+        up = lambda: sum(1 << s for s in by_rank[rng.randint(0, n):])
+        m = G2KripkeModel(n, tuple(order), {"p": up(), "q": up()}, {"p": up(), "q": up()})
+        table = support_table(m, formulas)
+        for f in formulas[::13]:
+            assert table[f] == _quantifier_supports(m, f), (order, print_formula(f))
