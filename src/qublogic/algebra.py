@@ -6,8 +6,13 @@ exact order statement, so floats are never used.  Twist values are pairs
 ``y >= y'``.  Every twist clause depends only on the order of its
 arguments, so twist values are computed by one compiler,
 :func:`compile_twist`: :func:`eval_g2` runs it on Fractions with top 1, and
-the twist decision on integer ranks of a finite chain.  biG evaluation
-(:func:`eval_big`) stays a Fraction walk.
+the twist decision on integer ranks of a finite chain.  The outer layers of
+two-layered models go through it too (:mod:`qublogic.measures`): a QG
+formula compiles with its B-atoms as atoms, and on pairs ``(x, 0)`` the
+truth coordinate of each clause is the biG value, biG ``delta`` being the
+truth-only clause of ``deltaN``.  Frame searches run it on the integer
+ranks of a measure's values.  The biG decision still evaluates with
+:func:`eval_big`, a Fraction walk.
 
 Sugar connectives are evaluated directly from their value tables rather
 than by expanding them, which keeps the reserved expansion variable out of
@@ -178,21 +183,23 @@ def _twist_atoms(f: Formula) -> list[Formula]:
 RankPair = tuple[int, int]
 
 
-def compile_twist(f: Formula, slots: Mapping[str, int], top: int,
+def compile_twist(f: Formula, slots: Mapping[str | Formula, int], top: int,
                   nelson: bool) -> Callable[[Sequence[RankPair]], RankPair]:
-    """Compile a twist formula to a function of (truth, falsity) pairs.
+    """Compile a twist or QG formula to a function of (truth, falsity) pairs.
 
     The function takes a sequence of (truth, falsity) pairs on the chain
-    from ``top - top`` to ``top``, indexed by ``slots[key]`` for each atom
-    key, and returns the formula's value as such a pair.  Every clause
-    depends only on the order of its arguments and on the endpoints, so the
-    same function evaluates integer ranks 0..``top`` and, with ``top`` the
+    from the zero of ``top``'s type to ``top``, indexed by the atoms' slots,
+    and returns the formula's value as such a pair.  Every clause depends
+    only on the order of its arguments and on the endpoints, so the same
+    function evaluates integer ranks 0..``top`` and, with ``top`` the
     Fraction 1, values in [0, 1] (:func:`eval_g2`); dividing the ranks'
-    result by ``top`` gives the value on the ranks divided by ``top``.
-    Atom keys are resolved once, here; an atom without a slot raises
-    :class:`UnboundVariableError`.
+    result by ``top`` gives the value on the ranks divided by ``top``.  A QG
+    formula's value is the truth coordinate; it reads only truth
+    coordinates.  ``slots`` maps each atom, or its key (a variable's name, a
+    modal atom's printed form), to its index.  Atoms are resolved once, here;
+    an atom without a slot raises :class:`UnboundVariableError`.
     """
-    bot = top - top
+    bot = type(top)()  # the zero of top's type: Fractions in give Fractions out
     tv_top = (top, bot)
     tv_bot = (bot, top)
 
@@ -207,16 +214,18 @@ def compile_twist(f: Formula, slots: Mapping[str, int], top: int,
 
     def comp(f: Formula) -> Callable[[Sequence[RankPair]], RankPair]:
         kind = f.kind
-        if kind == "var" or kind == "cmod":
-            key = _key(f)
-            if key not in slots:
-                raise UnboundVariableError(f"no slot for atom {key!r}")
-            return itemgetter(slots[key])
+        if kind == "var" or kind == "cmod" or kind == "bmod":
+            slot = slots.get(f)
+            if slot is None:
+                slot = slots.get(_key(f))
+                if slot is None:
+                    raise UnboundVariableError(f"no slot for atom {_key(f)!r}")
+            return itemgetter(slot)
         if kind == "top":
             return lambda v: tv_top
         if kind == "bot":
             return lambda v: tv_bot
-        if kind in ("dneg", "snot", "delta1", "deltabang", "deltan"):
+        if kind in ("dneg", "snot", "delta", "delta1", "deltabang", "deltan"):
             a = comp(f.children[0])
             if kind == "dneg":
                 def ev(v):
@@ -230,14 +239,14 @@ def compile_twist(f: Formula, slots: Mapping[str, int], top: int,
                 def ev(v):
                     x, y = a(v)
                     return (top if x == bot else bot), (top if y < top else bot)
-            elif kind == "deltan":
+            elif kind == "deltan" or kind == "delta":
                 def ev(v):
                     return tv_top if a(v)[0] == top else tv_bot
             else:
                 def ev(v):
                     return tv_top if a(v) == tv_top else tv_bot
             return ev
-        a, b = (comp(c) for c in f.children)
+        a, b = map(comp, f.children)
         if kind == "and":
             def ev(v):
                 x, y = a(v)

@@ -88,14 +88,20 @@ def _meta(lang: str, name: str) -> Formula:
 
 
 def _match(pattern: Formula, cand: Formula, binding: dict[str, Formula]) -> bool:
+    """Match a desugared pattern against ``cand`` as if ``cand`` were
+    desugared too.  Sugar is expanded one node at a time, only where the
+    pattern looks inside it, so metavariables bind subformulas of ``cand``
+    as written."""
     if pattern.kind == "var" and pattern.var.startswith(_META_PREFIX):
         if cand.lang != pattern.lang:
             return False
         seen = binding.get(pattern.var)
         if seen is not None:
-            return seen == cand
+            return seen == cand or desugar(seen) == desugar(cand)
         binding[pattern.var] = cand
         return True
+    if cand.kind in syntax.SUGAR_KINDS[cand.lang]:
+        cand = syntax._expand(cand.lang, cand.kind, cand.children)
     if pattern.kind != cand.kind or pattern.lang != cand.lang:
         return False
     if pattern.kind == "var":
@@ -359,10 +365,9 @@ def match_axiom(calc: str, f: Formula) -> tuple[str, dict] | None:
         raise LanguageError(f"{calc} checks {lang} formulas, got {f.lang}")
     if calc == "RFDE":
         return None
-    cand = desugar(f)
     for schema in schema_table(calc):
         binding: dict[str, Formula] = {}
-        if _match(schema.pattern, cand, binding):
+        if _match(schema.pattern, f, binding):
             clean = {k[len(_META_PREFIX):]: v for k, v in binding.items()}
             if schema.side is None or schema.side(clean):
                 return schema.name, clean
@@ -728,8 +733,8 @@ class _OuterEngine:
         Fact-equal atoms share a value; the remaining classes are spread
         strictly along a linear extension of the facts, zeros pinned to 0
         and ones to 1.  Such a valuation satisfies every baked axiom
-        instance, so when it makes the premises exceed the target it is a
-        genuine countervaluation.
+        instance, so when it gives every premise value 1 and the target a
+        smaller value it refutes truth preservation.
         """
         if self.facts.contradiction:
             return None
@@ -765,12 +770,27 @@ class _OuterEngine:
 
         target_v = eval_big(self.target, env)
         premise_v = min((eval_big(g, env) for g in self.premises), default=Fraction(1))
-        if premise_v > target_v:
+        if premise_v == 1 and target_v < 1:
             return env
         return None
 
 
 _MAX_OUTER_FALLBACK_ATOMS = 6
+
+
+def _outer_exact(calc: str, cited: Sequence[Formula], instances: Sequence[Formula],
+                 target: Formula) -> decide.Verdict:
+    """Decide a QG/biG outer step exactly, by truth preservation as the
+    order-fact engine does: the target takes value 1 wherever the cited
+    lines and instances all do.  Premises under delta take only 0 and 1, so
+    that is degree entailment from the guarded premises (Gamma |=_1 phi iff
+    delta Gamma |= phi; Baaz 1996)."""
+    lang = CALC_LANG[calc]
+    lines = [mk(lang, "delta", g) for g in cited]
+    axioms = [mk(lang, "delta", g) for g in instances]
+    if lang == "QG":
+        return decide.qg_entails(lines, target, with_cap=(calc == "HQPG_TOP"), extra=axioms)
+    return decide.big_entails([*lines, *axioms], target)
 
 
 def _outer_step_ok(calc: str, cited: Sequence[Formula], instances: Sequence[Formula],
@@ -784,13 +804,7 @@ def _outer_step_ok(calc: str, cited: Sequence[Formula], instances: Sequence[Form
         if engine.canonical_refutation() is not None:
             return False, "not an outer-logic consequence of the cited steps"
         if len(engine.reps) <= _MAX_OUTER_FALLBACK_ATOMS:
-            if lang == "QG":
-                verdict = decide.qg_entails(list(cited), target,
-                                            with_cap=(calc == "HQPG_TOP"),
-                                            extra=list(instances))
-            else:
-                verdict = decide.big_entails(premises, target)
-            if verdict.holds:
+            if _outer_exact(calc, cited, instances, target).holds:
                 return True, "grid entailment"
             return False, "not an outer-logic consequence of the cited steps"
         return False, "outer step not derivable by the fact engine (too large for exact check)"

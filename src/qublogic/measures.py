@@ -11,6 +11,14 @@ pairs a Belnap-Dunn valuation with such a measure.  Storing the measure
 densely is what lets the property checkers quantify over arbitrary subsets
 rather than just definable ones.  State sets are bitmasks; their JSON form
 is the state list of :mod:`qublogic.bd`.
+
+The outer layer of QG, MCB and NMCB formulas is evaluated by
+:func:`qublogic.algebra.compile_twist`.  It reads the measure only through
+the order of its values, so frame validity and the countermodel search map
+each measure once to the integer ranks of its values, with 0 and 1 at the
+ends, and compare ranks; only the countervaluation or model they return
+carries Fractions.  One model's evaluation runs the same compiled formula
+on the measure's own values.
 """
 
 from __future__ import annotations
@@ -22,7 +30,7 @@ from itertools import product
 from typing import Callable, Iterator, Mapping, Sequence
 
 from . import bd
-from .algebra import ONE, ZERO, TwistValue, compile_twist, eval_big, unit
+from .algebra import ONE, ZERO, RankPair, TwistValue, compile_twist, unit
 from .syntax import Formula, LanguageError, mk, modal_atoms, print_formula, vars_of
 
 MAX_DENSE_STATES = 16
@@ -204,7 +212,8 @@ def eval_qg(m: UncertaintyModel, alpha: Formula) -> Fraction:
     """Value of a QG formula: B-atoms get the measure of their truth set."""
     if alpha.lang != "QG":
         raise LanguageError("eval_qg expects a QG formula")
-    return _evaluator("QG", alpha)(m.states, {"v": m.v}, m.mu)
+    inners, (ev,) = _compile("QG", [alpha], ONE)
+    return unit(ev(_atom_values("QG", inners, m.states, {"v": m.v}, m.mu))[0])
 
 
 def eval_layer(m: BeliefModel, variant: str, alpha: Formula) -> TwistValue:
@@ -213,30 +222,50 @@ def eval_layer(m: BeliefModel, variant: str, alpha: Formula) -> TwistValue:
         raise ValueError("variant must be MCB or NMCB")
     if alpha.lang != variant:
         raise LanguageError(f"eval_layer expects an {variant} formula")
-    return _evaluator(variant, alpha)(m.states, {"vplus": m.vplus, "vminus": m.vminus}, m.pi)
+    inners, (ev,) = _compile(variant, [alpha], ONE)
+    val = {"vplus": m.vplus, "vminus": m.vminus}
+    return TwistValue(*ev(_atom_values(variant, inners, m.states, val, m.pi)))
 
 
-def _evaluator(layer: str, f: Formula) -> Callable:
-    """The value of a two-layered formula as a function of the state count,
-    the inner valuation, given as the keyword arguments of the layer's
-    model, and the measure, which is already checked.  The modal-atom keys
-    are printed, and an MCB/NMCB formula compiled, once, here."""
-    atoms = [(print_formula(a), a.children[0]) for a in modal_atoms(f)]
+def _compile(layer: str, formulas: Sequence[Formula], top) -> tuple[list[Formula], list[Callable]]:
+    """Compile ``formulas`` for values on the chain from 0 to ``top``.
+
+    Returns the inner formulas of the modal atoms of all of them, in slot
+    order, and each formula compiled over those slots by
+    :func:`qublogic.algebra.compile_twist`.  A compiled formula maps the
+    atoms' values (:func:`_atom_values`) to a (truth, falsity) pair; QG
+    atoms enter as (value, 0) and a QG value is the truth coordinate.
+    """
+    atoms = list(set().union(*map(modal_atoms, formulas)))
+    slots = {a: i for i, a in enumerate(atoms)}
+    return [a.children[0] for a in atoms], [compile_twist(f, slots, top, layer == "NMCB")
+                                            for f in formulas]
+
+
+def _atom_values(layer: str, inners: Sequence[Formula], states: int,
+                 val: Mapping[str, Mapping[str, int]], rank: Mapping[int, object]) -> list:
+    """The atoms' values under an inner valuation, given as the keyword
+    arguments of the layer's model, for ``rank`` the measure on the chain:
+    the measure of each atom's truth set, or of its two support sets."""
     if layer == "QG":
-        def value(states: int, val: Mapping[str, Mapping[str, int]],
-                  mu: Mapping[int, Fraction]) -> Fraction:
-            full = (1 << states) - 1
-            return eval_big(f, {key: mu[cpl_truth_set(inner, val["v"], full)]
-                                for key, inner in atoms})
-        return value
-    ev = compile_twist(f, {key: i for i, (key, _) in enumerate(atoms)}, ONE, layer == "NMCB")
-    inners = [inner for _, inner in atoms]
+        full = (1 << states) - 1
+        v = val["v"]
+        return [(rank[cpl_truth_set(inner, v, full)], 0) for inner in inners]
+    masks = bd._support_masks(val["vplus"], val["vminus"])
+    return [(rank[pos], rank[neg]) for pos, neg in map(masks, inners)]
 
-    def value(states: int, val: Mapping[str, Mapping[str, int]],
-              mu: Mapping[int, Fraction]) -> TwistValue:
-        masks = bd._support_masks(val["vplus"], val["vminus"])
-        return TwistValue(*ev([TwistValue(mu[pos], mu[neg]) for pos, neg in map(masks, inners)]))
-    return value
+
+#: the rank of 1: a measure on at most MAX_DENSE_STATES states takes at
+#: most 2^MAX_DENSE_STATES values strictly between 0 and 1, ranked below it
+_RANK_TOP = (1 << MAX_DENSE_STATES) + 1
+
+
+def _ranks(mu: Mapping[int, Fraction]) -> dict[int, int]:
+    """The measure on integer ranks: 0 and 1 go to 0 and ``_RANK_TOP``, and
+    the values between them to 1, 2, ... in ascending order."""
+    rank = {v: i for i, v in enumerate(sorted(set(mu.values()) - {ZERO, ONE}), 1)}
+    rank[ZERO], rank[ONE] = 0, _RANK_TOP
+    return {x: rank[v] for x, v in mu.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -400,19 +429,18 @@ _MAX_FRAME_VARS = 4
 def frame_validates(states: int, measure: Mapping[int, Fraction], formula: Formula,
                     layer: str) -> tuple[bool, dict | None]:
     """Validity of a two-layered formula on the frame (all inner valuations)."""
-    names = sorted(vars_of(formula))
-    if len(names) > _MAX_FRAME_VARS:
-        raise ValueError(f"too many variables for frame validation (> {_MAX_FRAME_VARS})")
     _check_layer(layer, [formula])
     _check_measure(states, measure)
-    value_of = _evaluator(layer, formula)
+    names = sorted(vars_of(formula))
+    if len(names) > _MAX_FRAME_VARS:
+        n = len(names) if layer == "QG" else 2 * len(names)
+        raise ValueError(f"frame validation over {len(names)} variables (> {_MAX_FRAME_VARS}): "
+                         f"{(1 << states) ** n:,} inner valuations")
+    inners, (ev,) = _compile(layer, [formula], _RANK_TOP)
+    rank = _ranks(measure)
     for val in _inner_valuations(states, names, layer):
-        value = value_of(states, val, measure)
-        if layer == "QG":
-            ok = value == ONE
-        else:
-            ok = value.truth == ONE if layer == "NMCB" else value == (ONE, ZERO)
-        if not ok:
+        t, fl = ev(_atom_values(layer, inners, states, val, rank))
+        if t != _RANK_TOP or (layer == "MCB" and fl != 0):
             return False, val
     return True, None
 
@@ -520,14 +548,14 @@ def correspondence_test(cond: str, max_states: int, denominator: int) -> dict:
 # Countermodel search
 # ---------------------------------------------------------------------------
 
-def _refuted_on(xi_values: list, alpha_value, layer: str) -> bool:
-    if layer == "QG":
-        return min(xi_values, default=ONE) > alpha_value
-    if layer == "NMCB":
-        return min((v.truth for v in xi_values), default=ONE) > alpha_value.truth
-    inf1 = min((v.truth for v in xi_values), default=ONE)
-    sup2 = max((v.falsity for v in xi_values), default=ZERO)
-    return inf1 > alpha_value.truth or sup2 < alpha_value.falsity
+def _refuted_on(xi_values: Sequence[RankPair], alpha_value: RankPair, layer: str) -> bool:
+    """Whether rank values refute the entailment: the premises' least truth
+    exceeds the conclusion's, or, in MCB, their greatest falsity is below
+    the conclusion's."""
+    t, fl = alpha_value
+    if min((v[0] for v in xi_values), default=_RANK_TOP) > t:
+        return True
+    return layer == "MCB" and max((v[1] for v in xi_values), default=0) < fl
 
 
 def find_frame_countermodel(xi: Sequence[Formula], alpha: Formula, layer: str,
@@ -541,15 +569,16 @@ def find_frame_countermodel(xi: Sequence[Formula], alpha: Formula, layer: str,
     """
     _check_layer(layer, [*xi, alpha])
     names = sorted(set().union(*(vars_of(f) for f in [*xi, alpha])))
-    xi_evals = [_evaluator(layer, g) for g in xi]
-    alpha_eval = _evaluator(layer, alpha)
+    inners, evs = _compile(layer, [*xi, alpha], _RANK_TOP)
     for states in range(1, max_states + 1):
         for denom in range(1, denominator + 1):
             for mu in iter_monotone_measures(states, denom, nontrivial=nontrivial,
                                              capacity=capacity):
+                rank = _ranks(mu)
                 for val in _inner_valuations(states, names, layer):
-                    if _refuted_on([ev(states, val, mu) for ev in xi_evals],
-                                   alpha_eval(states, val, mu), layer):
+                    pairs = _atom_values(layer, inners, states, val, rank)
+                    *xi_values, alpha_value = [ev(pairs) for ev in evs]
+                    if _refuted_on(xi_values, alpha_value, layer):
                         if layer == "QG":
                             return UncertaintyModel(states, mu=mu, **val)
                         return BeliefModel(states, pi=mu, **val)

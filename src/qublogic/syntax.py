@@ -11,6 +11,7 @@ syntax; :func:`desugar` rewrites them into the primitive fragment.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import ClassVar
 
 LANGS = ("CPL", "BD", "BIG", "G2ORD", "G2NEL", "QG", "MCB", "NMCB", "QP")
 
@@ -75,9 +76,11 @@ class Formula:
     children: tuple["Formula", ...] = ()
     var: str = ""
 
+    # trees are shared heavily; each node caches its structural hash here
+    _hash: ClassVar[int | None] = None
+
     def __hash__(self) -> int:
-        # trees are shared heavily; cache the structural hash per node
-        h = self.__dict__.get("_hash")
+        h = self._hash
         if h is None:
             h = hash((self.lang, self.kind, self.children, self.var))
             object.__setattr__(self, "_hash", h)
@@ -461,7 +464,12 @@ def desugar(f: Formula) -> Formula:
     kind = f.kind
     if kind in PRIMITIVE_KINDS[lang]:
         return mk(lang, kind, *kids)
+    return _expand(lang, kind, kids)
 
+
+def _expand(lang: str, kind: str, kids: tuple[Formula, ...]) -> Formula:
+    """One sugar node of ``lang`` over the children ``kids``, rewritten with
+    primitive connectives above them; the children are kept as given."""
     unit = _atom_unit(lang)
     if lang in ("CPL", "QP"):
         top = mk(lang, "matimp", unit, unit)
@@ -562,11 +570,14 @@ def vars_of(f: Formula) -> set[str]:
 
 def modal_atoms(f: Formula) -> set[Formula]:
     """Outer-layer modal atoms (``B``/``C`` nodes) occurring in ``f``."""
-    if f.kind in MODAL_KINDS:
-        return {f}
     out: set[Formula] = set()
-    for c in f.children:
-        out |= modal_atoms(c)
+    stack = [f]
+    while stack:
+        g = stack.pop()
+        if g.kind in MODAL_KINDS:
+            out.add(g)
+        else:
+            stack.extend(g.children)
     return out
 
 

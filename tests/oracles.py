@@ -15,9 +15,13 @@ from qublogic.syntax import Formula, print_formula
 
 
 def chain_eval_big(f: Formula, env: dict[str, int], top: int) -> int:
+    """biG value on ranks; ``env`` keys variables by name and B-atoms by
+    their printed form."""
     k = f.kind
     if k == "var":
         return env[f.var]
+    if k == "bmod":
+        return env[print_formula(f)]
     if k == "top":
         return top
     if k == "bot":
@@ -141,6 +145,96 @@ def bd_support_clauses(vplus: dict[str, set[int]], vminus: dict[str, set[int]],
     if k == "and":
         return p1 and p2, n1 or n2
     return p1 or p2, n1 and n2
+
+
+# ---------------------------------------------------------------------------
+# Two-layered models on Fractions (per-state clauses, chain evaluators)
+# ---------------------------------------------------------------------------
+
+def cpl_holds(f: Formula, v: dict[str, int], s: int) -> bool:
+    """Truth of a CPL formula at state ``s``; ``v`` maps variables to masks."""
+    k = f.kind
+    if k == "var":
+        return bool(v[f.var] >> s & 1)
+    if k == "top":
+        return True
+    if k == "bot":
+        return False
+    if k == "not":
+        return not cpl_holds(f.children[0], v, s)
+    a = cpl_holds(f.children[0], v, s)
+    b = cpl_holds(f.children[1], v, s)
+    if k == "and":
+        return a and b
+    if k == "or":
+        return a or b
+    if k == "matimp":
+        return not a or b
+    if k == "iff":
+        return a == b
+    raise ValueError(k)
+
+
+def _modal_atoms(f: Formula) -> list[Formula]:
+    if f.kind in ("bmod", "cmod"):
+        return [f]
+    return [a for c in f.children for a in _modal_atoms(c)]
+
+
+def layer_value(layer: str, f: Formula, states: int, val: dict, mu: dict):
+    """Value of a QG, MCB or NMCB formula on a model given by its state
+    count, its inner valuation (``v`` for QG, ``vplus``/``vminus`` as masks
+    otherwise) and its measure on Fractions: a Fraction for QG, a (truth,
+    falsity) pair otherwise.  Each atom's truth sets come from per-state
+    clauses; the outer layer is the chain evaluators with top 1."""
+    one = Fraction(1)
+    env: dict = {}
+    if layer != "QG":
+        plus = {p: {s for s in range(states) if m >> s & 1} for p, m in val["vplus"].items()}
+        minus = {p: {s for s in range(states) if m >> s & 1} for p, m in val["vminus"].items()}
+    for a in _modal_atoms(f):
+        inner = a.children[0]
+        if layer == "QG":
+            env[print_formula(a)] = mu[sum(1 << s for s in range(states)
+                                           if cpl_holds(inner, val["v"], s))]
+            continue
+        pos = neg = 0
+        for s in range(states):
+            sp, sn = bd_support_clauses(plus, minus, s, inner)
+            pos |= sp << s
+            neg |= sn << s
+        env[print_formula(a)] = (mu[pos], mu[neg])
+    if layer == "QG":
+        return chain_eval_big(f, env, one)
+    return chain_eval_g2(f, env, one, layer == "NMCB")
+
+
+def inner_valuations(layer: str, states: int, names: list[str]):
+    """Every inner valuation of ``names``: masks by variable, in the order
+    of ``product`` over the state sets, vplus and vminus interleaved."""
+    n = len(names) if layer == "QG" else 2 * len(names)
+    for combo in product(range(1 << states), repeat=n):
+        if layer == "QG":
+            yield {"v": dict(zip(names, combo))}
+        else:
+            yield {"vplus": dict(zip(names, combo[::2])),
+                   "vminus": dict(zip(names, combo[1::2]))}
+
+
+def layer_valid(layer: str, value) -> bool:
+    one = Fraction(1)
+    if layer == "QG":
+        return value == one
+    return value[0] == one if layer == "NMCB" else value == (one, 0)
+
+
+def layer_refutes(layer: str, xi_values: list, alpha_value) -> bool:
+    """The premises' values exceed the conclusion's in the layer's sense."""
+    if layer == "QG":
+        return min(xi_values, default=Fraction(1)) > alpha_value
+    if min((v[0] for v in xi_values), default=Fraction(1)) > alpha_value[0]:
+        return True
+    return layer == "MCB" and max((v[1] for v in xi_values), default=0) < alpha_value[1]
 
 
 # ---------------------------------------------------------------------------

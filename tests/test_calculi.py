@@ -9,7 +9,7 @@ import pytest
 from qublogic import calculi, decide, measures, qp
 from qublogic.calculi import (CALC_LANG, Derivation, check_derivation, cpl_valid,
                               match_axiom, match_sequent_axiom, qp_tautology, truth_table)
-from qublogic.syntax import mk, parse, print_formula, var
+from qublogic.syntax import RESERVED_VAR, mk, parse, print_formula, var, vars_of
 
 DATA = pathlib.Path(__file__).parent / "data"
 FIXTURES = ("deriv_a0_translation.json", "deriv_additivity.json", "deriv_reg.json")
@@ -45,6 +45,40 @@ def test_match_axiom_examples():
     assert match_axiom("HMCB", parse("MCB", "C(neg p) <-> neg C(p)"))[0] == "mcb_neg"
     assert match_axiom("HQP", parse("QP", "Bot <= p & q"))[0] == "A1"
     assert match_axiom("HQP", parse("QP", "Bot << Top"))[0] == "A3"
+    # a metavariable binds its first occurrence as written; a later one may
+    # spell it differently with the same expansion
+    iff = parse("BIG", "p <-> q")
+    assert match_axiom("HBIG", parse("BIG", "((p <-> q) & r) -> ((p -> q) & (q -> p))")) == \
+        ("biG4a", {"a": iff, "b": parse("BIG", "r")})
+
+
+def _instantiate(f, args):
+    if f.kind == "var" and f.var.startswith(calculi._META_PREFIX):
+        return args[f.var[len(calculi._META_PREFIX):]]
+    if not f.children:
+        return f
+    return mk(f.lang, f.kind, *(_instantiate(c, args) for c in f.children))
+
+
+@pytest.mark.parametrize("calc", ["HG2NEL", "HNMCB"])
+def test_match_axiom_binds_subformulas_as_written(calc):
+    # each schema instantiated with Nelson sugar: the substitution gives the
+    # arguments back as written, so none shows the reserved variable
+    lang = CALC_LANG[calc]
+    p, q, r = ("p", "q", "r") if lang == "G2NEL" else ("C(p)", "C(q)", "C(r)")
+    args = {"a": parse(lang, f"snot {p}"), "b": parse(lang, f"deltaN {q}"),
+            "c": parse(lang, f"snot deltaN ({r} ==> {p})"),
+            "phi": parse("BD", "p & q"), "chi": parse("BD", "p")}
+    for schema in calculi.schema_table(calc):
+        name, binding = match_axiom(calc, _instantiate(schema.sugared, args))
+        if schema.name == "biG7":
+            # snot x expands to x ~> Bot, so the table's biG1 comes first
+            # and binds c to the expansion of Bot
+            assert name == "biG1" and binding["a"] == args["a"] and binding["b"] == args["b"]
+            continue
+        assert name == schema.name
+        assert binding == {k: args[k] for k in binding}, (name, binding)
+        assert all(RESERVED_VAR not in vars_of(v) for v in binding.values())
 
 
 def test_match_axiom_respects_side_conditions():
@@ -340,7 +374,7 @@ def _engine_verdict(calc, cited, instances, target, max_atoms):
 
 
 def _exact_verdict(calc, cited, instances, target):
-    return decide.qg_entails(cited, target, with_cap=calc == "HQPG_TOP", extra=instances).status
+    return calculi._outer_exact(calc, cited, instances, target).status
 
 
 def _fixture_outer_steps():
@@ -377,26 +411,24 @@ def test_order_fact_engine_agrees_with_exact_decision_on_fixtures():
 
 
 def test_order_fact_engine_agrees_with_exact_decision_on_generated_steps():
-    # premises are two-valued, as derivation lines under delta are: the
-    # engine forces premises to 1, while the exact decision compares degrees,
-    # and the two agree only when every premise is 0 or 1
+    # both routes decide truth preservation, so premises may take any value
     pool = [parse("CPL", t) for t in (
         "p", "q", "r", "~p", "p & q", "p | q", "p => q", "~(~p)", "p | ~p", "p & ~p", "Top", "Bot")]
-    premise_shapes = ("delta({a} -> {b})", "snot {a}", "delta {a}", "snot delta({a} -> {b})",
-                      "delta({a} <-> {b})", "delta({a} -> {b}) & snot {b}")
-    target_shapes = premise_shapes + ("{a} -> {b}", "{a} & {b}", "{a} | {b}", "{a}")
+    shapes = ("delta({a} -> {b})", "snot {a}", "delta {a}", "snot delta({a} -> {b})",
+              "delta({a} <-> {b})", "delta({a} -> {b}) & snot {b}",
+              "{a} -> {b}", "{a} & {b}", "{a} | {b}", "{a}")
     rng = random.Random(17)
     seen = []
     while len(seen) < 80:
         calc = rng.choice(("HQG", "HQPG", "HQPG_TOP"))
         atoms = [f"B({print_formula(phi)})" for phi in rng.sample(pool, 3)]
 
-        def formula(shapes):
+        def formula():
             a, b = rng.sample(atoms, 2)
             return parse("QG", rng.choice(shapes).format(a=a, b=b))
 
-        cited = [formula(premise_shapes) for _ in range(rng.randint(0, 3))]
-        target = rng.choice(cited) if cited and rng.random() < 0.2 else formula(target_shapes)
+        cited = [formula() for _ in range(rng.randint(0, 3))]
+        target = rng.choice(cited) if cited and rng.random() < 0.2 else formula()
         verdict = _engine_verdict(calc, cited, [], target, 4)
         if verdict == "skip":
             continue
@@ -405,3 +437,26 @@ def test_order_fact_engine_agrees_with_exact_decision_on_generated_steps():
                 ([print_formula(g) for g in cited], print_formula(target))
         seen.append(verdict)
     assert seen.count("holds") >= 10 and seen.count("fails") >= 10, seen
+
+
+def test_outer_steps_decide_truth_preservation():
+    # B(p) |=_1 delta B(p), though B(p) does not entail delta B(p) by degree;
+    # the order-fact engine cannot force a disjunction to 1
+    for calc, lang, text in (("HQG", "QG", "B(p)"), ("HBIG", "BIG", "p"),
+                             ("HQG", "QG", "B(p) | B(q)")):
+        premise = parse(lang, text)
+        target = mk(lang, "delta", premise)
+        deriv = Derivation.from_json({
+            "calculus": calc,
+            "premises": [text],
+            "steps": [
+                {"formula": text, "just": {"premise": 1}},
+                {"formula": print_formula(target), "just": {"outer": [1]}},
+            ],
+        })
+        assert check_derivation(calc, deriv).accepted
+        assert calculi._outer_exact(calc, [premise], [], target).holds
+        assert calculi._outer_exact(calc, [target], [], premise).holds
+    assert not decide.qg_entails([parse("QG", "B(p)")], parse("QG", "delta B(p)")).holds
+    assert not calculi._outer_exact("HQG", [parse("QG", "B(p) | B(q)")], [],
+                                    parse("QG", "B(p)")).holds

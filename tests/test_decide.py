@@ -272,7 +272,12 @@ def test_g2_entails_matches_the_grid_definition(variant):
 
 
 def test_oracles_do_not_use_the_twist_compiler():
-    assert "compile_twist" not in pathlib.Path(oracles.__file__).read_text()
+    source = pathlib.Path(oracles.__file__).read_text()
+    assert "compile_twist" not in source
+    # the two-layered oracle evaluates without measures, decide or algebra
+    imports = [line for line in source.splitlines()
+               if line.startswith(("from ", "import ")) and "qublogic" in line]
+    assert imports == ["from qublogic.syntax import Formula, print_formula"]
 
 
 def test_refusals_state_the_grid_size(capsys):

@@ -1,17 +1,20 @@
+import json
 import random
 from fractions import Fraction as F
 
 import pytest
 
-from qublogic import calculi, measures
+from qublogic import calculi, cli, measures
 from qublogic.algebra import ONE, ZERO, TwistValue, twist_le
 from qublogic.measures import (BeliefModel, CanonicalModelError, UncertaintyModel,
                                canonical_mcb_model, canonical_qg_model, check_property,
                                correspondence_test, eval_layer, eval_qg,
                                find_frame_countermodel, frame_validates,
                                iter_monotone_measures, truth_set)
-from qublogic.syntax import mk, parse
+from qublogic.syntax import (BINARY_KINDS, NULLARY_KINDS, PRIMITIVE_KINDS, SUGAR_KINDS,
+                             UNARY_KINDS, mk, parse, print_formula, vars_of)
 
+import oracles
 from helpers import gen_bd
 
 
@@ -85,6 +88,24 @@ def test_frame_validates_examples():
     assert not ok and cv is not None
     assert frame_validates(1, {0: F(0), 1: F(1)},
                            parse("QG", "delta B(p) <-> snot B(~p)"), "QG")[0]
+
+
+def test_frame_validation_refusal_states_the_valuation_count(tmp_path, capsys):
+    mu = {0: F(0), 1: F(1, 2), 2: F(1, 2), 3: F(1)}
+    with pytest.raises(ValueError, match=r"^frame validation over 5 variables \(> 4\): "
+                                         r"1,024 inner valuations$"):
+        frame_validates(2, mu, parse("QG", "B(p & q & r & s & t)"), "QG")
+    with pytest.raises(ValueError, match=r" 1,048,576 inner valuations$"):
+        frame_validates(2, mu, parse("MCB", "C(p & q & r & s & t)"), "MCB")
+    path = tmp_path / "belief.json"
+    path.write_text(json.dumps({"states": 2, "v": {}, "mu": {"[]": "0", "[0]": "1/2",
+                                                              "[1]": "1/2", "[0,1]": "1"}}))
+    assert cli.main(["model", "frame-validates", "--model", str(path), "--layer", "nmcb",
+                     "C(p & q & r & s & t)"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err) == {"error": "ValueError: frame validation over 5 variables "
+                                                 "(> 4): 1,048,576 inner valuations"}
 
 
 def test_frame_checks_validate_the_measure_once(monkeypatch):
@@ -214,3 +235,103 @@ def test_measure_validation():
         UncertaintyModel(2, {}, {0: F(0)})
     with pytest.raises(ValueError):
         UncertaintyModel(2, {"p": 0b100}, {i: F(0) for i in range(4)})
+
+
+# ---------------------------------------------------------------------------
+# Two-layered evaluation against the Fraction oracle
+# ---------------------------------------------------------------------------
+
+_INNER = {"QG": ("CPL", ("p", "q", "~p", "p & q", "p | ~q", "p => q", "p <-> q", "Top", "Bot")),
+          "MCB": ("BD", ("p", "q", "neg p", "p & q", "p | neg q", "neg (p & neg q)")),
+          "NMCB": ("BD", ("p", "q", "neg p", "p & q", "p | neg q", "neg (p & neg q)"))}
+
+
+def _layer_formula(rng, layer, depth, kind=None):
+    """A random formula of the layer; ``kind`` fixes the root connective."""
+    inner_lang, pool = _INNER[layer]
+    atom = "bmod" if layer == "QG" else "cmod"
+    if kind is None:
+        if depth == 0 or rng.random() < 0.3:
+            return mk(layer, atom, parse(inner_lang, rng.choice(pool)))
+        kind = rng.choice(sorted((PRIMITIVE_KINDS[layer] | SUGAR_KINDS[layer]) - {atom}))
+    if kind in NULLARY_KINDS:
+        return mk(layer, kind)
+    kids = [_layer_formula(rng, layer, depth - 1)
+            for _ in range(1 if kind in UNARY_KINDS else 2 if kind in BINARY_KINDS else 0)]
+    return mk(layer, kind, *kids)
+
+
+def _random_measure(rng, states):
+    """A measure on every subset with values in [0, 1] off the grids the
+    searches use, endpoints and repeats included."""
+    values = [F(0), F(1), F(3, 10), F(5, 7), F(1, 3), F(3, 10)]
+    return {x: rng.choice(values) for x in range(1 << states)}
+
+
+def _layer_cases(layer, seed, count):
+    rng = random.Random(seed)
+    kinds = sorted((PRIMITIVE_KINDS[layer] | SUGAR_KINDS[layer]) - {"bmod", "cmod"})
+    out = [_layer_formula(rng, layer, 2, kind) for kind in kinds]
+    out += [_layer_formula(rng, layer, 3) for _ in range(count)]
+    if layer == "QG":
+        out.append(parse("QG", "delta (Top -< B(q))"))
+    else:
+        out.append(parse(layer, "delta1 (Top -< C(q))" if layer == "MCB" else "deltaN (Top o- C(q))"))
+    return out
+
+
+@pytest.mark.parametrize("layer", ["QG", "MCB", "NMCB"])
+def test_two_layered_evaluation_matches_the_fraction_oracle(layer):
+    rng = random.Random(41)
+    for f in _layer_cases(layer, 3, 30):
+        for _ in range(4):
+            states = rng.randint(1, 3)
+            mu = _random_measure(rng, states)
+            masks = {p: rng.randrange(1 << states) for p in "pq"}
+            if layer == "QG":
+                val = {"v": masks}
+                got = eval_qg(UncertaintyModel(states, masks, mu), f)
+                assert type(got) is F
+            else:
+                val = {"vplus": masks, "vminus": {p: rng.randrange(1 << states) for p in "pq"}}
+                got = eval_layer(BeliefModel(states, pi=mu, **val), layer, f)
+            assert got == oracles.layer_value(layer, f, states, val, mu), print_formula(f)
+
+
+@pytest.mark.parametrize("layer", ["QG", "MCB", "NMCB"])
+def test_frame_validity_matches_the_fraction_oracle(layer):
+    rng = random.Random(43)
+    for f in _layer_cases(layer, 5, 12):
+        names = sorted(vars_of(f))
+        for states in (1, 2):
+            mu = _random_measure(rng, states)
+            first = next((val for val in oracles.inner_valuations(layer, states, names)
+                          if not oracles.layer_valid(
+                              layer, oracles.layer_value(layer, f, states, val, mu))), None)
+            assert frame_validates(states, mu, f, layer) == (first is None, first), \
+                print_formula(f)
+
+
+@pytest.mark.parametrize("layer", ["QG", "MCB", "NMCB"])
+def test_countermodel_search_matches_the_fraction_oracle(layer):
+    """The search returns the first refuting (measure, valuation) in its
+    documented order, or None when no frame within the bounds refutes."""
+    rng = random.Random(47)
+    cases = [([], _layer_formula(rng, layer, 2)) for _ in range(5)]
+    cases += [([_layer_formula(rng, layer, 1)], _layer_formula(rng, layer, 2)) for _ in range(5)]
+    for xi, alpha in cases:
+        names = sorted(set().union(*(vars_of(g) for g in [*xi, alpha])))
+        search = ((states, val, mu) for states in (1, 2) for denom in (1, 2)
+                  for mu in iter_monotone_measures(states, denom)
+                  for val in oracles.inner_valuations(layer, states, names))
+        first = next((hit for hit in search if oracles.layer_refutes(
+            layer, [oracles.layer_value(layer, g, *hit) for g in xi],
+            oracles.layer_value(layer, alpha, *hit))), None)
+        got = find_frame_countermodel(xi, alpha, layer, 2, 2)
+        if first is None:
+            assert got is None, print_formula(alpha)
+            continue
+        states, val, mu = first
+        want = (UncertaintyModel(states, mu=mu, **val) if layer == "QG"
+                else BeliefModel(states, pi=mu, **val))
+        assert got == want, print_formula(alpha)
