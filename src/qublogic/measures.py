@@ -489,17 +489,18 @@ CORRESPONDENCES: dict[str, tuple[str, str, str]] = {
 }
 
 
-def iter_monotone_measures(states: int, denominator: int, *, nontrivial: bool = True,
+def iter_monotone_measures(states: int, denominator: int, *,
                            capacity: bool = False) -> Iterator[dict[int, Fraction]]:
-    """All monotone measures with values on the given grid, by recursion in
-    popcount order (a subset's value is at least each one-smaller subset's)."""
+    """All monotone nontrivial measures with values on the given grid, by
+    recursion in popcount order (a subset's value is at least each
+    one-smaller subset's)."""
     values = [Fraction(i, denominator) for i in range(denominator + 1)]
     order = sorted(_subsets(states), key=lambda x: (bin(x).count("1"), x))
     full = (1 << states) - 1
 
     def rec(idx: int, mu: dict[int, Fraction]) -> Iterator[dict[int, Fraction]]:
         if idx == len(order):
-            if nontrivial and not mu[full] > mu[0]:
+            if not mu[full] > mu[0]:
                 return
             yield dict(mu)
             return
@@ -560,8 +561,7 @@ def _refuted_on(xi_values: Sequence[RankPair], alpha_value: RankPair, layer: str
 
 def find_frame_countermodel(xi: Sequence[Formula], alpha: Formula, layer: str,
                             max_states: int = 4, denominator: int = 4,
-                            *, nontrivial: bool = True,
-                            capacity: bool = False) -> UncertaintyModel | BeliefModel | None:
+                            *, capacity: bool = False) -> UncertaintyModel | BeliefModel | None:
     """Iterative-deepening search for a model refuting ``xi |= alpha``.
 
     Deterministic order: ascending state count, then grid denominator, then
@@ -572,8 +572,7 @@ def find_frame_countermodel(xi: Sequence[Formula], alpha: Formula, layer: str,
     inners, evs = _compile(layer, [*xi, alpha], _RANK_TOP)
     for states in range(1, max_states + 1):
         for denom in range(1, denominator + 1):
-            for mu in iter_monotone_measures(states, denom, nontrivial=nontrivial,
-                                             capacity=capacity):
+            for mu in iter_monotone_measures(states, denom, capacity=capacity):
                 rank = _ranks(mu)
                 for val in _inner_valuations(states, names, layer):
                     pairs = _atom_values(layer, inners, states, val, rank)

@@ -282,10 +282,7 @@ class MeasureWitness:
         return {"weights": [str(w) for w in self.weights], "eps": str(self.eps)}
 
 
-def represent_order_lp(order: OrderInstance,
-                       strict_pairs: Sequence[tuple[int, int]] | None = None,
-                       equal_pairs: Sequence[tuple[int, int]] | None = None,
-                       ) -> MeasureWitness | None:
+def represent_order_lp(order: OrderInstance) -> MeasureWitness | None:
     """Probability weights strictly agreeing with the order, or None.
 
     Solves max eps subject to weights >= 0 summing to 1, equalities for
@@ -295,10 +292,7 @@ def represent_order_lp(order: OrderInstance,
     n = order.ground_size
     if n > 12:
         raise ValueError("ground sets beyond 12 atoms are not supported")
-    if strict_pairs is None or equal_pairs is None:
-        strict, equal = order.consecutive_pairs()
-        strict_pairs = strict if strict_pairs is None else list(strict_pairs)
-        equal_pairs = equal if equal_pairs is None else list(equal_pairs)
+    strict_pairs, equal_pairs = order.consecutive_pairs()
 
     def row(mask_lo: int, mask_hi: int, eps_coeff: Fraction) -> list[Fraction]:
         coeffs = [ZERO] * (n + 1)

@@ -2,10 +2,12 @@ import copy
 import json
 import pathlib
 import random
+from fractions import Fraction as F
 from itertools import product
 
 import pytest
 
+import oracles
 from qublogic import calculi, decide, measures, qp
 from qublogic.calculi import (CALC_LANG, Derivation, check_derivation, cpl_valid,
                               match_axiom, match_sequent_axiom, qp_tautology, truth_table)
@@ -71,14 +73,36 @@ def test_match_axiom_binds_subformulas_as_written(calc):
             "phi": parse("BD", "p & q"), "chi": parse("BD", "p")}
     for schema in calculi.schema_table(calc):
         name, binding = match_axiom(calc, _instantiate(schema.sugared, args))
-        if schema.name == "biG7":
-            # snot x expands to x ~> Bot, so the table's biG1 comes first
-            # and binds c to the expansion of Bot
-            assert name == "biG1" and binding["a"] == args["a"] and binding["b"] == args["b"]
-            continue
         assert name == schema.name
         assert binding == {k: args[k] for k in binding}, (name, binding)
         assert all(RESERVED_VAR not in vars_of(v) for v in binding.values())
+
+
+@pytest.mark.parametrize("calc", ["HBIG", "HQG", "HQPG_TOP"])
+def test_match_axiom_names_schemas_without_the_reserved_variable(calc):
+    # no metavariable binds a node that only a sugar expansion made: biG7
+    # is named biG7, not biG1 with c bound to the expansion of Bot
+    lang = CALC_LANG[calc]
+    p, q, r = ("p", "q", "r") if lang == "BIG" else ("B(p)", "B(q)", "B(r)")
+    plain = {"a": f"{p} -> {q}", "b": f"{q} & {r}", "c": f"{r} -< {p}"}
+    sugared = {"a": f"snot {p}", "b": f"delta {q}", "c": f"snot delta({r} -> {p})"}
+    inner = {  # side conditions: reg needs phi => chi, nontriv and cap1 a
+               # tautological phi, nontriv and cap2 a contradictory one
+        "reg": ({"phi": "p & q", "chi": "p"}, {"phi": "p <-> q", "chi": "p => q"}),
+        "nontriv": ({"phi": "p | ~p", "chi": "p & ~p"}, {"phi": "Top", "chi": "Bot"}),
+        "cap1": ({"phi": "p | ~p"}, {"phi": "Top"}),
+        "cap2": ({"phi": "p & ~p"}, {"phi": "Bot"}),
+    }
+    table = {s.name: s for s in calculi.schema_table(calc)}
+    for schema in table.values():
+        for style, texts in enumerate((plain, sugared)):
+            args = {k: parse(lang, t) for k, t in texts.items()}
+            if schema.name in inner:
+                args = {k: parse("CPL", t) for k, t in inner[schema.name][style].items()}
+            name, binding = match_axiom(calc, _instantiate(schema.sugared, args))
+            assert name == schema.name or table[name].pattern == schema.pattern, (schema.name, name)
+            assert binding == {k: args[k] for k in binding}, (name, binding)
+            assert all(RESERVED_VAR not in print_formula(v) for v in binding.values()), binding
 
 
 def test_match_axiom_respects_side_conditions():
@@ -358,23 +382,41 @@ def test_sequent_axiom_matching():
 
 
 # ---------------------------------------------------------------------------
-# The order-fact engine against the exact QG decision
+# The outer-step search against the exact grid decision
 # ---------------------------------------------------------------------------
 
-def _engine_verdict(calc, cited, instances, target, max_atoms):
-    """"holds", "fails" or None (undecided) from the order-fact engine for
-    one outer step, or "skip" when the step has more than ``max_atoms``
-    merged atoms."""
-    engine = calculi._OuterEngine(calc, [*cited, *instances], target)
-    if len(engine.reps) > max_atoms:
-        return "skip"
-    if engine.check():
-        return "holds"
-    return None if engine.canonical_refutation() is None else "fails"
+def _search_verdict(calc, cited, instances, target):
+    """The search's verdict on one outer step; a fails witness is checked
+    on a model before it is returned."""
+    verdict = calculi._outer_search(calc, [*cited, *instances], target)
+    if not verdict.holds:
+        _check_refutation(calc, [*cited, *instances], target, verdict.witness)
+    return verdict.status
+
+
+def _check_refutation(calc, premises, target, witness):
+    """Every premise takes value 1 and the target less, on the canonical
+    model of a QG witness (read by the oracle evaluator) or directly on a
+    biG witness."""
+    if CALC_LANG[calc] == "BIG":
+        values = [oracles.chain_eval_big(g, witness, F(1)) for g in [*premises, target]]
+    else:
+        m = measures.canonical_qg_model(witness, [*premises, target])
+        values = [oracles.layer_value("QG", g, m.states, {"v": m.v}, m.mu)
+                  for g in [*premises, target]]
+    *premise_values, target_value = values
+    assert all(v == 1 for v in premise_values) and target_value < 1, \
+        ([print_formula(g) for g in premises], print_formula(target), witness)
 
 
 def _exact_verdict(calc, cited, instances, target):
     return calculi._outer_exact(calc, cited, instances, target).status
+
+
+def _merged_atoms(calc, formulas):
+    if CALC_LANG[calc] == "QG":
+        return len(decide.qg_merge_atoms(formulas)[2])
+    return len(set().union(*map(vars_of, formulas)))
 
 
 def _fixture_outer_steps():
@@ -398,50 +440,97 @@ def _fixture_outer_steps():
     return out
 
 
-def test_order_fact_engine_agrees_with_exact_decision_on_fixtures():
-    # the steps over 6 merged atoms take seconds each to decide exactly
+def test_outer_search_agrees_with_exact_decision_on_fixtures():
+    # every step is decided; those over 6 merged atoms take seconds each
+    # to decide on the grid, so only the smaller ones are compared
     seen = []
     for calc, cited, instances, target in _fixture_outer_steps():
-        verdict = _engine_verdict(calc, cited, instances, target, 5)
-        if verdict in ("holds", "fails"):
+        verdict = calculi._outer_search(calc, [*cited, *instances], target).status
+        if _merged_atoms(calc, [*cited, *instances, target]) <= 5:
             assert _exact_verdict(calc, cited, instances, target) == verdict, \
                 print_formula(target)
         seen.append(verdict)
     assert seen.count("holds") >= 5 and seen.count("fails") >= 5, seen
 
 
-def test_order_fact_engine_agrees_with_exact_decision_on_generated_steps():
-    # both routes decide truth preservation, so premises may take any value
+_SHAPES = ("delta({a} -> {b})", "snot {a}", "delta {a}", "snot delta({a} -> {b})",
+           "delta({a} <-> {b})", "delta({a} -> {b}) & snot {b}",
+           "{a} -> {b}", "{a} & {b}", "{a} | {b}", "{a}")
+
+
+def test_outer_search_agrees_with_exact_decision_on_generated_steps():
+    # premises may take any value: both routes decide truth preservation
     pool = [parse("CPL", t) for t in (
         "p", "q", "r", "~p", "p & q", "p | q", "p => q", "~(~p)", "p | ~p", "p & ~p", "Top", "Bot")]
-    shapes = ("delta({a} -> {b})", "snot {a}", "delta {a}", "snot delta({a} -> {b})",
-              "delta({a} <-> {b})", "delta({a} -> {b}) & snot {b}",
-              "{a} -> {b}", "{a} & {b}", "{a} | {b}", "{a}")
     rng = random.Random(17)
     seen = []
-    while len(seen) < 80:
-        calc = rng.choice(("HQG", "HQPG", "HQPG_TOP"))
-        atoms = [f"B({print_formula(phi)})" for phi in rng.sample(pool, 3)]
+    while len(seen) < 120:
+        calc = rng.choice(("HQG", "HQPG", "HQPG_TOP")) if len(seen) < 80 else "HBIG"
+        if calc == "HBIG":
+            lang, atoms = "BIG", rng.sample(["p", "q", "r", "s"], 3)
+        else:
+            lang, atoms = "QG", [f"B({print_formula(phi)})" for phi in rng.sample(pool, 3)]
 
         def formula():
             a, b = rng.sample(atoms, 2)
-            return parse("QG", rng.choice(shapes).format(a=a, b=b))
+            return parse(lang, rng.choice(_SHAPES).format(a=a, b=b))
 
         cited = [formula() for _ in range(rng.randint(0, 3))]
         target = rng.choice(cited) if cited and rng.random() < 0.2 else formula()
-        verdict = _engine_verdict(calc, cited, [], target, 4)
-        if verdict == "skip":
+        if _merged_atoms(calc, [*cited, target]) > 4:
             continue
-        if verdict is not None:
-            assert _exact_verdict(calc, cited, [], target) == verdict, \
-                ([print_formula(g) for g in cited], print_formula(target))
+        verdict = _search_verdict(calc, cited, [], target)
+        assert _exact_verdict(calc, cited, [], target) == verdict, \
+            ([print_formula(g) for g in cited], print_formula(target))
         seen.append(verdict)
+    assert seen.count("holds") >= 30 and seen.count("fails") >= 30, seen
+
+
+def test_outer_search_decides_steps_over_many_atoms():
+    # 7 to 9 merged atoms, past the grid decision's reach in a test; four
+    # inner variables keep the 16-state canonical model in reach
+    pool = [parse("CPL", t) for t in (
+        "p", "q", "r", "s", "~p", "p & q", "p | q", "p => q", "q & r", "r | s", "~(p & s)",
+        "q => s", "~r", "p & q & r", "(p | q) & ~s", "r & s", "~q | r")]
+    rng = random.Random(5)
+    sizes = []
+    seen = []
+    while len(seen) < 60:
+        calc = rng.choice(("HQG", "HQPG", "HQPG_TOP"))
+        atoms = [f"B({print_formula(phi)})" for phi in rng.sample(pool, rng.randint(5, 8))]
+
+        def formula():
+            a, b = rng.sample(atoms, 2)
+            return parse("QG", rng.choice(_SHAPES).format(a=a, b=b))
+
+        cited = [formula() for _ in range(rng.randint(1, 5))]
+        target = formula()
+        k = _merged_atoms(calc, [*cited, target])
+        if not 7 <= k <= 9:
+            continue
+        # the search raises when it reaches its node cap
+        seen.append(_search_verdict(calc, cited, [], target))
+        sizes.append(k)
     assert seen.count("holds") >= 10 and seen.count("fails") >= 10, seen
+    assert set(sizes) == {7, 8, 9}, sizes
+
+
+def test_outer_search_cap_fails_the_step(monkeypatch):
+    # a biG theorem over 8 variables: nothing prunes before the leaves
+    monkeypatch.setattr(calculi, "_MAX_OUTER_NODES", 1000)
+    target = parse("BIG", "((a -> b) | (b -> a)) & ((c -> d) | (d -> c)) & "
+                          "((e -> f) | (f -> e)) & ((g -> h) | (h -> g))")
+    ok, reason = calculi._outer_step_ok("HBIG", [], [], target)
+    assert not ok
+    assert reason == ("outer step undecided: the search over 8 atoms stopped after "
+                      "1,000 nodes of a 100,000,000-point grid")
+    deriv = Derivation.from_json({"calculus": "HBIG", "steps": [
+        {"formula": print_formula(target), "just": {"outer": []}}]})
+    assert check_derivation("HBIG", deriv).steps[0]["reason"] == reason
 
 
 def test_outer_steps_decide_truth_preservation():
-    # B(p) |=_1 delta B(p), though B(p) does not entail delta B(p) by degree;
-    # the order-fact engine cannot force a disjunction to 1
+    # B(p) |=_1 delta B(p), though B(p) does not entail delta B(p) by degree
     for calc, lang, text in (("HQG", "QG", "B(p)"), ("HBIG", "BIG", "p"),
                              ("HQG", "QG", "B(p) | B(q)")):
         premise = parse(lang, text)
@@ -460,3 +549,10 @@ def test_outer_steps_decide_truth_preservation():
     assert not decide.qg_entails([parse("QG", "B(p)")], parse("QG", "delta B(p)")).holds
     assert not calculi._outer_exact("HQG", [parse("QG", "B(p) | B(q)")], [],
                                     parse("QG", "B(p)")).holds
+
+
+def test_twist_outer_step_over_too_many_atoms_states_its_grid():
+    target = parse("G2ORD", "(p -> q) | (q -> r) | (r -> s)")
+    ok, reason = calculi._outer_step_ok("HG2ORD", [], [], target)
+    assert not ok
+    assert reason == "twist grid decision over 4 atoms (> 3): 100,000,000 grid points"
