@@ -5,16 +5,16 @@ desugared formulas; side conditions (classical provability, BD validity)
 are discharged by the exact oracles.  Derivations may use coarse
 "outer-logic" steps the way research papers do.  A QG or biG outer step is
 decided by truth preservation, as modus ponens derives: a depth-first
-search over integer ranks gives the atoms values one at a time and prunes
-a branch as soon as a premise falls below 1 or the target reaches 1.  It
-is complete, and a step whose search outgrows a fixed node cap fails with
-a reason that states its size.  A twist-language outer step goes through
-the twist grid decision.
+search over integer ranks, one per conjunct of the target, gives the atoms
+values one at a time and prunes a branch as soon as a premise falls below
+1 or the target conjunct reaches 1.  It is complete, and a step whose
+search outgrows a fixed node cap fails with a reason that states its size.
+A twist-language outer step goes through the twist grid decision.
 """
 
 from __future__ import annotations
 
-import json
+import functools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping, Sequence
@@ -91,13 +91,24 @@ def _meta(lang: str, name: str) -> Formula:
     return Formula(lang, "var", (), _META_PREFIX + name)
 
 
-def _match(pattern: Formula, cand: Formula, binding: dict[str, Formula],
+def _surface(f: Formula) -> Formula:
+    """``f`` with the Top/Bot expansions inside it written as Top/Bot."""
+    if f.kind == "var":
+        return f
+    for kind in ("top", "bot"):
+        if kind in syntax.SUGAR_KINDS[f.lang] and f == syntax._expand(f.lang, kind, ()):
+            return mk(f.lang, kind)
+    return mk(f.lang, f.kind, *map(_surface, f.children))
+
+
+def _match(pattern: Formula, cand: Formula, binding: dict[str, Formula], made: set[str],
            written: tuple[Formula, ...] | None = None) -> bool:
     """Match a desugared pattern against ``cand`` as if ``cand`` were
     desugared too.  Sugar is expanded one node at a time, only where the
     pattern looks inside it, so metavariables bind subformulas of ``cand``
     as written.  Inside an expansion, ``written`` holds the expanded node's
-    children: the only nodes there that a metavariable may bind."""
+    children; a metavariable bound to a node the expansion made, such as
+    Bot inside snot x, binds its surface form and goes into ``made``."""
     if written is not None and any(cand is w for w in written):
         written = None
     if pattern.kind == "var" and pattern.var.startswith(_META_PREFIX):
@@ -106,9 +117,11 @@ def _match(pattern: Formula, cand: Formula, binding: dict[str, Formula],
         seen = binding.get(pattern.var)
         if seen is not None:
             return seen == cand or desugar(seen) == desugar(cand)
-        if written is not None:
-            return False  # a node the expansion made, such as Bot inside snot x
-        binding[pattern.var] = cand
+        if written is None:
+            binding[pattern.var] = cand
+        else:
+            binding[pattern.var] = _surface(cand)
+            made.add(pattern.var)
         return True
     if cand.kind in syntax.SUGAR_KINDS[cand.lang]:
         written = cand.children
@@ -119,7 +132,7 @@ def _match(pattern: Formula, cand: Formula, binding: dict[str, Formula],
         return pattern.var == cand.var
     if len(pattern.children) != len(cand.children):
         return False
-    return all(_match(p, c, binding, written) for p, c in zip(pattern.children, cand.children))
+    return all(_match(p, c, binding, made, written) for p, c in zip(pattern.children, cand.children))
 
 
 @dataclass(frozen=True)
@@ -266,31 +279,25 @@ def _schemas_layer(calc: str) -> list[Schema]:
     return out
 
 
-_SCHEMA_CACHE: dict[str, list[Schema]] = {}
-
-
+@functools.cache
 def schema_table(calc: str) -> list[Schema]:
     if calc not in CALCULI:
         raise ValueError(f"unknown calculus {calc!r}")
-    if calc not in _SCHEMA_CACHE:
-        if calc == "HBIG":
-            table = _schemas_bi_goedel("BIG", "gimp", "gcoimp")
-        elif calc == "HG2ORD":
-            table = _schemas_bi_goedel("G2ORD", "gimp", "gcoimp") \
-                + _schemas_de_morgan("G2ORD", "gimp", "gcoimp", False)
-        elif calc == "HG2NEL":
-            table = _schemas_bi_goedel("G2NEL", "nimp", "ncoimp") \
-                + _schemas_de_morgan("G2NEL", "nimp", "ncoimp", True)
-        elif calc in ("HQG", "HQPG", "HQPG_TOP"):
-            table = _schemas_qg(calc)
-        elif calc == "HQP":
-            table = _schemas_qp()
-        elif calc in ("HMCB", "HNMCB"):
-            table = _schemas_layer(calc)
-        else:
-            table = []
-        _SCHEMA_CACHE[calc] = table
-    return _SCHEMA_CACHE[calc]
+    if calc == "HBIG":
+        return _schemas_bi_goedel("BIG", "gimp", "gcoimp")
+    if calc == "HG2ORD":
+        return _schemas_bi_goedel("G2ORD", "gimp", "gcoimp") \
+            + _schemas_de_morgan("G2ORD", "gimp", "gcoimp", False)
+    if calc == "HG2NEL":
+        return _schemas_bi_goedel("G2NEL", "nimp", "ncoimp") \
+            + _schemas_de_morgan("G2NEL", "nimp", "ncoimp", True)
+    if calc in ("HQG", "HQPG", "HQPG_TOP"):
+        return _schemas_qg(calc)
+    if calc == "HQP":
+        return _schemas_qp()
+    if calc in ("HMCB", "HNMCB"):
+        return _schemas_layer(calc)
+    return []
 
 
 def _flatten_and(f: Formula) -> list[Formula]:
@@ -361,10 +368,25 @@ def _match_a4(f: Formula) -> tuple[str, dict] | None:
     return None
 
 
+def _schema_matches(calc: str, f: Formula) -> Iterable[tuple[str, dict, set[str]]]:
+    """(name, substitution, made) for each schema of the calculus that ``f``
+    instantiates, in table order; ``made`` holds the metavariables bound to
+    a node that a sugar expansion made."""
+    for schema in schema_table(calc):
+        binding: dict[str, Formula] = {}
+        made: set[str] = set()
+        if _match(schema.pattern, f, binding, made):
+            clean = {k[len(_META_PREFIX):]: v for k, v in binding.items()}
+            if schema.side is None or schema.side(clean):
+                yield schema.name, clean, made
+
+
 def match_axiom(calc: str, f: Formula) -> tuple[str, dict] | None:
     """Identify ``f`` as an axiom instance of the calculus, if it is one.
 
-    Returns the schema name and the matching substitution.  KPS and A4
+    Returns the schema name and the matching substitution: of the schemas
+    ``f`` instantiates, the first whose substitution binds only
+    subformulas of ``f`` as written, else the first.  KPS and A4
     instances are recognized in their canonical generated shape for
     m <= 4 only; PC (for the QP calculus) matches any propositional
     tautology over comparison-abstracted atoms.
@@ -376,12 +398,12 @@ def match_axiom(calc: str, f: Formula) -> tuple[str, dict] | None:
         raise LanguageError(f"{calc} checks {lang} formulas, got {f.lang}")
     if calc == "RFDE":
         return None
-    for schema in schema_table(calc):
-        binding: dict[str, Formula] = {}
-        if _match(schema.pattern, f, binding):
-            clean = {k[len(_META_PREFIX):]: v for k, v in binding.items()}
-            if schema.side is None or schema.side(clean):
-                return schema.name, clean
+    matches = _schema_matches(calc, f)
+    hit = next(matches, None)
+    if hit and hit[2]:
+        hit = next((m for m in matches if not m[2]), hit)
+    if hit:
+        return hit[:2]
     if calc in ("HQPG", "HQPG_TOP"):
         hit = _match_kps(f)
         if hit:
@@ -400,9 +422,22 @@ def match_axiom(calc: str, f: Formula) -> tuple[str, dict] | None:
 # ---------------------------------------------------------------------------
 
 #: Nodes (one value given to one atom) the QG/biG outer-step search may
-#: visit before the step fails as undecided.  Capped steps took 2.5-4.3 s
+#: visit before the step fails as undecided.  Capped steps took 0.7-2.5 s
 #: of CPU on a shared 2-core VM (python 3.11).
 _MAX_OUTER_NODES = 750_000
+
+
+def _parts(f: Formula, kind: str) -> list[Formula]:
+    """The ``kind`` ("and" or "or") chain of ``f`` under any delta (1 only
+    at 1), <-> read as two implications: ``f`` takes value 1 exactly where
+    all of them do ("and"), or one of them does ("or")."""
+    if f.kind == "delta":
+        return _parts(f.children[0], kind)
+    if f.kind == "iff" and kind == "and":
+        f = syntax._expand(f.lang, f.kind, f.children)
+    if f.kind == kind:
+        return [*_parts(f.children[0], kind), *_parts(f.children[1], kind)]
+    return [f]
 
 
 def _outer_search(calc: str, premises: Sequence[Formula], target: Formula) -> decide.Verdict:
@@ -412,13 +447,16 @@ def _outer_search(calc: str, premises: Sequence[Formula], target: Formula) -> de
     Atoms take the integer ranks 0..k+1 of the biG grid for k atoms, rank
     k+1 standing for 1.  QG atoms are merged and saturated as in
     :func:`decide.qg_entails`, and the saturation instances join the
-    premises; HBIG's atoms are its variables.  Each formula is compiled
-    once.  The search gives the atoms values one at a time and evaluates
-    each formula as soon as its last atom has one: a premise below the top
-    or a target at the top closes the branch, so a completed valuation
-    refutes the step.  A fails verdict carries it, keyed like
-    ``qg_entails``' witness.  A search that visits more than
-    ``_MAX_OUTER_NODES`` nodes raises a ValueError that states its size.
+    premises; HBIG's atoms are its variables.  Premises and target are cut
+    into their conjuncts, and each conjunct of the target is searched for
+    on its own.  The search gives the atoms values one at a time and
+    evaluates each premise and each disjunct of the target conjunct,
+    compiled once, as soon as its last atom has a value: a premise below
+    the top or a disjunct at the top closes the branch, so a completed
+    valuation refutes the step.  A fails verdict carries it, keyed like
+    ``qg_entails``' witness.  A step whose searches visit more than
+    ``_MAX_OUTER_NODES`` nodes in all raises a ValueError that states its
+    size.
     """
     if CALC_LANG[calc] == "QG":
         atoms, mapping, keys = decide.qg_merge_atoms([*premises, target])
@@ -432,59 +470,76 @@ def _outer_search(calc: str, premises: Sequence[Formula], target: Formula) -> de
         keys = sorted(set().union(*map(vars_of, [*premises, target])))
         names = {key: key for key in keys}
         atoms_of = vars_of
+    # reg instances come plain and under delta: one copy is enough
+    premises = list(dict.fromkeys(p for g in premises for p in _parts(g, "and")))
     k = len(keys)
     top = k + 1
     slots = {key: i for i, key in enumerate(keys)}
-    deps = [{slots[a] for a in atoms_of(g)} for g in [*premises, target]]
-    # greedy order: next the atom that completes the most formulas, then
-    # the one that occurs in the most open ones
-    order: list[int] = []
-    pending = [set(d) for d in deps]
-    while len(order) < k:
-        best = max((s for s in range(k) if s not in order),
-                   key=lambda s: (sum(d == {s} for d in pending), sum(s in d for d in pending), -s))
-        order.append(best)
-        for d in pending:
-            d.discard(best)
-    depth_of = {s: i + 1 for i, s in enumerate(order)}
-    # checks[d]: the premises whose last atom is the d-th one given a value
-    checks: list[list] = [[] for _ in range(k + 1)]
-    for g, d in zip(premises, deps):
-        checks[max(map(depth_of.get, d), default=0)].append(
-            algebra.compile_twist(g, slots, top, False))
-    goal = algebra.compile_twist(target, slots, top, False)
-    goal_depth = max(map(depth_of.get, deps[-1]), default=0)
+    premise_evs = [algebra.compile_twist(g, slots, top, False) for g in premises]
+    premise_deps = [{slots[a] for a in atoms_of(g)} for g in premises]
     pairs = [(r, 0) for r in range(top + 1)]
     values = [pairs[0]] * k
     nodes = 0
 
-    def viable(depth: int) -> bool:
-        for ev in checks[depth]:
-            if ev(values)[0] != top:
-                return False
-        return depth != goal_depth or goal(values)[0] != top
+    def refutes(part: Formula) -> bool:
+        """Whether some valuation gives every premise 1 and ``part`` less,
+        that is, every disjunct of ``part`` less."""
+        disjuncts = _parts(part, "or")
+        goal_deps = [{slots[a] for a in atoms_of(g)} for g in disjuncts]
+        # greedy order: next the atom that completes the most formulas, then
+        # the one that occurs in the most open ones
+        order: list[int] = []
+        pending = [set(d) for d in [*premise_deps, *goal_deps]]
+        while len(order) < k:
+            best = max((s for s in range(k) if s not in order),
+                       key=lambda s: (sum(d == {s} for d in pending), sum(s in d for d in pending), -s))
+            order.append(best)
+            for d in pending:
+                d.discard(best)
+        depth_of = {s: i + 1 for i, s in enumerate(order)}
+        # checks[d] / goals[d]: the premises / disjuncts whose last atom is
+        # the d-th one given a value
+        checks: list[list] = [[] for _ in range(k + 1)]
+        goals: list[list] = [[] for _ in range(k + 1)]
+        for ev, d in zip(premise_evs, premise_deps):
+            checks[max(map(depth_of.get, d), default=0)].append(ev)
+        for g, d in zip(disjuncts, goal_deps):
+            goals[max(map(depth_of.get, d), default=0)].append(
+                algebra.compile_twist(g, slots, top, False))
 
-    def refute(depth: int) -> bool:
-        """Whether the values of order[:depth] extend to a refutation."""
-        nonlocal nodes
-        if depth == k:
+        def viable(depth: int) -> bool:
+            for ev in checks[depth]:
+                if ev(values)[0] != top:
+                    return False
+            for ev in goals[depth]:
+                if ev(values)[0] == top:
+                    return False
             return True
-        slot = order[depth]
-        for pair in pairs:
-            nodes += 1
-            if nodes > _MAX_OUTER_NODES:
-                raise ValueError(
-                    f"outer step undecided: the search over {k} atoms stopped after "
-                    f"{nodes - 1:,} nodes of a {(k + 2) ** k:,}-point grid")
-            values[slot] = pair
-            if viable(depth + 1) and refute(depth + 1):
-                return True
-        return False
 
-    if not (viable(0) and refute(0)):
-        return decide.HOLDS
-    return decide.Verdict("fails", {name: Fraction(values[slots[key]][0], top)
-                                    for name, key in names.items()})
+        def extends(depth: int) -> bool:
+            """Whether the values of order[:depth] extend to a refutation."""
+            nonlocal nodes
+            if depth == k:
+                return True
+            slot = order[depth]
+            for pair in pairs:
+                nodes += 1
+                if nodes > _MAX_OUTER_NODES:
+                    raise ValueError(
+                        f"outer step undecided: the search over {k} atoms stopped after "
+                        f"{nodes - 1:,} nodes of a {(k + 2) ** k:,}-point grid")
+                values[slot] = pair
+                if viable(depth + 1) and extends(depth + 1):
+                    return True
+            return False
+
+        return viable(0) and extends(0)
+
+    for part in dict.fromkeys(_parts(target, "and")):
+        if refutes(part):
+            return decide.Verdict("fails", {name: Fraction(values[slots[key]][0], top)
+                                            for name, key in names.items()})
+    return decide.HOLDS
 
 
 def _outer_exact(calc: str, cited: Sequence[Formula], instances: Sequence[Formula],
@@ -518,7 +573,7 @@ def _outer_step_ok(calc: str, cited: Sequence[Formula], instances: Sequence[Form
     except ValueError as exc:  # the search or the grid is too large; the message says how large
         return False, str(exc)
     if verdict.holds:
-        return True, "rank search" if lang in ("QG", "BIG") else "grid entailment"
+        return True, "outer-logic consequence"
     return False, "not an outer-logic consequence of the cited steps"
 
 
@@ -574,10 +629,6 @@ class Derivation:
             steps = tuple(Step(parse(lang, s["formula"]), None, s["just"])
                           for s in obj["steps"])
         return cls(calc, premises, steps)
-
-    @classmethod
-    def from_text(cls, text: str) -> "Derivation":
-        return cls.from_json(json.loads(text))
 
 
 @dataclass
@@ -662,8 +713,9 @@ def check_derivation(calc: str, derivation: Derivation,
                     continue
             elif "axiom" in just and "outer" not in just:
                 if isinstance(just["axiom"], str) and "m" not in just:
-                    hit = match_axiom(calc, f)
-                    if hit is None or (just["axiom"] not in ("", "any") and hit[0] != just["axiom"]):
+                    hit, name = match_axiom(calc, f), just["axiom"]
+                    if hit is None or (name not in ("", "any") and hit[0] != name and all(
+                            m[0] != name for m in _schema_matches(calc, f))):
                         fail(i, f"not an instance of axiom {just['axiom']!r}")
                         tainted.append(taint)
                         continue
@@ -754,6 +806,7 @@ def _nec_image(calc: str, f: Formula) -> Formula:
 # R_fde sequent derivations
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def _rfde_axioms() -> list[tuple[str, Formula, Formula]]:
     a, b, c = (_meta("BD", n) for n in "abc")
 
@@ -781,16 +834,11 @@ def _rfde_axioms() -> list[tuple[str, Formula, Formula]]:
     ]
 
 
-_RFDE_TABLE = None
-
-
 def match_sequent_axiom(lhs: Formula, rhs: Formula) -> str | None:
-    global _RFDE_TABLE
-    if _RFDE_TABLE is None:
-        _RFDE_TABLE = _rfde_axioms()
-    for name, pl, pr in _RFDE_TABLE:
+    for name, pl, pr in _rfde_axioms():
         binding: dict[str, Formula] = {}
-        if _match(pl, lhs, binding) and _match(pr, rhs, binding):
+        made: set[str] = set()  # BD has no sugar, so this stays empty
+        if _match(pl, lhs, binding, made) and _match(pr, rhs, binding, made):
             return name
     return None
 

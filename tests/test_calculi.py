@@ -80,8 +80,8 @@ def test_match_axiom_binds_subformulas_as_written(calc):
 
 @pytest.mark.parametrize("calc", ["HBIG", "HQG", "HQPG_TOP"])
 def test_match_axiom_names_schemas_without_the_reserved_variable(calc):
-    # no metavariable binds a node that only a sugar expansion made: biG7
-    # is named biG7, not biG1 with c bound to the expansion of Bot
+    # a match that binds only subformulas as written comes first: biG7 is
+    # named biG7, not biG1 with c bound to the expansion of Bot
     lang = CALC_LANG[calc]
     p, q, r = ("p", "q", "r") if lang == "BIG" else ("B(p)", "B(q)", "B(r)")
     plain = {"a": f"{p} -> {q}", "b": f"{q} & {r}", "c": f"{r} -< {p}"}
@@ -103,6 +103,29 @@ def test_match_axiom_names_schemas_without_the_reserved_variable(calc):
             assert name == schema.name or table[name].pattern == schema.pattern, (schema.name, name)
             assert binding == {k: args[k] for k in binding}, (name, binding)
             assert all(RESERVED_VAR not in print_formula(v) for v in binding.values()), binding
+
+
+@pytest.mark.parametrize("calc,p,q", [("HBIG", "p", "q"), ("HQG", "B(p)", "B(q)")])
+def test_match_axiom_binds_an_expanded_bot_as_written_bot(calc, p, q):
+    # biG3 with c := Bot: c can only bind the Bot inside snot's expansion
+    lang = CALC_LANG[calc]
+    name, binding = match_axiom(calc, parse(lang, f"snot {p} -> (snot {q} -> snot ({p} | {q}))"))
+    assert name == "biG3"
+    assert {k: print_formula(v) for k, v in binding.items()} == {"a": p, "b": q, "c": "Bot"}
+
+
+@pytest.mark.parametrize("cited", ["biG1", "biG7", "any"])
+def test_axiom_step_may_cite_any_schema_the_line_instantiates(cited):
+    # match_axiom names biG7; the line is a biG1 instance too, with c := Bot
+    line = "(p -> q) -> (snot q -> snot p)"
+    assert match_axiom("HBIG", parse("BIG", line)) == \
+        ("biG7", {"a": parse("BIG", "p"), "b": parse("BIG", "q")})
+    deriv = Derivation.from_json({"calculus": "HBIG", "steps": [
+        {"formula": line, "just": {"axiom": cited}}]})
+    assert check_derivation("HBIG", deriv).accepted
+    deriv = Derivation.from_json({"calculus": "HBIG", "steps": [
+        {"formula": line, "just": {"axiom": "biG3"}}]})
+    assert not check_derivation("HBIG", deriv).accepted
 
 
 def test_match_axiom_respects_side_conditions():
@@ -515,11 +538,31 @@ def test_outer_search_decides_steps_over_many_atoms():
     assert set(sizes) == {7, 8, 9}, sizes
 
 
+@pytest.mark.parametrize("calc,atom", [("HBIG", "{}"), ("HQG", "B({})")])
+def test_outer_search_splits_formulas_over_many_atoms(calc, atom):
+    # no conjunct is complete before the eighth atom, so a search over the
+    # whole formulas would visit the 10^8-point grid; their parts are small
+    lang = CALC_LANG[calc]
+    a, b, c, d, e, f, g, h = (atom.format(x) for x in "abcdefgh")
+    x = parse(lang, f"({a} -> {b}) & ({c} -> {d}) & ({e} -> {f}) & ({g} -> {h})")
+    assert calculi._outer_step_ok(calc, [x], [], x)[0]
+    assert calculi._outer_step_ok(calc, [mk(lang, "delta", x)], [], mk(lang, "delta", x))[0]
+    assert calculi._outer_step_ok(calc, [x], [], parse(lang, f"{e} -> {f}"))[0]
+    assert calculi._outer_step_ok(calc, [x], [], parse(lang, f"{a} -> {c}")) == \
+        (False, "not an outer-logic consequence of the cited steps")
+    theorem = parse(lang, f"(({a} -> {b}) | ({b} -> {a})) & (({c} -> {d}) | ({d} -> {c})) & "
+                          f"(({e} -> {f}) | ({f} -> {e})) & (({g} -> {h}) | ({h} -> {g}))")
+    assert calculi._outer_step_ok(calc, [], [], theorem)[0]
+    # a disjunct at 1 closes the branch as soon as its atoms have values
+    theorem = parse(lang, f"({a} -> {b}) | ({b} -> {a}) | ({c} -> {d}) | ({e} -> {f}) | ({g} -> {h})")
+    assert calculi._outer_step_ok(calc, [], [], theorem)[0]
+
+
 def test_outer_search_cap_fails_the_step(monkeypatch):
-    # a biG theorem over 8 variables: nothing prunes before the leaves
+    # a biG theorem over 8 variables whose two disjuncts each have all 8:
+    # nothing prunes before the leaves
     monkeypatch.setattr(calculi, "_MAX_OUTER_NODES", 1000)
-    target = parse("BIG", "((a -> b) | (b -> a)) & ((c -> d) | (d -> c)) & "
-                          "((e -> f) | (f -> e)) & ((g -> h) | (h -> g))")
+    target = parse("BIG", "((a | b | c | d) -> (e | f | g | h)) | ((e | f | g | h) -> (a | b | c | d))")
     ok, reason = calculi._outer_step_ok("HBIG", [], [], target)
     assert not ok
     assert reason == ("outer step undecided: the search over 8 atoms stopped after "
