@@ -19,15 +19,23 @@ each measure once to the integer ranks of its values, with 0 and 1 at the
 ends, and compare ranks; only the countervaluation or model they return
 carries Fractions.  One model's evaluation runs the same compiled formula
 on the measure's own values.
-"""
+
+Inner truth is statewise and does not depend on the measure, so frame
+searches bit-slice the inner valuations: one mask over (valuation, state)
+bits per coordinate, one run of :func:`cpl_truth_set` or of the BD support
+recursion per inner formula on those masks, and each valuation reads its
+atoms' sets as a slice, 64 valuations at a time, so that frame validity
+still stops at the first failing valuation.  The countermodel search and
+the correspondence test do this once per state count and reuse the sets
+for every measure.  A state count with more than ``_MAX_FRAME_VALUATIONS``
+inner valuations is refused before it starts, with its count."""
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import product
-from typing import Callable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from . import bd
 from .algebra import ONE, ZERO, RankPair, TwistValue, compile_twist, unit
@@ -213,7 +221,8 @@ def eval_qg(m: UncertaintyModel, alpha: Formula) -> Fraction:
     if alpha.lang != "QG":
         raise LanguageError("eval_qg expects a QG formula")
     inners, (ev,) = _compile("QG", [alpha], ONE)
-    return unit(ev(_atom_values("QG", inners, m.states, {"v": m.v}, m.mu))[0])
+    supports = _supports("QG", inners, {"v": m.v}, m.full)
+    return unit(ev(next(_valuations("QG", supports, m.states, 1, m.mu)))[0])
 
 
 def eval_layer(m: BeliefModel, variant: str, alpha: Formula) -> TwistValue:
@@ -223,8 +232,8 @@ def eval_layer(m: BeliefModel, variant: str, alpha: Formula) -> TwistValue:
     if alpha.lang != variant:
         raise LanguageError(f"eval_layer expects an {variant} formula")
     inners, (ev,) = _compile(variant, [alpha], ONE)
-    val = {"vplus": m.vplus, "vminus": m.vminus}
-    return TwistValue(*ev(_atom_values(variant, inners, m.states, val, m.pi)))
+    supports = _supports(variant, inners, {"vplus": m.vplus, "vminus": m.vminus}, m.full)
+    return TwistValue(*ev(next(_valuations(variant, supports, m.states, 1, m.pi))))
 
 
 def _compile(layer: str, formulas: Sequence[Formula], top) -> tuple[list[Formula], list[Callable]]:
@@ -233,7 +242,7 @@ def _compile(layer: str, formulas: Sequence[Formula], top) -> tuple[list[Formula
     Returns the inner formulas of the modal atoms of all of them, in slot
     order, and each formula compiled over those slots by
     :func:`qublogic.algebra.compile_twist`.  A compiled formula maps the
-    atoms' values (:func:`_atom_values`) to a (truth, falsity) pair; QG
+    atoms' values (:func:`_valuations`) to a (truth, falsity) pair; QG
     atoms enter as (value, 0) and a QG value is the truth coordinate.
     """
     atoms = list(set().union(*map(modal_atoms, formulas)))
@@ -242,17 +251,44 @@ def _compile(layer: str, formulas: Sequence[Formula], top) -> tuple[list[Formula
                                             for f in formulas]
 
 
-def _atom_values(layer: str, inners: Sequence[Formula], states: int,
-                 val: Mapping[str, Mapping[str, int]], rank: Mapping[int, object]) -> list:
-    """The atoms' values under an inner valuation, given as the keyword
-    arguments of the layer's model, for ``rank`` the measure on the chain:
-    the measure of each atom's truth set, or of its two support sets."""
+def _supports(layer: str, inners: Sequence[Formula], val: Mapping[str, Mapping[str, int]],
+              full: int) -> list[int]:
+    """Each inner formula's truth set (QG), or its positive and negative
+    support sets in turn (MCB/NMCB), under an inner valuation given as the
+    keyword arguments of the layer's model, with ``full`` the mask of all
+    states: one recursion per inner formula.  On bit-sliced valuations
+    (:func:`_frame_supports`) each set holds every valuation's at once."""
     if layer == "QG":
-        full = (1 << states) - 1
         v = val["v"]
-        return [(rank[cpl_truth_set(inner, v, full)], 0) for inner in inners]
+        return [cpl_truth_set(inner, v, full) for inner in inners]
     masks = bd._support_masks(val["vplus"], val["vminus"])
-    return [(rank[pos], rank[neg]) for pos, neg in map(masks, inners)]
+    return [s for inner in inners for s in masks(inner)]
+
+
+def _valuations(layer: str, supports: Sequence[int], states: int, count: int,
+                rank: Mapping[int, object]) -> Iterator[list]:
+    """The atoms' values under each of ``count`` valuations in turn, read
+    lazily from their bit-sliced ``supports``: for ``rank`` the measure on
+    the chain, the measure of each atom's truth set, or of its two support
+    sets, as (truth, falsity) pairs by slot.  Past 64 valuations the masks
+    are cut into words of 64 valuations, so that no slice shifts a long
+    mask."""
+    chunks: Iterable[Sequence[int]] = [supports]
+    if count > 64:
+        size = 8 * states  # bytes of 64 valuations
+        data = [s.to_bytes(count * states // 8, "little") for s in supports]
+        chunks = ([int.from_bytes(d[i:i + size], "little") for d in data]
+                  for i in range(0, len(data[0]), size))
+    low = (1 << states) - 1
+    offsets = range(0, min(count, 64) * states, states)
+    for words in chunks:
+        if layer == "QG":
+            for o in offsets:
+                yield [(rank[w >> o & low], 0) for w in words]
+        else:
+            pairs = list(zip(words[::2], words[1::2]))
+            for o in offsets:
+                yield [(rank[pos >> o & low], rank[neg >> o & low]) for pos, neg in pairs]
 
 
 #: the rank of 1: a measure on at most MAX_DENSE_STATES states takes at
@@ -263,9 +299,14 @@ _RANK_TOP = (1 << MAX_DENSE_STATES) + 1
 def _ranks(mu: Mapping[int, Fraction]) -> dict[int, int]:
     """The measure on integer ranks: 0 and 1 go to 0 and ``_RANK_TOP``, and
     the values between them to 1, 2, ... in ascending order."""
-    rank = {v: i for i, v in enumerate(sorted(set(mu.values()) - {ZERO, ONE}), 1)}
-    rank[ZERO], rank[ONE] = 0, _RANK_TOP
-    return {x: rank[v] for x, v in mu.items()}
+    by_value: dict = {}
+    for x, v in mu.items():  # hashes each value once: Fraction hashes are slow
+        by_value.setdefault(v, []).append(x)
+    rank = dict.fromkeys(by_value.pop(ZERO, ()), 0)
+    rank.update(dict.fromkeys(by_value.pop(ONE, ()), _RANK_TOP))
+    for i, v in enumerate(sorted(by_value), 1):
+        rank.update(dict.fromkeys(by_value[v], i))
+    return rank
 
 
 # ---------------------------------------------------------------------------
@@ -424,6 +465,11 @@ def check_property(states: int, measure: Mapping[int, Fraction], prop: str,
 # ---------------------------------------------------------------------------
 
 _MAX_FRAME_VARS = 4
+#: inner valuations per state count that a frame search admits: 2 MCB/NMCB
+#: or 4 QG variables on 4 states.  At the cap one frame validation took
+#: 0.07-0.34 s of CPU on 4 states and 0.6 s on 16 (python 3.11, shared
+#: 2-core VM), and each mask has 2^16 * states bits, at most 128 KiB
+_MAX_FRAME_VALUATIONS = 1 << 16
 
 
 def frame_validates(states: int, measure: Mapping[int, Fraction], formula: Formula,
@@ -437,12 +483,9 @@ def frame_validates(states: int, measure: Mapping[int, Fraction], formula: Formu
         raise ValueError(f"frame validation over {len(names)} variables (> {_MAX_FRAME_VARS}): "
                          f"{(1 << states) ** n:,} inner valuations")
     inners, (ev,) = _compile(layer, [formula], _RANK_TOP)
-    rank = _ranks(measure)
-    for val in _inner_valuations(states, names, layer):
-        t, fl = ev(_atom_values(layer, inners, states, val, rank))
-        if t != _RANK_TOP or (layer == "MCB" and fl != 0):
-            return False, val
-    return True, None
+    count, supports = _frame_supports(layer, inners, names, states)
+    a = _countervaluation(layer, ev, supports, states, count, _ranks(measure))
+    return (True, None) if a is None else (False, _inner_valuation(layer, names, states, a))
 
 
 def _check_layer(layer: str, formulas: Sequence[Formula]) -> None:
@@ -453,18 +496,86 @@ def _check_layer(layer: str, formulas: Sequence[Formula]) -> None:
             raise LanguageError(f"the {layer} layer takes {layer} formulas, not {f.lang}")
 
 
-def _inner_valuations(states: int, names: Sequence[str],
-                      layer: str) -> Iterator[dict[str, dict[str, int]]]:
-    """Every inner valuation of ``names``, as the keyword arguments of the
-    layer's model: ``v`` for QG, ``vplus`` and ``vminus`` for MCB/NMCB."""
-    subsets = range(1 << states)
-    if layer == "QG":
-        for combo in product(subsets, repeat=len(names)):
-            yield {"v": dict(zip(names, combo))}
+# Frame searches range over every inner valuation of the variables ``names``
+# on ``states`` states: one subset of states per coordinate, a coordinate
+# per variable in QG and two (vplus, vminus) interleaved in MCB/NMCB, in
+# product order, the last coordinate fastest.  Valuation ``a`` then gives
+# coordinate ``c`` of ``k`` the subset in bits ``(k-1-c)*states`` up of
+# ``a``.  They are bit-sliced: a state set over all valuations at once is a
+# mask with bit ``a*states + x`` for state ``x`` under valuation ``a``, so one
+# run of the inner recursion gives each inner formula's sets under all of
+# them, and valuation ``a`` reads its slice.
+
+def _coordinates(layer: str, names: Sequence[str]) -> int:
+    return len(names) if layer == "QG" else 2 * len(names)
+
+
+def _frame_size(layer: str, names: Sequence[str], states: int) -> int:
+    """The number of inner valuations; refuses more than
+    ``_MAX_FRAME_VALUATIONS``."""
+    count = 1 << states * _coordinates(layer, names)
+    if count > _MAX_FRAME_VALUATIONS:
+        raise ValueError(f"frame validation over {len(names)} variables on {states} states: "
+                         f"{count:,} inner valuations (> {_MAX_FRAME_VALUATIONS:,})")
+    return count
+
+
+def _inner_valuation(layer: str, names: Sequence[str], states: int,
+                     a: int | None = None) -> dict[str, dict[str, int]]:
+    """Inner valuation ``a`` of ``names``, or with ``a`` None all of them
+    bit-sliced, as the keyword arguments of the layer's model: ``v`` for QG,
+    ``vplus`` and ``vminus`` for MCB/NMCB."""
+    k = _coordinates(layer, names)
+    if a is None:
+        coords = [_coordinate_mask(states, k - 1 - c, k) for c in range(k)]
     else:
-        for combo in product(subsets, repeat=2 * len(names)):
-            yield {"vplus": dict(zip(names, combo[::2])),
-                   "vminus": dict(zip(names, combo[1::2]))}
+        coords = [a >> (k - 1 - c) * states & (1 << states) - 1 for c in range(k)]
+    if layer == "QG":
+        return {"v": dict(zip(names, coords))}
+    return {"vplus": dict(zip(names, coords[::2])), "vminus": dict(zip(names, coords[1::2]))}
+
+
+def _coordinate_mask(states: int, place: int, k: int) -> int:
+    """The bit-sliced mask of the coordinate at ``place`` of ``k``, the last
+    being place 0: its subset under valuation ``a`` holds state ``x`` iff
+    bit ``place*states + x`` of ``a`` is set, so that runs of valuations
+    alternately hold and lack ``x``."""
+    size = states << k * states
+    mask = 0
+    for x in range(states):
+        run = states << place * states + x  # bits of a run
+        mask |= _tile(_tile(1 << x, states, run) << run, 2 * run, size)
+    return mask
+
+
+def _tile(word: int, width: int, size: int) -> int:
+    """``word``, of ``width`` bits, repeated to ``size`` bits by doubling;
+    ``size`` is ``width`` times a power of two."""
+    while width < size:
+        word |= word << width
+        width <<= 1
+    return word
+
+
+def _frame_supports(layer: str, inners: Sequence[Formula], names: Sequence[str],
+                    states: int) -> tuple[int, list[int]]:
+    """The number of inner valuations, refused over the cap, and the inner
+    formulas' sets under all of them, bit-sliced."""
+    count = _frame_size(layer, names, states)
+    val = _inner_valuation(layer, names, states)
+    return count, _supports(layer, inners, val, (1 << count * states) - 1)
+
+
+def _countervaluation(layer: str, ev: Callable, supports: Sequence[int], states: int,
+                      count: int, rank: Mapping[int, int]) -> int | None:
+    """The index of the first of ``count`` inner valuations on which the
+    compiled formula ``ev`` is not designated on the measure's ranks, or
+    None."""
+    for a, atoms in enumerate(_valuations(layer, supports, states, count, rank)):
+        t, fl = ev(atoms)
+        if t != _RANK_TOP or (layer == "MCB" and fl != 0):
+            return a
+    return None
 
 
 #: frame-condition name -> (layer, named formula text, property name)
@@ -527,12 +638,17 @@ def correspondence_test(cond: str, max_states: int, denominator: int) -> dict:
 
     layer, text, prop = CORRESPONDENCES[cond]
     formula = parse(layer, text)
+    names = sorted(vars_of(formula))
+    for states in range(1, max_states + 1):
+        _frame_size(layer, names, states)
+    inners, (ev,) = _compile(layer, [formula], _RANK_TOP)
     checked = 0
     mismatches: list[dict] = []
     for states in range(1, max_states + 1):
+        count, supports = _frame_supports(layer, inners, names, states)
         for mu in iter_monotone_measures(states, denominator):
             checked += 1
-            valid, _ = frame_validates(states, mu, formula, layer)
+            valid = _countervaluation(layer, ev, supports, states, count, _ranks(mu)) is None
             holds, wit = check_property(states, mu, prop)
             if valid != holds:
                 mismatches.append({
@@ -571,13 +687,13 @@ def find_frame_countermodel(xi: Sequence[Formula], alpha: Formula, layer: str,
     names = sorted(set().union(*(vars_of(f) for f in [*xi, alpha])))
     inners, evs = _compile(layer, [*xi, alpha], _RANK_TOP)
     for states in range(1, max_states + 1):
+        count, supports = _frame_supports(layer, inners, names, states)
         for denom in range(1, denominator + 1):
             for mu in iter_monotone_measures(states, denom, capacity=capacity):
-                rank = _ranks(mu)
-                for val in _inner_valuations(states, names, layer):
-                    pairs = _atom_values(layer, inners, states, val, rank)
-                    *xi_values, alpha_value = [ev(pairs) for ev in evs]
+                for a, atoms in enumerate(_valuations(layer, supports, states, count, _ranks(mu))):
+                    *xi_values, alpha_value = [ev(atoms) for ev in evs]
                     if _refuted_on(xi_values, alpha_value, layer):
+                        val = _inner_valuation(layer, names, states, a)
                         if layer == "QG":
                             return UncertaintyModel(states, mu=mu, **val)
                         return BeliefModel(states, pi=mu, **val)

@@ -185,28 +185,41 @@ def layer_value(layer: str, f: Formula, states: int, val: dict, mu: dict):
     """Value of a QG, MCB or NMCB formula on a model given by its state
     count, its inner valuation (``v`` for QG, ``vplus``/``vminus`` as masks
     otherwise) and its measure on Fractions: a Fraction for QG, a (truth,
-    falsity) pair otherwise.  Each atom's truth sets come from per-state
-    clauses; the outer layer is the chain evaluators with top 1."""
-    one = Fraction(1)
-    env: dict = {}
+    falsity) pair otherwise."""
+    return layer_value_on(layer, f, layer_atom_sets(layer, [f], states, val), mu)
+
+
+def layer_atom_sets(layer: str, formulas: list[Formula], states: int, val: dict) -> dict:
+    """The truth set (QG), or the positive and negative support sets
+    (MCB/NMCB), of every modal atom of ``formulas`` under an inner
+    valuation, keyed by the atom's printed form, from per-state clauses."""
+    sets: dict = {}
     if layer != "QG":
         plus = {p: {s for s in range(states) if m >> s & 1} for p, m in val["vplus"].items()}
         minus = {p: {s for s in range(states) if m >> s & 1} for p, m in val["vminus"].items()}
-    for a in _modal_atoms(f):
+    for a in (a for f in formulas for a in _modal_atoms(f)):
         inner = a.children[0]
         if layer == "QG":
-            env[print_formula(a)] = mu[sum(1 << s for s in range(states)
-                                           if cpl_holds(inner, val["v"], s))]
+            sets[print_formula(a)] = sum(1 << s for s in range(states)
+                                         if cpl_holds(inner, val["v"], s))
             continue
         pos = neg = 0
         for s in range(states):
             sp, sn = bd_support_clauses(plus, minus, s, inner)
             pos |= sp << s
             neg |= sn << s
-        env[print_formula(a)] = (mu[pos], mu[neg])
+        sets[print_formula(a)] = (pos, neg)
+    return sets
+
+
+def layer_value_on(layer: str, f: Formula, sets: dict, mu: dict):
+    """Value of a formula from its atoms' sets (:func:`layer_atom_sets`) and
+    a measure on Fractions: the chain evaluators with top 1."""
+    one = Fraction(1)
     if layer == "QG":
-        return chain_eval_big(f, env, one)
-    return chain_eval_g2(f, env, one, layer == "NMCB")
+        return chain_eval_big(f, {key: mu[x] for key, x in sets.items()}, one)
+    return chain_eval_g2(f, {key: (mu[pos], mu[neg]) for key, (pos, neg) in sets.items()}, one,
+                         layer == "NMCB")
 
 
 def inner_valuations(layer: str, states: int, names: list[str]):

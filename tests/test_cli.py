@@ -88,6 +88,30 @@ def test_model_search_countermodel(capsys):
     assert code == 0 and out["found"] and out["model"]["states"] == 2
 
 
+def test_oversized_frame_searches_exit_2_with_the_count(tmp_path, capsys):
+    path = tmp_path / "belief.json"
+    path.write_text(json.dumps({"states": 3, "v": {}, "mu": {
+        json.dumps([x for x in range(3) if mask >> x & 1]): "1" if mask == 7 else "0"
+        for mask in range(8)}}))
+    refusals = [
+        (["model", "frame-validates", "--model", str(path), "--layer", "mcb", "C(p & q & r)"],
+         "3 variables on 3 states: 262,144"),
+        (["model", "search-countermodel", "--layer", "mcb", "--max-states", "3", "--grid", "1",
+          "C(p & q & r) -> C(p)"], "3 variables on 3 states: 262,144"),
+        (["model", "correspondence", "--cond", "cond_ii", "--max-states", "9", "--grid", "1"],
+         "2 variables on 9 states: 262,144"),
+    ]
+    for argv, count in refusals:
+        code = cli.main(argv)
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, ""), argv
+        assert json.loads(captured.err) == {
+            "error": f"ValueError: frame validation over {count} inner valuations (> 65,536)"}
+    # below the cap the search answers at the state count that refutes
+    code, out = run(capsys, "model", "search-countermodel", "--layer", "mcb", "C(p & q & r)")
+    assert code == 0 and out["model"]["states"] == 1
+
+
 def test_eval_layer(tmp_path, capsys):
     model = {
         "states": 1, "v": {"q": [0]}, "vminus": {"q": [0]},

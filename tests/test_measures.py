@@ -4,7 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from qublogic import calculi, cli, measures
+from qublogic import bd, calculi, cli, measures
 from qublogic.algebra import ONE, ZERO, TwistValue, twist_le
 from qublogic.measures import (BeliefModel, CanonicalModelError, UncertaintyModel,
                                canonical_mcb_model, canonical_qg_model, check_property,
@@ -12,7 +12,7 @@ from qublogic.measures import (BeliefModel, CanonicalModelError, UncertaintyMode
                                find_frame_countermodel, frame_validates,
                                iter_monotone_measures, truth_set)
 from qublogic.syntax import (BINARY_KINDS, NULLARY_KINDS, PRIMITIVE_KINDS, SUGAR_KINDS,
-                             UNARY_KINDS, mk, parse, print_formula, vars_of)
+                             UNARY_KINDS, mk, modal_atoms, parse, print_formula, vars_of)
 
 import oracles
 from helpers import gen_bd
@@ -123,6 +123,78 @@ def test_frame_checks_validate_the_measure_once(monkeypatch):
     assert m is not None and checked == [m.states]
 
 
+_CAP = r"\(> 65,536\)"
+
+
+def test_frame_searches_refuse_oversized_state_counts_with_the_count(monkeypatch):
+    pi = next(iter(iter_monotone_measures(3, 2)))
+    with pytest.raises(ValueError, match=r"^frame validation over 3 variables on 3 states: "
+                                         r"262,144 inner valuations " + _CAP + "$"):
+        frame_validates(3, pi, parse("MCB", "C(p & q & r)"), "MCB")
+    mu = next(iter(iter_monotone_measures(5, 1)))
+    with pytest.raises(ValueError, match=r"^frame validation over 4 variables on 5 states: "
+                                         r"1,048,576 inner valuations " + _CAP + "$"):
+        frame_validates(5, mu, parse("QG", "B(p & q & r & s)"), "QG")
+    # 2 MCB variables on 4 states, 2^16 valuations, are admitted
+    assert measures._frame_size("MCB", ["p", "q"], 4) == 1 << 16
+    # a search that answers below the cap still answers; one that does not
+    # is refused on reaching the first state count over it
+    m = find_frame_countermodel([], parse("MCB", "C(p & q & r)"), "MCB", 4, 4)
+    assert m is not None and m.states == 1
+    with pytest.raises(ValueError, match=r"^frame validation over 3 variables on 3 states: "
+                                         r"262,144 inner valuations " + _CAP + "$"):
+        find_frame_countermodel([], parse("MCB", "C(p & q & r) -> C(p)"), "MCB", 3, 1)
+    # the correspondence test refuses before it visits any frame
+    monkeypatch.setattr(measures, "iter_monotone_measures", None)
+    with pytest.raises(ValueError, match=r"^frame validation over 2 variables on 9 states: "
+                                         r"262,144 inner valuations " + _CAP + "$"):
+        correspondence_test("cond_ii", 9, 1)
+
+
+def test_frame_searches_run_the_inner_recursion_once_per_inner_formula(monkeypatch):
+    calls = []
+    depth = [0]
+    real_cpl = measures.cpl_truth_set
+
+    def cpl_truth_set(f, env, full, other=None):
+        if not depth[0]:
+            calls.append(f)
+        depth[0] += 1
+        try:
+            return real_cpl(f, env, full, other)
+        finally:
+            depth[0] -= 1
+
+    real_bd = bd._support_masks
+
+    def support_masks(vplus, vminus, other=None):
+        rec = real_bd(vplus, vminus, other)
+        return lambda f: calls.append(f) or rec(f)
+
+    monkeypatch.setattr(measures, "cpl_truth_set", cpl_truth_set)
+    monkeypatch.setattr(bd, "_support_masks", support_masks)
+    mu = {0: F(0), 1: F(1, 2), 2: F(1, 2), 3: F(1)}
+    for cond in ("cond_ii", "mcb_i", "mcb_iii"):
+        layer, text, _ = measures.CORRESPONDENCES[cond]
+        f = parse(layer, text)
+        inners = {a.children[0] for a in modal_atoms(f)}
+        calls.clear()
+        frame_validates(2, mu, f, layer)
+        assert sorted(calls, key=print_formula) == sorted(inners, key=print_formula), cond
+        calls.clear()
+        assert correspondence_test(cond, 2, 2)["frames"] > 1
+        assert len(calls) == 2 * len(inners), cond
+    for layer, text in (("QG", "B(p & q) -> B(p)"), ("MCB", "C(p & q) -> C(p)"),
+                        ("NMCB", "C(p & q) ~> C(p)")):
+        calls.clear()
+        assert find_frame_countermodel([], parse(layer, text), layer, 2, 2) is None
+        assert len(calls) == 2 * 2, layer
+    # a model's evaluation is the same recursion on one valuation
+    calls.clear()
+    assert eval_qg(_example_model(), parse("QG", "B(p & ~q) -> B(~p & q)")) == F(1, 3)
+    assert len(calls) == 2
+
+
 def test_mask_keys():
     assert measures._mask_key(0) == "[]"
     assert measures._mask_key(0b1101) == "[0,2,3]"
@@ -135,6 +207,24 @@ def test_correspondence_small_bounds():
     for cond in ("cond_i", "cond_iv"):
         report = correspondence_test(cond, 1, 2)
         assert report["equivalent"] and report["frames"] > 0
+
+
+def test_correspondence_test_agrees_with_frame_validates_frame_by_frame(monkeypatch):
+    """Each frame's verdict in the report is frame_validates' verdict: with
+    the property stubbed to hold, the mismatches are the invalid frames."""
+    frames = []
+    monkeypatch.setattr(measures, "check_property",
+                        lambda states, mu, prop: frames.append((states, mu)) or (True, None))
+    for cond in ("mcb_i", "mcb_ii", "mcb_iii", "mcb_iv"):
+        layer, text, _ = measures.CORRESPONDENCES[cond]
+        f = parse(layer, text)
+        frames.clear()
+        report = correspondence_test(cond, 3, 1)
+        assert report["frames"] == len(frames) and {s for s, _ in frames} == {1, 2, 3}
+        assert report["mismatches"] == [
+            {"states": states, "mu": {measures._mask_key(k): str(v) for k, v in mu.items()},
+             "frame_validates": False, "property": True}
+            for states, mu in frames if not frame_validates(states, mu, f, layer)[0]], cond
 
 
 def test_counterexample_search_examples():
@@ -303,7 +393,7 @@ def test_frame_validity_matches_the_fraction_oracle(layer):
     rng = random.Random(43)
     for f in _layer_cases(layer, 5, 12):
         names = sorted(vars_of(f))
-        for states in (1, 2):
+        for states in (1, 2, 3):
             mu = _random_measure(rng, states)
             first = next((val for val in oracles.inner_valuations(layer, states, names)
                           if not oracles.layer_valid(
@@ -312,26 +402,49 @@ def test_frame_validity_matches_the_fraction_oracle(layer):
                 print_formula(f)
 
 
+def _oracle_search(layer, xi, alpha, max_states, denominator, capacity=False):
+    """The first (states, valuation, measure) on which the oracle refutes
+    ``xi |= alpha``, in the search's documented order, or None; each
+    valuation's atom sets are computed once per state count."""
+    names = sorted(set().union(*(vars_of(g) for g in [*xi, alpha])))
+    for states in range(1, max_states + 1):
+        vals = [(val, oracles.layer_atom_sets(layer, [*xi, alpha], states, val))
+                for val in oracles.inner_valuations(layer, states, names)]
+        for denom in range(1, denominator + 1):
+            for mu in iter_monotone_measures(states, denom, capacity=capacity):
+                for val, sets in vals:
+                    *xi_values, alpha_value = [oracles.layer_value_on(layer, g, sets, mu)
+                                               for g in [*xi, alpha]]
+                    if oracles.layer_refutes(layer, xi_values, alpha_value):
+                        return states, val, mu
+    return None
+
+
 @pytest.mark.parametrize("layer", ["QG", "MCB", "NMCB"])
 def test_countermodel_search_matches_the_fraction_oracle(layer):
     """The search returns the first refuting (measure, valuation) in its
-    documented order, or None when no frame within the bounds refutes."""
+    documented order, or None when no frame within the bounds refutes: on
+    up to 2 states with grid 2, and up to 3 states with grid 1."""
     rng = random.Random(47)
     cases = [([], _layer_formula(rng, layer, 2)) for _ in range(5)]
     cases += [([_layer_formula(rng, layer, 1)], _layer_formula(rng, layer, 2)) for _ in range(5)]
     for xi, alpha in cases:
-        names = sorted(set().union(*(vars_of(g) for g in [*xi, alpha])))
-        search = ((states, val, mu) for states in (1, 2) for denom in (1, 2)
-                  for mu in iter_monotone_measures(states, denom)
-                  for val in oracles.inner_valuations(layer, states, names))
-        first = next((hit for hit in search if oracles.layer_refutes(
-            layer, [oracles.layer_value(layer, g, *hit) for g in xi],
-            oracles.layer_value(layer, alpha, *hit))), None)
-        got = find_frame_countermodel(xi, alpha, layer, 2, 2)
-        if first is None:
-            assert got is None, print_formula(alpha)
-            continue
-        states, val, mu = first
-        want = (UncertaintyModel(states, mu=mu, **val) if layer == "QG"
-                else BeliefModel(states, pi=mu, **val))
-        assert got == want, print_formula(alpha)
+        for max_states, denominator in ((2, 2), (3, 1)):
+            first = _oracle_search(layer, xi, alpha, max_states, denominator)
+            got = find_frame_countermodel(xi, alpha, layer, max_states, denominator)
+            if first is None:
+                assert got is None, print_formula(alpha)
+                continue
+            states, val, mu = first
+            want = (UncertaintyModel(states, mu=mu, **val) if layer == "QG"
+                    else BeliefModel(states, pi=mu, **val))
+            assert got == want, print_formula(alpha)
+
+
+def test_countermodel_search_first_refuting_on_three_states():
+    """Three pairwise disjoint sets of positive capacity need three states."""
+    alpha = parse("QG", "snot (snot snot B(p & ~q) & snot snot B(q & ~p) & snot snot B(~p & ~q))")
+    states, val, mu = _oracle_search("QG", [], alpha, 3, 2, capacity=True)
+    assert states == 3
+    got = find_frame_countermodel([], alpha, "QG", 3, 2, capacity=True)
+    assert got == UncertaintyModel(states, mu=mu, **val)
