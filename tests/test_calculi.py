@@ -405,6 +405,174 @@ def test_sequent_axiom_matching():
 
 
 # ---------------------------------------------------------------------------
+# Every step-failure reason, in whole reports
+# ---------------------------------------------------------------------------
+
+_KPS0 = "delta (B(p & q | ~p & ~q) <-> B(Top)) -> delta (B(q) -> B(p))"
+_KPS0_PARAMS = {"m": 0, "phis": ["p"], "chis": ["q"]}
+_NOT_PREMISE = "formula is not among the declared premises"
+_MP_UNAVAILABLE = "modus ponens cites unavailable steps"
+_NEC_TAINTED = "necessitation applied to a premise-dependent line"
+
+
+def _hbig_steps():
+    """An HBIG derivation with every Hilbert reason but the axiom-parameter
+    ones, and the taint each failing step leaves for a later nec."""
+    steps = [
+        ("p", {"premise": 1}, None),
+        ("q", {"premise": 2}, _NOT_PREMISE),
+        ("p -> q", {"premise": "any"}, None),
+        ("(p -> q) | (q -> p)", {"axiom": "prel1"}, None),
+        ("p -> p", {"axiom": "biG1"}, "not an instance of axiom 'biG1'"),
+        ("q", {"mp": [1, 3]}, None),
+        ("q", {"mp": [1, 9]}, _MP_UNAVAILABLE),
+        ("q", {"mp": [1]}, _MP_UNAVAILABLE),
+        ("p & q", {"mp": [1, 3]}, "modus ponens does not apply to the cited steps"),
+        ("delta((p -> q) | (q -> p))", {"nec": 4}, None),
+        ("delta p", {"nec": 1}, _NEC_TAINTED),
+        ("delta q", {"nec": 12}, "necessitation cites an unavailable step"),
+        ("delta p", {"nec": 4}, "formula is not the necessitation of the cited step"),
+        # a failed axiom line is not premise-dependent; a failed mp line is
+        # when a cited line is, and an unavailable citation always is
+        ("delta (p -> p)", {"nec": 5}, None),
+        ("delta (p & q)", {"nec": 9}, _NEC_TAINTED),
+        ("delta q", {"nec": 7}, _NEC_TAINTED),
+        ("q", {"outer": [1, 3]}, None),
+        ("r", {"outer": [1]}, "not an outer-logic consequence of the cited steps"),
+        ("delta r", {"nec": 18}, _NEC_TAINTED),
+        ("q", {"outer": [0]}, "outer step cites unavailable steps"),
+        ("delta q", {"nec": 20}, _NEC_TAINTED),
+        ("(p -> q) | (q -> p)", {"outer": []}, None),
+        ("delta ((p -> q) | (q -> p))", {"nec": 22}, None),
+        ("p", {"bogus": 1}, "unknown justification ['bogus']"),
+        ("delta p", {"nec": 24}, _NEC_TAINTED),
+        ("p", {"axiom": "KPS", "m": 0}, "malformed justification: 'phis'"),
+        ("delta p", {"nec": 26}, _NEC_TAINTED),
+    ]
+    obj = {"calculus": "HBIG", "premises": ["p", "p -> q"],
+           "steps": [{"formula": f, "just": j} for f, j, _ in steps]}
+    return Derivation.from_json(obj), [r for _, _, r in steps]
+
+
+def _param_steps():
+    """Axiom parameters, flat or under ``axiom``, on HQPG axiom and outer
+    steps."""
+    steps = [
+        (_KPS0, {"axiom": "KPS", **_KPS0_PARAMS}, None),
+        (_KPS0, {"axiom": {"schema": "KPS", **_KPS0_PARAMS}}, None),
+        (_KPS0, {"axiom": {"schema": "KPS"}, **_KPS0_PARAMS}, None),
+        ("B(p) -> B(p)", {"axiom": "KPS", **_KPS0_PARAMS},
+         "formula differs from the named axiom instance"),
+        ("B(p) -> B(p)", {"axiom": "KPS", "m": 9, "phis": [], "chis": []},
+         "malformed justification: KPS instances are recognized for m <= 4 only"),
+        ("B(p) -> B(p)", {"axiom": {"schema": "Foo"}},
+         "malformed justification: cannot build an instance of schema 'Foo' from parameters"),
+        ("B(p) -> B(p)", {"axiom": "KPS", "m": 0, "phis": ["p &"], "chis": ["q"]},
+         "malformed justification: unexpected end of input (at position 3)"),
+        ("B(p) -> B(p)", {"axiom": "KPS", "m": 0, "phis": ["B(p)"], "chis": ["q"]},
+         "malformed justification: modal atom 'B' not in language CPL (position 0)"),
+        ("delta (B(p & q | ~p & ~q) <-> B(Top))", {"axiom": "any"}, "not an instance of axiom 'any'"),
+        ("delta (B(q) -> B(p))", {"outer": [9], "axiom": {"schema": "KPS", **_KPS0_PARAMS}}, None),
+        ("delta (B(q) -> B(p))", {"outer": [9], "axiom": {"schema": "KPS", "m": 5}},
+         "malformed justification: KPS instances are recognized for m <= 4 only"),
+        ("delta (B(q) -> B(p))", {"outer": [9], "axiom": {"m": 0}},
+         "malformed justification: cannot build an instance of schema None from parameters"),
+        ("delta (B(q) -> B(p))", {"outer": [9]},
+         "not an outer-logic consequence of the cited steps"),
+    ]
+    obj = {"calculus": "HQPG", "steps": [{"formula": f, "just": j} for f, j, _ in steps]}
+    return Derivation.from_json(obj), [r for _, _, r in steps]
+
+
+def _hqp_steps():
+    steps = [
+        ("Bot <= p", {"axiom": "A1"}, None),
+        ("(p & q | ~p & ~q ~~ Top) => (q <= p)",
+         {"axiom": "A4", "m": 1, "phis": ["p"], "psis": ["q"]}, None),
+        ("Bot <= p", {"axiom": "A4", "m": 6, "phis": [], "psis": []},
+         "malformed justification: A4 instances are recognized for m <= 5 only"),
+        ("(Bot <= p) ~~ Top", {"nec": 1}, None),
+        ("Bot <= q", {"outer": [1]}, "outer steps are not supported for HQP"),
+    ]
+    obj = {"calculus": "HQP", "steps": [{"formula": f, "just": j} for f, j, _ in steps]}
+    return Derivation.from_json(obj), [r for _, _, r in steps]
+
+
+def _hg2ord_steps():
+    steps = [
+        ("(p -> q) | (q -> p)", {"outer": []}, None),
+        ("(p -> q) | (q -> r) | (r -> s)", {"outer": []},
+         "twist grid decision over 4 atoms (> 3): 100,000,000 grid points"),
+    ]
+    obj = {"calculus": "HG2ORD", "steps": [{"formula": f, "just": j} for f, j, _ in steps]}
+    return Derivation.from_json(obj), [r for _, _, r in steps]
+
+
+def _missing_formula_steps():
+    steps = (calculi.Step(None, None, {"axiom": "any"}),
+             calculi.Step(parse("BIG", "delta p"), None, {"nec": 1}))
+    # a missing line is premise-dependent, so nec refuses it unread
+    return Derivation("HBIG", (), steps), ["missing formula", _NEC_TAINTED]
+
+
+def _rfde_steps():
+    steps = [
+        ("p", "q", {"premise": 1}, None),
+        ("q", "p", {"premise": 1}, "sequent is not among the declared premises"),
+        ("p", "p | r", {"axiom": "or_intro_l"}, None),
+        ("p", "p | r", {"axiom": "or_intro_r"}, "not an instance of sequent axiom 'or_intro_r'"),
+        ("r", "p | r", {"axiom": "any"}, None),
+        ("p | r", "p | r", {"rule": "or_elim", "from": [3, 5]}, None),
+        ("p | r", "p | r", {"rule": "or_elim", "from": [3, 9]}, "rule cites unavailable steps"),
+        ("p", "q & q", {"rule": "and_intro"}, "rule cites unavailable steps"),
+        ("p", "q & (p | r)", {"rule": "and_intro", "from": [1, 3]}, None),
+        ("p", "q & p", {"rule": "and_intro", "from": [1, 3]},
+         "sequent rule does not apply to the cited steps"),
+        ("p", "q", {"rule": "cut", "from": [1, 3]}, "unknown sequent rule 'cut'"),
+        ("p", "q", {"mp": [1, 3]}, "unknown justification ['mp']"),
+    ]
+    obj = {"calculus": "RFDE", "premises": [["p", "q"]],
+           "steps": [{"lhs": l, "rhs": r, "just": j} for l, r, j, _ in steps]}
+    return Derivation.from_json(obj), [r for *_, r in steps]
+
+
+def _missing_sequent_steps():
+    p, q = parse("BD", "p"), parse("BD", "q")
+    steps = (calculi.Step(None, None, {"axiom": "any"}),
+             calculi.Step(None, (p, mk("BD", "or", q, q)), {"rule": "or_elim", "from": [1, 1]}))
+    return Derivation("RFDE", (), steps), ["missing sequent", "rule cites malformed steps"]
+
+
+def _report(reasons):
+    """The report a check gives for these step reasons (None: the step holds)."""
+    failed = [i + 1 for i, r in enumerate(reasons) if r is not None]
+    return {"accepted": not failed,
+            "steps": [{"step": i + 1, "status": "ok"} if r is None else
+                      {"step": i + 1, "status": "fail", "reason": r}
+                      for i, r in enumerate(reasons)],
+            "first_failure": failed[0] if failed else None}
+
+
+@pytest.mark.parametrize("case", [_hbig_steps, _param_steps, _hqp_steps, _hg2ord_steps,
+                                  _missing_formula_steps, _rfde_steps, _missing_sequent_steps])
+def test_every_step_failure_reason_in_whole_reports(case):
+    deriv, reasons = case()
+    assert check_derivation(deriv.calculus, deriv).to_json() == _report(reasons)
+
+
+def test_outer_search_cap_reason_in_a_whole_report(monkeypatch):
+    monkeypatch.setattr(calculi, "_MAX_OUTER_NODES", 1000)
+    deriv = Derivation.from_json({"calculus": "HBIG", "steps": [
+        {"formula": "(p -> q) | (q -> p)", "just": {"outer": []}},
+        {"formula": "((a | b | c | d) -> (e | f | g | h)) | ((e | f | g | h) -> (a | b | c | d))",
+         "just": {"outer": []}},
+        {"formula": "delta ((p -> q) | (q -> p))", "just": {"nec": 1}}]})
+    assert check_derivation("HBIG", deriv).to_json() == _report([
+        None, "outer step undecided: the search over 8 atoms stopped after 1,000 nodes "
+              "of a 100,000,000-point grid", None])
+
+
+# ---------------------------------------------------------------------------
 # The outer-step search against the exact grid decision
 # ---------------------------------------------------------------------------
 
