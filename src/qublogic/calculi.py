@@ -1,8 +1,13 @@
-"""Hilbert calculi: side-condition oracles, schema matching, proof checking.
+"""Hilbert calculi and R_fde: side-condition oracles, schema matching,
+proof checking.
 
 Axiom schemas are stored as patterns with metavariables and matched against
 desugared formulas; side conditions (classical provability, BD validity)
-are discharged by the exact oracles.  Derivations may use coarse
+are discharged by the exact oracles.  A derivation is checked by one loop
+for every calculus, which asks the proof system's step function (Hilbert or
+sequent) why each step fails, if it does; citations and axiom parameters
+each have one reader, and a justification they cannot read fails its step
+as malformed.  Derivations may use coarse
 "outer-logic" steps the way research papers do.  A QG or biG outer step is
 decided by truth preservation, as modus ponens derives: a depth-first
 search over integer ranks, one per conjunct of the target, gives the atoms
@@ -642,150 +647,123 @@ class CheckReport:
                 "first_failure": self.first_failure}
 
 
-def _axiom_from_params(calc: str, params: Mapping) -> Formula:
-    """Build the axiom instance named by explicit parameters (KPS/A4)."""
+def _axiom_from_params(calc: str, just: Mapping) -> Formula:
+    """Build the axiom instance (KPS/A4) that a justification names by
+    parameters: ``m`` and two lists of formulas, written beside ``axiom``,
+    which names the schema, or in an object under it, whose ``schema``
+    names it."""
+    axiom = just.get("axiom")
+    params = {**just, **axiom} if isinstance(axiom, Mapping) else just
     name = params.get("schema") or params.get("axiom")
-    m = params.get("m")
+    name = name if isinstance(name, str) else None
     if name == "KPS":
-        if m is None or m > MAX_KPS_M:
-            raise ValueError(f"KPS instances are recognized for m <= {MAX_KPS_M} only")
-        phis = [parse("CPL", t) for t in params["phis"]]
-        chis = [parse("CPL", t) for t in params["chis"]]
-        return qp.kps_instance(m, phis, chis)
-    if name == "A4":
-        if m is None or m > MAX_KPS_M + 1:
-            raise ValueError(f"A4 instances are recognized for m <= {MAX_KPS_M + 1} only")
-        phis = [parse("QP", t) for t in params["phis"]]
-        psis = [parse("QP", t) for t in params["psis"]]
-        return qp.a4_instance(m, phis, psis)
-    raise ValueError(f"cannot build an instance of schema {name!r} from parameters")
+        lang, bound, keys, build = "CPL", MAX_KPS_M, ("phis", "chis"), qp.kps_instance
+    elif name == "A4":
+        lang, bound, keys, build = "QP", MAX_KPS_M + 1, ("phis", "psis"), qp.a4_instance
+    else:
+        raise ValueError(f"cannot build an instance of schema {name!r} from parameters")
+    m = params.get("m")
+    if m is not None and not isinstance(m, int):
+        raise ValueError(f"{name} parameter 'm' is not a number: {m!r}")
+    if m is None or m > bound:
+        raise ValueError(f"{name} instances are recognized for m <= {bound} only")
+    lists = []
+    for key in keys:
+        texts = params[key]
+        if not isinstance(texts, (list, tuple)) or not all(isinstance(t, str) for t in texts):
+            raise ValueError(f"{name} parameter {key!r} is not a list of formulas: {texts!r}")
+        lists.append([parse(lang, t) for t in texts])
+    return build(m, *lists)
+
+
+def _cited(just: Mapping, key: str, i: int) -> Sequence[int] | None:
+    """The step numbers that ``just`` cites under ``key``: a list of them,
+    one number for ``nec``, and none if the key is missing.  None if one of
+    them is not a step before step ``i + 1``; a ValueError if they are not
+    step numbers."""
+    value = just.get(key, [])
+    refs = [value] if key == "nec" else value
+    if not isinstance(refs, (list, tuple)) or not all(isinstance(r, int) for r in refs):
+        what = "a step number" if key == "nec" else "a list of step numbers"
+        raise ValueError(f"{key!r} takes {what}, not {value!r}")
+    return refs if all(1 <= r <= i for r in refs) else None
+
+
+def _hilbert_step(calc: str, steps: Sequence[Step], i: int, prem: Sequence,
+                  tainted: Sequence[bool]) -> tuple[str | None, bool]:
+    """Check step ``i`` of a Hilbert derivation: why it fails (None if it
+    holds), and whether its line depends on a premise."""
+    f = steps[i].formula
+    if f is None:
+        return "missing formula", True
+    just = dict(steps[i].just)
+    if "premise" in just:
+        ref = just["premise"]
+        ok = (1 <= ref <= len(prem) and prem[ref - 1] == f) if isinstance(ref, int) else f in prem
+        return (None if ok else "formula is not among the declared premises"), True
+    if "axiom" in just and "outer" not in just:
+        name = just["axiom"]
+        if isinstance(name, str) and "m" not in just:
+            hit = match_axiom(calc, f)
+            ok = hit is not None and (name in ("", "any") or hit[0] == name or any(
+                m[0] == name for m in _schema_matches(calc, f)))
+            return (None if ok else f"not an instance of axiom {name!r}"), False
+        ok = _axiom_from_params(calc, just) == f
+        return (None if ok else "formula differs from the named axiom instance"), False
+    if "mp" in just:
+        refs = _cited(just, "mp", i)
+        if refs is None or len(refs) != 2:
+            return "modus ponens cites unavailable steps", True
+        a, b = (steps[r - 1].formula for r in refs)
+        ok = any(x.kind == _IMP_KIND[calc] and x.children == (y, f) for x, y in ((b, a), (a, b)))
+        return (None if ok else "modus ponens does not apply to the cited steps"), \
+            any(tainted[r - 1] for r in refs)
+    if "nec" in just:
+        refs = _cited(just, "nec", i)
+        if refs is None:
+            return "necessitation cites an unavailable step", True
+        if tainted[refs[0] - 1]:
+            return "necessitation applied to a premise-dependent line", True
+        ok = desugar(f) == desugar(_nec_image(calc, steps[refs[0] - 1].formula))
+        return (None if ok else "formula is not the necessitation of the cited step"), False
+    if "outer" in just:
+        refs = _cited(just, "outer", i)
+        if refs is None:
+            return "outer step cites unavailable steps", True
+        instances = [_axiom_from_params(calc, just)] if "axiom" in just else []
+        ok, how = _outer_step_ok(calc, [steps[r - 1].formula for r in refs], instances, f)
+        return (None if ok else how), any(tainted[r - 1] for r in refs)
+    return f"unknown justification {sorted(just)!r}", True
 
 
 def check_derivation(calc: str, derivation: Derivation,
                      premises: Sequence | None = None) -> CheckReport:
-    """Verify a Hilbert derivation step by step.
+    """Verify a Hilbert or R_fde derivation step by step.
 
-    Each step is checked against the *stated* formulas of the steps it
-    cites, so verdicts are per-step and failures do not cascade.  The
+    Each step is checked against the *stated* lines of the steps it cites,
+    so verdicts are per-step and failures do not cascade.  The
     necessitation rule is restricted to theorem lines (premise-tainted
-    lines are rejected), mirroring the completeness-theorem proviso.
+    lines are rejected), mirroring the completeness-theorem proviso.  A
+    justification whose fields cannot be read fails its step as malformed.
     """
     if calc != derivation.calculus:
         raise ValueError("calculus mismatch")
-    if calc == "RFDE":
-        return _check_rfde(derivation, premises)
-    prem: list[Formula] = list(premises if premises is not None else derivation.premises)
+    prem = list(premises if premises is not None else derivation.premises)
+    check_step = _sequent_step if calc == "RFDE" else _hilbert_step
     report = CheckReport(True)
     tainted: list[bool] = []
-    imp_kind = _IMP_KIND[calc]
-
-    def fail(i: int, reason: str) -> None:
+    for i in range(len(derivation.steps)):
+        try:
+            reason, taint = check_step(calc, derivation.steps, i, prem, tainted)
+        except (ValueError, LanguageError, KeyError) as exc:
+            reason, taint = f"malformed justification: {exc}", True
+        tainted.append(taint)
+        if reason is None:
+            report.steps.append({"step": i + 1, "status": "ok"})
+            continue
         report.steps.append({"step": i + 1, "status": "fail", "reason": reason})
         if report.accepted:
-            report.first_failure = i + 1
-        report.accepted = False
-
-    def cited(i: int, refs: Iterable[int]) -> list[Formula] | None:
-        out = []
-        for r in refs:
-            if not 1 <= r <= i:
-                return None
-            out.append(derivation.steps[r - 1].formula)
-        return out
-
-    for i, step in enumerate(derivation.steps):
-        f = step.formula
-        just = dict(step.just)
-        taint = False
-        if f is None:
-            fail(i, "missing formula")
-            tainted.append(True)
-            continue
-        try:
-            if "premise" in just:
-                ref = just["premise"]
-                ok = (1 <= ref <= len(prem) and prem[ref - 1] == f) if isinstance(ref, int) \
-                    else f in prem
-                taint = True
-                if not ok:
-                    fail(i, "formula is not among the declared premises")
-                    tainted.append(taint)
-                    continue
-            elif "axiom" in just and "outer" not in just:
-                if isinstance(just["axiom"], str) and "m" not in just:
-                    hit, name = match_axiom(calc, f), just["axiom"]
-                    if hit is None or (name not in ("", "any") and hit[0] != name and all(
-                            m[0] != name for m in _schema_matches(calc, f))):
-                        fail(i, f"not an instance of axiom {just['axiom']!r}")
-                        tainted.append(taint)
-                        continue
-                else:
-                    params = dict(just)
-                    params["schema"] = just["axiom"] if isinstance(just["axiom"], str) \
-                        else just["axiom"].get("schema")
-                    if isinstance(just["axiom"], dict):
-                        params.update(just["axiom"])
-                    instance = _axiom_from_params(calc, params)
-                    if instance != f:
-                        fail(i, "formula differs from the named axiom instance")
-                        tainted.append(taint)
-                        continue
-            elif "mp" in just:
-                refs = cited(i, just["mp"])
-                if refs is None or len(refs) != 2:
-                    fail(i, "modus ponens cites unavailable steps")
-                    tainted.append(True)
-                    continue
-                a, b = refs
-                ok = (b.kind == imp_kind and b.children[0] == a and b.children[1] == f) or \
-                     (a.kind == imp_kind and a.children[0] == b and a.children[1] == f)
-                taint = any(tainted[r - 1] for r in just["mp"])
-                if not ok:
-                    fail(i, "modus ponens does not apply to the cited steps")
-                    tainted.append(taint)
-                    continue
-            elif "nec" in just:
-                ref = just["nec"]
-                refs = cited(i, [ref])
-                if refs is None:
-                    fail(i, "necessitation cites an unavailable step")
-                    tainted.append(True)
-                    continue
-                if tainted[ref - 1]:
-                    fail(i, "necessitation applied to a premise-dependent line")
-                    tainted.append(True)
-                    continue
-                if desugar(f) != desugar(_nec_image(calc, refs[0])):
-                    fail(i, "formula is not the necessitation of the cited step")
-                    tainted.append(taint)
-                    continue
-            elif "outer" in just:
-                refs = cited(i, just["outer"])
-                if refs is None:
-                    fail(i, "outer step cites unavailable steps")
-                    tainted.append(True)
-                    continue
-                instances: list[Formula] = []
-                if "axiom" in just:
-                    params = dict(just["axiom"]) if isinstance(just["axiom"], dict) else {}
-                    params.setdefault("schema", params.get("axiom"))
-                    instances.append(_axiom_from_params(calc, params))
-                taint = any(tainted[r - 1] for r in just["outer"])
-                ok, how = _outer_step_ok(calc, refs, instances, f)
-                if not ok:
-                    fail(i, how)
-                    tainted.append(taint)
-                    continue
-            else:
-                fail(i, f"unknown justification {sorted(just)!r}")
-                tainted.append(True)
-                continue
-        except (ValueError, LanguageError, KeyError) as exc:
-            fail(i, f"malformed justification: {exc}")
-            tainted.append(True)
-            continue
-        report.steps.append({"step": i + 1, "status": "ok"})
-        tainted.append(taint)
+            report.accepted, report.first_failure = False, i + 1
     return report
 
 
@@ -843,59 +821,34 @@ def match_sequent_axiom(lhs: Formula, rhs: Formula) -> str | None:
     return None
 
 
-def _check_rfde(derivation: Derivation, premises: Sequence | None) -> CheckReport:
-    prem = list(premises if premises is not None else derivation.premises)
-    report = CheckReport(True)
-
-    def fail(i: int, reason: str) -> None:
-        report.steps.append({"step": i + 1, "status": "fail", "reason": reason})
-        if report.accepted:
-            report.first_failure = i + 1
-        report.accepted = False
-
-    seqs = [s.sequent for s in derivation.steps]
-    for i, step in enumerate(derivation.steps):
-        if step.sequent is None:
-            fail(i, "missing sequent")
-            continue
-        lhs, rhs = step.sequent
-        just = dict(step.just)
-        if "premise" in just:
-            if (lhs, rhs) not in prem:
-                fail(i, "sequent is not among the declared premises")
-                continue
-        elif "axiom" in just:
-            name = match_sequent_axiom(lhs, rhs)
-            if name is None or (just["axiom"] not in ("", "any") and name != just["axiom"]):
-                fail(i, f"not an instance of sequent axiom {just['axiom']!r}")
-                continue
-        elif "rule" in just:
-            refs = just.get("from", [])
-            if not all(1 <= r <= i for r in refs) or len(refs) != 2:
-                fail(i, "rule cites unavailable steps")
-                continue
-            s1, s2 = (seqs[r - 1] for r in refs)
-            if s1 is None or s2 is None:
-                fail(i, "rule cites malformed steps")
-                continue
-            if just["rule"] == "or_elim":
-                ok = any(
-                    x[1] == y[1] == rhs and lhs == mk("BD", "or", x[0], y[0])
-                    for x, y in ((s1, s2), (s2, s1))
-                )
-            elif just["rule"] == "and_intro":
-                ok = any(
-                    x[0] == y[0] == lhs and rhs == mk("BD", "and", x[1], y[1])
-                    for x, y in ((s1, s2), (s2, s1))
-                )
-            else:
-                fail(i, f"unknown sequent rule {just['rule']!r}")
-                continue
-            if not ok:
-                fail(i, "sequent rule does not apply to the cited steps")
-                continue
+def _sequent_step(calc: str, steps: Sequence[Step], i: int, prem: Sequence,
+                  tainted: Sequence[bool]) -> tuple[str | None, bool]:
+    """Check step ``i`` of an R_fde derivation, as :func:`_hilbert_step`
+    does; R_fde has no necessitation, so no line is tainted."""
+    if steps[i].sequent is None:
+        return "missing sequent", False
+    lhs, rhs = steps[i].sequent
+    just = dict(steps[i].just)
+    if "premise" in just:
+        return (None if (lhs, rhs) in prem else "sequent is not among the declared premises"), False
+    if "axiom" in just:
+        name = match_sequent_axiom(lhs, rhs)
+        ok = name is not None and (just["axiom"] in ("", "any") or name == just["axiom"])
+        return (None if ok else f"not an instance of sequent axiom {just['axiom']!r}"), False
+    if "rule" in just:
+        refs = _cited(just, "from", i)
+        if refs is None or len(refs) != 2:
+            return "rule cites unavailable steps", False
+        s1, s2 = (steps[r - 1].sequent for r in refs)
+        if s1 is None or s2 is None:
+            return "rule cites malformed steps", False
+        if just["rule"] == "or_elim":
+            ok = any(x[1] == y[1] == rhs and lhs == mk("BD", "or", x[0], y[0])
+                     for x, y in ((s1, s2), (s2, s1)))
+        elif just["rule"] == "and_intro":
+            ok = any(x[0] == y[0] == lhs and rhs == mk("BD", "and", x[1], y[1])
+                     for x, y in ((s1, s2), (s2, s1)))
         else:
-            fail(i, f"unknown justification {sorted(just)!r}")
-            continue
-        report.steps.append({"step": i + 1, "status": "ok"})
-    return report
+            return f"unknown sequent rule {just['rule']!r}", False
+        return (None if ok else "sequent rule does not apply to the cited steps"), False
+    return f"unknown justification {sorted(just)!r}", False

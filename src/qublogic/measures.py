@@ -464,7 +464,6 @@ def check_property(states: int, measure: Mapping[int, Fraction], prop: str,
 # Frame validity and correspondence
 # ---------------------------------------------------------------------------
 
-_MAX_FRAME_VARS = 4
 #: inner valuations per state count that a frame search admits: 2 MCB/NMCB
 #: or 4 QG variables on 4 states.  At the cap one frame validation took
 #: 0.07-0.34 s of CPU on 4 states and 0.6 s on 16 (python 3.11, shared
@@ -478,10 +477,6 @@ def frame_validates(states: int, measure: Mapping[int, Fraction], formula: Formu
     _check_layer(layer, [formula])
     _check_measure(states, measure)
     names = sorted(vars_of(formula))
-    if len(names) > _MAX_FRAME_VARS:
-        n = len(names) if layer == "QG" else 2 * len(names)
-        raise ValueError(f"frame validation over {len(names)} variables (> {_MAX_FRAME_VARS}): "
-                         f"{(1 << states) ** n:,} inner valuations")
     inners, (ev,) = _compile(layer, [formula], _RANK_TOP)
     count, supports = _frame_supports(layer, inners, names, states)
     a = _countervaluation(layer, ev, supports, states, count, _ranks(measure))

@@ -560,16 +560,53 @@ def test_every_step_failure_reason_in_whole_reports(case):
     assert check_derivation(deriv.calculus, deriv).to_json() == _report(reasons)
 
 
-def test_outer_search_cap_reason_in_a_whole_report(monkeypatch):
-    monkeypatch.setattr(calculi, "_MAX_OUTER_NODES", 1000)
-    deriv = Derivation.from_json({"calculus": "HBIG", "steps": [
-        {"formula": "(p -> q) | (q -> p)", "just": {"outer": []}},
-        {"formula": "((a | b | c | d) -> (e | f | g | h)) | ((e | f | g | h) -> (a | b | c | d))",
-         "just": {"outer": []}},
-        {"formula": "delta ((p -> q) | (q -> p))", "just": {"nec": 1}}]})
-    assert check_derivation("HBIG", deriv).to_json() == _report([
-        None, "outer step undecided: the search over 8 atoms stopped after 1,000 nodes "
-              "of a 100,000,000-point grid", None])
+_PREL1 = "(p -> q) | (q -> p)"
+_KPS1 = {"phis": ["p & q", "q"], "chis": ["Top", "p"]}
+
+
+@pytest.mark.parametrize("calc,line,just,reason", [
+    ("HBIG", _PREL1, {"mp": 1}, "'mp' takes a list of step numbers, not 1"),
+    ("HBIG", _PREL1, {"mp": ["a", 2]}, "'mp' takes a list of step numbers, not ['a', 2]"),
+    ("HBIG", _PREL1, {"nec": "1"}, "'nec' takes a step number, not '1'"),
+    ("HBIG", _PREL1, {"outer": "1"}, "'outer' takes a list of step numbers, not '1'"),
+    ("HQPG", _KPS0, {"axiom": "KPS", "m": "2", **_KPS1}, "KPS parameter 'm' is not a number: '2'"),
+    ("HQPG", _KPS0, {"axiom": "KPS", "m": 1, "phis": [1, 2], "chis": ["Top", "p"]},
+     "KPS parameter 'phis' is not a list of formulas: [1, 2]"),
+    ("HQPG", _KPS0, {"outer": [], "axiom": {"schema": "KPS", "m": "2", **_KPS1}},
+     "KPS parameter 'm' is not a number: '2'"),
+])
+def test_wrong_typed_justification_fields_fail_their_step(calc, line, just, reason):
+    # the step fails as malformed, and being unreadable it is not a theorem
+    # line for a later nec; the steps around it are checked as usual
+    deriv = Derivation.from_json({"calculus": calc, "steps": [
+        {"formula": line, "just": {"axiom": "any"}},
+        {"formula": line, "just": just},
+        {"formula": f"delta ({line})", "just": {"nec": 1}},
+        {"formula": f"delta ({line})", "just": {"nec": 2}}]})
+    assert check_derivation(calc, deriv).to_json() == _report(
+        [None, f"malformed justification: {reason}", None, _NEC_TAINTED])
+
+
+def test_wrong_typed_rule_citation_fails_its_step():
+    deriv = Derivation.from_json({"calculus": "RFDE", "steps": [
+        {"lhs": "p", "rhs": "p | q", "just": {"axiom": "or_intro_l"}},
+        {"lhs": "q", "rhs": "p | q", "just": {"axiom": "or_intro_r"}},
+        {"lhs": "p | q", "rhs": "p | q", "just": {"rule": "or_elim", "from": 3}},
+        {"lhs": "p | q", "rhs": "p | q", "just": {"rule": "or_elim", "from": [1, 2]}}]})
+    assert check_derivation("RFDE", deriv).to_json() == _report(
+        [None, None, "malformed justification: 'from' takes a list of step numbers, not 3", None])
+
+
+def test_outer_step_reads_flat_axiom_parameters():
+    # the flat form an axiom step accepts, on the outer step of deriv_reg
+    obj = _load("deriv_reg.json")
+    just = obj["steps"][1]["just"]
+    params = just.pop("axiom")
+    just.update(params, axiom=params.pop("schema"))
+    assert just == {"outer": [1], "axiom": "KPS", "m": 1, "phis": params["phis"],
+                    "chis": params["chis"]}
+    deriv = Derivation.from_json(obj)
+    assert check_derivation(deriv.calculus, deriv).to_json() == _report([None] * 6)
 
 
 # ---------------------------------------------------------------------------

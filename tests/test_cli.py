@@ -144,6 +144,20 @@ def test_prove_check_fixture(capsys):
     assert code == 0 and out["accepted"]
 
 
+def test_prove_check_wrong_typed_citation_prints_the_report(capsys):
+    obj = {"calculus": "HBIG", "steps": [
+        {"formula": "(p -> q) | (q -> p)", "just": {"axiom": "prel1"}},
+        {"formula": "(p -> q) | (q -> p)", "just": {"mp": 1}}]}
+    code = cli.main(["prove", "check", json.dumps(obj)])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.err == ""
+    assert json.loads(captured.out) == {
+        "accepted": False, "first_failure": 2,
+        "steps": [{"step": 1, "status": "ok"},
+                  {"step": 2, "status": "fail", "reason":
+                   "malformed justification: 'mp' takes a list of step numbers, not 1"}]}
+
+
 def test_prove_match_axiom(capsys):
     code, out = run(capsys, "prove", "match-axiom", "--calculus", "hqg", "B(p & q) -> B(p)")
     assert code == 0 and out["schema"] == "reg"

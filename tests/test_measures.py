@@ -92,11 +92,18 @@ def test_frame_validates_examples():
 
 def test_frame_validation_refusal_states_the_valuation_count(tmp_path, capsys):
     mu = {0: F(0), 1: F(1, 2), 2: F(1, 2), 3: F(1)}
-    with pytest.raises(ValueError, match=r"^frame validation over 5 variables \(> 4\): "
-                                         r"1,024 inner valuations$"):
-        frame_validates(2, mu, parse("QG", "B(p & q & r & s & t)"), "QG")
-    with pytest.raises(ValueError, match=r" 1,048,576 inner valuations$"):
+    # 5 QG variables on 2 states are 1,024 inner valuations, under the cap
+    f = parse("QG", "B(p & q & r & s & t)")
+    ok, val = frame_validates(2, mu, f, "QG")
+    assert not ok and not oracles.layer_valid("QG", oracles.layer_value("QG", f, 2, val, mu))
+    assert frame_validates(2, mu, parse("QG", "B(p & q & r & s & t) -> B(p | t)"), "QG") == \
+        (True, None)
+    refusal = (r"^frame validation over 5 variables on 2 states: "
+               r"1,048,576 inner valuations \(> 65,536\)$")
+    with pytest.raises(ValueError, match=refusal):
         frame_validates(2, mu, parse("MCB", "C(p & q & r & s & t)"), "MCB")
+    with pytest.raises(ValueError, match=refusal):
+        frame_validates(2, mu, parse("NMCB", "C(p & q & r & s & t)"), "NMCB")
     path = tmp_path / "belief.json"
     path.write_text(json.dumps({"states": 2, "v": {}, "mu": {"[]": "0", "[0]": "1/2",
                                                               "[1]": "1/2", "[0,1]": "1"}}))
@@ -105,7 +112,8 @@ def test_frame_validation_refusal_states_the_valuation_count(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert json.loads(captured.err) == {"error": "ValueError: frame validation over 5 variables "
-                                                 "(> 4): 1,048,576 inner valuations"}
+                                                 "on 2 states: 1,048,576 inner valuations "
+                                                 "(> 65,536)"}
 
 
 def test_frame_checks_validate_the_measure_once(monkeypatch):
