@@ -1,5 +1,7 @@
+import json
 import random
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -13,6 +15,8 @@ from qublogic.syntax import LanguageError, parse, print_formula, var
 
 from helpers import ac_normal, gen_sifs, nontrivial_orders, measure_from_rank, random_gardenfors
 from oracles import grid_weight_witness
+
+LP_WITNESSES = Path(__file__).parent / "data" / "lp_witnesses.json"
 
 
 def _remark_model():
@@ -144,6 +148,25 @@ def test_represent_order_lp_hand_example():
 def test_represent_order_lp_rejects_antimonotone():
     order = OrderInstance(2, {0b00: 0, 0b10: 1, 0b01: 2, 0b11: 1})  # {a} above {a,b}
     assert represent_order_lp(order) is None
+
+
+def lp_witness_text() -> str:
+    """One JSON line per nontrivial monotone order on 1-3 atoms: its ranks by
+    mask and represent_order_lp's witness, or null."""
+    lines = []
+    for n in (1, 2, 3):
+        for rank in nontrivial_orders(n):
+            witness = represent_order_lp(OrderInstance(n, rank))
+            entry = {"n": n, "rank": [rank[mask] for mask in range(1 << n)],
+                     "witness": None if witness is None else witness.to_json()}
+            lines.append(json.dumps(entry))
+    return "[\n" + ",\n".join(lines) + "\n]\n"
+
+
+def test_represent_order_lp_witnesses_match_golden_file():
+    # the exact weights and eps depend on the simplex's pivot sequence, so
+    # any change to the pivoting rule shows up here
+    assert lp_witness_text() == LP_WITNESSES.read_text()
 
 
 def test_lp_agrees_with_coarse_grid_search():
