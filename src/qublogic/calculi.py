@@ -620,20 +620,40 @@ class Derivation:
 
     @classmethod
     def from_json(cls, obj: dict) -> "Derivation":
+        """Read a derivation; a field of the wrong type raises ValueError."""
+        if not isinstance(obj, dict):
+            raise ValueError(f"a derivation is a JSON object, not {obj!r}")
         calc = obj["calculus"]
         if calc not in CALCULI:
             raise ValueError(f"unknown calculus {calc!r}")
         lang = CALC_LANG[calc]
+
+        def formula(text):
+            if not isinstance(text, str):
+                raise ValueError(f"expected formula text, not {text!r}")
+            return parse(lang, text)
+
+        def listed(key: str, default=None) -> list:
+            value = obj.get(key, default)
+            if not isinstance(value, list):
+                raise ValueError(f"{key!r} takes a list, not {value!r}")
+            return value
+
+        def step(s) -> dict:
+            if not (isinstance(s, dict) and isinstance(s.get("just"), dict)):
+                raise ValueError(f"a step is an object with a 'just' object, not {s!r}")
+            return s
+
+        steps = [step(s) for s in listed("steps")]
         if calc == "RFDE":
-            premises = tuple((parse(lang, l), parse(lang, r))
-                             for l, r in obj.get("premises", []))
-            steps = tuple(Step(None, (parse(lang, s["lhs"]), parse(lang, s["rhs"])), s["just"])
-                          for s in obj["steps"])
-        else:
-            premises = tuple(parse(lang, t) for t in obj.get("premises", []))
-            steps = tuple(Step(parse(lang, s["formula"]), None, s["just"])
-                          for s in obj["steps"])
-        return cls(calc, premises, steps)
+            pairs = listed("premises", [])
+            if not all(isinstance(p, list) and len(p) == 2 for p in pairs):
+                raise ValueError(f"'premises' takes [lhs, rhs] pairs, not {pairs!r}")
+            return cls(calc, tuple((formula(l), formula(r)) for l, r in pairs),
+                       tuple(Step(None, (formula(s.get("lhs")), formula(s.get("rhs"))), s["just"])
+                             for s in steps))
+        return cls(calc, tuple(formula(t) for t in listed("premises", [])),
+                   tuple(Step(formula(s.get("formula")), None, s["just"]) for s in steps))
 
 
 @dataclass
@@ -715,6 +735,8 @@ def _hilbert_step(calc: str, steps: Sequence[Step], i: int, prem: Sequence,
         if refs is None or len(refs) != 2:
             return "modus ponens cites unavailable steps", True
         a, b = (steps[r - 1].formula for r in refs)
+        if a is None or b is None:
+            return "rule cites malformed steps", True
         ok = any(x.kind == _IMP_KIND[calc] and x.children == (y, f) for x, y in ((b, a), (a, b)))
         return (None if ok else "modus ponens does not apply to the cited steps"), \
             any(tainted[r - 1] for r in refs)
@@ -722,16 +744,22 @@ def _hilbert_step(calc: str, steps: Sequence[Step], i: int, prem: Sequence,
         refs = _cited(just, "nec", i)
         if refs is None:
             return "necessitation cites an unavailable step", True
+        g = steps[refs[0] - 1].formula
+        if g is None:
+            return "rule cites malformed steps", True
         if tainted[refs[0] - 1]:
             return "necessitation applied to a premise-dependent line", True
-        ok = desugar(f) == desugar(_nec_image(calc, steps[refs[0] - 1].formula))
+        ok = desugar(f) == desugar(_nec_image(calc, g))
         return (None if ok else "formula is not the necessitation of the cited step"), False
     if "outer" in just:
         refs = _cited(just, "outer", i)
         if refs is None:
             return "outer step cites unavailable steps", True
+        cited = [steps[r - 1].formula for r in refs]
+        if any(g is None for g in cited):
+            return "rule cites malformed steps", True
         instances = [_axiom_from_params(calc, just)] if "axiom" in just else []
-        ok, how = _outer_step_ok(calc, [steps[r - 1].formula for r in refs], instances, f)
+        ok, how = _outer_step_ok(calc, cited, instances, f)
         return (None if ok else how), any(tainted[r - 1] for r in refs)
     return f"unknown justification {sorted(just)!r}", True
 

@@ -1,7 +1,16 @@
-"""Small dense two-phase simplex over exact rationals.
+"""Two-phase tableau simplex over exact rationals.
 
 Sized for the order-representability problems this package solves (a few
-dozen rows and columns); Bland's rule keeps it cycle-free.
+dozen rows and columns).  The tableau is a list of ``Fraction`` rows.  The
+reduced costs z_j - c_j are carried as one more row: computed once at the
+start of each phase, then pivoted like the others.  A pivot updates only the
+columns where the pivot row is nonzero, and divides the pivot row only when
+the pivot element is not 1.
+
+Bland's rule keeps it cycle-free: the first column with a negative reduced
+cost enters, and among rows with the least ratio the one whose basic variable
+has the smallest index leaves.  The pivot sequence, and so which optimal
+vertex is returned when several are, depends only on that rule.
 """
 
 from __future__ import annotations
@@ -13,14 +22,14 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
-def solve_lp(objective: Sequence[Fraction],
-             a_ub: Sequence[Sequence[Fraction]], b_ub: Sequence[Fraction],
-             a_eq: Sequence[Sequence[Fraction]], b_eq: Sequence[Fraction],
+def solve_lp(objective: Sequence[Fraction | int],
+             a_ub: Sequence[Sequence[Fraction | int]], b_ub: Sequence[Fraction | int],
+             a_eq: Sequence[Sequence[Fraction | int]], b_eq: Sequence[Fraction | int],
              ) -> tuple[str, list[Fraction] | None, Fraction | None]:
     """Maximize objective . x subject to a_ub x <= b_ub, a_eq x = b_eq, x >= 0.
 
-    Returns (status, x, value) with status "optimal", "infeasible", or
-    "unbounded".
+    Entries may be ints or Fractions.  Returns (status, x, value) with status
+    "optimal", "infeasible", or "unbounded"; x and value are Fractions.
     """
     n = len(objective)
     rows: list[tuple[list[Fraction], Fraction, str]] = []
@@ -68,19 +77,19 @@ def solve_lp(objective: Sequence[Fraction],
             ai += 1
 
     def run(cost: list[Fraction], banned: set[int]) -> str:
+        # reduced costs z_j - c_j, carried as one more row under the tableau
+        zrow = [-c for c in cost] + [ZERO]
+        for i in range(m):
+            cb = cost[basis[i]]
+            if cb:
+                for j, v in enumerate(tab[i]):
+                    if v:
+                        zrow[j] += cb * v
+        tab_z = tab + [zrow]
         while True:
-            # reduced costs z_j - c_j via the current basis
-            zrow = [ZERO] * (total + 1)
-            for i in range(m):
-                cb = cost[basis[i]]
-                if cb:
-                    for j in range(total + 1):
-                        zrow[j] += cb * tab[i][j]
             entering = -1
             for j in range(total):
-                if j in banned:
-                    continue
-                if zrow[j] - cost[j] < 0:
+                if zrow[j] < 0 and j not in banned:
                     entering = j
                     break
             if entering < 0:
@@ -93,7 +102,7 @@ def solve_lp(objective: Sequence[Fraction],
                         leaving, best = i, ratio
             if leaving < 0:
                 return "unbounded"
-            _pivot(tab, basis, leaving, entering, total)
+            _pivot(tab_z, basis, leaving, entering)
 
     if art_cols:
         cost1 = [ZERO] * total
@@ -108,7 +117,7 @@ def solve_lp(objective: Sequence[Fraction],
             if basis[i] in art_cols:
                 for j in range(total):
                     if j not in art_cols and tab[i][j] != 0:
-                        _pivot(tab, basis, i, j, total)
+                        _pivot(tab, basis, i, j)
                         break
 
     cost2 = [Fraction(objective[j]) if j < n else ZERO for j in range(total)]
@@ -123,11 +132,20 @@ def solve_lp(objective: Sequence[Fraction],
     return "optimal", x, value
 
 
-def _pivot(tab: list[list[Fraction]], basis: list[int], row: int, col: int, total: int) -> None:
-    pv = tab[row][col]
-    tab[row] = [v / pv for v in tab[row]]
-    for i in range(len(tab)):
-        if i != row and tab[i][col] != 0:
-            factor = tab[i][col]
-            tab[i] = [a - factor * b for a, b in zip(tab[i], tab[row])]
+def _pivot(rows: list[list[Fraction]], basis: list[int], row: int, col: int) -> None:
+    """Pivot on rows[row][col], in place; rows past the basis are updated too.
+
+    Only the columns where the pivot row is nonzero can change.
+    """
+    prow = rows[row]
+    nz = [j for j, v in enumerate(prow) if v]
+    pv = prow[col]
+    if pv != 1:
+        for j in nz:
+            prow[j] /= pv
+    for i, r in enumerate(rows):
+        factor = r[col]
+        if factor and i != row:
+            for j in nz:
+                r[j] -= factor * prow[j]
     basis[row] = col

@@ -294,25 +294,18 @@ def represent_order_lp(order: OrderInstance) -> MeasureWitness | None:
         raise ValueError("ground sets beyond 12 atoms are not supported")
     strict_pairs, equal_pairs = order.consecutive_pairs()
 
-    def row(mask_lo: int, mask_hi: int, eps_coeff: Fraction) -> list[Fraction]:
-        coeffs = [ZERO] * (n + 1)
-        for i in range(n):
-            if mask_lo >> i & 1:
-                coeffs[i] += ONE
-            if mask_hi >> i & 1:
-                coeffs[i] -= ONE
-        coeffs[n] = eps_coeff
-        return coeffs
+    def row(mask_lo: int, mask_hi: int, eps_coeff: int) -> list[int]:
+        return [(mask_lo >> i & 1) - (mask_hi >> i & 1) for i in range(n)] + [eps_coeff]
 
-    a_ub = [row(x, y, ONE) for x, y in strict_pairs]
-    b_ub = [ZERO] * len(strict_pairs)
-    a_ub.append([ZERO] * n + [ONE])  # eps <= 1 keeps the LP bounded
-    b_ub.append(ONE)
-    a_eq = [row(x, y, ZERO) for x, y in equal_pairs]
-    b_eq = [ZERO] * len(equal_pairs)
-    a_eq.append([ONE] * n + [ZERO])
-    b_eq.append(ONE)
-    objective = [ZERO] * n + [ONE]
+    a_ub = [row(x, y, 1) for x, y in strict_pairs]
+    b_ub = [0] * len(strict_pairs)
+    a_ub.append([0] * n + [1])  # eps <= 1 keeps the LP bounded
+    b_ub.append(1)
+    a_eq = [row(x, y, 0) for x, y in equal_pairs]
+    b_eq = [0] * len(equal_pairs)
+    a_eq.append([1] * n + [0])
+    b_eq.append(1)
+    objective = [0] * n + [1]
     status, x, value = lp.solve_lp(objective, a_ub, b_ub, a_eq, b_eq)
     if status != "optimal" or value is None or value <= 0:
         return None

@@ -9,7 +9,7 @@ assignments (order types) of the atoms relative to the chain endpoints.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 
 from qublogic.syntax import Formula, print_formula
 
@@ -271,3 +271,65 @@ def grid_weight_witness(n: int, strict, equal, denominator: int = 6):
                 all(measure(x) == measure(y) for x, y in equal):
             return w
     return None
+
+
+# ---------------------------------------------------------------------------
+# Vertex enumeration (simplex cross-check)
+# ---------------------------------------------------------------------------
+
+def _solve_square(rows, rhs):
+    """The unique solution of a square linear system, or None if singular."""
+    n = len(rows)
+    m = [[Fraction(v) for v in r] + [Fraction(b)] for r, b in zip(rows, rhs)]
+    for c in range(n):
+        p = next((i for i in range(c, n) if m[i][c]), None)
+        if p is None:
+            return None
+        m[c], m[p] = m[p], m[c]
+        for i in range(n):
+            if i != c and m[i][c]:
+                f = m[i][c] / m[c][c]
+                m[i] = [a - f * b for a, b in zip(m[i], m[c])]
+    return [m[i][n] / m[i][i] for i in range(n)]
+
+
+def _vertex_max(objective, a_ub, b_ub, a_eq, b_eq):
+    """Largest objective value over the vertices of {a_ub x <= b_ub,
+    a_eq x = b_eq, x >= 0}, or None if the set is empty.
+
+    The set lies in the nonnegative orthant, so it is empty or has a vertex,
+    and every vertex solves n linearly independent tight constraints.
+    """
+    n = len(objective)
+    bounds = [([int(i == j) for i in range(n)], 0) for j in range(n)]
+    tight = list(zip(a_ub, b_ub)) + list(zip(a_eq, b_eq)) + bounds
+    best = None
+    for chosen in combinations(tight, n):
+        x = _solve_square([r for r, _ in chosen], [b for _, b in chosen])
+        if x is None or any(v < 0 for v in x):
+            continue
+        dot = lambda r: sum((Fraction(a) * v for a, v in zip(r, x)), Fraction(0))
+        if all(dot(r) <= b for r, b in zip(a_ub, b_ub)) and \
+                all(dot(r) == b for r, b in zip(a_eq, b_eq)):
+            value = dot(objective)
+            best = value if best is None else max(best, value)
+    return best
+
+
+def lp_by_vertices(objective, a_ub, b_ub, a_eq, b_eq):
+    """(status, optimum) of max objective . x over a_ub x <= b_ub,
+    a_eq x = b_eq, x >= 0, by enumerating vertices.
+
+    A feasible LP is unbounded iff its recession cone {d >= 0, a_ub d <= 0,
+    a_eq d = 0} holds a d with objective . d > 0; scaled to sum(d) = 1 the
+    cone is a polytope, so that too is a vertex maximum.
+    """
+    value = _vertex_max(objective, a_ub, b_ub, a_eq, b_eq)
+    if value is None:
+        return "infeasible", None
+    n = len(objective)
+    ray = _vertex_max(objective, a_ub, [0] * len(a_ub),
+                      [*a_eq, [1] * n], [0] * len(a_eq) + [1])
+    if ray is not None and ray > 0:
+        return "unbounded", None
+    return "optimal", value

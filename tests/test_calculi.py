@@ -509,10 +509,14 @@ def _hg2ord_steps():
 
 
 def _missing_formula_steps():
+    # each rule that reads cited lines refuses one that has no formula
     steps = (calculi.Step(None, None, {"axiom": "any"}),
-             calculi.Step(parse("BIG", "delta p"), None, {"nec": 1}))
-    # a missing line is premise-dependent, so nec refuses it unread
-    return Derivation("HBIG", (), steps), ["missing formula", _NEC_TAINTED]
+             calculi.Step(parse("BIG", "(p -> q) | (q -> p)"), None, {"axiom": "any"}),
+             calculi.Step(parse("BIG", "delta p"), None, {"nec": 1}),
+             calculi.Step(parse("BIG", "q"), None, {"mp": [2, 1]}),
+             calculi.Step(parse("BIG", "q"), None, {"outer": [2, 1]}))
+    return Derivation("HBIG", (), steps), ["missing formula", None] + \
+        ["rule cites malformed steps"] * 3
 
 
 def _rfde_steps():

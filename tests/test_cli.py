@@ -5,6 +5,8 @@ import shlex
 import subprocess
 import sys
 
+import pytest
+
 from qublogic import cli
 
 DATA = pathlib.Path(__file__).parent / "data"
@@ -156,6 +158,21 @@ def test_prove_check_wrong_typed_citation_prints_the_report(capsys):
         "steps": [{"step": 1, "status": "ok"},
                   {"step": 2, "status": "fail", "reason":
                    "malformed justification: 'mp' takes a list of step numbers, not 1"}]}
+
+
+@pytest.mark.parametrize("obj,error", [
+    ({"calculus": "HBIG", "steps": [{"formula": "p", "just": 5}]},
+     "ValueError: a step is an object with a 'just' object, not {'formula': 'p', 'just': 5}"),
+    ({"calculus": "HBIG", "premises": 5, "steps": []},
+     "ValueError: 'premises' takes a list, not 5"),
+    ({"calculus": "HBIG", "steps": [{"formula": 5, "just": {"axiom": "any"}}]},
+     "ValueError: expected formula text, not 5"),
+])
+def test_prove_check_wrong_typed_derivation_field_exits_2(capsys, obj, error):
+    code = cli.main(["prove", "check", json.dumps(obj)])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert json.loads(captured.err) == {"error": error}
 
 
 def test_prove_match_axiom(capsys):
