@@ -8,25 +8,22 @@ for every calculus, which asks the proof system's step function (Hilbert or
 sequent) why each step fails, if it does; citations and axiom parameters
 each have one reader, and a justification they cannot read fails its step
 as malformed.  Derivations may use coarse
-"outer-logic" steps the way research papers do.  A QG or biG outer step is
-decided by truth preservation, as modus ponens derives: a depth-first
-search over integer ranks, one per conjunct of the target, gives the atoms
-values one at a time and prunes a branch as soon as a premise falls below
-1 or the target conjunct reaches 1.  It is complete, and a step whose
-search outgrows a fixed node cap fails with a reason that states its size.
-A twist-language outer step goes through the twist grid decision.
+"outer-logic" steps the way research papers do.  Each is decided by truth
+preservation, as modus ponens derives, which
+:func:`qublogic.decide.truth_preserved` decides for every calculus; a step
+whose decision is refused as too large fails with a reason that states its
+size.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Callable, Iterable, Mapping, Sequence
 
-from . import algebra, bd, decide, qp, syntax
+from . import bd, decide, qp, syntax
 from .measures import assignment_masks, cpl_truth_set
-from .syntax import Formula, LanguageError, desugar, mk, parse, print_formula, vars_of
+from .syntax import Formula, LanguageError, desugar, mk, parse, vars_of
 
 CALCULI = ("HBIG", "HG2ORD", "HG2NEL", "HQG", "HQPG", "HQPG_TOP",
            "HQP", "HMCB", "HNMCB", "RFDE")
@@ -426,179 +423,19 @@ def match_axiom(calc: str, f: Formula) -> tuple[str, dict] | None:
 # Outer-logic steps
 # ---------------------------------------------------------------------------
 
-#: Nodes (one value given to one atom) the QG/biG outer-step search may
-#: visit before the step fails as undecided.  Capped steps took 0.7-2.5 s
-#: of CPU on a shared 2-core VM (python 3.11).
-_MAX_OUTER_NODES = 750_000
-
-
-def _parts(f: Formula, kind: str) -> list[Formula]:
-    """The ``kind`` ("and" or "or") chain of ``f`` under any delta (1 only
-    at 1), <-> read as two implications: ``f`` takes value 1 exactly where
-    all of them do ("and"), or one of them does ("or")."""
-    if f.kind == "delta":
-        return _parts(f.children[0], kind)
-    if f.kind == "iff" and kind == "and":
-        f = syntax._expand(f.lang, f.kind, f.children)
-    if f.kind == kind:
-        return [*_parts(f.children[0], kind), *_parts(f.children[1], kind)]
-    return [f]
-
-
-def _outer_search(calc: str, premises: Sequence[Formula], target: Formula) -> decide.Verdict:
-    """Decide a QG/biG outer step by truth preservation: the target takes
-    value 1 wherever every premise does.
-
-    Atoms take the integer ranks 0..k+1 of the biG grid for k atoms, rank
-    k+1 standing for 1.  QG atoms are merged and saturated as in
-    :func:`decide.qg_entails`, and the saturation instances join the
-    premises; HBIG's atoms are its variables.  Premises and target are cut
-    into their conjuncts, and each conjunct of the target is searched for
-    on its own.  The search gives the atoms values one at a time and
-    evaluates each premise and each disjunct of the target conjunct,
-    compiled once, as soon as its last atom has a value: a premise below
-    the top or a disjunct at the top closes the branch, so a completed
-    valuation refutes the step.  A fails verdict carries it, keyed like
-    ``qg_entails``' witness.  A step whose searches visit more than
-    ``_MAX_OUTER_NODES`` nodes in all raises a ValueError that states its
-    size.
-    """
-    if CALC_LANG[calc] == "QG":
-        atoms, mapping, keys = decide.qg_merge_atoms([*premises, target])
-        # the witness keys every atom by its printed form, as qg_entails does
-        names = {print_formula(a): mapping[a] for a in atoms}
-        premises = [decide._rewrite_atoms(g, mapping) for g in premises]
-        premises += decide.qg_saturation(keys, with_cap=calc == "HQPG_TOP")
-        target = decide._rewrite_atoms(target, mapping)
-        atoms_of = syntax.modal_atoms
-    else:
-        keys = sorted(set().union(*map(vars_of, [*premises, target])))
-        names = {key: key for key in keys}
-        atoms_of = vars_of
-    # reg instances come plain and under delta: one copy is enough
-    premises = list(dict.fromkeys(p for g in premises for p in _parts(g, "and")))
-    k = len(keys)
-    top = k + 1
-    slots = {key: i for i, key in enumerate(keys)}
-    premise_evs = [algebra.compile_twist(g, slots, top, False) for g in premises]
-    premise_deps = [{slots[a] for a in atoms_of(g)} for g in premises]
-    pairs = [(r, 0) for r in range(top + 1)]
-    values = [pairs[0]] * k
-    nodes = 0
-
-    def refutes(part: Formula) -> bool:
-        """Whether some valuation gives every premise 1 and ``part`` less,
-        that is, every disjunct of ``part`` less."""
-        disjuncts = _parts(part, "or")
-        goal_deps = [{slots[a] for a in atoms_of(g)} for g in disjuncts]
-        # greedy order: next the atom that completes the most formulas, then
-        # the one that occurs in the most open ones
-        order: list[int] = []
-        pending = [set(d) for d in [*premise_deps, *goal_deps]]
-        while len(order) < k:
-            best = max((s for s in range(k) if s not in order),
-                       key=lambda s: (sum(d == {s} for d in pending), sum(s in d for d in pending), -s))
-            order.append(best)
-            for d in pending:
-                d.discard(best)
-        depth_of = {s: i + 1 for i, s in enumerate(order)}
-        # checks[d] / goals[d]: the premises / disjuncts whose last atom is
-        # the d-th one given a value
-        checks: list[list] = [[] for _ in range(k + 1)]
-        goals: list[list] = [[] for _ in range(k + 1)]
-        for ev, d in zip(premise_evs, premise_deps):
-            checks[max(map(depth_of.get, d), default=0)].append(ev)
-        for g, d in zip(disjuncts, goal_deps):
-            goals[max(map(depth_of.get, d), default=0)].append(
-                algebra.compile_twist(g, slots, top, False))
-
-        def viable(depth: int) -> bool:
-            for ev in checks[depth]:
-                if ev(values)[0] != top:
-                    return False
-            for ev in goals[depth]:
-                if ev(values)[0] == top:
-                    return False
-            return True
-
-        def extends(depth: int) -> bool:
-            """Whether the values of order[:depth] extend to a refutation."""
-            nonlocal nodes
-            if depth == k:
-                return True
-            slot = order[depth]
-            for pair in pairs:
-                nodes += 1
-                if nodes > _MAX_OUTER_NODES:
-                    raise ValueError(
-                        f"outer step undecided: the search over {k} atoms stopped after "
-                        f"{nodes - 1:,} nodes of a {(k + 2) ** k:,}-point grid")
-                values[slot] = pair
-                if viable(depth + 1) and extends(depth + 1):
-                    return True
-            return False
-
-        return viable(0) and extends(0)
-
-    for part in dict.fromkeys(_parts(target, "and")):
-        if refutes(part):
-            return decide.Verdict("fails", {name: Fraction(values[slots[key]][0], top)
-                                            for name, key in names.items()})
-    return decide.HOLDS
-
-
-def _outer_exact(calc: str, cited: Sequence[Formula], instances: Sequence[Formula],
-                 target: Formula) -> decide.Verdict:
-    """Decide a QG/biG outer step by truth preservation through the grid
-    decisions, for tests to check :func:`_outer_search` against: premises
-    under delta take only 0 and 1, so that is degree entailment from the
-    guarded premises (Gamma |=_1 phi iff delta Gamma |= phi; Baaz 1996)."""
-    lang = CALC_LANG[calc]
-    lines = [mk(lang, "delta", g) for g in cited]
-    axioms = [mk(lang, "delta", g) for g in instances]
-    if lang == "QG":
-        return decide.qg_entails(lines, target, with_cap=(calc == "HQPG_TOP"), extra=axioms)
-    return decide.big_entails([*lines, *axioms], target)
-
-
 def _outer_step_ok(calc: str, cited: Sequence[Formula], instances: Sequence[Formula],
                    target: Formula) -> tuple[bool, str]:
     lang = CALC_LANG[calc]
-    premises = [*cited, *instances]
-    if lang in ("MCB", "NMCB"):
-        premises += _layer_saturation(lang, premises + [target])
+    if lang == "QP":
+        return False, f"outer steps are not supported for {calc}"
     try:
-        if lang in ("QG", "BIG"):
-            verdict = _outer_search(calc, premises, target)
-        elif lang in ("MCB", "NMCB", "G2ORD", "G2NEL"):
-            variant = "G2NEL" if lang in ("NMCB", "G2NEL") else "G2ORD"
-            verdict = decide.g2_entails(variant, premises, target)
-        else:
-            return False, f"outer steps are not supported for {calc}"
+        verdict = decide.truth_preserved(lang, [*cited, *instances], target,
+                                         with_cap=calc == "HQPG_TOP")
     except ValueError as exc:  # the search or the grid is too large; the message says how large
         return False, str(exc)
     if verdict.holds:
         return True, "outer-logic consequence"
     return False, "not an outer-logic consequence of the cited steps"
-
-
-def _layer_saturation(lang: str, formulas: Sequence[Formula]) -> list[Formula]:
-    """Value-forcing axiom instances over the C-atoms present."""
-    atoms: set[Formula] = set()
-    for f in formulas:
-        atoms |= syntax.modal_atoms(f)
-    atom_list = sorted(atoms, key=print_formula)
-    force = "deltan" if lang == "NMCB" else "delta1"
-    imp = "nimp" if lang == "NMCB" else "gimp"
-    eq = "siff" if lang == "NMCB" else "iff"
-    sat: list[Formula] = []
-    for a in atom_list:
-        for b in atom_list:
-            if a is not b and bd_valid_sequent(a.children[0], b.children[0]):
-                sat.append(mk(lang, force, mk(lang, imp, a, b)))
-            if b.children[0] == mk("BD", "dneg", a.children[0]):
-                sat.append(mk(lang, force, mk(lang, eq, b, mk(lang, "dneg", a))))
-    return sat
 
 
 # ---------------------------------------------------------------------------
@@ -696,6 +533,13 @@ def _axiom_from_params(calc: str, just: Mapping) -> Formula:
     return build(m, *lists)
 
 
+def _justification(step: Step) -> dict:
+    """A step's justification; a ValueError if it is not a mapping."""
+    if not isinstance(step.just, Mapping):
+        raise ValueError(f"a justification is an object, not {step.just!r}")
+    return dict(step.just)
+
+
 def _cited(just: Mapping, key: str, i: int) -> Sequence[int] | None:
     """The step numbers that ``just`` cites under ``key``: a list of them,
     one number for ``nec``, and none if the key is missing.  None if one of
@@ -716,7 +560,7 @@ def _hilbert_step(calc: str, steps: Sequence[Step], i: int, prem: Sequence,
     f = steps[i].formula
     if f is None:
         return "missing formula", True
-    just = dict(steps[i].just)
+    just = _justification(steps[i])
     if "premise" in just:
         ref = just["premise"]
         ok = (1 <= ref <= len(prem) and prem[ref - 1] == f) if isinstance(ref, int) else f in prem
@@ -856,7 +700,7 @@ def _sequent_step(calc: str, steps: Sequence[Step], i: int, prem: Sequence,
     if steps[i].sequent is None:
         return "missing sequent", False
     lhs, rhs = steps[i].sequent
-    just = dict(steps[i].just)
+    just = _justification(steps[i])
     if "premise" in just:
         return (None if (lhs, rhs) in prem else "sequent is not among the declared premises"), False
     if "axiom" in just:

@@ -23,7 +23,7 @@ def _lang(flag: str) -> str:
     try:
         return _LANG_FLAG[flag.lower()]
     except KeyError:
-        raise SystemExit(2)
+        raise syntax.LanguageError(f"unknown language {flag!r}") from None
 
 
 def _emit(obj, code: int = 0) -> int:

@@ -601,6 +601,25 @@ def test_wrong_typed_rule_citation_fails_its_step():
         [None, None, "malformed justification: 'from' takes a list of step numbers, not 3", None])
 
 
+def test_hilbert_justification_that_is_not_a_mapping_fails_its_step():
+    # an API-built step; being unreadable it is not a theorem line for nec
+    line = parse("BIG", _PREL1)
+    deriv = Derivation("HBIG", (), (calculi.Step(line, None, 5),
+                                    calculi.Step(line, None, {"axiom": "prel1"}),
+                                    calculi.Step(mk("BIG", "delta", line), None, {"nec": 1})))
+    assert check_derivation("HBIG", deriv).to_json() == _report(
+        ["malformed justification: a justification is an object, not 5", None, _NEC_TAINTED])
+
+
+def test_sequent_justification_that_is_not_a_mapping_fails_its_step():
+    p, q = parse("BD", "p"), parse("BD", "q")
+    deriv = Derivation("RFDE", (), (calculi.Step(None, (p, mk("BD", "or", p, q)), [1]),
+                                    calculi.Step(None, (p, mk("BD", "or", p, q)),
+                                                 {"axiom": "or_intro_l"})))
+    assert check_derivation("RFDE", deriv).to_json() == _report(
+        ["malformed justification: a justification is an object, not [1]", None])
+
+
 def test_outer_step_reads_flat_axiom_parameters():
     # the flat form an axiom step accepts, on the outer step of deriv_reg
     obj = _load("deriv_reg.json")
@@ -617,10 +636,14 @@ def test_outer_step_reads_flat_axiom_parameters():
 # The outer-step search against the exact grid decision
 # ---------------------------------------------------------------------------
 
+def _truth_preserved(calc, premises, target):
+    return decide.truth_preserved(CALC_LANG[calc], premises, target, with_cap=calc == "HQPG_TOP")
+
+
 def _search_verdict(calc, cited, instances, target):
     """The search's verdict on one outer step; a fails witness is checked
     on a model before it is returned."""
-    verdict = calculi._outer_search(calc, [*cited, *instances], target)
+    verdict = _truth_preserved(calc, [*cited, *instances], target)
     if not verdict.holds:
         _check_refutation(calc, [*cited, *instances], target, verdict.witness)
     return verdict.status
@@ -642,7 +665,14 @@ def _check_refutation(calc, premises, target, witness):
 
 
 def _exact_verdict(calc, cited, instances, target):
-    return calculi._outer_exact(calc, cited, instances, target).status
+    """Truth preservation through the grid decisions: premises under delta
+    take only 0 and 1, so that is degree entailment from the guarded
+    premises (Gamma |=_1 phi iff delta Gamma |= phi; Baaz 1996)."""
+    lang = CALC_LANG[calc]
+    guarded = [mk(lang, "delta", g) for g in [*cited, *instances]]
+    if lang == "QG":
+        return decide.qg_entails(guarded, target, with_cap=calc == "HQPG_TOP").status
+    return decide.big_entails(guarded, target).status
 
 
 def _merged_atoms(calc, formulas):
@@ -677,7 +707,7 @@ def test_outer_search_agrees_with_exact_decision_on_fixtures():
     # to decide on the grid, so only the smaller ones are compared
     seen = []
     for calc, cited, instances, target in _fixture_outer_steps():
-        verdict = calculi._outer_search(calc, [*cited, *instances], target).status
+        verdict = _truth_preserved(calc, [*cited, *instances], target).status
         if _merged_atoms(calc, [*cited, *instances, target]) <= 5:
             assert _exact_verdict(calc, cited, instances, target) == verdict, \
                 print_formula(target)
@@ -770,7 +800,7 @@ def test_outer_search_splits_formulas_over_many_atoms(calc, atom):
 def test_outer_search_cap_fails_the_step(monkeypatch):
     # a biG theorem over 8 variables whose two disjuncts each have all 8:
     # nothing prunes before the leaves
-    monkeypatch.setattr(calculi, "_MAX_OUTER_NODES", 1000)
+    monkeypatch.setattr(decide, "_MAX_OUTER_NODES", 1000)
     target = parse("BIG", "((a | b | c | d) -> (e | f | g | h)) | ((e | f | g | h) -> (a | b | c | d))")
     ok, reason = calculi._outer_step_ok("HBIG", [], [], target)
     assert not ok
@@ -782,25 +812,89 @@ def test_outer_search_cap_fails_the_step(monkeypatch):
 
 
 def test_outer_steps_decide_truth_preservation():
-    # B(p) |=_1 delta B(p), though B(p) does not entail delta B(p) by degree
-    for calc, lang, text in (("HQG", "QG", "B(p)"), ("HBIG", "BIG", "p"),
-                             ("HQG", "QG", "B(p) | B(q)")):
+    # B(p) |=_1 delta B(p), though B(p) does not entail delta B(p) by degree;
+    # likewise for each twist calculus and its delta
+    for calc, text, force in (("HQG", "B(p)", "delta"), ("HBIG", "p", "delta"),
+                              ("HQG", "B(p) | B(q)", "delta"), ("HG2ORD", "p", "delta1"),
+                              ("HG2NEL", "p", "deltan"), ("HMCB", "C(p)", "delta1"),
+                              ("HNMCB", "C(p)", "deltan")):
+        lang = CALC_LANG[calc]
         premise = parse(lang, text)
-        target = mk(lang, "delta", premise)
-        deriv = Derivation.from_json({
-            "calculus": calc,
-            "premises": [text],
-            "steps": [
-                {"formula": text, "just": {"premise": 1}},
-                {"formula": print_formula(target), "just": {"outer": [1]}},
-            ],
-        })
-        assert check_derivation(calc, deriv).accepted
-        assert calculi._outer_exact(calc, [premise], [], target).holds
-        assert calculi._outer_exact(calc, [target], [], premise).holds
+        target = mk(lang, force, premise)
+        for line, cited in ((target, premise), (premise, target)):
+            deriv = Derivation.from_json({
+                "calculus": calc,
+                "premises": [print_formula(cited)],
+                "steps": [
+                    {"formula": print_formula(cited), "just": {"premise": 1}},
+                    {"formula": print_formula(line), "just": {"outer": [1]}},
+                ],
+            })
+            assert check_derivation(calc, deriv).accepted, (calc, print_formula(line))
+            if lang in ("QG", "BIG"):
+                assert _exact_verdict(calc, [cited], [], line) == "holds"
     assert not decide.qg_entails([parse("QG", "B(p)")], parse("QG", "delta B(p)")).holds
-    assert not calculi._outer_exact("HQG", [parse("QG", "B(p) | B(q)")], [],
-                                    parse("QG", "B(p)")).holds
+    assert not decide.g2_entails("G2ORD", [parse("G2ORD", "p")], parse("G2ORD", "delta1 p")).holds
+    assert not decide.g2_entails("G2NEL", [parse("G2NEL", "p")], parse("G2NEL", "deltaN p")).holds
+    assert _exact_verdict("HQG", [parse("QG", "B(p) | B(q)")], [], parse("QG", "B(p)")) == "fails"
+
+
+_TWIST_SHAPES = ("{a} {i} {b}", "{a} {c} {b}", "{a} & {b}", "{a} | {b}", "{a}", "neg {a}",
+                 "snot {a}", "{d} ({a} {i} {b})", "{d} {a}", "neg ({a} {i} {b})", "Top {c} {a}")
+
+
+def _designated(lang, g, env, top):
+    """Whether ``g`` is designated on the rank chain 0..top: (top, 0), or
+    truth top in the Nelson variant."""
+    value = oracles.chain_eval_g2(g, env, top, lang == "G2NEL")
+    return value[0] == top if lang == "G2NEL" else value == (top, 0)
+
+
+def _refutes_by_ranks(lang, premises, target, env, top):
+    return all(_designated(lang, g, env, top) for g in premises) and \
+        not _designated(lang, target, env, top)
+
+
+def _designated_by_ranks(lang, premises, target):
+    """Truth preservation by brute force on the rank chain 0..2k+1 for k
+    variables: every premise designated makes the target designated."""
+    names = sorted(set().union(*map(vars_of, [*premises, target])))
+    top = 2 * len(names) + 1
+    return not any(
+        _refutes_by_ranks(lang, premises, target,
+                          {p: (ranks[2 * i], ranks[2 * i + 1]) for i, p in enumerate(names)}, top)
+        for ranks in product(range(top + 1), repeat=2 * len(names)))
+
+
+def test_twist_truth_preservation_agrees_with_rank_brute_force():
+    # truth preservation contains degree entailment: every step that the
+    # degree reading accepts is accepted, and some only by truth
+    rng = random.Random(11)
+    seen = []
+    for _ in range(200):
+        lang = rng.choice(("G2ORD", "G2NEL"))
+        tokens = {"i": "->", "c": "-<", "d": "delta1"} if lang == "G2ORD" else \
+            {"i": "~>", "c": "o-", "d": "deltaN"}
+
+        def formula():
+            a, b = rng.choice((("p", "q"), ("q", "p"), ("p", "p")))
+            return parse(lang, rng.choice(_TWIST_SHAPES).format(a=a, b=b, **tokens))
+
+        premises = [formula() for _ in range(rng.randint(0, 2))]
+        target = rng.choice(premises) if premises and rng.random() < 0.2 else formula()
+        verdict = decide.truth_preserved(lang, premises, target)
+        assert verdict.holds == _designated_by_ranks(lang, premises, target), \
+            ([print_formula(g) for g in premises], print_formula(target))
+        if not verdict.holds:
+            # the witness, on the grid i/(2k+1), read back as ranks
+            top = 2 * len(verdict.witness) + 1
+            env = {p: (int(v[0] * top), int(v[1] * top)) for p, v in verdict.witness.items()}
+            assert _refutes_by_ranks(lang, premises, target, env, top), verdict.witness
+        degree = decide.g2_entails(lang, premises, target).holds
+        assert verdict.holds or not degree
+        seen.append((verdict.status, degree))
+    assert seen.count(("holds", True)) >= 30 and seen.count(("fails", False)) >= 30, seen
+    assert seen.count(("holds", False)) >= 5, seen
 
 
 def test_twist_outer_step_over_too_many_atoms_states_its_grid():

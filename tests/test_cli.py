@@ -231,3 +231,14 @@ def test_readme_examples_print_the_recorded_output(capsys, monkeypatch):
         argv = [json.dumps(golden["files"][a]) if a in golden["files"] else a for a in g["argv"]]
         code = cli.main(argv)
         assert (code, capsys.readouterr().out) == (g["exit"], g["stdout"]), g["argv"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["eval-g2", "--lang", "foo", "--valuation", "{}", "p"],
+    ["model", "search-countermodel", "--layer", "foo", "p"],
+])
+def test_unknown_language_flag_exits_2_with_a_json_error(capsys, argv):
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err) == {"error": "unknown language 'foo'"}

@@ -1,3 +1,4 @@
+import ast
 import json
 import math
 import pathlib
@@ -9,7 +10,7 @@ import oracles
 import pytest
 from helpers import gen_g2
 
-from qublogic import calculi, cli, measures
+from qublogic import calculi, cli, decide, measures
 from qublogic.algebra import (ONE, TwistValue, UnboundVariableError, compile_twist, eval_big,
                               eval_g2)
 from qublogic.decide import (Verdict, big_entails, big_valid, g2_entails, g2_valid, grid,
@@ -278,6 +279,30 @@ def test_oracles_do_not_use_the_twist_compiler():
     imports = [line for line in source.splitlines()
                if line.startswith(("from ", "import ")) and "qublogic" in line]
     assert imports == ["from qublogic.syntax import Formula, print_formula"]
+
+
+def test_calculi_leaves_outer_decisions_to_decide():
+    calc_tree = ast.parse(pathlib.Path(calculi.__file__).read_text())
+    read = {(n.value.id, n.attr) for n in ast.walk(calc_tree)
+            if isinstance(n, ast.Attribute) and isinstance(n.value, ast.Name)}
+    imported = {(n.module, a.name) for n in ast.walk(calc_tree)
+                if isinstance(n, ast.ImportFrom) for a in n.names}
+    # calculi reads no private name of decide
+    assert not [attr for mod, attr in read | imported
+                if mod == "decide" and attr.startswith("_")], read | imported
+    # it defines no search, saturation or QG merging, and uses none
+    defined = {n.name for n in ast.walk(calc_tree) if isinstance(n, ast.FunctionDef)} | \
+        {t.id for n in ast.walk(calc_tree) if isinstance(n, ast.Assign)
+         for t in n.targets if isinstance(t, ast.Name)}
+    assert not [name for name in defined
+                if any(w in name.lower() for w in ("search", "saturation", "merge", "outer_nodes"))]
+    assert not {attr for _, attr in read | imported} & \
+        {"compile_twist", "qg_merge_atoms", "qg_saturation", "qg_b_atoms"}
+    # and decide does not import calculi
+    decide_tree = ast.parse(pathlib.Path(decide.__file__).read_text())
+    modules = [name for n in ast.walk(decide_tree) if isinstance(n, (ast.Import, ast.ImportFrom))
+               for name in [getattr(n, "module", None) or "", *(a.name for a in n.names)]]
+    assert not [m for m in modules if "calculi" in m], modules
 
 
 def test_refusals_state_the_grid_size(capsys):
