@@ -9,10 +9,9 @@ sequent) why each step fails, if it does; citations and axiom parameters
 each have one reader, and a justification they cannot read fails its step
 as malformed.  Derivations may use coarse
 "outer-logic" steps the way research papers do.  Each is decided by truth
-preservation, as modus ponens derives, which
-:func:`qublogic.decide.truth_preserved` decides for every calculus; a step
-whose decision is refused as too large fails with a reason that states its
-size.
+preservation, the relation modus ponens derives, through
+:func:`qublogic.decide.truth_preserved`; a step whose decision is refused
+as too large fails with a reason that states its size.
 """
 
 from __future__ import annotations

@@ -306,10 +306,12 @@ def truth_preserved(lang: str, premises: Sequence[Formula], target: Formula,
 
 
 def _layer_saturation(lang: str, formulas: Sequence[Formula]) -> list[Formula]:
-    """Value-forcing axiom instances over the C-atoms present."""
+    """Value-forcing axiom instances over the C-atoms present: the
+    ``mcb_bd``/``nmcb_bd`` and ``mcb_neg``/``nmcb_neg`` instances, under
+    the language's delta."""
     atoms = sorted(set().union(*map(syntax.modal_atoms, formulas)), key=print_formula)
     force = _TWIST_DELTA[lang]
-    imp, eq = ("nimp", "siff") if lang == "NMCB" else ("gimp", "iff")
+    imp, eq = ("simp", "siff") if lang == "NMCB" else ("gimp", "iff")
     sat: list[Formula] = []
     for a in atoms:
         for b in atoms:

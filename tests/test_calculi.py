@@ -839,6 +839,21 @@ def test_outer_steps_decide_truth_preservation():
     assert _exact_verdict("HQG", [parse("QG", "B(p) | B(q)")], [], parse("QG", "B(p)")) == "fails"
 
 
+@pytest.mark.parametrize("calc,imp,iff", [("HMCB", "->", "<->"), ("HNMCB", "==>", "<==>")])
+def test_layer_axiom_instances_are_outer_consequences(calc, imp, iff):
+    # each instance holds in every belief model, so it follows from nothing
+    lang = CALC_LANG[calc]
+    for phi, chi in (("p", "p | q"), ("p & q", "q"), ("neg (p | q)", "neg p"),
+                     ("neg neg p", "p"), ("p & (q | r)", "(p & q) | r")):
+        target = parse(lang, f"C({phi}) {imp} C({chi})")
+        assert match_axiom(calc, target)[0].endswith("_bd")
+        assert calculi._outer_step_ok(calc, [], [], target)[0], print_formula(target)
+    for phi in ("p", "p & q", "neg p"):
+        target = parse(lang, f"C(neg ({phi})) {iff} neg C({phi})")
+        assert match_axiom(calc, target)[0].endswith("_neg")
+        assert calculi._outer_step_ok(calc, [], [], target)[0], print_formula(target)
+
+
 _TWIST_SHAPES = ("{a} {i} {b}", "{a} {c} {b}", "{a} & {b}", "{a} | {b}", "{a}", "neg {a}",
                  "snot {a}", "{d} ({a} {i} {b})", "{d} {a}", "neg ({a} {i} {b})", "Top {c} {a}")
 
