@@ -279,8 +279,7 @@ def qg_entails(xi: Sequence[Formula], alpha: Formula, with_cap: bool = False) ->
 #: gives up.  Capped searches took 0.7-2.5 s of CPU on a shared 2-core VM.
 _MAX_OUTER_NODES = 750_000
 
-#: Each twist language's delta: a designated value stays, any other goes to
-#: the least.
+#: Each twist language's delta: designated values stay, others go to the least.
 _TWIST_DELTA = {"G2ORD": "delta1", "MCB": "delta1", "G2NEL": "deltan", "NMCB": "deltan"}
 
 
@@ -306,9 +305,7 @@ def truth_preserved(lang: str, premises: Sequence[Formula], target: Formula,
 
 
 def _layer_saturation(lang: str, formulas: Sequence[Formula]) -> list[Formula]:
-    """Value-forcing axiom instances over the C-atoms present: the
-    ``mcb_bd``/``nmcb_bd`` and ``mcb_neg``/``nmcb_neg`` instances, under
-    the language's delta."""
+    """The layer axioms' (``*_bd``, ``*_neg``) instances over the C-atoms present, under delta."""
     atoms = sorted(set().union(*map(syntax.modal_atoms, formulas)), key=print_formula)
     force = _TWIST_DELTA[lang]
     imp, eq = ("simp", "siff") if lang == "NMCB" else ("gimp", "iff")
@@ -363,8 +360,7 @@ def _outer_search(lang: str, premises: Sequence[Formula], target: Formula,
     slots = {key: i for i, key in enumerate(keys)}
 
     def test(g: Formula, goal: bool) -> tuple:
-        """A premise (goal False) or target disjunct (goal True), compiled,
-        and the slots of its atoms."""
+        """A premise or (``goal``) a target disjunct, compiled, with its atoms' slots."""
         return algebra.compile_twist(g, slots, top, False), goal, {slots[a] for a in atoms_of(g)}
 
     # reg instances come plain and under delta: one copy is enough
@@ -388,16 +384,22 @@ def _outer_search(lang: str, premises: Sequence[Formula], target: Formula,
             for d in pending:
                 d.discard(best)
         depth_of = {s: i + 1 for i, s in enumerate(order)}
-        # at[d]: the tests whose last atom is the d-th one given a value
-        at: list[list] = [[] for _ in range(k + 1)]
+        # checks[d] / goals[d]: the premises / disjuncts whose last atom is
+        # the d-th one given a value
+        checks: list[list] = [[] for _ in range(k + 1)]
+        goals: list[list] = [[] for _ in range(k + 1)]
         for ev, goal, d in tests:
-            at[max(map(depth_of.get, d), default=0)].append((ev, goal))
+            (goals if goal else checks)[max(map(depth_of.get, d), default=0)].append(ev)
 
         def extends(depth: int) -> bool:
             """Whether the values of order[:depth] extend to a refutation."""
             nonlocal nodes
-            if any((ev(values)[0] == top) == goal for ev, goal in at[depth]):
-                return False
+            for ev in checks[depth]:
+                if ev(values)[0] != top:
+                    return False
+            for ev in goals[depth]:
+                if ev(values)[0] == top:
+                    return False
             if depth == k:
                 return True
             for pair in pairs:
