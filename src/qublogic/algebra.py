@@ -215,12 +215,7 @@ def compile_twist(f: Formula, slots: Mapping[str | Formula, int], top: int,
     def comp(f: Formula) -> Callable[[Sequence[RankPair]], RankPair]:
         kind = f.kind
         if kind == "var" or kind == "cmod" or kind == "bmod":
-            slot = slots.get(f)
-            if slot is None:
-                slot = slots.get(_key(f))
-                if slot is None:
-                    raise UnboundVariableError(f"no slot for atom {_key(f)!r}")
-            return itemgetter(slot)
+            return itemgetter(_slot(f, slots))
         if kind == "top":
             return lambda v: tv_top
         if kind == "bot":
@@ -294,6 +289,54 @@ def compile_twist(f: Formula, slots: Mapping[str | Formula, int], top: int,
         return ev
 
     return comp(f)
+
+
+def _slot(atom: Formula, slots: Mapping[str | Formula, int]) -> int:
+    slot = slots.get(atom)
+    if slot is None:
+        slot = slots.get(_key(atom))
+        if slot is None:
+            raise UnboundVariableError(f"no slot for atom {_key(atom)!r}")
+    return slot
+
+
+def coordinates_read(f: Formula, slots: Mapping[str | Formula, int],
+                     nelson: bool) -> tuple[set[int], set[int]]:
+    """The atom coordinates that the truth and the falsity of ``f``'s value
+    under :func:`compile_twist` read, clause by clause.
+
+    Coordinate ``2 * slot`` is an atom's truth and ``2 * slot + 1`` its
+    falsity; ``slots`` is read as by :func:`compile_twist`.  A search that
+    gives the coordinates values one at a time may read one coordinate of
+    ``f``'s value as soon as the coordinates returned for it have values.
+    """
+    kind = f.kind
+    if kind == "var" or kind == "cmod" or kind == "bmod":
+        slot = _slot(f, slots)
+        return {2 * slot}, {2 * slot + 1}
+    if not f.children:  # top, bot
+        return set(), set()
+    if len(f.children) == 1:
+        t, fl = coordinates_read(f.children[0], slots, nelson)
+        if kind == "dneg":
+            return fl, t
+        if kind == "delta" or kind == "deltan" or kind == "snot" and nelson:
+            return t, t
+        if kind == "delta1" or kind == "deltabang":
+            return t | fl, t | fl
+        return t, fl  # snot
+    (ta, fa), (tb, fb) = (coordinates_read(c, slots, nelson) for c in f.children)
+    # a Nelson implication's falsity compares the antecedent's truth with
+    # the consequent's falsity; a co-implication's, the other way round
+    if kind == "nimp":
+        return ta | tb, ta | fb
+    if kind == "ncoimp":
+        return ta | tb, fa | tb
+    if kind == "iff" and nelson:
+        return ta | tb, ta | tb | fa | fb
+    if kind == "simp" or kind == "siff":
+        return ta | tb | fa | fb, ta | tb | fa | fb
+    return ta | tb, fa | fb
 
 
 # ---------------------------------------------------------------------------

@@ -10,8 +10,9 @@ each have one reader, and a justification they cannot read fails its step
 as malformed.  Derivations may use coarse
 "outer-logic" steps the way research papers do.  Each is decided by truth
 preservation, the relation modus ponens derives, through
-:func:`qublogic.decide.truth_preserved`; a step whose decision is refused
-as too large fails with a reason that states its size.
+:func:`qublogic.decide.truth_preserved`, one search for every calculus; a
+step whose search reaches its node cap fails with a reason that states the
+search's size.
 """
 
 from __future__ import annotations
@@ -430,7 +431,7 @@ def _outer_step_ok(calc: str, cited: Sequence[Formula], instances: Sequence[Form
     try:
         verdict = decide.truth_preserved(lang, [*cited, *instances], target,
                                          with_cap=calc == "HQPG_TOP")
-    except ValueError as exc:  # the search or the grid is too large; the message says how large
+    except ValueError as exc:  # the search reached its node cap; the message says how large
         return False, str(exc)
     if verdict.holds:
         return True, "outer-logic consequence"

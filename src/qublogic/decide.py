@@ -21,10 +21,12 @@ CPL-equivalent B-atoms are merged first; the saturation forces them to the
 same value, so merging changes no verdict but keeps the grid small.
 
 Truth preservation, the outer logic of the Hilbert calculi, is decided by
-:func:`truth_preserved` for every language with an outer step.  biG and QG
-run a pruned depth-first search over integer ranks, QG after the same
-merging and saturation; the twist languages put each premise under their
-delta and run the twist decision.
+:func:`truth_preserved` for every language with an outer step, through one
+pruned depth-first search over the order types of the atoms' coordinates
+(one per biG or QG atom, a truth and a falsity per twist atom), QG after
+the same merging and saturation, MCB and NMCB with their layer axioms'
+instances as premises.  The grid decisions above decide degree
+entailment; they take no part in it.
 """
 
 from __future__ import annotations
@@ -134,7 +136,10 @@ def big_valid(f: Formula) -> Verdict:
 # G2 (both variants)
 # ---------------------------------------------------------------------------
 
-_VARIANT_LANGS = {"G2ORD": ("G2ORD", "MCB"), "G2NEL": ("G2NEL", "NMCB")}
+#: The languages each variant decides.  MCB and NMCB are not among them: a
+#: C-atom is not a free twist value (the layer axioms constrain it), so
+#: their steps are decided by :func:`truth_preserved`.
+_VARIANT_LANGS = {"G2ORD": ("G2ORD",), "G2NEL": ("G2NEL",)}
 
 
 def g2_entails(variant: str, gamma: Sequence[Formula], f: Formula) -> Verdict:
@@ -275,39 +280,43 @@ def qg_entails(xi: Sequence[Formula], alpha: Formula, with_cap: bool = False) ->
 # Truth preservation: the outer logic of the Hilbert calculi
 # ---------------------------------------------------------------------------
 
-#: Nodes (one value given to one atom) the biG/QG search may visit before it
-#: gives up.  Capped searches took 0.7-2.5 s of CPU on a shared 2-core VM.
+#: Nodes (one value given to one coordinate) the search may visit before it
+#: gives up.  Capped searches over biG, QG, G2ORD and G2NEL theorems whose
+#: disjuncts read every coordinate took 1.2-1.7 s of CPU on a shared 2-core
+#: VM (python 3.11).
 _MAX_OUTER_NODES = 750_000
 
-#: Each twist language's delta: designated values stay, others go to the least.
-_TWIST_DELTA = {"G2ORD": "delta1", "MCB": "delta1", "G2NEL": "deltan", "NMCB": "deltan"}
+#: Each language's delta: designated values stay, others go to the least.
+_DELTA = {"BIG": "delta", "QG": "delta", "G2ORD": "delta1", "MCB": "delta1",
+          "G2NEL": "deltan", "NMCB": "deltan"}
 
 
 def truth_preserved(lang: str, premises: Sequence[Formula], target: Formula,
                     with_cap: bool = False) -> Verdict:
     """Decide whether ``target`` is designated wherever every premise is:
     value 1 in biG and QG, (1, 0) in G2ORD and MCB, truth 1 in G2NEL and
-    NMCB.  biG and QG run :func:`_outer_search`.  A twist language puts
-    each premise under its delta and decides degree entailment, as
-    Gamma |=_1 phi iff delta Gamma |= phi (Baaz 1996); MCB/NMCB add
-    value-forcing instances over their C-atoms.  A search or grid that is
-    too large raises a ValueError that states its size.
+    NMCB.  Every language runs :func:`_outer_search`; QG first merges and
+    saturates its atoms as :func:`qg_entails` does, and MCB/NMCB add
+    value-forcing layer-axiom instances over their C-atoms as premises.  A
+    search that grows too large raises a ValueError that states its size.
     """
     _check_langs([*premises, target], (lang,), f"a {lang} truth-preservation decision")
-    if lang in ("QG", "BIG"):
-        return _outer_search(lang, premises, target, with_cap)
-    if lang not in _TWIST_DELTA:
+    if lang not in _DELTA:
         raise ValueError(f"no truth-preservation decision for {lang}")
-    forced = [mk(lang, _TWIST_DELTA[lang], g) for g in premises]
-    if lang in ("MCB", "NMCB"):
-        forced += _layer_saturation(lang, [*premises, target])
-    return g2_entails("G2NEL" if _TWIST_DELTA[lang] == "deltan" else "G2ORD", forced, target)
+    if lang == "QG":
+        premises, target, keys, names = _qg_reduce(premises, target, with_cap)
+    else:
+        if lang in ("MCB", "NMCB"):
+            premises = [*premises, *_layer_saturation(lang, [*premises, target])]
+        keys = _atom_keys([*premises, target])
+        names = {key: key for key in keys}
+    return _outer_search(lang, premises, target, keys, names)
 
 
 def _layer_saturation(lang: str, formulas: Sequence[Formula]) -> list[Formula]:
     """The layer axioms' (``*_bd``, ``*_neg``) instances over the C-atoms present, under delta."""
     atoms = sorted(set().union(*map(syntax.modal_atoms, formulas)), key=print_formula)
-    force = _TWIST_DELTA[lang]
+    force = _DELTA[lang]
     imp, eq = ("simp", "siff") if lang == "NMCB" else ("gimp", "iff")
     sat: list[Formula] = []
     for a in atoms:
@@ -319,104 +328,165 @@ def _layer_saturation(lang: str, formulas: Sequence[Formula]) -> list[Formula]:
     return sat
 
 
-def _parts(f: Formula, kind: str) -> list[Formula]:
-    """The ``kind`` ("and" or "or") chain of ``f`` under any delta (1 only
-    at 1), <-> read as two implications: ``f`` takes value 1 exactly where
-    all of them do ("and"), or one of them does ("or")."""
-    if f.kind == "delta":
-        return _parts(f.children[0], kind)
-    if f.kind == "iff" and kind == "and":
+def _parts(f: Formula, kind: str, delta: str | None) -> list[Formula]:
+    """The ``kind`` ("and" or "or") chain of ``f`` under any ``delta``, with
+    <->, ==> and <==> read as conjunctions of implications.  ``f`` is
+    designated exactly where all its "and" parts are, and its value (biG,
+    QG) or truth (twist) is the top where that of one "or" part is.  The
+    truth of delta1 reads both coordinates, so a twist formula's "or" chain
+    is taken with ``delta`` None.
+    """
+    if f.kind == delta:
+        return _parts(f.children[0], kind, delta)
+    if kind == "and" and f.kind in ("iff", "simp", "siff"):
         f = syntax._expand(f.lang, f.kind, f.children)
     if f.kind == kind:
-        return [*_parts(f.children[0], kind), *_parts(f.children[1], kind)]
+        return [*_parts(f.children[0], kind, delta), *_parts(f.children[1], kind, delta)]
     return [f]
 
 
 def _outer_search(lang: str, premises: Sequence[Formula], target: Formula,
-                  with_cap: bool) -> Verdict:
-    """Decide biG or QG truth preservation by a pruned search over ranks.
+                  keys: Sequence, names: Mapping[str, object]) -> Verdict:
+    """Decide truth preservation by a pruned search over order types.
 
-    Atoms take the integer ranks 0..k+1 of the biG grid for k atoms, rank
-    k+1 standing for 1; QG atoms are merged and saturated as for
-    :func:`qg_entails`.  Premises and target are cut into their conjuncts,
-    and each conjunct of the target is searched for on its own.  The search
-    gives the atoms values one at a time and evaluates each premise and
-    each disjunct of the target conjunct, compiled once, as soon as its
-    last atom has a value: a premise below the top or a disjunct at the top
-    closes the branch, so a completed valuation refutes the step.  A fails
-    verdict carries it, keyed like ``qg_entails``' witness.  Searches that
-    visit more than ``_MAX_OUTER_NODES`` nodes in all raise a ValueError
-    that states their size.
+    The search gives the coordinates one at a time a value on the chain of
+    values given so far: 0, the top, a value already on it, or a new value
+    strictly inside a gap between two of its neighbours.  Only the order
+    of values matters in Goedel logic and its twist products (Dummett
+    1959), so each order type of the coordinates is visited once.  A biG or
+    QG atom has one coordinate; a twist atom has a truth and a falsity
+    coordinate on the same chain.  Ranks are spaced integers, the top
+    being 2^n for n coordinates, so n bisections always fit.
+
+    Premises and target are cut into their conjuncts, and each conjunct
+    of the target is searched for on its own: a valuation that designates
+    every premise and leaves the conjunct's value (biG, QG) or truth
+    (twist) below the top.  In G2ORD and MCB a falsity above 0 also leaves
+    a conjunct undesignated, but the truth is enough: reading each atom's
+    (t, f) as (top - f, top - t) reads every value (t, f) as
+    (top - f, top - t), designated values included, so a valuation with
+    the falsity above 0 gives one with the truth below the top.
+
+    Each premise and each disjunct of the target conjunct is compiled once
+    and read as soon as the coordinates it reads have values: a premise
+    not designated (in G2ORD and MCB, by its truth or by its falsity) or a
+    disjunct at the top closes the branch, so a completed valuation
+    refutes the step.  A fails verdict carries it on the grid i/(k+1)
+    (biG, QG) or i/(2k+1) (twist) for k atoms, the i-th least value
+    strictly between 0 and the top standing for i, keyed by ``names``
+    (each witness key mapped to its atom's key in ``keys``).  Searches
+    that visit more than ``_MAX_OUTER_NODES`` nodes in all raise a
+    ValueError that states the size of that grid.
     """
-    if lang == "QG":
-        premises, target, keys, names = _qg_reduce(premises, target, with_cap)
-        atoms_of = syntax.modal_atoms
-    else:
-        keys = sorted(set().union(*map(syntax.vars_of, [*premises, target])))
-        names = {key: key for key in keys}
-        atoms_of = syntax.vars_of
+    twist = lang not in ("BIG", "QG")
+    nelson = lang in ("G2NEL", "NMCB")
     k = len(keys)
-    top = k + 1
+    coords = range(2 * k) if twist else range(0, 2 * k, 2)
+    n = len(coords)
+    top = 1 << n
+    d = 2 * k + 1 if twist else k + 1
     slots = {key: i for i, key in enumerate(keys)}
+    delta = _DELTA[lang]
 
-    def test(g: Formula, goal: bool) -> tuple:
-        """A premise or (``goal``) a target disjunct, compiled, with its atoms' slots."""
-        return algebra.compile_twist(g, slots, top, False), goal, {slots[a] for a in atoms_of(g)}
+    def test(g: Formula) -> tuple:
+        """``g`` compiled, with the coordinates its truth and its falsity read."""
+        return algebra.compile_twist(g, slots, top, nelson), \
+            algebra.coordinates_read(g, slots, nelson)
 
-    # reg instances come plain and under delta: one copy is enough
-    premise_tests = [test(p, False) for p in dict.fromkeys(p for g in premises for p in _parts(g, "and"))]
-    pairs = [(r, 0) for r in range(top + 1)]
-    values = [pairs[0]] * k
+    # (evaluator, 0 for a truth check or 1 for a falsity check, coordinates)
+    premise_tests = []
+    for ev, (truth, falsity) in map(test, dict.fromkeys(
+            p for g in premises for p in _parts(g, "and", delta))):
+        premise_tests.append((ev, 0, truth))
+        if lang in ("G2ORD", "MCB"):
+            premise_tests.append((ev, 1, falsity))
+    values = [(0, 0)] * k
     nodes = 0
+    successors: dict[tuple, list] = {}
 
     def refutes(part: Formula) -> bool:
-        """Whether some valuation gives every premise 1 and ``part`` less,
-        that is, every disjunct of ``part`` less."""
-        tests = [*premise_tests, *(test(g, True) for g in _parts(part, "or"))]
-        # greedy order: next the atom that completes the most tests, then
-        # the one that occurs in the most open ones
+        """Whether some valuation designates every premise and leaves the
+        value, or truth, of every disjunct of ``part`` below the top."""
+        tests = [*premise_tests, *((ev, 2, truth) for ev, (truth, _) in
+                                   map(test, _parts(part, "or", None if twist else delta)))]
+        # greedy order: next the coordinate that completes the most tests,
+        # then the one that occurs in the most open ones
         order: list[int] = []
-        pending = [set(d) for _, _, d in tests]
-        while len(order) < k:
-            best = max((s for s in range(k) if s not in order),
-                       key=lambda s: (sum(d == {s} for d in pending), sum(s in d for d in pending), -s))
+        pending = [set(c) for _, _, c in tests]
+        while len(order) < n:
+            best = max((c for c in coords if c not in order),
+                       key=lambda c: (sum(p == {c} for p in pending), sum(c in p for p in pending), -c))
             order.append(best)
-            for d in pending:
-                d.discard(best)
-        depth_of = {s: i + 1 for i, s in enumerate(order)}
-        # checks[d] / goals[d]: the premises / disjuncts whose last atom is
-        # the d-th one given a value
-        checks: list[list] = [[] for _ in range(k + 1)]
-        goals: list[list] = [[] for _ in range(k + 1)]
-        for ev, goal, d in tests:
-            (goals if goal else checks)[max(map(depth_of.get, d), default=0)].append(ev)
+            for p in pending:
+                p.discard(best)
+        depth_of = {c: i + 1 for i, c in enumerate(order)}
+        # truths[d] / falsities[d] / goals[d]: the premise checks / target
+        # disjuncts whose last coordinate is the d-th one given a value
+        truths: list[list] = [[] for _ in range(n + 1)]
+        falsities: list[list] = [[] for _ in range(n + 1)]
+        goals: list[list] = [[] for _ in range(n + 1)]
+        for ev, role, c in tests:
+            (truths, falsities, goals)[role][max(map(depth_of.get, c), default=0)].append(ev)
+        at = [(c >> 1, c & 1) for c in order]
 
-        def extends(depth: int) -> bool:
-            """Whether the values of order[:depth] extend to a refutation."""
+        def extends(depth: int, chain: tuple) -> bool:
+            """Whether the values of order[:depth], on ``chain``, extend to a refutation."""
             nonlocal nodes
-            for ev in checks[depth]:
+            for ev in truths[depth]:
                 if ev(values)[0] != top:
+                    return False
+            for ev in falsities[depth]:
+                if ev(values)[1]:
                     return False
             for ev in goals[depth]:
                 if ev(values)[0] == top:
                     return False
-            if depth == k:
+            if depth == n:
                 return True
-            for pair in pairs:
+            slot, falsity = at[depth]
+            other = values[slot][1 - falsity]
+            steps = successors.get(chain)
+            if steps is None:
+                steps = successors[chain] = _chain_steps(chain)
+            for x, longer in steps:
                 nodes += 1
                 if nodes > _MAX_OUTER_NODES:
                     raise ValueError(
                         f"outer step undecided: the search over {k} atoms stopped after "
-                        f"{nodes - 1:,} nodes of a {(k + 2) ** k:,}-point grid")
-                values[order[depth]] = pair
-                if extends(depth + 1):
+                        f"{nodes - 1:,} nodes of a {(d + 1) ** n:,}-point grid")
+                values[slot] = (other, x) if falsity else (x, other)
+                if extends(depth + 1, longer):
                     return True
             return False
 
-        return extends(0)
+        return extends(0, (0, top))
 
-    for part in dict.fromkeys(_parts(target, "and")):
+    for part in dict.fromkeys(_parts(target, "and", delta)):
         if refutes(part):
-            return Verdict("fails", {name: Fraction(values[slots[key]][0], top)
-                                     for name, key in names.items()})
+            return Verdict("fails", _on_grid(values, names, slots, top, d, twist))
     return HOLDS
+
+
+def _chain_steps(chain: tuple) -> list[tuple[int, tuple]]:
+    """The values a coordinate may take on ``chain`` (sorted, 0 and the top
+    at its ends), in increasing order, each with the chain it leaves: every
+    value on the chain, and the midpoint of each gap."""
+    steps = []
+    for i, x in enumerate(chain):
+        if i:
+            mid = (chain[i - 1] + x) >> 1
+            steps.append((mid, chain[:i] + (mid,) + chain[i:]))
+        steps.append((x, chain))
+    return steps
+
+
+def _on_grid(values: Sequence[tuple[int, int]], names: Mapping[str, object],
+             slots: Mapping, top: int, d: int, twist: bool) -> dict:
+    """The spaced ranks ``values`` as a witness on the grid i/d: 0 and the
+    top stay, the i-th least value between them becomes i/d."""
+    used = {x for pair in values for x in (pair if twist else pair[:1])}
+    grid_of = {0: Fraction(0), top: ONE,
+               **{x: Fraction(i, d) for i, x in enumerate(sorted(used - {0, top}), 1)}}
+    if twist:
+        return {name: TwistValue(*map(grid_of.get, values[slots[key]])) for name, key in names.items()}
+    return {name: grid_of[values[slots[key]][0]] for name, key in names.items()}

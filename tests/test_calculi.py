@@ -11,7 +11,7 @@ import oracles
 from qublogic import calculi, decide, measures, qp
 from qublogic.calculi import (CALC_LANG, Derivation, check_derivation, cpl_valid,
                               match_axiom, match_sequent_axiom, qp_tautology, truth_table)
-from qublogic.syntax import RESERVED_VAR, mk, parse, print_formula, var, vars_of
+from qublogic.syntax import RESERVED_VAR, mk, modal_atoms, parse, print_formula, var, vars_of
 
 DATA = pathlib.Path(__file__).parent / "data"
 FIXTURES = ("deriv_a0_translation.json", "deriv_additivity.json", "deriv_reg.json")
@@ -502,7 +502,7 @@ def _hg2ord_steps():
     steps = [
         ("(p -> q) | (q -> p)", {"outer": []}, None),
         ("(p -> q) | (q -> r) | (r -> s)", {"outer": []},
-         "twist grid decision over 4 atoms (> 3): 100,000,000 grid points"),
+         "not an outer-logic consequence of the cited steps"),
     ]
     obj = {"calculus": "HG2ORD", "steps": [{"formula": f, "just": j} for f, j, _ in steps]}
     return Derivation.from_json(obj), [r for _, _, r in steps]
@@ -811,6 +811,42 @@ def test_outer_search_cap_fails_the_step(monkeypatch):
     assert check_derivation("HBIG", deriv).steps[0]["reason"] == reason
 
 
+@pytest.mark.parametrize("k,nodes", [(2, 14), (3, 65), (4, 364)])
+def test_outer_search_visits_each_order_type_once(monkeypatch, k, nodes):
+    # nothing prunes this theorem before its leaves, so the search visits
+    # each order type of j = 1..k atoms between 0 and 1 once: 3, 11, 51
+    # and 299 of them
+    atoms = "abcd"[:k]
+    target = parse("BIG", f"({' & '.join(atoms)}) -> ({' | '.join(atoms)})")
+    monkeypatch.setattr(decide, "_MAX_OUTER_NODES", nodes)
+    assert decide.truth_preserved("BIG", [], target).holds
+    monkeypatch.setattr(decide, "_MAX_OUTER_NODES", nodes - 1)
+    with pytest.raises(ValueError, match=f"^outer step undecided: the search over {k} atoms "
+                                         f"stopped after {nodes - 1} nodes of a "
+                                         f"{(k + 2) ** k:,}-point grid$"):
+        decide.truth_preserved("BIG", [], target)
+
+
+@pytest.mark.parametrize("lang,premise,target", [
+    # only p = q strictly between 0 and 1 refutes: q takes a value already
+    # on the chain
+    ("BIG", "p <-> q", "delta p | snot p"),
+    # only q = (1, f) with 0 < f < 1 refutes: the truth of delta1 q is not
+    # that of q
+    ("G2ORD", "p | q", "delta1 q | p"),
+])
+def test_outer_search_finds_refutations_that_need_a_value_on_the_chain(lang, premise, target):
+    premises, target = [parse(lang, premise)], parse(lang, target)
+    verdict = decide.truth_preserved(lang, premises, target)
+    assert not verdict.holds
+    if lang == "BIG":
+        _check_refutation("HBIG", premises, target, verdict.witness)
+    else:
+        top = 2 * len(verdict.witness) + 1
+        env = {key: (int(v.truth * top), int(v.falsity * top)) for key, v in verdict.witness.items()}
+        assert _refutes_by_ranks(lang, premises, target, env, top), verdict.witness
+
+
 def test_outer_steps_decide_truth_preservation():
     # B(p) |=_1 delta B(p), though B(p) does not entail delta B(p) by degree;
     # likewise for each twist calculus and its delta
@@ -861,8 +897,9 @@ _TWIST_SHAPES = ("{a} {i} {b}", "{a} {c} {b}", "{a} & {b}", "{a} | {b}", "{a}", 
 def _designated(lang, g, env, top):
     """Whether ``g`` is designated on the rank chain 0..top: (top, 0), or
     truth top in the Nelson variant."""
-    value = oracles.chain_eval_g2(g, env, top, lang == "G2NEL")
-    return value[0] == top if lang == "G2NEL" else value == (top, 0)
+    nelson = lang in ("G2NEL", "NMCB")
+    value = oracles.chain_eval_g2(g, env, top, nelson)
+    return value[0] == top if nelson else value == (top, 0)
 
 
 def _refutes_by_ranks(lang, premises, target, env, top):
@@ -912,8 +949,95 @@ def test_twist_truth_preservation_agrees_with_rank_brute_force():
     assert seen.count(("holds", False)) >= 5, seen
 
 
-def test_twist_outer_step_over_too_many_atoms_states_its_grid():
-    target = parse("G2ORD", "(p -> q) | (q -> r) | (r -> s)")
-    ok, reason = calculi._outer_step_ok("HG2ORD", [], [], target)
-    assert not ok
-    assert reason == "twist grid decision over 4 atoms (> 3): 100,000,000 grid points"
+def test_twist_outer_steps_over_four_atoms_are_decided(monkeypatch):
+    # past the twist grid decision's 3 atoms
+    theorem = parse("G2ORD", "(p -> q) | (q -> r) | (r -> s) | (s -> p)")
+    assert calculi._outer_step_ok("HG2ORD", [], [], theorem) == (True, "outer-logic consequence")
+    assert calculi._outer_step_ok("HG2ORD", [], [], parse("G2ORD", "(p -> q) | (q -> r) | (r -> s)")) \
+        == (False, "not an outer-logic consequence of the cited steps")
+    # each disjunct's truth reads all 6 coordinates, so nothing prunes
+    # before the leaves; the cap states the (2k+2)^(2k) grid of k atoms
+    monkeypatch.setattr(decide, "_MAX_OUTER_NODES", 1000)
+    target = parse("G2ORD", "((p | neg p | q) -> (neg q | r | neg r)) | "
+                          "((neg q | r | neg r) -> (p | neg p | q))")
+    reason = ("outer step undecided: the search over 3 atoms stopped after "
+              "1,000 nodes of a 262,144-point grid")
+    assert calculi._outer_step_ok("HG2ORD", [], [], target) == (False, reason)
+    deriv = Derivation.from_json({"calculus": "HG2ORD", "steps": [
+        {"formula": print_formula(target), "just": {"outer": []}}]})
+    assert check_derivation("HG2ORD", deriv).steps[0]["reason"] == reason
+
+
+_LAYER_ATOMS = [f"C({t})" for t in ("p", "q", "p | q", "p & q", "neg p", "neg (p | q)",
+                                    "neg p & neg q", "neg neg p")]
+
+
+def _as_variables(f, variant, names):
+    """``f`` in the language ``variant``, each C-atom renamed to the variable ``names`` gives it."""
+    if f.kind == "cmod":
+        return var(variant, names[print_formula(f)])
+    if f.kind == "var":
+        return var(variant, f.var)
+    return mk(variant, f.kind, *(_as_variables(c, variant, names) for c in f.children))
+
+
+def _delta_grid_premises(lang, premises, target):
+    """The premises under the language's delta and, in MCB/NMCB, the layer
+    axioms' instances over the C-atoms present."""
+    delta = "deltan" if lang in ("G2NEL", "NMCB") else "delta1"
+    forced = [mk(lang, delta, g) for g in premises]
+    if lang in ("MCB", "NMCB"):
+        forced += decide._layer_saturation(lang, [*premises, target])
+    return forced
+
+
+def _delta_grid_verdict(lang, premises, target):
+    """Truth preservation by the twist grid decision: degree entailment
+    from the delta-guarded premises and layer instances (Gamma |=_1 phi
+    iff delta Gamma |= phi; Baaz 1996), C-atoms renamed to variables."""
+    variant = "G2NEL" if lang in ("G2NEL", "NMCB") else "G2ORD"
+    forced = _delta_grid_premises(lang, premises, target)
+    atoms = sorted({print_formula(a) for g in [*forced, target] for a in modal_atoms(g)})
+    names = {a: f"c{i}" for i, a in enumerate(atoms)}
+    return decide.g2_entails(variant, [_as_variables(g, variant, names) for g in forced],
+                             _as_variables(target, variant, names)).status
+
+
+def test_twist_outer_search_agrees_with_the_delta_grid_decision():
+    # twist steps over at most 3 atoms, C-atoms for MCB/NMCB, against the
+    # grid decision that decided them before the order-type search; most
+    # take 2 atoms, whose grid has 4,096 points rather than 262,144
+    rng = random.Random(29)
+    seen, sizes = [], []
+    while len(seen) < 160:
+        lang = ("G2ORD", "G2NEL", "MCB", "NMCB")[len(seen) % 4]
+        nelson = lang in ("G2NEL", "NMCB")
+        tokens = {"i": "~>", "c": "o-", "d": "deltaN"} if nelson else \
+            {"i": "->", "c": "-<", "d": "delta1"}
+        atoms = rng.sample(_LAYER_ATOMS, 3) if lang in ("MCB", "NMCB") else ["p", "q", "r"]
+        atoms = atoms[:3 if rng.random() < 0.4 else 2]
+
+        def formula():
+            a, b = rng.choice([(a, b) for a in atoms for b in atoms])
+            return parse(lang, rng.choice(_TWIST_SHAPES).format(a=a, b=b, **tokens))
+
+        premises = [formula() for _ in range(rng.randint(0, 2))]
+        target = rng.choice(premises) if premises and rng.random() < 0.2 else formula()
+        verdict = decide.truth_preserved(lang, premises, target)
+        assert verdict.status == _delta_grid_verdict(lang, premises, target), \
+            (lang, [print_formula(g) for g in premises], print_formula(target))
+        if not verdict.holds:
+            # on the grid i/(2k+1), read back as ranks: the premises and
+            # layer instances designated, the target not
+            top = 2 * len(verdict.witness) + 1
+            env = {key: (int(v.truth * top), int(v.falsity * top))
+                   for key, v in verdict.witness.items()}
+            assert all((x * top).denominator == 1 for v in verdict.witness.values() for x in v)
+            assert _refutes_by_ranks(lang, _delta_grid_premises(lang, premises, target),
+                                     target, env, top), verdict.witness
+        seen.append((lang, verdict.status))
+        sizes.append(len(set().union(*map(vars_of, [*premises, target]),
+                                     *map(modal_atoms, [*premises, target]))))
+    for lang in ("G2ORD", "G2NEL", "MCB", "NMCB"):
+        assert seen.count((lang, "holds")) >= 8 and seen.count((lang, "fails")) >= 8, seen
+    assert sizes.count(3) >= 10, sizes

@@ -11,8 +11,8 @@ import pytest
 from helpers import gen_g2
 
 from qublogic import calculi, cli, decide, measures
-from qublogic.algebra import (ONE, TwistValue, UnboundVariableError, compile_twist, eval_big,
-                              eval_g2)
+from qublogic.algebra import (ONE, TwistValue, UnboundVariableError, compile_twist,
+                              coordinates_read, eval_big, eval_g2)
 from qublogic.decide import (Verdict, big_entails, big_valid, g2_entails, g2_valid, grid,
                              qg_entails, qg_merge_atoms, qg_saturation)
 from qublogic.syntax import (BINARY_KINDS, NULLARY_KINDS, PRIMITIVE_KINDS, SUGAR_KINDS,
@@ -86,6 +86,12 @@ def test_g2_witnesses_refute():
 def test_g2_variant_mismatch():
     with pytest.raises(LanguageError):
         g2_entails("G2ORD", [], parse("G2NEL", "p ~> p"))
+    # C-atoms are not free twist values: the grid would refute this
+    # mcb_bd instance with C(p) = (1/5, 0) and C(p | q) = (0, 0)
+    with pytest.raises(LanguageError):
+        g2_entails("G2ORD", [], parse("MCB", "C(p) -> C(p | q)"))
+    with pytest.raises(LanguageError):
+        g2_entails("G2NEL", [], parse("NMCB", "C(p) ==> C(p | q)"))
 
 
 def test_qg_entails_examples():
@@ -238,6 +244,63 @@ def test_eval_g2_matches_the_chain_oracle_on_scaled_ranks(lang):
             assert all(type(x) is F for x in value), (print_formula(f), value)
 
 
+@pytest.mark.parametrize("lang", [*sorted(_TWIST_LANGS), "QG"])
+def test_coordinates_read_covers_what_the_compiled_value_reads(lang):
+    """Changing a coordinate that coordinates_read does not list for the
+    truth (falsity) of a formula leaves its compiled truth (falsity) as it
+    is; the lists are exact on atoms."""
+    nelson = _TWIST_LANGS.get(lang) == "G2NEL"
+    if lang == "QG":
+        atoms = [parse("QG", "B(p)"), parse("QG", "B(q)")]
+        keys = [print_formula(a) for a in atoms]
+        formulas = [*atoms, *(mk("QG", kind, *atoms[:n]) for kind, n in (
+            ("top", 0), ("bot", 0), ("snot", 1), ("delta", 1), ("and", 2), ("or", 2),
+            ("gimp", 2), ("gcoimp", 2), ("iff", 2)))]
+    else:
+        keys, formulas = _one_of_each_kind(lang)
+    if lang in ("G2ORD", "G2NEL"):
+        formulas += random.Random(3).sample(gen_g2(lang, max_depth=3), 80)
+    slots = {key: i for i, key in enumerate(keys)}
+    rng = random.Random(7)
+    top = 4
+    for f in formulas:
+        ev = compile_twist(f, slots, top, nelson)
+        reads = coordinates_read(f, slots, nelson)
+        if f.kind in ("var", "cmod", "bmod"):
+            slot = slots[print_formula(f) if f.kind != "var" else f.var]
+            assert reads == ({2 * slot}, {2 * slot + 1})
+        for _ in range(40):
+            coords = [rng.randint(0, top) for _ in range(2 * len(keys))]
+            c = rng.randrange(len(coords))
+            changed = list(coords)
+            changed[c] = rng.randint(0, top)
+            pair, pair2 = (ev([tuple(v[2 * i:2 * i + 2]) for i in range(len(keys))])
+                           for v in (coords, changed))
+            for side in (0, 1):
+                assert c in reads[side] or pair[side] == pair2[side], \
+                    (print_formula(f), side, coords, changed)
+
+
+@pytest.mark.parametrize("lang", ["G2ORD", "MCB"])
+def test_ordered_twist_values_mirror_under_the_dual_valuation(lang):
+    """Reading every atom's (t, f) as (top - f, top - t) reads the value
+    (t, f) of every G2ORD/MCB formula as (top - f, top - t): designated
+    values stay designated, and a falsity above 0 becomes a truth below
+    the top.  So the outer-step search need not search falsities."""
+    keys, formulas = _one_of_each_kind(lang)
+    if lang == "G2ORD":
+        formulas += random.Random(4).sample(gen_g2(lang, max_depth=3), 80)
+    rng = random.Random(9)
+    for f in formulas:
+        for top in (1, 3, 6):
+            for _ in range(20):
+                env = {key: (rng.randint(0, top), rng.randint(0, top)) for key in keys}
+                dual = {key: (top - fl, top - t) for key, (t, fl) in env.items()}
+                t, fl = oracles.chain_eval_g2(f, env, top, False)
+                assert oracles.chain_eval_g2(f, dual, top, False) == (top - fl, top - t), \
+                    (print_formula(f), env)
+
+
 def test_compile_twist_needs_a_slot_per_atom():
     with pytest.raises(UnboundVariableError):
         compile_twist(parse("G2ORD", "p -> q"), {"p": 0}, 3, False)
@@ -303,6 +366,23 @@ def test_calculi_leaves_outer_decisions_to_decide():
     modules = [name for n in ast.walk(decide_tree) if isinstance(n, (ast.Import, ast.ImportFrom))
                for name in [getattr(n, "module", None) or "", *(a.name for a in n.names)]]
     assert not [m for m in modules if "calculi" in m], modules
+
+
+def test_truth_preserved_has_one_route():
+    """truth_preserved reaches no grid decision, directly or through the
+    functions of decide that it calls."""
+    tree = ast.parse(pathlib.Path(decide.__file__).read_text())
+    defs = {n.name: n for n in tree.body if isinstance(n, ast.FunctionDef)}
+    reached, todo = set(), ["truth_preserved"]
+    while todo:
+        name = todo.pop()
+        reached.add(name)
+        called = {n.func.id for n in ast.walk(defs[name])
+                  if isinstance(n, ast.Call) and isinstance(n.func, ast.Name)}
+        todo += [c for c in called & defs.keys() if c not in reached]
+    assert "_outer_search" in reached and "_qg_reduce" in reached, reached
+    assert not reached & {"g2_entails", "g2_valid", "big_entails", "big_valid", "qg_entails"}, \
+        reached
 
 
 def test_refusals_state_the_grid_size(capsys):
