@@ -831,11 +831,11 @@ def test_outer_search_visits_each_order_type_once(monkeypatch, k, nodes):
     # only p = q strictly between 0 and 1 refutes: q takes a value already
     # on the chain
     ("BIG", "p <-> q", "delta p | snot p"),
-    # only q = (1, f) with 0 < f < 1 refutes: the truth of delta1 q is not
-    # that of q
+    # every refutation gives p or q the truth 1 and a falsity above 0: read
+    # as q's truth, the truth of delta1 q would close every branch
     ("G2ORD", "p | q", "delta1 q | p"),
 ])
-def test_outer_search_finds_refutations_that_need_a_value_on_the_chain(lang, premise, target):
+def test_outer_search_refutes_steps_whose_refutations_are_few(lang, premise, target):
     premises, target = [parse(lang, premise)], parse(lang, target)
     verdict = decide.truth_preserved(lang, premises, target)
     assert not verdict.holds
