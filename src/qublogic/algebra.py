@@ -41,8 +41,16 @@ def unit(value) -> Fraction:
     return q
 
 
+def parse_fraction(value) -> Fraction:
+    """An exact rational read from JSON: a string or a number, else a
+    ValueError."""
+    if isinstance(value, bool) or not isinstance(value, (str, int, float)):
+        raise ValueError(f"expected a number, not {value!r}")
+    return Fraction(value)
+
+
 def parse_unit(text: str) -> Fraction:
-    return unit(Fraction(text))
+    return unit(parse_fraction(text))
 
 
 class TwistValue(NamedTuple):
@@ -60,7 +68,7 @@ def twist(truth, falsity) -> TwistValue:
 
 def parse_twist(pair) -> TwistValue:
     a, b = pair
-    return twist(Fraction(a), Fraction(b))
+    return twist(parse_fraction(a), parse_fraction(b))
 
 
 def format_twist(v: TwistValue) -> list[str]:

@@ -94,7 +94,9 @@ def _mask_to_list(mask: int) -> list[int]:
     return [i for i in range(mask.bit_length()) if mask >> i & 1]
 
 
-def _list_to_mask(states: Iterable[int]) -> int:
+def _list_to_mask(states: Sequence[int]) -> int:
+    if not isinstance(states, (list, tuple)) or not all(type(s) is int and s >= 0 for s in states):
+        raise ValueError(f"a state set is a list of state numbers, not {states!r}")
     mask = 0
     for s in states:
         mask |= 1 << s
@@ -155,7 +157,7 @@ def support_table(m: BDModel, formulas: Iterable[Formula]) -> dict[Formula, tupl
 def support(m: BDModel, s: int, f: Formula) -> tuple[bool, bool]:
     """Positive and negative support of ``f`` at state ``s``."""
     if not 0 <= s < m.states:
-        raise IndexError(f"state {s} out of range")
+        raise ValueError(f"state {s} out of range")
     p, n = truth_sets(m, f)
     return bool(p >> s & 1), bool(n >> s & 1)
 

@@ -3,13 +3,15 @@ proof checking.
 
 Axiom schemas are stored as patterns with metavariables and matched against
 desugared formulas; side conditions (classical provability, BD validity)
-are discharged by the exact oracles.  A derivation is checked by one loop
-for every calculus, which asks the proof system's step function (Hilbert or
-sequent) why each step fails, if it does; citations and axiom parameters
-each have one reader, and a justification they cannot read fails its step
-as malformed.  Derivations may use coarse
-"outer-logic" steps the way research papers do.  Each is decided by truth
-preservation, the relation modus ponens derives, through
+are discharged by the exact oracles.  KPS_m and A4_m, indexed by m and
+two formula lists, are the rows of one table, :data:`FAMILIES`, that
+matching, building from a step's parameters and checking read.  A
+derivation is checked by one loop for every calculus, which asks the proof
+system's step function (Hilbert or sequent) why each step fails, if it
+does; citations and axiom parameters each have one reader, and a
+justification they cannot read fails its step as malformed.  Derivations
+may use coarse "outer-logic" steps the way research papers do.  Each is
+decided by truth preservation, the relation modus ponens derives, through
 :func:`qublogic.decide.truth_preserved`, one search for every calculus; a
 step whose search reaches its node cap fails with a reason that states the
 search's size.
@@ -40,9 +42,6 @@ _IMP_KIND = {
     "HG2NEL": "nimp", "HNMCB": "nimp",
     "HQP": "matimp",
 }
-
-MAX_KPS_M = 4
-
 
 # ---------------------------------------------------------------------------
 # Classical and BD oracles
@@ -118,7 +117,7 @@ def _match(pattern: Formula, cand: Formula, binding: dict[str, Formula], made: s
             return False
         seen = binding.get(pattern.var)
         if seen is not None:
-            return seen == cand or desugar(seen) == desugar(cand)
+            return _same(seen, cand, sugar=True)
         if written is None:
             binding[pattern.var] = cand
         else:
@@ -302,72 +301,73 @@ def schema_table(calc: str) -> list[Schema]:
     return []
 
 
-def _flatten_and(f: Formula) -> list[Formula]:
-    """Left-associated conjunction chain as a list."""
-    parts: list[Formula] = []
-    while f.kind == "and":
-        parts.append(f.children[1])
-        f = f.children[0]
-    parts.append(f)
-    parts.reverse()
-    return parts
+@dataclass(frozen=True)
+class Family:
+    """A schema indexed by m and two lists of ``lang`` formulas: their
+    E-notation and the compared pairs of all but their last entries imply
+    the last entries compared the other way round."""
+    calculi: tuple[str, ...]
+    lang: str
+    min_m: int
+    max_m: int
+    keys: tuple[str, str]
+    build: Callable[[int, Sequence[Formula], Sequence[Formula]], Formula]
+    pair: Formula  # pattern of one compared pair over the metavariables mv_x, mv_y
 
 
-def _match_kps(f: Formula) -> tuple[str, dict] | None:
-    """Recognize canonical KPS_m instances for m <= MAX_KPS_M."""
-    if f.kind != "gimp":
+#: KPS_m (lists indexed 0..m) and the comparison schemas A4_m (1..m)
+FAMILIES = {
+    "KPS": Family(("HQPG", "HQPG_TOP"), "CPL", 0, 4, ("phis", "chis"), qp.kps_instance,
+                  desugar(parse("QG", "delta (B(mv_x) -> B(mv_y))"))),
+    "A4": Family(("HQP",), "QP", 1, 5, ("phis", "psis"), qp.a4_instance,
+                 parse("QP", "mv_x <= mv_y")),
+}
+
+
+def _same(f: Formula, g: Formula, sugar: bool = False) -> bool:
+    """``f == g``, or with ``sugar`` ``desugar(f) == desugar(g)``, by an
+    explicit stack: the E-notation chains of KPS_4 and A4_5 nest deeper
+    than ``Formula.__eq__`` and :func:`desugar` can recurse."""
+    stack = [(f, g)]
+    while stack:
+        a, b = stack.pop()
+        if a is b:
+            continue
+        if sugar:
+            a, b = (syntax._expand(x.lang, x.kind, x.children)
+                    if x.kind in syntax.SUGAR_KINDS[x.lang] else x for x in (a, b))
+        if (a.kind, a.var, a.lang, len(a.children)) != (b.kind, b.var, b.lang, len(b.children)):
+            return False
+        stack.extend(zip(a.children, b.children))
+    return True
+
+
+def _read_family(fam: Family, f: Formula) -> dict | None:
+    """The parameters of ``f`` as an instance of the family, if it is one:
+    read the compared pairs, rebuild the instance from them and compare."""
+    if len(f.children) != 2:
         return None
-    concl = f.children[1]
-    if not (concl.kind == "delta" and concl.children[0].kind == "gimp"
-            and all(c.kind == "bmod" for c in concl.children[0].children)):
+    parts = []
+    g = f.children[0]
+    while g.kind == "and":
+        parts.append(g.children[1])
+        g = g.children[0]
+    m = len(parts) + fam.min_m
+    if m > fam.max_m:
         return None
-    parts = _flatten_and(f.children[0])
-    m = len(parts) - 1
-    if m > MAX_KPS_M or m < 0:
-        return None
-    phis: list[Formula] = []
-    chis: list[Formula] = []
-    for part in parts[1:]:
-        if not (part.kind == "delta" and part.children[0].kind == "gimp"
-                and all(c.kind == "bmod" for c in part.children[0].children)):
+    pairs = []
+    for part in [*reversed(parts), f.children[1]]:
+        binding: dict[str, Formula] = {}
+        if not _match(fam.pair, part, binding, set()):
             return None
-        phis.append(part.children[0].children[0].children[0])
-        chis.append(part.children[0].children[1].children[0])
-    chis.append(concl.children[0].children[0].children[0])
-    phis.append(concl.children[0].children[1].children[0])
+        pairs.append((binding["mv_x"], binding["mv_y"]))
+    pairs[-1] = pairs[-1][::-1]  # the conclusion compares the last entries reversed
+    firsts, seconds = ([pair[i] for pair in pairs] for i in (0, 1))
     try:
-        rebuilt = qp.kps_instance(m, phis, chis)
+        rebuilt = fam.build(m, firsts, seconds)
     except (ValueError, LanguageError):
         return None
-    if rebuilt == f:
-        return "KPS", {"m": m, "phis": phis, "chis": chis}
-    return None
-
-
-def _match_a4(f: Formula) -> tuple[str, dict] | None:
-    if f.kind != "matimp" or f.children[1].kind != "leq":
-        return None
-    concl = f.children[1]
-    parts = _flatten_and(f.children[0])
-    m = len(parts)
-    if m > MAX_KPS_M + 1:
-        return None
-    phis: list[Formula] = []
-    psis: list[Formula] = []
-    for part in parts[1:]:
-        if part.kind != "leq":
-            return None
-        phis.append(part.children[0])
-        psis.append(part.children[1])
-    psis.append(concl.children[0])
-    phis.append(concl.children[1])
-    try:
-        rebuilt = qp.a4_instance(m, phis, psis)
-    except (ValueError, LanguageError):
-        return None
-    if rebuilt == f:
-        return "A4", {"m": m, "phis": phis, "psis": psis}
-    return None
+    return {"m": m, fam.keys[0]: firsts, fam.keys[1]: seconds} if _same(rebuilt, f) else None
 
 
 def _schema_matches(calc: str, f: Formula) -> Iterable[tuple[str, dict, set[str]]]:
@@ -388,34 +388,29 @@ def match_axiom(calc: str, f: Formula) -> tuple[str, dict] | None:
 
     Returns the schema name and the matching substitution: of the schemas
     ``f`` instantiates, the first whose substitution binds only
-    subformulas of ``f`` as written, else the first.  KPS and A4
-    instances are recognized in their canonical generated shape for
-    m <= 4 only; PC (for the QP calculus) matches any propositional
-    tautology over comparison-abstracted atoms.
+    subformulas of ``f`` as written, else the first.  An instance of a
+    family in :data:`FAMILIES` is recognized in the shape its builder
+    generates, up to the family's largest m, and returns the parameters
+    that build it (``m`` and the two lists); PC (for the QP calculus)
+    matches any propositional tautology over comparison-abstracted atoms.
     """
     if calc not in CALCULI:
         raise ValueError(f"unknown calculus {calc!r}")
     lang = CALC_LANG[calc]
     if f.lang != lang:
         raise LanguageError(f"{calc} checks {lang} formulas, got {f.lang}")
-    if calc == "RFDE":
-        return None
     matches = _schema_matches(calc, f)
     hit = next(matches, None)
     if hit and hit[2]:
         hit = next((m for m in matches if not m[2]), hit)
     if hit:
         return hit[:2]
-    if calc in ("HQPG", "HQPG_TOP"):
-        hit = _match_kps(f)
-        if hit:
-            return hit
-    if calc == "HQP":
-        hit = _match_a4(f)
-        if hit:
-            return hit
-        if qp_tautology(f):
-            return "PC", {}
+    for name, fam in FAMILIES.items():
+        params = _read_family(fam, f) if calc in fam.calculi else None
+        if params:
+            return name, params
+    if lang == "QP" and qp_tautology(f):
+        return "PC", {}
     return None
 
 
@@ -505,32 +500,32 @@ class CheckReport:
 
 
 def _axiom_from_params(calc: str, just: Mapping) -> Formula:
-    """Build the axiom instance (KPS/A4) that a justification names by
-    parameters: ``m`` and two lists of formulas, written beside ``axiom``,
-    which names the schema, or in an object under it, whose ``schema``
-    names it."""
+    """Build the instance of a family in :data:`FAMILIES` that a
+    justification names by parameters: ``m`` and the family's two lists of
+    formulas, written beside ``axiom``, which names the family, or in an
+    object under it, whose ``schema`` names it.  A ValueError if they
+    cannot be read or the calculus lacks the family."""
     axiom = just.get("axiom")
     params = {**just, **axiom} if isinstance(axiom, Mapping) else just
     name = params.get("schema") or params.get("axiom")
     name = name if isinstance(name, str) else None
-    if name == "KPS":
-        lang, bound, keys, build = "CPL", MAX_KPS_M, ("phis", "chis"), qp.kps_instance
-    elif name == "A4":
-        lang, bound, keys, build = "QP", MAX_KPS_M + 1, ("phis", "psis"), qp.a4_instance
-    else:
+    fam = FAMILIES.get(name)
+    if fam is None:
         raise ValueError(f"cannot build an instance of schema {name!r} from parameters")
     m = params.get("m")
     if m is not None and not isinstance(m, int):
         raise ValueError(f"{name} parameter 'm' is not a number: {m!r}")
-    if m is None or m > bound:
-        raise ValueError(f"{name} instances are recognized for m <= {bound} only")
+    if m is None or m > fam.max_m:
+        raise ValueError(f"{name} instances are recognized for m <= {fam.max_m} only")
     lists = []
-    for key in keys:
+    for key in fam.keys:
         texts = params[key]
         if not isinstance(texts, (list, tuple)) or not all(isinstance(t, str) for t in texts):
             raise ValueError(f"{name} parameter {key!r} is not a list of formulas: {texts!r}")
-        lists.append([parse(lang, t) for t in texts])
-    return build(m, *lists)
+        lists.append([parse(fam.lang, t) for t in texts])
+    if calc not in fam.calculi:
+        raise ValueError(f"{calc} has no {name} axioms")
+    return fam.build(m, *lists)
 
 
 def _justification(step: Step) -> dict:
@@ -572,7 +567,7 @@ def _hilbert_step(calc: str, steps: Sequence[Step], i: int, prem: Sequence,
             ok = hit is not None and (name in ("", "any") or hit[0] == name or any(
                 m[0] == name for m in _schema_matches(calc, f)))
             return (None if ok else f"not an instance of axiom {name!r}"), False
-        ok = _axiom_from_params(calc, just) == f
+        ok = _same(_axiom_from_params(calc, just), f)
         return (None if ok else "formula differs from the named axiom instance"), False
     if "mp" in just:
         refs = _cited(just, "mp", i)

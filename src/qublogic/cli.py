@@ -41,6 +41,8 @@ def _load_json(source: str):
 
 def _load_model(source: str):
     obj = _load_json(source)
+    if not isinstance(obj, dict):
+        raise ValueError(f"a model is a JSON object, not {obj!r}")
     if "weights" in obj:
         return qp.GardenforsModel.from_json(obj)
     if "order" in obj:
@@ -287,6 +289,7 @@ def _dispatch_kripke(args) -> int:
             constraints, valuation = kripke.model_to_valuation(model)
             return _emit({"constraints": constraints,
                           "valuation": algebra.twist_valuation_to_json(valuation)})
+        raise ValueError("kripke counterpart takes --valuation or --model")
     raise SystemExit(2)
 
 
@@ -398,6 +401,14 @@ def _dispatch_qp(args) -> int:
     raise SystemExit(2)
 
 
+def _param_json(value):
+    """A substitution value as a derivation step writes it: a formula as
+    text, a family's ``m`` as a number and its lists as lists of text."""
+    if isinstance(value, list):
+        return [syntax.print_formula(v) for v in value]
+    return value if isinstance(value, int) else syntax.print_formula(value)
+
+
 def _dispatch_prove(args) -> int:
     if args.what == "match-axiom":
         calc = args.calculus.upper()
@@ -407,7 +418,7 @@ def _dispatch_prove(args) -> int:
             return _emit({"matched": False}, 1)
         name, binding = hit
         return _emit({"matched": True, "schema": name,
-                      "substitution": {k: syntax.print_formula(v) for k, v in binding.items()}})
+                      "substitution": {k: _param_json(v) for k, v in binding.items()}})
     if args.what == "check":
         obj = _load_json(args.derivation)
         deriv = calculi.Derivation.from_json(obj)

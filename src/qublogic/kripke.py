@@ -143,7 +143,7 @@ def support_table(m: G2KripkeModel, formulas: Iterable[Formula]) -> dict[Formula
 def ksupport(m: G2KripkeModel, s: int, f: Formula) -> tuple[bool, bool]:
     """Positive and negative support of ``f`` at state ``s``."""
     if not 0 <= s < m.states:
-        raise IndexError(f"state {s} out of range")
+        raise ValueError(f"state {s} out of range")
     pos, neg = _support_masks(m)(f)
     return bool(pos >> s & 1), bool(neg >> s & 1)
 

@@ -38,7 +38,7 @@ from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from . import bd
-from .algebra import ONE, ZERO, RankPair, TwistValue, compile_twist, unit
+from .algebra import ONE, ZERO, RankPair, TwistValue, compile_twist, parse_fraction, unit
 from .syntax import Formula, LanguageError, mk, modal_atoms, print_formula, vars_of
 
 MAX_DENSE_STATES = 16
@@ -51,7 +51,7 @@ def _mask_key(mask: int) -> str:
 
 def _key_mask(key: str) -> int:
     body = key.strip()[1:-1].strip()
-    return bd._list_to_mask(int(part) for part in body.split(",")) if body else 0
+    return bd._list_to_mask([int(part) for part in body.split(",")]) if body else 0
 
 
 def _check_measure(states: int, mu: Mapping[int, Fraction]) -> None:
@@ -121,7 +121,7 @@ class UncertaintyModel:
         return cls(
             states=obj["states"],
             v={p: bd._list_to_mask(s) for p, s in obj.get("v", {}).items()},
-            mu={_key_mask(k): Fraction(q) for k, q in obj["mu"].items()},
+            mu={_key_mask(k): parse_fraction(q) for k, q in obj["mu"].items()},
         )
 
 
@@ -158,7 +158,7 @@ class BeliefModel:
             states=obj["states"],
             vplus={p: bd._list_to_mask(s) for p, s in obj.get("v", obj.get("vplus", {})).items()},
             vminus={p: bd._list_to_mask(s) for p, s in obj.get("vminus", {}).items()},
-            pi={_key_mask(k): Fraction(q) for k, q in obj["mu"].items()},
+            pi={_key_mask(k): parse_fraction(q) for k, q in obj["mu"].items()},
         )
 
 
@@ -703,6 +703,24 @@ class CanonicalModelError(ValueError):
     """The given valuation cannot come from any measure (reg violated)."""
 
 
+def _completion(states: int, values: Iterable[tuple[int, Fraction, str]]) -> dict[int, Fraction]:
+    """The least monotone measure through the given (set, value, what)
+    triples: every set takes the greatest value of a given subset (0 when
+    none).  A CanonicalModelError if one set is given two values or the
+    values are not monotone."""
+    defined: dict[int, Fraction] = {}
+    for x, val, what in values:
+        if defined.setdefault(x, val) != val:
+            raise CanonicalModelError(f"{what} got values {defined[x]} and {val}")
+    for x, vx in defined.items():
+        for y, vy in defined.items():
+            if x & ~y == 0 and vx > vy:
+                raise CanonicalModelError(
+                    f"values violate monotonicity on {_mask_key(x)} vs {_mask_key(y)}")
+    return {x: max((vy for y, vy in defined.items() if y & ~x == 0), default=ZERO)
+            for x in range(1 << states)}
+
+
 def canonical_qg_model(e: Mapping[str, Fraction], formulas: Sequence[Formula]) -> UncertaintyModel:
     """Replay the completeness construction: states are variable subsets.
 
@@ -718,26 +736,16 @@ def canonical_qg_model(e: Mapping[str, Fraction], formulas: Sequence[Formula]) -
     if states > MAX_DENSE_STATES:
         raise ValueError("too many inner variables for a dense canonical model")
     v = assignment_masks(names)
-    defined: dict[int, Fraction] = {}
-    for a in sorted(atoms, key=print_formula):
-        key = print_formula(a)
-        if key not in e:
-            raise KeyError(f"no value for atom {key!r}")
-        x = cpl_truth_set(a.children[0], v, (1 << states) - 1)
-        val = unit(e[key])
-        if x in defined and defined[x] != val:
-            raise CanonicalModelError(
-                f"atoms with the same truth set got values {defined[x]} and {val}")
-        defined[x] = val
-    for x, vx in defined.items():
-        for y, vy in defined.items():
-            if x & ~y == 0 and vx > vy:
-                raise CanonicalModelError(
-                    f"values violate reg-monotonicity on {_mask_key(x)} vs {_mask_key(y)}")
-    mu: dict[int, Fraction] = {}
-    for x in range(1 << states):
-        mu[x] = max((vy for y, vy in defined.items() if y & ~x == 0), default=ZERO)
-    return UncertaintyModel(states, v, mu)
+
+    def values() -> Iterator[tuple[int, Fraction, str]]:
+        for a in sorted(atoms, key=print_formula):
+            key = print_formula(a)
+            if key not in e:
+                raise KeyError(f"no value for atom {key!r}")
+            yield cpl_truth_set(a.children[0], v, (1 << states) - 1), unit(e[key]), \
+                f"the truth set of {key}"
+
+    return UncertaintyModel(states, v, _completion(states, values()))
 
 
 def canonical_mcb_model(e: Mapping[str, TwistValue], formulas: Sequence[Formula]) -> BeliefModel:
@@ -769,27 +777,16 @@ def canonical_mcb_model(e: Mapping[str, TwistValue], formulas: Sequence[Formula]
             vplus.setdefault(name, 0)
             vminus.setdefault(name, 0)
     inner = bd.BDModel(max(states, 1), vplus, vminus)
-    defined: dict[int, Fraction] = {}
 
-    def define(x: int, val: Fraction, what: str) -> None:
-        if x in defined and defined[x] != val:
-            raise CanonicalModelError(f"conflicting values for {what}")
-        defined[x] = unit(val)
+    def values() -> Iterator[tuple[int, Fraction, str]]:
+        for a in sorted(atoms, key=print_formula):
+            key = print_formula(a)
+            if key not in e:
+                raise KeyError(f"no value for atom {key!r}")
+            pos, neg = bd.truth_sets(inner, a.children[0])
+            yield pos, unit(e[key][0]), f"|{print_formula(a.children[0])}|+"
+            yield neg, unit(e[key][1]), f"|{print_formula(a.children[0])}|-"
+        yield (1 << states) - 1, ONE, "the full set"
+        yield 0, ZERO, "the empty set"
 
-    for a in sorted(atoms, key=print_formula):
-        key = print_formula(a)
-        if key not in e:
-            raise KeyError(f"no value for atom {key!r}")
-        pos, neg = bd.truth_sets(inner, a.children[0])
-        define(pos, e[key][0], f"|{print_formula(a.children[0])}|+")
-        define(neg, e[key][1], f"|{print_formula(a.children[0])}|-")
-    full = (1 << states) - 1
-    define(full, ONE, "the full set")
-    define(0, ZERO, "the empty set")
-    for x, vx in defined.items():
-        for y, vy in defined.items():
-            if x & ~y == 0 and vx > vy:
-                raise CanonicalModelError("values violate monotonicity")
-    pi = {x: max((vy for y, vy in defined.items() if y & ~x == 0), default=ZERO)
-          for x in range(1 << states)}
-    return BeliefModel(states, vplus, vminus, pi)
+    return BeliefModel(states, vplus, vminus, _completion(states, values()))

@@ -5,18 +5,21 @@ atom weights; the comparison connective may nest, and its truth set at a
 state compares the measures of the operands' truth sets.  The simple
 inequality fragment translates into the Goedel two-layered language, and
 order representability by a probability measure is decided by an exact
-rational LP with maximized strictness slack.
+rational LP with maximized strictness slack.  The E-notations of QP and QG,
+and so KPS_m and A4_m, share one checked balanced disjunction.
 """
 
 from __future__ import annotations
 
+import functools
 import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import combinations
 from typing import Iterable, Mapping, Sequence
 
 from . import bd, lp
-from .algebra import ONE, ZERO
+from .algebra import ONE, ZERO, parse_fraction
 from .measures import UncertaintyModel, cpl_truth_set
 from .syntax import Formula, LanguageError, desugar, is_sif, mk, retag
 
@@ -62,7 +65,7 @@ class GardenforsModel:
 
     @classmethod
     def from_json(cls, obj: dict) -> "GardenforsModel":
-        weights = {int(x): tuple(Fraction(q) for q in w) for x, w in obj["weights"].items()}
+        weights = {int(x): tuple(parse_fraction(q) for q in w) for x, w in obj["weights"].items()}
         v = {p: bd._list_to_mask(states) for p, states in obj.get("v", {}).items()}
         return cls(obj["states"], weights, v)
 
@@ -85,7 +88,7 @@ def truth_set_qp(m: GardenforsModel, f: Formula) -> int:
 def qp_sat(m: GardenforsModel, x: int, f: Formula) -> bool:
     """Truth at a state (pointed-model satisfaction)."""
     if not 0 <= x < m.states:
-        raise IndexError(f"state {x} out of range")
+        raise ValueError(f"state {x} out of range")
     if f.lang != "QP":
         raise LanguageError("qp_sat expects a QP formula")
     return bool(truth_set_qp(m, f) >> x & 1)
@@ -129,63 +132,44 @@ def _translate(f: Formula) -> Formula:
 # E-notation and axiom-instance generators
 # ---------------------------------------------------------------------------
 
-def _conj(lang: str, parts: Sequence[Formula]) -> Formula:
-    out = parts[0]
-    for p in parts[1:]:
-        out = mk(lang, "and", out, p)
-    return out
+def _chain(lang: str, kind: str, parts: Sequence[Formula]) -> Formula:
+    """``parts`` joined by the binary connective ``kind``, left-associated."""
+    return functools.reduce(lambda out, p: mk(lang, kind, out, p), parts)
 
 
-def _disj(lang: str, parts: Sequence[Formula]) -> Formula:
-    out = parts[0]
-    for p in parts[1:]:
-        out = mk(lang, "or", out, p)
-    return out
-
-
-def _balanced_disjunction(lang: str, phis: Sequence[Formula], chis: Sequence[Formula]) -> Formula:
+def _balanced_disjunction(what: str, lang: str, phis: Sequence[Formula],
+                          chis: Sequence[Formula]) -> Formula:
     """Disjunction over equally sized negation patterns of the two lists.
 
     Each disjunct negates the members indexed by K in the first list and by
-    L in the second, with |K| = |L|; conjuncts stay in list order.
+    L in the second, with |K| = |L|; conjuncts stay in list order.  The
+    lists must be equally long, nonempty and of ``lang``; ``what`` names the
+    notation in the error.
     """
-    m = len(phis)
-    idx = list(range(m))
-    disjuncts: list[Formula] = []
-    for size in range(m + 1):
-        for k_set in _ksubsets(idx, size):
-            for l_set in _ksubsets(idx, size):
-                parts = [mk(lang, "not", phis[i]) if i in k_set else phis[i] for i in idx]
-                parts += [mk(lang, "not", chis[i]) if i in l_set else chis[i] for i in idx]
-                disjuncts.append(_conj(lang, parts))
-    return _disj(lang, disjuncts)
+    if not phis or len(phis) != len(chis):
+        raise ValueError(f"{what} needs equally long nonempty lists")
+    if any(g.lang != lang for g in [*phis, *chis]):
+        raise LanguageError(f"{what} operands must be {lang} formulas")
 
+    def negated(fs: Sequence[Formula], ks: tuple[int, ...]) -> list[Formula]:
+        return [mk(lang, "not", g) if i in ks else g for i, g in enumerate(fs)]
 
-def _ksubsets(idx: Sequence[int], size: int) -> Iterable[frozenset[int]]:
-    from itertools import combinations
-
-    for combo in combinations(idx, size):
-        yield frozenset(combo)
+    idx = range(len(phis))
+    return _chain(lang, "or", [_chain(lang, "and", negated(phis, ks) + negated(chis, ls))
+                               for size in range(len(phis) + 1)
+                               for ks in combinations(idx, size)
+                               for ls in combinations(idx, size)])
 
 
 def e_notation(phis: Sequence[Formula], chis: Sequence[Formula]) -> Formula:
     """The QP abbreviation ``phi_1,..,phi_m E chi_1,..,chi_m``."""
-    if not phis or len(phis) != len(chis):
-        raise ValueError("E-notation needs equally long nonempty lists")
-    for g in [*phis, *chis]:
-        if g.lang != "QP":
-            raise LanguageError("E-notation operands must be QP formulas")
-    return mk("QP", "approx", _balanced_disjunction("QP", phis, chis), mk("QP", "top"))
+    disj = _balanced_disjunction("E-notation", "QP", phis, chis)
+    return mk("QP", "approx", disj, mk("QP", "top"))
 
 
 def e_g_notation(phis: Sequence[Formula], chis: Sequence[Formula]) -> Formula:
     """The QG abbreviation: the balanced disjunction is as likely as Top."""
-    if not phis or len(phis) != len(chis):
-        raise ValueError("E_G-notation needs equally long nonempty lists")
-    for g in [*phis, *chis]:
-        if g.lang != "CPL":
-            raise LanguageError("E_G-notation operands must be CPL formulas")
-    disj = _balanced_disjunction("CPL", phis, chis)
+    disj = _balanced_disjunction("E_G-notation", "CPL", phis, chis)
     return mk("QG", "delta",
               mk("QG", "iff", mk("QG", "bmod", disj), mk("QG", "bmod", mk("CPL", "top"))))
 
@@ -196,20 +180,19 @@ def a4_instance(m: int, phis: Sequence[Formula], psis: Sequence[Formula]) -> For
         raise ValueError("a4 instance needs lists of length m")
     parts = [e_notation(phis, psis)]
     parts += [mk("QP", "leq", phis[i], psis[i]) for i in range(m - 1)]
-    return mk("QP", "matimp", _conj("QP", parts), mk("QP", "leq", psis[m - 1], phis[m - 1]))
+    return mk("QP", "matimp", _chain("QP", "and", parts), mk("QP", "leq", psis[m - 1], phis[m - 1]))
 
 
 def kps_instance(m: int, phis: Sequence[Formula], chis: Sequence[Formula]) -> Formula:
     """The m-th KPS axiom of the Goedel calculus (lists indexed 0..m)."""
     if m < 0 or len(phis) != m + 1 or len(chis) != m + 1:
         raise ValueError("kps instance needs lists of length m+1")
-    parts: list[Formula] = [e_g_notation(phis, chis)]
-    for i in range(m):
-        parts.append(mk("QG", "delta",
-                        mk("QG", "gimp", mk("QG", "bmod", phis[i]), mk("QG", "bmod", chis[i]))))
-    conclusion = mk("QG", "delta",
-                    mk("QG", "gimp", mk("QG", "bmod", chis[m]), mk("QG", "bmod", phis[m])))
-    return mk("QG", "gimp", _conj("QG", parts), conclusion)
+
+    def below(x: Formula, y: Formula) -> Formula:
+        return mk("QG", "delta", mk("QG", "gimp", mk("QG", "bmod", x), mk("QG", "bmod", y)))
+
+    parts = [e_g_notation(phis, chis)] + [below(phis[i], chis[i]) for i in range(m)]
+    return mk("QG", "gimp", _chain("QG", "and", parts), below(chis[m], phis[m]))
 
 
 # ---------------------------------------------------------------------------
@@ -219,7 +202,7 @@ def kps_instance(m: int, phis: Sequence[Formula], chis: Sequence[Formula]) -> Fo
 def g_counterpart(m: GardenforsModel, x: int) -> UncertaintyModel:
     """Two-layered model with the same carrier and measure P_x."""
     if not 0 <= x < m.states:
-        raise IndexError(f"state {x} out of range")
+        raise ValueError(f"state {x} out of range")
     mu = {mask: m.prob(x, mask) for mask in range(1 << m.states)}
     return UncertaintyModel(m.states, dict(m.v), mu)
 

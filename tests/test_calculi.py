@@ -620,6 +620,75 @@ def test_sequent_justification_that_is_not_a_mapping_fails_its_step():
         ["malformed justification: a justification is an object, not [1]", None])
 
 
+@pytest.mark.parametrize("calc,reason", [
+    ("HQPG", None), ("HQG", "malformed justification: HQG has no KPS axioms")])
+def test_only_the_probability_calculi_take_kps_steps(calc, reason):
+    # QG refutes the KPS_0 instance, so HQG may not take it as an axiom
+    # step or as an outer step's instance
+    assert not decide.qg_entails([], parse("QG", _KPS0)).holds
+    deriv = Derivation.from_json({"calculus": calc, "steps": [
+        {"formula": "delta (B(p & q | ~p & ~q) <-> B(Top))", "just": {"axiom": "any"}},
+        {"formula": _KPS0, "just": {"axiom": "KPS", **_KPS0_PARAMS}},
+        {"formula": "delta (B(q) -> B(p))",
+         "just": {"outer": [1], "axiom": {"schema": "KPS", **_KPS0_PARAMS}}}]})
+    assert check_derivation(calc, deriv).to_json() == _report(
+        ["not an instance of axiom 'any'", reason, reason])
+
+
+# the calculi that have each parameterized family, the language of its
+# lists, its smallest and largest m, its list keys and its builder
+_FAMILIES = {
+    "KPS": (("HQPG", "HQPG_TOP"), "CPL", 0, 4, ("phis", "chis"), qp.kps_instance),
+    "A4": (("HQP",), "QP", 1, 5, ("phis", "psis"), qp.a4_instance),
+}
+_FAMILY_LISTS = [("p", "q"), ("q", "r"), ("r", "p"), ("p & q", "Top"), ("q | r", "~q")]
+
+
+def _family_instance(name, m, texts=_FAMILY_LISTS):
+    """The family's instance of index m over the first entries of ``texts``
+    (pairs of list entries), with its parameters."""
+    _, lang, low, _, keys, build = _FAMILIES[name]
+    rows = texts[:m + 1 - low]
+    lists = [[parse(lang, row[i]) for row in rows] for i in (0, 1)]
+    return build(m, *lists), {"m": m, keys[0]: lists[0], keys[1]: lists[1]}
+
+
+def test_family_instances_at_the_bound_are_recognized():
+    # the E-notation chains of KPS_4 and A4_5 (252 disjuncts) nest deeper
+    # than Formula.__eq__ can recurse
+    for name, calc in (("KPS", "HQPG"), ("A4", "HQP")):
+        f, params = _family_instance(name, _FAMILIES[name][3])
+        assert match_axiom(calc, f) == (name, params)
+
+
+@pytest.mark.parametrize("name", sorted(_FAMILIES))
+def test_family_instances_are_recognized_iff_the_calculus_has_the_family_within_the_bound(name):
+    calcs_with, lang, low, high, _, _ = _FAMILIES[name]
+    rng = random.Random(19)
+    pool = ["p", "q", "~r", "p & q", "q | ~p", "Top", "r => p", "p & ~q | r"]
+    calcs = [c for c in calculi.CALCULI if CALC_LANG[c] == ("QG" if lang == "CPL" else "QP")]
+    # KPS_5 is past the bound; A4_6 is left out because the PC check
+    # (qp_tautology) recurses too deep on its E-notation
+    for m in range(low, high + (name == "KPS") + 1):
+        for _ in range(3):
+            texts = [tuple(rng.sample(pool, 2)) for _ in range(m + 1 - low)]
+            f, params = _family_instance(name, m, texts)
+            lhs, concl = f.children
+            near = [mk(f.lang, f.kind, lhs, mk(f.lang, concl.kind, *reversed(concl.children)))
+                    if name == "A4" else
+                    mk(f.lang, f.kind, lhs, mk(f.lang, "delta", mk(
+                        f.lang, "gimp", *reversed(concl.children[0].children))))]
+            if lhs.kind == "and":
+                near += [mk(f.lang, f.kind, part, concl) for part in lhs.children]
+            for calc in calcs:
+                has = calc in calcs_with and m <= high
+                assert match_axiom(calc, f) == ((name, params) if has else None), (calc, m, texts)
+                for g in near:
+                    if g != f:
+                        hit = match_axiom(calc, g)
+                        assert hit is None or hit[0] != name, (calc, m, texts)
+
+
 def test_outer_step_reads_flat_axiom_parameters():
     # the flat form an axiom step accepts, on the outer step of deriv_reg
     obj = _load("deriv_reg.json")

@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from qublogic import cli
+from qublogic import cli, qp, syntax
 
 DATA = pathlib.Path(__file__).parent / "data"
 ROOT = DATA.parents[1]
@@ -180,6 +180,63 @@ def test_prove_match_axiom(capsys):
     assert code == 0 and out["schema"] == "reg"
     code, out = run(capsys, "prove", "match-axiom", "--calculus", "hqg", "B(p) -> B(q)")
     assert code == 1
+
+
+_KPS4 = {"m": 4, "phis": ["p", "q", "r", "p & q", "q | r"], "chis": ["q", "r", "p", "Top", "~q"]}
+_A45 = {"m": 5, "phis": ["p", "q", "r", "p & q", "q | r"], "psis": ["q", "r", "p", "Top", "~q"]}
+
+
+def _family_texts():
+    """(calculus, schema, formula text, parameters) for every KPS_m and A4_m
+    within the bounds, over the first entries of _KPS4's and _A45's lists."""
+    out = []
+    for calc, schema, params, first, build, lang in (
+            ("HQPG_TOP", "KPS", _KPS4, 0, qp.kps_instance, "CPL"),
+            ("HQP", "A4", _A45, 1, qp.a4_instance, "QP")):
+        keys = [k for k in params if k != "m"]
+        for m in range(first, params["m"] + 1):
+            sub = {"m": m, **{k: params[k][:m + 1 - first] for k in keys}}
+            f = build(m, *([syntax.parse(lang, t) for t in sub[k]] for k in keys))
+            out.append((calc, schema, syntax.print_formula(f), sub))
+    return out
+
+
+def test_prove_match_axiom_prints_family_parameters_that_check(capsys):
+    for calc, schema, text, params in _family_texts():
+        code, out = run(capsys, "prove", "match-axiom", "--calculus", calc, text)
+        assert (code, out) == (0, {"matched": True, "schema": schema, "substitution": params})
+        step = {"formula": text, "just": {"axiom": {"schema": schema, **out["substitution"]}}}
+        code, out = run(capsys, "prove", "check", json.dumps({"calculus": calc, "steps": [step]}))
+        assert (code, out["accepted"]) == (0, True), (calc, params["m"])
+
+
+_MALFORMED = [
+    ["kripke", "support", "--model",
+     '{"states":2,"order":[0,1],"vplus":{"p":[1]},"vminus":{}}', "--state", "5", "p"],
+    ["qp", "sat", "--model", '{"states":1,"weights":{"0":["1"]},"v":{"p":[0]}}',
+     "--state", "3", "p <= p"],
+    ["eval-qg", "--model", '{"states":1,"v":{"p":"x"},"mu":{"[]":"0","[0]":"1"}}', "B(p)"],
+    ["eval-qg", "--model", '{"states":1,"v":{"p":[0]},"mu":{"[]":"0","[0]":[1]}}', "B(p)"],
+    ["eval-qg", "--model", "[1,2]", "B(p)"],
+    ["kripke", "counterpart"],
+]
+
+
+def test_cli_processes_exit_2_with_one_json_line_on_input_errors():
+    src = pathlib.Path(cli.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    matches = [["prove", "match-axiom", "--calculus", calc, text]
+               for calc, _, text, params in _family_texts() if params["m"] == 1]
+    for argv in _MALFORMED + matches:
+        done = subprocess.run([sys.executable, "-m", "qublogic.cli", *argv], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert "Traceback" not in done.stdout + done.stderr, argv
+        if argv in matches:
+            assert (done.returncode, done.stderr) == (0, ""), argv
+            continue
+        assert (done.returncode, done.stdout) == (2, ""), argv
+        lines = done.stderr.splitlines()
+        assert len(lines) == 1 and set(json.loads(lines[0])) == {"error"}, argv
 
 
 def test_qp_represent_lp(capsys):
