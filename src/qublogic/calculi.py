@@ -333,7 +333,7 @@ def _same(f: Formula, g: Formula, sugar: bool = False) -> bool:
         a, b = stack.pop()
         if a is b:
             continue
-        if sugar:
+        if sugar and a.kind != b.kind:  # equal sugar nodes desugar alike iff their children do
             a, b = (syntax._expand(x.lang, x.kind, x.children)
                     if x.kind in syntax.SUGAR_KINDS[x.lang] else x for x in (a, b))
         if (a.kind, a.var, a.lang, len(a.children)) != (b.kind, b.var, b.lang, len(b.children)):
