@@ -674,10 +674,9 @@ def test_family_instances_are_recognized_iff_the_calculus_has_the_family_within_
             texts = [tuple(rng.sample(pool, 2)) for _ in range(m + 1 - low)]
             f, params = _family_instance(name, m, texts)
             lhs, concl = f.children
-            near = [mk(f.lang, f.kind, lhs, mk(f.lang, concl.kind, *reversed(concl.children)))
-                    if name == "A4" else
-                    mk(f.lang, f.kind, lhs, mk(f.lang, "delta", mk(
-                        f.lang, "gimp", *reversed(concl.children[0].children))))]
+            swapped = (mk(f.lang, "leq", *reversed(concl.children)) if name == "A4" else
+                       mk(f.lang, "delta", mk(f.lang, "gimp", *reversed(concl.children[0].children))))
+            near = [mk(f.lang, f.kind, lhs, swapped)]
             if lhs.kind == "and":
                 near += [mk(f.lang, f.kind, part, concl) for part in lhs.children]
             for calc in calcs:

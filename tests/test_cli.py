@@ -205,8 +205,10 @@ def test_prove_match_axiom_prints_family_parameters_that_check(capsys):
     for calc, schema, text, params in _family_texts():
         code, out = run(capsys, "prove", "match-axiom", "--calculus", calc, text)
         assert (code, out) == (0, {"matched": True, "schema": schema, "substitution": params})
-        step = {"formula": text, "just": {"axiom": {"schema": schema, **out["substitution"]}}}
-        code, out = run(capsys, "prove", "check", json.dumps({"calculus": calc, "steps": [step]}))
+        # the step with these parameters, and the step that only names the schema
+        steps = [{"formula": text, "just": {"axiom": {"schema": schema, **out["substitution"]}}},
+                 {"formula": text, "just": {"axiom": schema}}]
+        code, out = run(capsys, "prove", "check", json.dumps({"calculus": calc, "steps": steps}))
         assert (code, out["accepted"]) == (0, True), (calc, params["m"])
 
 
@@ -217,6 +219,7 @@ _MALFORMED = [
      "--state", "3", "p <= p"],
     ["eval-qg", "--model", '{"states":1,"v":{"p":"x"},"mu":{"[]":"0","[0]":"1"}}', "B(p)"],
     ["eval-qg", "--model", '{"states":1,"v":{"p":[0]},"mu":{"[]":"0","[0]":[1]}}', "B(p)"],
+    ["qp", "sat", "--model", '{"states":1,"weights":{"0":[null]},"v":{}}', "p <= p"],
     ["eval-qg", "--model", "[1,2]", "B(p)"],
     ["kripke", "counterpart"],
 ]
