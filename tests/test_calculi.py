@@ -11,7 +11,8 @@ import oracles
 from qublogic import calculi, decide, measures, qp
 from qublogic.calculi import (CALC_LANG, Derivation, check_derivation, cpl_valid,
                               match_axiom, match_sequent_axiom, qp_tautology, truth_table)
-from qublogic.syntax import RESERVED_VAR, mk, modal_atoms, parse, print_formula, var, vars_of
+from qublogic.syntax import (INNER_LANG, RESERVED_VAR, mk, modal_atoms, parse, print_formula,
+                             var, vars_of)
 
 DATA = pathlib.Path(__file__).parent / "data"
 FIXTURES = ("deriv_a0_translation.json", "deriv_additivity.json", "deriv_reg.json")
@@ -36,6 +37,50 @@ def test_qp_tautology_abstracts_comparisons():
     assert qp_tautology(parse("QP", "(p <= q) | ~(p <= q)"))
     assert not qp_tautology(parse("QP", "p <= q"))
     assert qp_tautology(parse("QP", "((p <= q) & p) => p"))
+
+
+_SIDE_ARGS = {"CPL": ("p", "p | ~p", "p & ~p", "p & q"), "BD": ("p", "p & q", "p | q", "neg p")}
+
+
+def _side_verdicts(calc, schema):
+    """A side condition's verdicts on every (phi, chi) of the inner formulas
+    in _SIDE_ARGS, or None if the schema has none."""
+    if schema.side is None:
+        return None
+    inner = "CPL" if CALC_LANG[calc] == "QG" else "BD"
+    texts = _SIDE_ARGS[inner]
+    return [schema.side({"phi": parse(inner, a), "chi": parse(inner, b)})
+            for a, b in product(texts, texts)]
+
+
+def _tables_json() -> dict:
+    """Every calculus' schema table and R_fde's axiom sequents as printed
+    text: names in order, sugared and desugared forms, side verdicts."""
+    return {
+        "calculi": {calc: [{"name": s.name, "sugared": print_formula(s.sugared),
+                            "pattern": print_formula(s.pattern), "side": _side_verdicts(calc, s)}
+                           for s in calculi.schema_table(calc)] for calc in calculi.CALCULI},
+        "sequents": [{"name": name, "lhs": print_formula(lhs), "rhs": print_formula(rhs)}
+                     for name, lhs, rhs in calculi._rfde_axioms()],
+    }
+
+
+def _tagged(f, lang) -> bool:
+    """Every node of ``f`` carries ``lang``, or inside a modal atom the
+    atom's inner language."""
+    inner = INNER_LANG.get(f.kind, lang)
+    return f.lang == lang and all(_tagged(c, inner) for c in f.children)
+
+
+def test_schema_tables_match_the_golden_file():
+    # tests/data/schemas.json holds the tables as they were built before
+    # the axioms were written as text; the text pins every node but its
+    # language, which _tagged checks
+    assert _tables_json() == _load("schemas.json")
+    for calc in calculi.CALCULI:
+        for s in calculi.schema_table(calc):
+            assert _tagged(s.sugared, CALC_LANG[calc]) and _tagged(s.pattern, CALC_LANG[calc])
+    assert all(_tagged(f, "BD") for _, *sequent in calculi._rfde_axioms() for f in sequent)
 
 
 def test_match_axiom_examples():
