@@ -26,6 +26,7 @@ from fractions import Fraction
 from operator import itemgetter
 from typing import Callable, Mapping, NamedTuple, Sequence
 
+from . import bd
 from .syntax import RESERVED_VAR, Formula, print_formula
 
 ZERO = Fraction(0)
@@ -67,7 +68,7 @@ def twist(truth, falsity) -> TwistValue:
 
 
 def parse_twist(pair) -> TwistValue:
-    a, b = pair
+    a, b = bd._checked(pair, list, "a twist value")
     return twist(parse_fraction(a), parse_fraction(b))
 
 
@@ -352,11 +353,11 @@ def coordinates_read(f: Formula, slots: Mapping[str | Formula, int],
 # ---------------------------------------------------------------------------
 
 def valuation_from_json(obj: Mapping[str, str]) -> dict[str, Fraction]:
-    return {k: parse_unit(v) for k, v in obj.items()}
+    return {k: parse_unit(v) for k, v in bd._checked(obj, dict, "a valuation").items()}
 
 
 def twist_valuation_from_json(obj: Mapping[str, list]) -> dict[str, TwistValue]:
-    return {k: parse_twist(v) for k, v in obj.items()}
+    return {k: parse_twist(v) for k, v in bd._checked(obj, dict, "a valuation").items()}
 
 
 def twist_valuation_to_json(e: Mapping[str, TwistValue]) -> dict[str, list[str]]:

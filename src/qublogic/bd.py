@@ -9,9 +9,11 @@ four-element De Morgan lattice, a second route that tests compare with the
 supports; the frame direction is covered by the one-state counterpart
 construction.
 
-This module owns the state-set codec of every model's JSON form: a mask
-is written as its ascending list of states (:func:`_mask_to_list`) and read
-back by :func:`_list_to_mask`.
+This module owns the codec of every model's JSON form: a state set is
+written as its ascending list of states (:func:`_mask_to_list`) and read
+back by :func:`_list_to_mask`, an object of names to state lists is read by
+:func:`_masks_from_json`, and every other field is read through
+:func:`_checked`, so a field of the wrong JSON type is a ValueError.
 """
 
 from __future__ import annotations
@@ -83,15 +85,29 @@ class BDModel:
 
     @classmethod
     def from_json(cls, obj: dict) -> "BDModel":
-        return cls(
-            states=obj["states"],
-            vplus={p: _list_to_mask(v) for p, v in obj.get("vplus", {}).items()},
-            vminus={p: _list_to_mask(v) for p, v in obj.get("vminus", {}).items()},
-        )
+        return cls(_checked(obj["states"], int, "'states'"),
+                   _masks_from_json(obj, "vplus"), _masks_from_json(obj, "vminus"))
 
 
 def _mask_to_list(mask: int) -> list[int]:
     return [i for i in range(mask.bit_length()) if mask >> i & 1]
+
+
+_JSON_KIND = {dict: "a JSON object", list: "a list", int: "a whole number"}
+
+
+def _checked(value, kind: type, what: str):
+    """``value`` if it is of the JSON ``kind`` (dict, list or int, where a
+    bool is no number); a ValueError that names ``what`` if not."""
+    if isinstance(value, bool) or not isinstance(value, kind):
+        raise ValueError(f"{what} must be {_JSON_KIND[kind]}, not {value!r}")
+    return value
+
+
+def _masks_from_json(obj: Mapping, key: str) -> dict[str, int]:
+    """The object of names to state lists under ``key`` (none if it is
+    missing), each list read as a mask."""
+    return {p: _list_to_mask(v) for p, v in _checked(obj.get(key, {}), dict, repr(key)).items()}
 
 
 def _list_to_mask(states: Sequence[int]) -> int:

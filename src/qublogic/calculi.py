@@ -1,20 +1,26 @@
 """Hilbert calculi and R_fde: side-condition oracles, schema matching,
 proof checking.
 
-Axiom schemas are stored as patterns with metavariables and matched against
-desugared formulas; side conditions (classical provability, BD validity)
-are discharged by the exact oracles.  KPS_m and A4_m, indexed by m and
-two formula lists, are the rows of one table, :data:`FAMILIES`, that
-matching, building from a step's parameters and checking read.  A
-derivation is checked by one loop for every calculus, which asks the proof
-system's step function (Hilbert or sequent) why each step fails, if it
-does; citations and axiom parameters each have one reader, and a
-justification they cannot read fails its step as malformed.  Derivations
-may use coarse "outer-logic" steps the way research papers do.  Each is
-decided by truth preservation, the relation modus ponens derives, through
-:func:`qublogic.decide.truth_preserved`, one search for every calculus; a
-step whose search reaches its node cap fails with a reason that states the
-search's size.
+Every axiom is written once, as formula text that :func:`syntax.parse`
+reads: the rows of each propositional variant (:data:`VARIANT`), the modal
+rows with their side conditions, and R_fde's sequents.  On first use the
+text becomes patterns with metavariables, matched against desugared
+formulas; side conditions (tautologies, BD sequents) are discharged by the
+exact oracles.  Necessitation is read from text too, and modus ponens
+detaches the variant's implication.
+
+KPS_m and A4_m, indexed by m and two formula lists, are the rows of one
+table, :data:`FAMILIES`, that matching, building from a step's parameters
+and checking read.  A derivation is checked by one loop for every calculus,
+which asks the proof system's step function (Hilbert or sequent) why each
+step fails, if it does; citations and axiom parameters each have one
+reader, and a justification they cannot read fails its step as malformed
+(a formula too deep for the recursive checks, as nesting too deeply).
+Derivations may use coarse "outer-logic" steps the way research papers do.
+Each is decided by truth preservation, the relation modus ponens derives,
+through :func:`qublogic.decide.truth_preserved`, one search for every
+calculus; a step whose search reaches its node cap fails with a reason that
+states the search's size.
 """
 
 from __future__ import annotations
@@ -25,7 +31,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 from . import bd, decide, qp, syntax
 from .measures import assignment_masks, cpl_truth_set
-from .syntax import Formula, LanguageError, desugar, mk, parse, vars_of
+from .syntax import RESERVED_VAR, Formula, LanguageError, desugar, mk, parse, vars_of
 
 CALCULI = ("HBIG", "HG2ORD", "HG2NEL", "HQG", "HQPG", "HQPG_TOP",
            "HQP", "HMCB", "HNMCB", "RFDE")
@@ -36,15 +42,20 @@ CALC_LANG = {
     "HQP": "QP", "HMCB": "MCB", "HNMCB": "NMCB", "RFDE": "BD",
 }
 
-_IMP_KIND = {
-    "HBIG": "gimp", "HQG": "gimp", "HQPG": "gimp", "HQPG_TOP": "gimp",
-    "HG2ORD": "gimp", "HMCB": "gimp",
-    "HG2NEL": "nimp", "HNMCB": "nimp",
-    "HQP": "matimp",
+#: the propositional variant of each Hilbert calculus: its propositional
+#: rows and its necessitation rule are read in the variant, and modus
+#: ponens detaches the variant's implication
+VARIANT = {
+    "HBIG": "BIG", "HQG": "BIG", "HQPG": "BIG", "HQPG_TOP": "BIG",
+    "HG2ORD": "G2ORD", "HMCB": "G2ORD", "HG2NEL": "G2NEL", "HNMCB": "G2NEL", "HQP": "QP",
 }
 
+#: the implication and co-implication of each variant; QP has no co-implication
+_ARROWS = {"BIG": ("gimp", "gcoimp"), "G2ORD": ("gimp", "gcoimp"),
+           "G2NEL": ("nimp", "ncoimp"), "QP": ("matimp",)}
+
 # ---------------------------------------------------------------------------
-# Classical and BD oracles
+# Classical oracles
 # ---------------------------------------------------------------------------
 
 def truth_table(f: Formula, names: Sequence[str]) -> int:
@@ -77,10 +88,6 @@ def qp_tautology(f: Formula) -> bool:
     return cpl_valid(abstract(desugar(f)))
 
 
-def bd_valid_sequent(phi: Formula, chi: Formula) -> bool:
-    return bd.bd_entails(phi, chi)[0]
-
-
 # ---------------------------------------------------------------------------
 # Patterns and matching
 # ---------------------------------------------------------------------------
@@ -88,8 +95,30 @@ def bd_valid_sequent(phi: Formula, chi: Formula) -> bool:
 _META_PREFIX = "mv_"
 
 
-def _meta(lang: str, name: str) -> Formula:
-    return Formula(lang, "var", (), _META_PREFIX + name)
+@functools.cache
+def _pattern(lang: str, text: str, carrier: str) -> Formula:
+    """``text``, with {I} and {C} written as the arrows of ``lang``, parsed
+    in ``lang``; each variable is made a metavariable of its node's language
+    and each node of ``lang`` is moved to ``carrier``.  QG, MCB and NMCB
+    have no bare variables, so their propositional rows are read in their
+    variant and carried over."""
+    def move(f: Formula) -> Formula:
+        to = carrier if f.lang == lang else f.lang
+        if f.kind == "var":
+            return Formula(to, "var", (), _META_PREFIX + f.var)
+        return Formula(to, f.kind, tuple(map(move, f.children)))
+
+    arrows = dict(zip("IC", (syntax.TOKEN_OF[k] for k in _ARROWS.get(lang, ()))))
+    return move(parse(lang, text.format(**arrows)))
+
+
+def _instantiate(pattern: Formula, binding: Mapping[str, Formula]) -> Formula:
+    """A pattern read by :func:`_pattern` with each metavariable replaced by
+    its value in ``binding``."""
+    if pattern.kind == "var":
+        return binding[pattern.var[len(_META_PREFIX):]]
+    return Formula(pattern.lang, pattern.kind,
+                   tuple(_instantiate(c, binding) for c in pattern.children))
 
 
 def _surface(f: Formula) -> Formula:
@@ -144,161 +173,114 @@ class Schema:
     sugared: Formula | None = None  # surface form, used for instantiation
 
 
-def _schemas_bi_goedel(lang: str, imp: str, coimp: str) -> list[Schema]:
-    a, b, c = (_meta(lang, n) for n in "abc")
+# {I} and {C} stand for the variant's implication and co-implication
+_BI_GOEDEL = (
+    ("biG1", "(a {I} b) {I} ((b {I} c) {I} (a {I} c))"),
+    ("biG2a", "a {I} (a | b)"),
+    ("biG2b", "b {I} (a | b)"),
+    ("biG3", "(a {I} c) {I} ((b {I} c) {I} ((a | b) {I} c))"),
+    ("biG4a", "(a & b) {I} a"),
+    ("biG4b", "(a & b) {I} b"),
+    ("biG5", "(a {I} b) {I} ((a {I} c) {I} (a {I} (b & c)))"),
+    ("biG6a", "(a {I} (b {I} c)) {I} ((a & b) {I} c)"),
+    ("biG6b", "((a & b) {I} c) {I} (a {I} (b {I} c))"),
+    ("biG7", "(a {I} b) {I} (snot b {I} snot a)"),
+    ("biG8a", "(a {C} b) {I} (Top {C} (a {I} b))"),
+    ("biG8b", "snot (a {C} b) {I} (a {I} b)"),
+    ("biG9a", "a {I} (b | (a {C} b))"),
+    ("biG9b", "((a {C} b) {C} c) {I} (a {C} (b | c))"),
+    ("prel1", "(a {I} b) | (b {I} a)"),
+    ("prel2", "Top {C} ((a {C} b) & (b {C} a))"),
+)
 
-    def I(x, y):
-        return mk(lang, imp, x, y)
+_DE_MORGAN = (
+    ("neg", "neg neg a <-> a"),
+    ("dem_and", "neg (a & b) <-> (neg a | neg b)"),
+    ("dem_or", "neg (a | b) <-> (neg a & neg b)"),
+)
 
-    def CO(x, y):
-        return mk(lang, coimp, x, y)
+#: the propositional rows of each variant
+_ROWS = {
+    "BIG": _BI_GOEDEL,
+    "G2ORD": _BI_GOEDEL + _DE_MORGAN + (
+        ("dem_imp", "neg (a -> b) <-> (neg b -< neg a)"),
+        ("dem_coimp", "neg (a -< b) <-> (neg b -> neg a)"),
+    ),
+    "G2NEL": _BI_GOEDEL + _DE_MORGAN + (
+        ("dem_imp", "neg (a ~> b) <-> (a & neg b)"),
+        ("dem_coimp", "neg (a o- b) <-> (neg a | b)"),
+    ),
+    "QP": (
+        ("A0", "((a <-> b) ~~ Top) & ((c <-> d) ~~ Top) => ((a <= c) <-> (b <= d))"),
+        ("A1", "Bot <= a"),
+        ("A2", "(a <= b) | (b <= a)"),
+        ("A3", "Bot << Top"),
+    ),
+}
 
-    def AND(x, y):
-        return mk(lang, "and", x, y)
+#: the modal rows: the calculi that have each, its name, its text and its
+#: side condition (see :func:`_side`)
+_MODAL = (
+    ("HQG HQPG HQPG_TOP", "nontriv", "snot delta (B(phi) -> B(chi))", "phi; ~chi"),
+    ("HQG HQPG HQPG_TOP", "reg", "B(phi) -> B(chi)", "phi => chi"),
+    ("HQPG_TOP", "cap1", "B(phi)", "phi"),
+    ("HQPG_TOP", "cap2", "snot B(phi)", "~phi"),
+    ("HMCB", "mcb_bd", "C(phi) -> C(chi)", "phi |- chi"),
+    ("HMCB", "mcb_neg", "C(neg phi) <-> neg C(phi)", None),
+    ("HNMCB", "nmcb_bd", "C(phi) ==> C(chi)", "phi |- chi"),
+    ("HNMCB", "nmcb_neg", "C(neg phi) <==> neg C(phi)", None),
+)
 
-    def OR(x, y):
-        return mk(lang, "or", x, y)
-
-    def SN(x):
-        return mk(lang, "snot", x)
-
-    top = mk(lang, "top")
-    raw = [
-        ("biG1", I(I(a, b), I(I(b, c), I(a, c)))),
-        ("biG2a", I(a, OR(a, b))),
-        ("biG2b", I(b, OR(a, b))),
-        ("biG3", I(I(a, c), I(I(b, c), I(OR(a, b), c)))),
-        ("biG4a", I(AND(a, b), a)),
-        ("biG4b", I(AND(a, b), b)),
-        ("biG5", I(I(a, b), I(I(a, c), I(a, AND(b, c))))),
-        ("biG6a", I(I(a, I(b, c)), I(AND(a, b), c))),
-        ("biG6b", I(I(AND(a, b), c), I(a, I(b, c)))),
-        ("biG7", I(I(a, b), I(SN(b), SN(a)))),
-        ("biG8a", I(CO(a, b), CO(top, I(a, b)))),
-        ("biG8b", I(SN(CO(a, b)), I(a, b))),
-        ("biG9a", I(a, OR(b, CO(a, b)))),
-        ("biG9b", I(CO(CO(a, b), c), CO(a, OR(b, c)))),
-        ("prel1", OR(I(a, b), I(b, a))),
-        ("prel2", CO(top, AND(CO(a, b), CO(b, a)))),
-    ]
-    return [Schema(n, desugar(p), None, p) for n, p in raw]
-
-
-def _schemas_de_morgan(lang: str, imp: str, coimp: str, nelson: bool) -> list[Schema]:
-    a, b = _meta(lang, "a"), _meta(lang, "b")
-
-    def N(x):
-        return mk(lang, "dneg", x)
-
-    def IFF(x, y):
-        return mk(lang, "iff", x, y)
-
-    raw = [
-        ("neg", IFF(N(N(a)), a)),
-        ("dem_and", IFF(N(mk(lang, "and", a, b)), mk(lang, "or", N(a), N(b)))),
-        ("dem_or", IFF(N(mk(lang, "or", a, b)), mk(lang, "and", N(a), N(b)))),
-    ]
-    if nelson:
-        raw += [
-            ("dem_imp", IFF(N(mk(lang, imp, a, b)), mk(lang, "and", a, N(b)))),
-            ("dem_coimp", IFF(N(mk(lang, coimp, a, b)), mk(lang, "or", N(a), b))),
-        ]
-    else:
-        raw += [
-            ("dem_imp", IFF(N(mk(lang, imp, a, b)), mk(lang, coimp, N(b), N(a)))),
-            ("dem_coimp", IFF(N(mk(lang, coimp, a, b)), mk(lang, imp, N(b), N(a)))),
-        ]
-    return [Schema(n, desugar(p), None, p) for n, p in raw]
-
-
-def _schemas_qg(calc: str) -> list[Schema]:
-    phi, chi = _meta("CPL", "phi"), _meta("CPL", "chi")
-    bphi = mk("QG", "bmod", phi)
-    bchi = mk("QG", "bmod", chi)
-    out = _schemas_bi_goedel("QG", "gimp", "gcoimp")
-    nontriv = mk("QG", "snot", mk("QG", "delta", mk("QG", "gimp", bphi, bchi)))
-    out.append(Schema(
-        "nontriv", desugar(nontriv),
-        lambda b: cpl_valid(b["phi"]) and cpl_valid(mk("CPL", "not", b["chi"])),
-        nontriv,
-    ))
-    reg = mk("QG", "gimp", bphi, bchi)
-    out.append(Schema(
-        "reg", desugar(reg),
-        lambda b: cpl_valid(mk("CPL", "matimp", b["phi"], b["chi"])),
-        reg,
-    ))
-    if calc == "HQPG_TOP":
-        out.append(Schema("cap1", desugar(bphi), lambda b: cpl_valid(b["phi"]), bphi))
-        snot_bphi = mk("QG", "snot", bphi)
-        out.append(Schema(
-            "cap2", desugar(snot_bphi),
-            lambda b: cpl_valid(mk("CPL", "not", b["phi"])),
-            snot_bphi,
-        ))
-    return out
+_RFDE = (
+    ("and_elim_l", "a & b |- a"),
+    ("and_elim_r", "a & b |- b"),
+    ("or_intro_l", "a |- a | b"),
+    ("or_intro_r", "b |- a | b"),
+    ("dem_and_l", "neg (a & b) |- neg a | neg b"),
+    ("dem_and_r", "neg a | neg b |- neg (a & b)"),
+    ("dem_or_l", "neg (a | b) |- neg a & neg b"),
+    ("dem_or_r", "neg a & neg b |- neg (a | b)"),
+    ("dneg_elim", "neg neg a |- a"),
+    ("dneg_intro", "a |- neg neg a"),
+    ("distrib", "a & (b | c) |- (a & b) | (a & c)"),
+)
 
 
-def _schemas_qp() -> list[Schema]:
-    a, b, c, d = (_meta("QP", n) for n in "abcd")
-    top = mk("QP", "top")
-    raw = [
-        ("A0", mk("QP", "matimp",
-                  mk("QP", "and",
-                     mk("QP", "approx", mk("QP", "iff", a, b), top),
-                     mk("QP", "approx", mk("QP", "iff", c, d), top)),
-                  mk("QP", "iff", mk("QP", "leq", a, c), mk("QP", "leq", b, d)))),
-        ("A1", mk("QP", "leq", mk("QP", "bot"), a)),
-        ("A2", mk("QP", "or", mk("QP", "leq", a, b), mk("QP", "leq", b, a))),
-        ("A3", mk("QP", "less", mk("QP", "bot"), top)),
-    ]
-    return [Schema(n, desugar(p), None, p) for n, p in raw]
+def _sequent(text: str) -> tuple[Formula, Formula]:
+    """A BD sequent ``lhs |- rhs`` as a pair of patterns."""
+    lhs, rhs = (_pattern("BD", t, "BD") for t in text.split("|-"))
+    return lhs, rhs
 
 
-def _schemas_layer(calc: str) -> list[Schema]:
-    lang = CALC_LANG[calc]
-    nelson = calc == "HNMCB"
-    imp, coimp = ("nimp", "ncoimp") if nelson else ("gimp", "gcoimp")
-    phi, chi = _meta("BD", "phi"), _meta("BD", "chi")
-    cphi = mk(lang, "cmod", phi)
-    cchi = mk(lang, "cmod", chi)
-    out = _schemas_bi_goedel(lang, imp, coimp)
-    out += _schemas_de_morgan(lang, imp, coimp, nelson)
-    bd_side = lambda b: bd_valid_sequent(b["phi"], b["chi"])
-    if nelson:
-        bd_ax = mk(lang, "simp", cphi, cchi)
-        neg_ax = mk(lang, "siff", mk(lang, "cmod", mk("BD", "dneg", phi)),
-                    mk(lang, "dneg", cphi))
-        out.append(Schema("nmcb_bd", desugar(bd_ax), bd_side, bd_ax))
-        out.append(Schema("nmcb_neg", desugar(neg_ax), None, neg_ax))
-    else:
-        bd_ax = mk(lang, "gimp", cphi, cchi)
-        neg_ax = mk(lang, "iff", mk(lang, "cmod", mk("BD", "dneg", phi)),
-                    mk(lang, "dneg", cphi))
-        out.append(Schema("mcb_bd", desugar(bd_ax), bd_side, bd_ax))
-        out.append(Schema("mcb_neg", desugar(neg_ax), None, neg_ax))
-    return out
+def _side(text: str) -> Callable[[Mapping[str, Formula]], bool]:
+    """A side condition over a substitution: a BD sequent ``phi |- chi``
+    that must be valid, or CPL formulas separated by ``;`` that must each
+    be tautologies."""
+    if "|-" in text:
+        lhs, rhs = _sequent(text)
+        return lambda b: bd.bd_entails(_instantiate(lhs, b), _instantiate(rhs, b))[0]
+    tautologies = [_pattern("CPL", t, "CPL") for t in text.split(";")]
+    return lambda b: all(cpl_valid(_instantiate(t, b)) for t in tautologies)
 
 
 @functools.cache
 def schema_table(calc: str) -> list[Schema]:
+    """The calculus' axiom schemas in table order: its variant's
+    propositional rows, then its modal rows."""
     if calc not in CALCULI:
         raise ValueError(f"unknown calculus {calc!r}")
-    if calc == "HBIG":
-        return _schemas_bi_goedel("BIG", "gimp", "gcoimp")
-    if calc == "HG2ORD":
-        return _schemas_bi_goedel("G2ORD", "gimp", "gcoimp") \
-            + _schemas_de_morgan("G2ORD", "gimp", "gcoimp", False)
-    if calc == "HG2NEL":
-        return _schemas_bi_goedel("G2NEL", "nimp", "ncoimp") \
-            + _schemas_de_morgan("G2NEL", "nimp", "ncoimp", True)
-    if calc in ("HQG", "HQPG", "HQPG_TOP"):
-        return _schemas_qg(calc)
-    if calc == "HQP":
-        return _schemas_qp()
-    if calc in ("HMCB", "HNMCB"):
-        return _schemas_layer(calc)
-    return []
+    if calc == "RFDE":
+        return []
+    lang, variant = CALC_LANG[calc], VARIANT[calc]
+    rows = [(name, _pattern(variant, text, lang), None) for name, text in _ROWS[variant]]
+    rows += [(name, _pattern(lang, text, lang), side and _side(side))
+             for calcs, name, text, side in _MODAL if calc in calcs.split()]
+    return [Schema(name, desugar(f), side, f) for name, f, side in rows]
+
+
+@functools.cache
+def _rfde_axioms() -> list[tuple[str, Formula, Formula]]:
+    return [(name, *_sequent(text)) for name, text in _RFDE]
 
 
 @dataclass(frozen=True)
@@ -318,9 +300,9 @@ class Family:
 #: KPS_m (lists indexed 0..m) and the comparison schemas A4_m (1..m)
 FAMILIES = {
     "KPS": Family(("HQPG", "HQPG_TOP"), "CPL", 0, 4, ("phis", "chis"), qp.kps_instance,
-                  desugar(parse("QG", "delta (B(mv_x) -> B(mv_y))"))),
+                  desugar(_pattern("QG", "delta (B(x) -> B(y))", "QG"))),
     "A4": Family(("HQP",), "QP", 1, 5, ("phis", "psis"), qp.a4_instance,
-                 parse("QP", "mv_x <= mv_y")),
+                 _pattern("QP", "x <= y", "QP")),
 }
 
 
@@ -373,11 +355,16 @@ def _read_family(fam: Family, f: Formula) -> dict | None:
 def _schema_matches(calc: str, f: Formula) -> Iterable[tuple[str, dict, set[str]]]:
     """(name, substitution, made) for each schema of the calculus that ``f``
     instantiates, in table order; ``made`` holds the metavariables bound to
-    a node that a sugar expansion made."""
+    a node that a sugar expansion made.  A substitution that binds the
+    reserved variable where ``f`` does not write it is no match: Top is no
+    instance of reg or mcb_bd."""
     for schema in schema_table(calc):
         binding: dict[str, Formula] = {}
         made: set[str] = set()
         if _match(schema.pattern, f, binding, made):
+            if any(RESERVED_VAR in vars_of(binding[k]) for k in made) \
+                    and RESERVED_VAR not in vars_of(f):
+                continue
             clean = {k[len(_META_PREFIX):]: v for k, v in binding.items()}
             if schema.side is None or schema.side(clean):
                 yield schema.name, clean, made
@@ -576,7 +563,8 @@ def _hilbert_step(calc: str, steps: Sequence[Step], i: int, prem: Sequence,
         a, b = (steps[r - 1].formula for r in refs)
         if a is None or b is None:
             return "rule cites malformed steps", True
-        ok = any(x.kind == _IMP_KIND[calc] and x.children == (y, f) for x, y in ((b, a), (a, b)))
+        imp = _ARROWS[VARIANT[calc]][0]
+        ok = any(x.kind == imp and x.children == (y, f) for x, y in ((b, a), (a, b)))
         return (None if ok else "modus ponens does not apply to the cited steps"), \
             any(tainted[r - 1] for r in refs)
     if "nec" in just:
@@ -588,7 +576,9 @@ def _hilbert_step(calc: str, steps: Sequence[Step], i: int, prem: Sequence,
             return "rule cites malformed steps", True
         if tainted[refs[0] - 1]:
             return "necessitation applied to a premise-dependent line", True
-        ok = desugar(f) == desugar(_nec_image(calc, g))
+        image = _pattern(VARIANT[calc], "f ~~ Top" if calc == "HQP" else "(Top {C} f) {I} Bot",
+                         CALC_LANG[calc])
+        ok = desugar(f) == desugar(_instantiate(image, {"f": g}))
         return (None if ok else "formula is not the necessitation of the cited step"), False
     if "outer" in just:
         refs = _cited(just, "outer", i)
@@ -624,6 +614,8 @@ def check_derivation(calc: str, derivation: Derivation,
             reason, taint = check_step(calc, derivation.steps, i, prem, tainted)
         except (ValueError, LanguageError, KeyError) as exc:
             reason, taint = f"malformed justification: {exc}", True
+        except RecursionError:  # desugar and the oracles recurse once per node
+            reason, taint = "formula nests too deeply", True
         tainted.append(taint)
         if reason is None:
             report.steps.append({"step": i + 1, "status": "ok"})
@@ -634,56 +626,14 @@ def check_derivation(calc: str, derivation: Derivation,
     return report
 
 
-def _nec_image(calc: str, f: Formula) -> Formula:
-    lang = CALC_LANG[calc]
-    if lang in ("BIG", "QG"):
-        return mk(lang, "delta", f)
-    if lang in ("G2ORD", "MCB"):
-        return mk(lang, "gimp", mk(lang, "gcoimp", mk(lang, "top"), f), mk(lang, "bot"))
-    if lang in ("G2NEL", "NMCB"):
-        return mk(lang, "nimp", mk(lang, "ncoimp", mk(lang, "top"), f), mk(lang, "bot"))
-    if lang == "QP":
-        return mk(lang, "approx", f, mk(lang, "top"))
-    raise ValueError(f"no necessitation rule in {calc}")
-
-
 # ---------------------------------------------------------------------------
 # R_fde sequent derivations
 # ---------------------------------------------------------------------------
 
-@functools.cache
-def _rfde_axioms() -> list[tuple[str, Formula, Formula]]:
-    a, b, c = (_meta("BD", n) for n in "abc")
-
-    def N(x):
-        return mk("BD", "dneg", x)
-
-    def AND(x, y):
-        return mk("BD", "and", x, y)
-
-    def OR(x, y):
-        return mk("BD", "or", x, y)
-
-    return [
-        ("and_elim_l", AND(a, b), a),
-        ("and_elim_r", AND(a, b), b),
-        ("or_intro_l", a, OR(a, b)),
-        ("or_intro_r", b, OR(a, b)),
-        ("dem_and_l", N(AND(a, b)), OR(N(a), N(b))),
-        ("dem_and_r", OR(N(a), N(b)), N(AND(a, b))),
-        ("dem_or_l", N(OR(a, b)), AND(N(a), N(b))),
-        ("dem_or_r", AND(N(a), N(b)), N(OR(a, b))),
-        ("dneg_elim", N(N(a)), a),
-        ("dneg_intro", a, N(N(a))),
-        ("distrib", AND(a, OR(b, c)), OR(AND(a, b), AND(a, c))),
-    ]
-
-
 def match_sequent_axiom(lhs: Formula, rhs: Formula) -> str | None:
     for name, pl, pr in _rfde_axioms():
-        binding: dict[str, Formula] = {}
-        made: set[str] = set()  # BD has no sugar, so this stays empty
-        if _match(pl, lhs, binding, made) and _match(pr, rhs, binding, made):
+        binding: dict[str, Formula] = {}  # BD has no sugar, so nothing is made
+        if _match(pl, lhs, binding, set()) and _match(pr, rhs, binding, set()):
             return name
     return None
 

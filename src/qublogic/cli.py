@@ -391,9 +391,10 @@ def _dispatch_qp(args) -> int:
         gmodel, state = result
         return _emit({"found": True, "state": state, "model": gmodel.to_json()})
     if args.what == "represent-lp":
-        obj = _load_json(args.order)
-        rank = {measures._key_mask(k): int(v) for k, v in obj["rank"].items()}
-        order = qp.OrderInstance(obj["ground"], rank)
+        obj = bd._checked(_load_json(args.order), dict, "an order")
+        rank = {measures._key_mask(k): bd._checked(r, int, "a rank")
+                for k, r in bd._checked(obj["rank"], dict, "'rank'").items()}
+        order = qp.OrderInstance(bd._checked(obj["ground"], int, "'ground'"), rank)
         witness = qp.represent_order_lp(order)
         if witness is None:
             return _emit({"representable": False}, 1)

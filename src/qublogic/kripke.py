@@ -69,11 +69,12 @@ class G2KripkeModel:
 
     @classmethod
     def from_json(cls, obj: dict) -> "G2KripkeModel":
+        ranks = bd._checked(obj["order"], list, "'order'")
         return cls(
-            states=obj["states"],
-            order=tuple(obj["order"]),
-            vplus={p: bd._list_to_mask(v) for p, v in obj.get("vplus", {}).items()},
-            vminus={p: bd._list_to_mask(v) for p, v in obj.get("vminus", {}).items()},
+            states=bd._checked(obj["states"], int, "'states'"),
+            order=tuple(bd._checked(r, int, "a rank") for r in ranks),
+            vplus=bd._masks_from_json(obj, "vplus"),
+            vminus=bd._masks_from_json(obj, "vminus"),
         )
 
 

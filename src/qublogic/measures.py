@@ -54,6 +54,13 @@ def _key_mask(key: str) -> int:
     return bd._list_to_mask([int(part) for part in body.split(",")]) if body else 0
 
 
+def _measure_from_json(obj: Mapping) -> dict[int, Fraction]:
+    """The measure under ``mu``: an object of state lists, written as JSON
+    text, to values."""
+    mu = bd._checked(obj["mu"], dict, "'mu'")
+    return {_key_mask(k): parse_fraction(q) for k, q in mu.items()}
+
+
 def _check_measure(states: int, mu: Mapping[int, Fraction]) -> None:
     if not 1 <= states <= MAX_DENSE_STATES:
         raise ValueError(f"state count must be in 1..{MAX_DENSE_STATES}")
@@ -119,9 +126,9 @@ class UncertaintyModel:
     @classmethod
     def from_json(cls, obj: dict) -> "UncertaintyModel":
         return cls(
-            states=obj["states"],
-            v={p: bd._list_to_mask(s) for p, s in obj.get("v", {}).items()},
-            mu={_key_mask(k): parse_fraction(q) for k, q in obj["mu"].items()},
+            states=bd._checked(obj["states"], int, "'states'"),
+            v=bd._masks_from_json(obj, "v"),
+            mu=_measure_from_json(obj),
         )
 
 
@@ -155,10 +162,10 @@ class BeliefModel:
     @classmethod
     def from_json(cls, obj: dict) -> "BeliefModel":
         return cls(
-            states=obj["states"],
-            vplus={p: bd._list_to_mask(s) for p, s in obj.get("v", obj.get("vplus", {})).items()},
-            vminus={p: bd._list_to_mask(s) for p, s in obj.get("vminus", {}).items()},
-            pi={_key_mask(k): parse_fraction(q) for k, q in obj["mu"].items()},
+            states=bd._checked(obj["states"], int, "'states'"),
+            vplus=bd._masks_from_json(obj, "v" if "v" in obj else "vplus"),
+            vminus=bd._masks_from_json(obj, "vminus"),
+            pi=_measure_from_json(obj),
         )
 
 

@@ -65,9 +65,10 @@ class GardenforsModel:
 
     @classmethod
     def from_json(cls, obj: dict) -> "GardenforsModel":
-        weights = {int(x): tuple(parse_fraction(q) for q in w) for x, w in obj["weights"].items()}
-        v = {p: bd._list_to_mask(states) for p, states in obj.get("v", {}).items()}
-        return cls(obj["states"], weights, v)
+        weights = {int(x): tuple(map(parse_fraction, bd._checked(w, list, "a weight vector")))
+                   for x, w in bd._checked(obj["weights"], dict, "'weights'").items()}
+        states = bd._checked(obj["states"], int, "'states'")
+        return cls(states, weights, bd._masks_from_json(obj, "v"))
 
 
 _COMPARE = {"leq": operator.le, "approx": operator.eq, "less": operator.lt}

@@ -333,13 +333,18 @@ def parse_tokens(lang: str, outer: _Parser) -> Formula:
 def parse(lang: str, text: str) -> Formula:
     """Parse ``text`` as a formula of ``lang``.
 
-    Raises :class:`FormulaSyntaxError` on malformed input and
+    Raises :class:`FormulaSyntaxError` on malformed input, a formula that
+    nests too deeply for the recursive descent included, and
     :class:`LanguageError` when a connective is foreign to ``lang``.
     """
     if lang not in LANGS:
         raise LanguageError(f"unknown language {lang!r}")
     parser = _Parser(lang, _tokenize(text), len(text))
-    f = parser.comparison()
+    try:
+        f = parser.comparison()
+    except RecursionError:
+        tok = parser.peek()
+        raise FormulaSyntaxError("formula nests too deeply", tok[2] if tok else len(text)) from None
     tok = parser.peek()
     if tok is not None:
         raise FormulaSyntaxError(f"trailing input {tok[1]!r}", tok[2])

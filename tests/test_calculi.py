@@ -2,6 +2,7 @@ import copy
 import json
 import pathlib
 import random
+import re
 from fractions import Fraction as F
 from itertools import product
 
@@ -123,31 +124,77 @@ def test_match_axiom_binds_subformulas_as_written(calc):
         assert all(RESERVED_VAR not in vars_of(v) for v in binding.values())
 
 
-@pytest.mark.parametrize("calc", ["HBIG", "HQG", "HQPG_TOP"])
+#: plain and sugared arguments of the propositional rows, by variant, over
+#: the atoms p, q, r and s
+_ARGS = {
+    "BIG": ({"a": "p -> q", "b": "q & r", "c": "r -< p"},
+            {"a": "snot p", "b": "delta q", "c": "snot delta(r -> p)"}),
+    "G2ORD": ({"a": "p -> q", "b": "q & neg r", "c": "r -< p"},
+              {"a": "snot p", "b": "delta1 q", "c": "snot delta1(r -> neg p)"}),
+    "QP": ({"a": "p => q", "b": "q & ~r", "c": "r | p", "d": "s"},
+           {"a": "p <-> q", "b": "Top", "c": "(p <= q) ~~ Top", "d": "Bot"}),
+}
+#: plain and sugared arguments of the modal rows: reg needs phi => chi,
+#: nontriv and cap1 a tautological phi, nontriv and cap2 a contradictory
+#: chi or phi, mcb_bd a valid BD sequent phi |- chi
+_INNER = {
+    "reg": ({"phi": "p & q", "chi": "p"}, {"phi": "p <-> q", "chi": "p => q"}),
+    "nontriv": ({"phi": "p | ~p", "chi": "p & ~p"}, {"phi": "Top", "chi": "Bot"}),
+    "cap1": ({"phi": "p | ~p"}, {"phi": "Top"}),
+    "cap2": ({"phi": "p & ~p"}, {"phi": "Bot"}),
+    "mcb_bd": ({"phi": "p & q", "chi": "p"}, {"phi": "neg (p | q)", "chi": "neg p"}),
+    "mcb_neg": ({"phi": "p & q"}, {"phi": "neg neg p"}),
+}
+
+
+@pytest.mark.parametrize("calc", ["HBIG", "HG2ORD", "HQG", "HQPG", "HQPG_TOP", "HMCB", "HQP"])
 def test_match_axiom_names_schemas_without_the_reserved_variable(calc):
-    # a match that binds only subformulas as written comes first: biG7 is
-    # named biG7, not biG1 with c bound to the expansion of Bot
+    # every row, instantiated with plain and with sugared arguments, is
+    # named with its arguments given back; a match that binds only
+    # subformulas as written comes first: biG7 is named biG7, not biG1 with
+    # c bound to the expansion of Bot
     lang = CALC_LANG[calc]
-    p, q, r = ("p", "q", "r") if lang == "BIG" else ("B(p)", "B(q)", "B(r)")
-    plain = {"a": f"{p} -> {q}", "b": f"{q} & {r}", "c": f"{r} -< {p}"}
-    sugared = {"a": f"snot {p}", "b": f"delta {q}", "c": f"snot delta({r} -> {p})"}
-    inner = {  # side conditions: reg needs phi => chi, nontriv and cap1 a
-               # tautological phi, nontriv and cap2 a contradictory one
-        "reg": ({"phi": "p & q", "chi": "p"}, {"phi": "p <-> q", "chi": "p => q"}),
-        "nontriv": ({"phi": "p | ~p", "chi": "p & ~p"}, {"phi": "Top", "chi": "Bot"}),
-        "cap1": ({"phi": "p | ~p"}, {"phi": "Top"}),
-        "cap2": ({"phi": "p & ~p"}, {"phi": "Bot"}),
-    }
+    atom = {"QG": r"B(\1)", "MCB": r"C(\1)"}.get(lang, r"\1")
+    inner = "BD" if lang == "MCB" else "CPL"
     table = {s.name: s for s in calculi.schema_table(calc)}
     for schema in table.values():
-        for style, texts in enumerate((plain, sugared)):
-            args = {k: parse(lang, t) for k, t in texts.items()}
-            if schema.name in inner:
-                args = {k: parse("CPL", t) for k, t in inner[schema.name][style].items()}
+        for style in (0, 1):
+            if schema.name in _INNER:
+                args = {k: parse(inner, t) for k, t in _INNER[schema.name][style].items()}
+            else:
+                texts = _ARGS[calculi.VARIANT[calc]][style]
+                args = {k: parse(lang, re.sub(r"\b([pqrs])\b", atom, t)) for k, t in texts.items()}
             name, binding = match_axiom(calc, _instantiate(schema.sugared, args))
             assert name == schema.name or table[name].pattern == schema.pattern, (schema.name, name)
             assert binding == {k: args[k] for k in binding}, (name, binding)
             assert all(RESERVED_VAR not in print_formula(v) for v in binding.values()), binding
+
+
+def test_match_sequent_axiom_names_every_sequent():
+    for args in ({"a": "p & q", "b": "neg r", "c": "p | r"},
+                 {"a": "neg neg p", "b": "q | neg q", "c": "neg (p & r)"}):
+        args = {k: parse("BD", t) for k, t in args.items()}
+        for name, lhs, rhs in calculi._rfde_axioms():
+            assert match_sequent_axiom(_instantiate(lhs, args), _instantiate(rhs, args)) == name
+
+
+@pytest.mark.parametrize("calc", [c for c in calculi.CALCULI if c != "RFDE"])
+def test_top_and_bot_are_no_axiom_instances(calc):
+    # Top's expansion instantiates reg (HQG, HQPG, HQPG_TOP) and mcb_bd
+    # (HMCB) only with the reserved variable bound; HQP's PC takes Top as a
+    # tautology.  An outer step that cites nothing still derives Top.
+    lang = CALC_LANG[calc]
+    qp_calc = calc == "HQP"
+    assert match_axiom(calc, parse(lang, "Top")) == (("PC", {}) if qp_calc else None)
+    assert match_axiom(calc, parse(lang, "Bot")) is None
+    deriv = Derivation.from_json({"calculus": calc, "steps": [
+        {"formula": "Top", "just": {"axiom": "any"}},
+        {"formula": "Top", "just": {"outer": []}},
+        {"formula": "Bot", "just": {"axiom": "any"}}]})
+    no_axiom = "not an instance of axiom 'any'"
+    assert check_derivation(calc, deriv).to_json() == _report(
+        [None, f"outer steps are not supported for {calc}", no_axiom] if qp_calc
+        else [no_axiom, None, no_axiom])
 
 
 @pytest.mark.parametrize("calc,p,q", [("HBIG", "p", "q"), ("HQG", "B(p)", "B(q)")])
@@ -654,6 +701,20 @@ def test_hilbert_justification_that_is_not_a_mapping_fails_its_step():
                                     calculi.Step(mk("BIG", "delta", line), None, {"nec": 1})))
     assert check_derivation("HBIG", deriv).to_json() == _report(
         ["malformed justification: a justification is an object, not 5", None, _NEC_TAINTED])
+
+
+def test_step_too_deep_for_the_recursive_checks_fails_with_a_reason():
+    # PC desugars A4_6 (a 924-disjunct E-notation, past the A4 bound) by
+    # recursion; the step fails, and as unchecked it is no theorem for nec
+    qs = [var("QP", x) for x in "pqrstu"]
+    deep = qp.a4_instance(6, qs, qs[1:] + qs[:1])
+    line = parse("QP", "Bot << Top")
+    deriv = Derivation("HQP", (), (calculi.Step(deep, None, {"axiom": "any"}),
+                                   calculi.Step(line, None, {"axiom": "A3"}),
+                                   calculi.Step(mk("QP", "approx", deep, mk("QP", "top")), None,
+                                                {"nec": 1})))
+    assert check_derivation("HQP", deriv).to_json() == _report(
+        ["formula nests too deeply", None, _NEC_TAINTED])
 
 
 def test_sequent_justification_that_is_not_a_mapping_fails_its_step():

@@ -222,7 +222,35 @@ _MALFORMED = [
     ["qp", "sat", "--model", '{"states":1,"weights":{"0":[null]},"v":{}}', "p <= p"],
     ["eval-qg", "--model", "[1,2]", "B(p)"],
     ["kripke", "counterpart"],
+    # containers of the wrong JSON type
+    ["eval-g2", "--lang", "g2ord", "--valuation", '{"p": 5}', "p"],
+    ["eval-big", "--valuation", "[1]", "p"],
+    ["qp", "sat", "--model", '{"states":1,"weights":[1],"v":{"p":[0]}}', "p <= p"],
+    ["eval-qg", "--model", '{"states":1,"v":[],"mu":{"[]":"0","[0]":"1"}}', "B(p)"],
+    ["eval-qg", "--model", '{"states":"1","v":{"p":[0]},"mu":{"[]":"0","[0]":"1"}}', "B(p)"],
+    ["eval-layer", "--lang", "mcb", "--model",
+     '{"states":1,"v":{"p":[0]},"vminus":[],"mu":{"[]":"0","[0]":"1"}}', "C(p)"],
+    ["kripke", "support", "--model", '{"states":1,"order":5,"vplus":{"p":[0]}}', "--state", "0", "p"],
+    ["kripke", "support", "--model", '{"states":"1","order":[0],"vplus":{"p":[0]}}',
+     "--state", "0", "p"],
+    ["qp", "represent-lp", "--order", '{"ground":2,"rank":[]}'],
+    ["qp", "represent-lp", "--order", '{"ground":"2","rank":{"[]":0,"[0]":1,"[1]":1,"[0,1]":2}}'],
+    ["model", "canonical", "--layer", "qg", "--valuation", "[1]", "B(p)"],
+    ["model", "canonical", "--layer", "mcb", "--valuation", '{"C(p)": 5}', "C(p)"],
+    # nesting too deep for the parser's recursive descent
+    ["parse", "--lang", "big", "(" * 400 + "p" + ")" * 400],
 ]
+
+# an HQP step whose formula is A4_6, past the A4 bound: too deep for the
+# recursive PC check, and for print_formula under pytest's stack, so a
+# fresh process prints it
+_A4_6_STEP = """
+import json
+from qublogic import qp, syntax
+qs = [syntax.var("QP", x) for x in "pqrstu"]
+text = syntax.print_formula(qp.a4_instance(6, qs, qs[1:] + qs[:1]))
+print(json.dumps({"calculus": "HQP", "steps": [{"formula": text, "just": {"axiom": "any"}}]}))
+"""
 
 
 def test_cli_processes_exit_2_with_one_json_line_on_input_errors():
@@ -230,12 +258,19 @@ def test_cli_processes_exit_2_with_one_json_line_on_input_errors():
     env = {**os.environ, "PYTHONPATH": str(src)}
     matches = [["prove", "match-axiom", "--calculus", calc, text]
                for calc, _, text, params in _family_texts() if params["m"] == 1]
-    for argv in _MALFORMED + matches:
+    deep = subprocess.run([sys.executable, "-c", _A4_6_STEP], env=env, capture_output=True,
+                          text=True, timeout=60, check=True).stdout
+    for argv in _MALFORMED + matches + [["prove", "check", deep]]:
         done = subprocess.run([sys.executable, "-m", "qublogic.cli", *argv], env=env,
                               capture_output=True, text=True, timeout=60)
         assert "Traceback" not in done.stdout + done.stderr, argv
         if argv in matches:
             assert (done.returncode, done.stderr) == (0, ""), argv
+            continue
+        if argv[-1] == deep:  # the step fails with a reason and the report prints
+            assert (done.returncode, done.stderr) == (1, "")
+            assert json.loads(done.stdout)["steps"] == [
+                {"step": 1, "status": "fail", "reason": "formula nests too deeply"}]
             continue
         assert (done.returncode, done.stdout) == (2, ""), argv
         lines = done.stderr.splitlines()
