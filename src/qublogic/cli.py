@@ -190,13 +190,16 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return _dispatch(args)
     except (syntax.FormulaSyntaxError, syntax.LanguageError) as exc:
-        json.dump({"error": str(exc)}, sys.stderr)
-        sys.stderr.write("\n")
-        return 2
+        return _error(str(exc))
     except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
-        json.dump({"error": f"{type(exc).__name__}: {exc}"}, sys.stderr)
-        sys.stderr.write("\n")
-        return 2
+        return _error(f"{type(exc).__name__}: {exc}")
+
+
+def _error(message: str) -> int:
+    """Report an input error as one JSON line on stderr; exit status 2."""
+    json.dump({"error": message}, sys.stderr)
+    sys.stderr.write("\n")
+    return 2
 
 
 def _dispatch(args) -> int:
@@ -414,7 +417,10 @@ def _dispatch_prove(args) -> int:
     if args.what == "match-axiom":
         calc = args.calculus.upper()
         f = syntax.parse(calculi.CALC_LANG[calc], args.text)
-        hit = calculi.match_axiom(calc, f)
+        try:
+            hit = calculi.match_axiom(calc, f)
+        except RecursionError:  # desugar and the tautology check recurse once per node
+            return _error("formula nests too deeply")
         if hit is None:
             return _emit({"matched": False}, 1)
         name, binding = hit

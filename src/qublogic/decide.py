@@ -9,24 +9,29 @@ this against an independent order-type oracle.
 The twist decision runs on integer ranks: each formula is compiled once by
 :func:`qublogic.algebra.compile_twist`, rank i stands for the grid value
 i/(2k+1), and Fractions are built only for the returned witness.  The biG
-and QG decisions still evaluate Fractions at every grid point.  A query
-over more atoms than a decision admits is refused with a ValueError that
-states the number of grid points it would visit.
+decision still evaluates Fractions at every grid point.  A query over more
+atoms than a decision admits is refused with a ValueError that states the
+number of grid points it would visit.
 
-QG entailment reduces to biG entailment after saturating with modal axiom
-instances over the B-atoms in play.  Instances are added both plain and
-under delta: a refuting valuation must then satisfy them exactly, which is
-what makes every returned witness extend to a genuine uncertainty model.
-CPL-equivalent B-atoms are merged first; the saturation forces them to the
-same value, so merging changes no verdict but keeps the grid small.
+QG is decided as biG: the outer layer is Goedel logic, and each B-atom is
+one of its atoms.  CPL-equivalent B-atoms are merged first (every model
+gives them the same value, so no verdict changes, but the grid stays
+small), and modal axiom instances over the merged atoms join the
+premises, both plain and under delta: a refuting valuation must then
+satisfy them exactly, which is what makes every returned witness extend to
+a genuine uncertainty model.  The premises, the instances and the target
+are then rebuilt as biG formulas over one variable per merged class,
+named to sort as the classes' representatives print, so the grid visits
+the valuations in the order of the printed B-atoms.  Each B-atom is
+printed once per decision, to name its witness value.
 
 Truth preservation, the outer logic of the Hilbert calculi, is decided by
 :func:`truth_preserved` for every language with an outer step, through one
 pruned depth-first search over the order types of the atoms' coordinates
-(one per biG or QG atom, a truth and a falsity per twist atom), QG after
-the same merging and saturation, MCB and NMCB with their layer axioms'
-instances as premises.  The grid decisions above decide degree
-entailment; they take no part in it.
+(one per biG atom, a truth and a falsity per twist atom), QG after the same
+reduction to biG, MCB and NMCB with their layer axioms' instances as
+premises.  The grid decisions above decide degree entailment; they take no
+part in it.
 """
 
 from __future__ import annotations
@@ -181,25 +186,28 @@ def g2_valid(variant: str, f: Formula) -> Verdict:
 # QG: saturation with modal axiom instances
 # ---------------------------------------------------------------------------
 
-def qg_b_atoms(formulas: Iterable[Formula]) -> list[Formula]:
-    """B-atoms occurring in ``formulas`` plus B(Top) and B(Bot), sorted."""
+def qg_b_atoms(formulas: Iterable[Formula]) -> dict[str, Formula]:
+    """B-atoms occurring in ``formulas`` plus B(Top) and B(Bot), each keyed
+    by its printed form, in the order of those texts."""
     atoms = set().union(*map(syntax.modal_atoms, formulas))
     atoms |= {mk("QG", "bmod", mk("CPL", "top")), mk("QG", "bmod", mk("CPL", "bot"))}
-    return sorted(atoms, key=print_formula)
+    return dict(sorted((print_formula(a), a) for a in atoms))
 
 
-def qg_merge_atoms(formulas: Sequence[Formula]) -> tuple[list[Formula], dict[Formula, Formula], list[Formula]]:
+def qg_merge_atoms(formulas: Sequence[Formula]) -> tuple[dict[str, Formula], dict[Formula, Formula], list[Formula]]:
     """Merge CPL-equivalent B-atoms.
 
-    Returns (atoms, atom -> representative map, representatives).  Every
-    uncertainty model gives equivalent inner formulas the same measure, so
-    rewriting through the map preserves entailment exactly.
+    Returns (the atoms as :func:`qg_b_atoms` gives them, atom ->
+    representative map, representatives in printed order).  Each class is
+    represented by its first atom in printed order.  Every uncertainty
+    model gives equivalent inner formulas the same measure, so rewriting
+    through the map preserves entailment exactly.
     """
     atoms = qg_b_atoms(formulas)
-    masks, _ = _inner_masks(atoms)
+    masks, _ = _inner_masks(list(atoms.values()))
     classes: dict[int, Formula] = {}
-    mapping = {a: classes.setdefault(mask, a) for a, mask in zip(atoms, masks)}
-    return atoms, mapping, sorted(set(mapping.values()), key=print_formula)
+    mapping = {a: classes.setdefault(mask, a) for a, mask in zip(atoms.values(), masks)}
+    return atoms, mapping, list(classes.values())
 
 
 def _inner_masks(atoms: Sequence[Formula]) -> tuple[list[int], int]:
@@ -212,11 +220,10 @@ def _inner_masks(atoms: Sequence[Formula]) -> tuple[list[int], int]:
 
 
 def _rewrite_atoms(f: Formula, mapping: Mapping[Formula, Formula]) -> Formula:
+    """``f`` as a biG formula, each B-atom replaced by its variable in ``mapping``."""
     if f.kind == "bmod":
-        return mapping.get(f, f)
-    if f.kind == "var":
-        return f
-    return mk(f.lang, f.kind, *(_rewrite_atoms(c, mapping) for c in f.children))
+        return mapping[f]
+    return mk("BIG", f.kind, *(_rewrite_atoms(c, mapping) for c in f.children))
 
 
 def qg_saturation(reps: Sequence[Formula], with_cap: bool = False) -> list[Formula]:
@@ -250,30 +257,34 @@ def qg_saturation(reps: Sequence[Formula], with_cap: bool = False) -> list[Formu
 
 
 def _qg_reduce(premises: Sequence[Formula], target: Formula,
-               with_cap: bool) -> tuple[list[Formula], Formula, list[Formula], dict[str, Formula]]:
-    """A QG query as biG over merged B-atoms, saturated: the premises, the
-    target, the representative atoms, and each B-atom's printed form (a
-    witness key) mapped to its representative."""
+               with_cap: bool) -> tuple[list[Formula], Formula, list[str], dict[str, str]]:
+    """A QG query as a biG query over one variable per merged B-atom class:
+    the premises and the saturation instances, the target, the variables
+    (named to sort as their representatives print), and each B-atom's
+    printed form (a witness key) mapped to its variable."""
     atoms, mapping, reps = qg_merge_atoms([*premises, target])
-    premises = [*(_rewrite_atoms(g, mapping) for g in premises), *qg_saturation(reps, with_cap)]
-    return premises, _rewrite_atoms(target, mapping), reps, \
-        {print_formula(a): mapping[a] for a in atoms}
+    width = len(str(len(reps) - 1))
+    var_of = {rep: syntax.var("BIG", f"b{i:0{width}}") for i, rep in enumerate(reps)}
+    big = {a: var_of[rep] for a, rep in mapping.items()}
+    premises = [_rewrite_atoms(g, big) for g in [*premises, *qg_saturation(reps, with_cap)]]
+    return premises, _rewrite_atoms(target, big), [v.var for v in var_of.values()], \
+        {name: big[a].var for name, a in atoms.items()}
 
 
 def qg_entails(xi: Sequence[Formula], alpha: Formula, with_cap: bool = False) -> Verdict:
-    """Decide QG entailment by axiom saturation over the atoms in play.
+    """Decide QG entailment as biG entailment over the merged B-atoms,
+    saturated with modal axiom instances.
 
-    A ``fails`` witness assigns a value to every B-atom of the query and
-    extends to a countermodel via the canonical construction in
-    :mod:`qublogic.measures`.
+    A ``fails`` witness assigns a value to every B-atom of the query, keyed
+    by its printed form, and extends to a countermodel via the canonical
+    construction in :mod:`qublogic.measures`.
     """
     _check_langs([*xi, alpha], ("QG",), "the QG decision")
     premises, goal, _, names = _qg_reduce(xi, alpha, with_cap)
     verdict = big_entails(premises, goal)
     if verdict.holds:
         return verdict
-    return Verdict("fails", {name: verdict.witness[print_formula(rep)]
-                             for name, rep in names.items()})
+    return Verdict("fails", {name: verdict.witness[v] for name, v in names.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -305,6 +316,7 @@ def truth_preserved(lang: str, premises: Sequence[Formula], target: Formula,
         raise ValueError(f"no truth-preservation decision for {lang}")
     if lang == "QG":
         premises, target, keys, names = _qg_reduce(premises, target, with_cap)
+        lang = "BIG"
     else:
         if lang in ("MCB", "NMCB"):
             premises = [*premises, *_layer_saturation(lang, [*premises, target])]

@@ -10,6 +10,7 @@ syntax; :func:`desugar` rewrites them into the primitive fragment.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import ClassVar
 
@@ -178,38 +179,28 @@ _PREFIX_TOKENS = {"~": "not", "neg": "dneg", "snot": "snot", "delta": "delta",
                   "delta1": "delta1", "deltaN": "deltan", "deltaBangN": "deltabang"}
 
 
+# One token per match, tried in this order at each position: a symbol
+# (group 1, in the order of _SYMBOLS), a word (group 2; \w is
+# str.isalnum() or "_"), or any other character but whitespace, which is
+# an error.  Whitespace (\s is str.isspace()) matches nothing and is skipped.
+_TOKEN = re.compile(rf"({'|'.join(map(re.escape, _SYMBOLS))})|(\w+)|\S")
+
+
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
     """Produce (type, value, pos) tokens; type is 'sym', 'word', or 'var'."""
     out: list[tuple[str, str, int]] = []
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        matched = False
-        for sym in _SYMBOLS:
-            if text.startswith(sym, i):
-                out.append(("sym", sym, i))
-                i += len(sym)
-                matched = True
-                break
-        if matched:
-            continue
-        if ch.isalpha():
-            j = i + 1
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            word = text[i:j]
-            if word in _KEYWORDS:
-                out.append(("word", word, i))
-            elif word[0].islower() and all(c.islower() or c.isdigit() or c == "_" for c in word):
-                out.append(("var", word, i))
-            else:
-                raise FormulaSyntaxError(f"unknown token {word!r}", i)
-            i = j
-            continue
-        raise FormulaSyntaxError(f"unexpected character {ch!r}", i)
+    for m in _TOKEN.finditer(text):
+        tok, i = m.group(), m.start()
+        if m.lastindex == 1:
+            out.append(("sym", tok, i))
+        elif m.lastindex is None or not tok[0].isalpha():
+            raise FormulaSyntaxError(f"unexpected character {tok[0]!r}", i)
+        elif tok in _KEYWORDS:
+            out.append(("word", tok, i))
+        elif tok[0].islower() and all(c.islower() or c.isdigit() or c == "_" for c in tok):
+            out.append(("var", tok, i))
+        else:
+            raise FormulaSyntaxError(f"unknown token {tok!r}", i)
     return out
 
 

@@ -241,15 +241,13 @@ _MALFORMED = [
     ["parse", "--lang", "big", "(" * 400 + "p" + ")" * 400],
 ]
 
-# an HQP step whose formula is A4_6, past the A4 bound: too deep for the
-# recursive PC check, and for print_formula under pytest's stack, so a
-# fresh process prints it
-_A4_6_STEP = """
-import json
+# the text of A4_6, past the A4 bound: too deep for the recursive PC
+# check, and for print_formula under pytest's stack, so a fresh process
+# prints it
+_A4_6_TEXT = """
 from qublogic import qp, syntax
 qs = [syntax.var("QP", x) for x in "pqrstu"]
-text = syntax.print_formula(qp.a4_instance(6, qs, qs[1:] + qs[:1]))
-print(json.dumps({"calculus": "HQP", "steps": [{"formula": text, "just": {"axiom": "any"}}]}))
+print(syntax.print_formula(qp.a4_instance(6, qs, qs[1:] + qs[:1])))
 """
 
 
@@ -258,9 +256,11 @@ def test_cli_processes_exit_2_with_one_json_line_on_input_errors():
     env = {**os.environ, "PYTHONPATH": str(src)}
     matches = [["prove", "match-axiom", "--calculus", calc, text]
                for calc, _, text, params in _family_texts() if params["m"] == 1]
-    deep = subprocess.run([sys.executable, "-c", _A4_6_STEP], env=env, capture_output=True,
-                          text=True, timeout=60, check=True).stdout
-    for argv in _MALFORMED + matches + [["prove", "check", deep]]:
+    a4_6 = subprocess.run([sys.executable, "-c", _A4_6_TEXT], env=env, capture_output=True,
+                          text=True, timeout=60, check=True).stdout.strip()
+    deep = json.dumps({"calculus": "HQP", "steps": [{"formula": a4_6, "just": {"axiom": "any"}}]})
+    deep_match = ["prove", "match-axiom", "--calculus", "hqp", a4_6]
+    for argv in _MALFORMED + matches + [["prove", "check", deep], deep_match]:
         done = subprocess.run([sys.executable, "-m", "qublogic.cli", *argv], env=env,
                               capture_output=True, text=True, timeout=60)
         assert "Traceback" not in done.stdout + done.stderr, argv
@@ -275,6 +275,8 @@ def test_cli_processes_exit_2_with_one_json_line_on_input_errors():
         assert (done.returncode, done.stdout) == (2, ""), argv
         lines = done.stderr.splitlines()
         assert len(lines) == 1 and set(json.loads(lines[0])) == {"error"}, argv
+        if argv == deep_match:
+            assert json.loads(lines[0]) == {"error": "formula nests too deeply"}
 
 
 def test_qp_represent_lp(capsys):

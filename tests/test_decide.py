@@ -4,19 +4,21 @@ import math
 import pathlib
 import random
 from fractions import Fraction as F
+from functools import partial
 from itertools import product
 
 import oracles
 import pytest
 from helpers import gen_g2
 
-from qublogic import calculi, cli, decide, measures
+from qublogic import algebra, calculi, cli, decide, measures, syntax
 from qublogic.algebra import (ONE, TwistValue, UnboundVariableError, compile_twist,
                               coordinates_read, eval_big, eval_g2)
 from qublogic.decide import (Verdict, big_entails, big_valid, g2_entails, g2_valid, grid,
                              qg_entails, qg_merge_atoms, qg_saturation)
 from qublogic.syntax import (BINARY_KINDS, NULLARY_KINDS, PRIMITIVE_KINDS, SUGAR_KINDS,
-                             UNARY_KINDS, LanguageError, mk, parse, print_formula, var, vars_of)
+                             UNARY_KINDS, LanguageError, mk, modal_atoms, parse, print_formula, var,
+                             vars_of)
 
 
 def test_big_valid_examples():
@@ -179,6 +181,118 @@ def test_qg_saturation_matches_pairwise_reference(with_cap):
 def test_qg_rejects_foreign_languages():
     with pytest.raises(LanguageError):
         qg_entails([], parse("BIG", "p -> p"))
+
+
+_INNER = ("p", "q", "r", "~p", "p & q", "p | q", "p => q", "~(~p)", "p | (q & r)",
+          "q | ~q", "r & ~r", "Top", "Bot")
+
+
+def _outer_qg(rng, atoms, depth):
+    if depth == 0 or rng.random() < 0.3:
+        return rng.choice(atoms)
+    kind = rng.choice(["and", "or", "gimp", "gimp", "gcoimp", "snot", "delta", "iff"])
+    if kind in ("snot", "delta"):
+        return mk("QG", kind, _outer_qg(rng, atoms, depth - 1))
+    return mk("QG", kind, _outer_qg(rng, atoms, depth - 1), _outer_qg(rng, atoms, depth - 1))
+
+
+def _qg_queries(seed, count):
+    """QG queries over at most 5 merged B-atoms, B(Top) and B(Bot) included;
+    the inner pool has CPL-equivalent, tautological and contradictory members."""
+    rng = random.Random(seed)
+    queries = []
+    while len(queries) < count:
+        atoms = [mk("QG", "bmod", parse("CPL", t)) for t in rng.sample(_INNER, rng.randint(1, 3))]
+        xi = [_outer_qg(rng, atoms, 2) for _ in range(rng.randint(0, 2))]
+        alpha = _outer_qg(rng, atoms, 3)
+        if len(qg_merge_atoms([*xi, alpha])[2]) <= 5:
+            queries.append((xi, alpha))
+    return queries
+
+
+def _reference_qg_entails(xi, alpha, with_cap):
+    """QG entailment as big_entails on the merged, saturated QG formulas,
+    whose grid keys each B-atom by its printed form."""
+    _, mapping, reps = qg_merge_atoms([*xi, alpha])
+
+    def rewrite(f):
+        return mapping[f] if f.kind == "bmod" else mk("QG", f.kind, *map(rewrite, f.children))
+
+    verdict = big_entails([*map(rewrite, xi), *qg_saturation(reps, with_cap)], rewrite(alpha))
+    if verdict.holds:
+        return verdict
+    return Verdict("fails", {print_formula(a): verdict.witness[print_formula(rep)]
+                             for a, rep in mapping.items()})
+
+
+@pytest.mark.parametrize("with_cap", [False, True])
+def test_qg_entails_matches_the_grid_over_printed_b_atoms(with_cap):
+    """The biG query over one variable per merged class gives the verdict
+    and the witness (the grid's first countervaluation) of the grid keyed
+    by printed B-atoms; each witness extends to a countermodel."""
+    statuses = set()
+    for xi, alpha in _qg_queries(15, 200):
+        verdict = qg_entails(xi, alpha, with_cap)
+        assert verdict == _reference_qg_entails(xi, alpha, with_cap), \
+            ([print_formula(g) for g in xi], print_formula(alpha))
+        statuses.add(verdict.status)
+        if not verdict.holds:
+            atoms = [parse("QG", key) for key in verdict.witness]
+            model = measures.canonical_qg_model(verdict.witness, atoms)
+            assert min((measures.eval_qg(model, g) for g in xi), default=ONE) > \
+                measures.eval_qg(model, alpha)
+    assert statuses == {"holds", "fails"}
+
+
+def test_qg_witness_keys_are_the_printed_b_atoms(capsys):
+    for xi, alpha in _qg_queries(16, 40):
+        keys = {print_formula(a) for a in set().union(*map(modal_atoms, [*xi, alpha]))}
+        keys |= {"B(Top)", "B(Bot)"}
+        for verdict in (qg_entails(xi, alpha), decide.truth_preserved("QG", xi, alpha)):
+            if not verdict.holds:
+                assert set(verdict.witness) == keys
+    xi, alpha = [parse("QG", "B(p)"), parse("QG", "B(q)")], parse("QG", "B(p & q) | B(~ ~r)")
+    verdict = qg_entails(xi, alpha)
+    expected = {"B(p)", "B(q)", "B(p & q)", "B(~ ~r)", "B(Top)", "B(Bot)"}
+    assert set(verdict.witness) == expected
+    model = measures.canonical_qg_model(verdict.witness, [*xi, alpha])
+    assert min(measures.eval_qg(model, g) for g in xi) > measures.eval_qg(model, alpha)
+    assert cli.main(["decide", "qg-entails", "--premise", "B(p)", "--premise", "B(q)",
+                     "B(p & q) | B(~ ~r)"]) == 1
+    out = json.loads(capsys.readouterr().out)
+    assert out == verdict.to_json() and set(out["witness"]) == expected
+
+
+def test_qg_decisions_print_each_b_atom_once(monkeypatch):
+    """No grid point or search node prints a formula: one QG decision makes
+    one top-level print_formula call per B-atom in play, at any grid size."""
+    calls, depth = [], [0]
+    original = print_formula
+
+    def counted(f):
+        if not depth[0]:
+            calls.append(f)
+        depth[0] += 1
+        try:
+            return original(f)
+        finally:
+            depth[0] -= 1
+
+    for module in (syntax, decide, algebra):
+        monkeypatch.setattr(module, "print_formula", counted)
+    queries = [
+        ([], "B(r | ~r)", False),
+        (["B(p)"], "delta B(q)", False),
+        (["B(p | q)"], "B(q & r)", False),
+        (["B(p)", "B(q)"], "B(p & q) | B(p | r)", True),  # 6 atoms, 262,144 grid points
+    ]
+    for xi, alpha, holds in queries:
+        xi, alpha = [parse("QG", g) for g in xi], parse("QG", alpha)
+        in_play = len(decide.qg_b_atoms([*xi, alpha]))
+        for decision in (qg_entails, partial(decide.truth_preserved, "QG")):
+            calls.clear()
+            assert decision(xi, alpha).holds == holds
+            assert len(calls) <= in_play, (decision, alpha, len(calls))
 
 
 _TWIST_LANGS = {"G2ORD": "G2ORD", "MCB": "G2ORD", "G2NEL": "G2NEL", "NMCB": "G2NEL"}

@@ -2,7 +2,9 @@ import random
 
 import pytest
 
-from qublogic import syntax
+import test_cli
+
+from qublogic import calculi, syntax
 from qublogic.syntax import (FormulaSyntaxError, LanguageError, desugar, formula_from_json,
                              formula_to_json, is_sif, lits, mk, modal_atoms, parse,
                              print_formula, subformulas, var, vars_of)
@@ -180,3 +182,78 @@ def test_json_round_trip():
 def test_generated_formula_sets_have_expected_sizes():
     assert len(gen_big(3)) == 1982
     assert len(gen_g2("G2ORD", 3)) == 2378
+
+
+def _reference_tokenize(text):
+    """The tokenizer as a loop over positions: each of the symbols tried in
+    turn with str.startswith, then a word of str.isalnum() characters."""
+    out = []
+    i, n = 0, len(text)
+    while i < n:
+        ch = text[i]
+        if ch.isspace():
+            i += 1
+            continue
+        sym = next((s for s in syntax._SYMBOLS if text.startswith(s, i)), None)
+        if sym is not None:
+            out.append(("sym", sym, i))
+            i += len(sym)
+            continue
+        if ch.isalpha():
+            j = i + 1
+            while j < n and (text[j].isalnum() or text[j] == "_"):
+                j += 1
+            word = text[i:j]
+            if word in syntax._KEYWORDS:
+                out.append(("word", word, i))
+            elif word[0].islower() and all(c.islower() or c.isdigit() or c == "_" for c in word):
+                out.append(("var", word, i))
+            else:
+                raise FormulaSyntaxError(f"unknown token {word!r}", i)
+            i = j
+            continue
+        raise FormulaSyntaxError(f"unexpected character {ch!r}", i)
+    return out
+
+
+def _tokens_or_error(tokenize, text):
+    try:
+        return tokenize(text)
+    except FormulaSyntaxError as exc:
+        return str(exc), exc.pos
+
+
+def test_tokenizer_matches_the_per_position_reference():
+    texts = [text for rows in calculi._ROWS.values() for _, text in rows]
+    texts += [text for _, _, text, side in calculi._MODAL for text in (text, side or "")]
+    texts += [text for _, text in calculi._RFDE]
+    texts += [arg for argv in test_cli._MALFORMED for arg in argv]
+    texts += ["delta(B? never)", "p -", "p_1 & P", "Foo", "deltaBangN p", "o-p", "po-q", "oo-p",
+              "~~p", "p<==>q<=r", "1p", "_p", "p\u00a0& q\u2003", "\u00e9t\u00e9 | \u00df"]
+    # workload-shaped texts, with characters inserted that classify
+    # differently under isspace/isalpha/isalnum/isdigit
+    rng = random.Random(15)
+    inner = ["p", "q", "r", "~p", "p & q", "p | ~q", "p => q", "Top", "Bot", "neg p", "p | neg q"]
+    shapes = ["B({0}) -> B({1})", "B({0}) & snot B({1}) -> delta B({0} | {1})",
+              "C({0}) ==> C({1})", "({0}) <= ({1})", "({0}) ~~ ({1}) | ({1}) << ({0})",
+              "deltaN C({0}) <==> neg C({1})", "snot delta (B({0}) -< B({1}))"]
+    formulas = [print_formula(f) for f in gen_big(3)[::97] + gen_g2("G2NEL", 3)[::251]]
+    noise = [" ", "\t", "\n", "\u00a0", "\u2003", "\x1c", "_", "1", "\u00b2", "\u00bd",
+             "\u216b", "\u00e9", "\u00df", "\u0130", "\u0301", "\u01c5", "\u03a3", "o", "-",
+             "<", "=", "~", "?"]
+    for _ in range(600):
+        if rng.random() < 0.5:
+            text = rng.choice(shapes).format(*rng.sample(inner, 2))
+        else:
+            text = rng.choice(formulas)
+        for _ in range(rng.choice([0, 0, 1, 2, 3])):
+            i = rng.randint(0, len(text))
+            text = text[:i] + rng.choice(noise) + text[i:]
+        texts.append(text)
+    # every character up to U+3000 and a sample above it, alone and inside a word
+    chars = [chr(c) for c in range(0x3000)] + [chr(rng.randrange(0x3000, 0x110000))
+                                               for _ in range(3000)]
+    texts += chars + [f"p{c}q & {c}r" for c in chars]
+    for text in texts:
+        assert _tokens_or_error(syntax._tokenize, text) == \
+            _tokens_or_error(_reference_tokenize, text), repr(text)
