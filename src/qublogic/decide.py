@@ -1,4 +1,4 @@
-"""Decision procedures over finite value grids.
+"""Decision procedures over finite value grids and order types.
 
 biG validity and entailment are decided by exhausting valuations over the
 grid {0, 1/(k+1), ..., 1} for k atoms, which is complete for bi-Goedel
@@ -15,29 +15,33 @@ number of grid points it would visit.
 
 QG is decided as biG: the outer layer is Goedel logic, and each B-atom is
 one of its atoms.  CPL-equivalent B-atoms are merged first (every model
-gives them the same value, so no verdict changes, but the grid stays
-small), and modal axiom instances over the merged atoms join the
-premises, both plain and under delta: a refuting valuation must then
-satisfy them exactly, which is what makes every returned witness extend to
-a genuine uncertainty model.  The premises, the instances and the target
-are then rebuilt as biG formulas over one variable per merged class,
-named to sort as the classes' representatives print, so the grid visits
-the valuations in the order of the printed B-atoms.  Each B-atom is
-printed once per decision, to name its witness value.
+gives them the same value, so no verdict changes, but the search stays
+small), and modal axiom instances over the merged atoms are added, both
+plain and under delta: a refuting valuation must then satisfy them
+exactly, which is what makes every returned witness extend to a genuine
+uncertainty model.  The premises, the instances and the target are then
+rebuilt as biG formulas over one variable per merged class, named to sort
+as the classes' representatives print.  Each B-atom is printed once per
+decision, to name its witness value.
 
 Truth preservation, the outer logic of the Hilbert calculi, is decided by
 :func:`truth_preserved` for every language with an outer step, through one
 pruned depth-first search over the order types of the atoms' coordinates
-(one per biG atom, a truth and a falsity per twist atom), QG after the same
+(one per biG atom, a truth and a falsity per twist atom), QG after the
 reduction to biG, MCB and NMCB with their layer axioms' instances as
-premises.  The grid decisions above decide degree entailment; they take no
-part in it.
+premises.  QG entailment runs the same search: by residuation, min xi <=
+alpha iff xi_1 -> (... -> alpha) is true, so a QG query that holds visits
+no grid point.  The biG grid runs for a refuted QG query only, to name
+its witness, the first countervaluation in the order of the printed
+B-atoms.  The grid decisions above decide degree entailment and take no
+part in truth preservation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from itertools import product
 from typing import Iterable, Mapping, Sequence
 
@@ -119,9 +123,7 @@ def big_entails(gamma: Sequence[Formula], f: Formula) -> Verdict:
     _check_langs([*gamma, f], ("BIG", "QG"), "a biG decision")
     keys = _atom_keys([*gamma, f])
     k = len(keys)
-    if k > MAX_BIG_ATOMS:
-        raise ValueError(f"grid decision over {k} atoms (> {MAX_BIG_ATOMS}): "
-                         f"{(k + 2) ** k:,} grid points")
+    _admit_big(k)
     values = grid(k + 1)
     for combo in product(values, repeat=k):
         e = dict(zip(keys, combo))
@@ -131,6 +133,13 @@ def big_entails(gamma: Sequence[Formula], f: Formula) -> Verdict:
         if all(eval_big(g, e) > target for g in gamma):
             return Verdict("fails", e)
     return HOLDS
+
+
+def _admit_big(k: int) -> None:
+    """Refuse a biG or QG query over more than ``MAX_BIG_ATOMS`` atoms."""
+    if k > MAX_BIG_ATOMS:
+        raise ValueError(f"grid decision over {k} atoms (> {MAX_BIG_ATOMS}): "
+                         f"{(k + 2) ** k:,} grid points")
 
 
 def big_valid(f: Formula) -> Verdict:
@@ -256,18 +265,19 @@ def qg_saturation(reps: Sequence[Formula], with_cap: bool = False) -> list[Formu
     return sat
 
 
-def _qg_reduce(premises: Sequence[Formula], target: Formula,
-               with_cap: bool) -> tuple[list[Formula], Formula, list[str], dict[str, str]]:
+def _qg_reduce(premises: Sequence[Formula], target: Formula, with_cap: bool) \
+        -> tuple[list[Formula], list[Formula], Formula, list[str], dict[str, str]]:
     """A QG query as a biG query over one variable per merged B-atom class:
-    the premises and the saturation instances, the target, the variables
+    the premises, the saturation instances, the target, the variables
     (named to sort as their representatives print), and each B-atom's
     printed form (a witness key) mapped to its variable."""
     atoms, mapping, reps = qg_merge_atoms([*premises, target])
     width = len(str(len(reps) - 1))
     var_of = {rep: syntax.var("BIG", f"b{i:0{width}}") for i, rep in enumerate(reps)}
     big = {a: var_of[rep] for a, rep in mapping.items()}
-    premises = [_rewrite_atoms(g, big) for g in [*premises, *qg_saturation(reps, with_cap)]]
-    return premises, _rewrite_atoms(target, big), [v.var for v in var_of.values()], \
+    return [_rewrite_atoms(g, big) for g in premises], \
+        [_rewrite_atoms(g, big) for g in qg_saturation(reps, with_cap)], \
+        _rewrite_atoms(target, big), [v.var for v in var_of.values()], \
         {name: big[a].var for name, a in atoms.items()}
 
 
@@ -275,15 +285,26 @@ def qg_entails(xi: Sequence[Formula], alpha: Formula, with_cap: bool = False) ->
     """Decide QG entailment as biG entailment over the merged B-atoms,
     saturated with modal axiom instances.
 
-    A ``fails`` witness assigns a value to every B-atom of the query, keyed
-    by its printed form, and extends to a countermodel via the canonical
+    Entailment is min xi <= alpha, which holds iff xi_1 -> (... -> alpha)
+    takes the value 1 (residuation), so :func:`_outer_search` decides it
+    as truth preservation from the saturation instances to that formula.
+    The instances come plain and under delta, or are two-valued, so the
+    grid's countervaluations (every premise and instance above the
+    target) give each of them the value 1: the two readings are one
+    relation.  A query the search refutes is handed to
+    :func:`big_entails`, whose first countervaluation on the grid is the
+    witness.  It assigns a value to every B-atom of the query, keyed by
+    its printed form, and extends to a countermodel via the canonical
     construction in :mod:`qublogic.measures`.
     """
     _check_langs([*xi, alpha], ("QG",), "the QG decision")
-    premises, goal, _, names = _qg_reduce(xi, alpha, with_cap)
-    verdict = big_entails(premises, goal)
-    if verdict.holds:
-        return verdict
+    premises, saturation, goal, keys, names = _qg_reduce(xi, alpha, with_cap)
+    _admit_big(len(keys))
+    curried = reduce(lambda f, g: mk("BIG", "gimp", g, f), reversed(premises), goal)
+    if _outer_search("BIG", saturation, curried, keys, names, "QG entailment").holds:
+        return HOLDS
+    verdict = big_entails([*premises, *saturation], goal)
+    assert not verdict.holds, "the grid and the order-type search disagree"
     return Verdict("fails", {name: verdict.witness[v] for name, v in names.items()})
 
 
@@ -315,7 +336,8 @@ def truth_preserved(lang: str, premises: Sequence[Formula], target: Formula,
     if lang not in _DELTA:
         raise ValueError(f"no truth-preservation decision for {lang}")
     if lang == "QG":
-        premises, target, keys, names = _qg_reduce(premises, target, with_cap)
+        premises, saturation, target, keys, names = _qg_reduce(premises, target, with_cap)
+        premises = [*premises, *saturation]
         lang = "BIG"
     else:
         if lang in ("MCB", "NMCB"):
@@ -358,7 +380,8 @@ def _parts(f: Formula, kind: str, delta: str | None) -> list[Formula]:
 
 
 def _outer_search(lang: str, premises: Sequence[Formula], target: Formula,
-                  keys: Sequence, names: Mapping[str, object]) -> Verdict:
+                  keys: Sequence, names: Mapping[str, object],
+                  decision: str = "outer step") -> Verdict:
     """Decide truth preservation by a pruned search over order types.
 
     The search gives the coordinates one at a time a value on the chain of
@@ -388,7 +411,8 @@ def _outer_search(lang: str, premises: Sequence[Formula], target: Formula,
     strictly between 0 and the top standing for i, keyed by ``names``
     (each witness key mapped to its atom's key in ``keys``).  Searches
     that visit more than ``_MAX_OUTER_NODES`` nodes in all raise a
-    ValueError that states the size of that grid.
+    ValueError that names the ``decision`` left undecided and states the
+    size of that grid.
     """
     twist = lang not in ("BIG", "QG")
     nelson = lang in ("G2NEL", "NMCB")
@@ -464,7 +488,7 @@ def _outer_search(lang: str, premises: Sequence[Formula], target: Formula,
                 nodes += 1
                 if nodes > _MAX_OUTER_NODES:
                     raise ValueError(
-                        f"outer step undecided: the search over {k} atoms stopped after "
+                        f"{decision} undecided: the search over {k} atoms stopped after "
                         f"{nodes - 1:,} nodes of a {(d + 1) ** n:,}-point grid")
                 values[slot] = (other, x) if falsity else (x, other)
                 if extends(depth + 1, longer):

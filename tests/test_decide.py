@@ -3,13 +3,14 @@ import json
 import math
 import pathlib
 import random
+import time
 from fractions import Fraction as F
-from functools import partial
+from functools import partial, reduce
 from itertools import product
 
 import oracles
 import pytest
-from helpers import gen_g2
+from helpers import gen_big, gen_g2
 
 from qublogic import algebra, calculi, cli, decide, measures, syntax
 from qublogic.algebra import (ONE, TwistValue, UnboundVariableError, compile_twist,
@@ -187,13 +188,14 @@ _INNER = ("p", "q", "r", "~p", "p & q", "p | q", "p => q", "~(~p)", "p | (q & r)
           "q | ~q", "r & ~r", "Top", "Bot")
 
 
-def _outer_qg(rng, atoms, depth):
+def _outer_qg(rng, atoms, depth, lang="QG"):
     if depth == 0 or rng.random() < 0.3:
         return rng.choice(atoms)
     kind = rng.choice(["and", "or", "gimp", "gimp", "gcoimp", "snot", "delta", "iff"])
     if kind in ("snot", "delta"):
-        return mk("QG", kind, _outer_qg(rng, atoms, depth - 1))
-    return mk("QG", kind, _outer_qg(rng, atoms, depth - 1), _outer_qg(rng, atoms, depth - 1))
+        return mk(lang, kind, _outer_qg(rng, atoms, depth - 1, lang))
+    return mk(lang, kind, _outer_qg(rng, atoms, depth - 1, lang),
+              _outer_qg(rng, atoms, depth - 1, lang))
 
 
 def _qg_queries(seed, count):
@@ -293,6 +295,78 @@ def test_qg_decisions_print_each_b_atom_once(monkeypatch):
             calls.clear()
             assert decision(xi, alpha).holds == holds
             assert len(calls) <= in_play, (decision, alpha, len(calls))
+
+
+def _curried(gamma, f):
+    """gamma_1 -> (gamma_2 -> ... -> f)."""
+    return reduce(lambda acc, g: mk(f.lang, "gimp", g, acc), reversed(gamma), f)
+
+
+def test_big_entailment_is_truth_of_the_curried_implication():
+    """min gamma <= f iff gamma_1 -> (... -> f) takes the value 1: the grid
+    and the order-type search decide the same biG relation, the lemma
+    qg_entails rests on."""
+    atoms = [var("BIG", name) for name in "pqr"]
+    rng = random.Random(16)
+    statuses = set()
+    for _ in range(150):
+        gamma = [_outer_qg(rng, atoms, 2, "BIG") for _ in range(rng.randint(0, 3))]
+        f = _outer_qg(rng, atoms, 3, "BIG")
+        status = big_entails(gamma, f).status
+        assert decide.truth_preserved("BIG", [], _curried(gamma, f)).status == status, \
+            ([print_formula(g) for g in gamma], print_formula(f))
+        statuses.add(status)
+    assert statuses == {"holds", "fails"}
+
+
+@pytest.mark.parametrize("lang", ["BIG", "G2ORD", "G2NEL"])
+def test_validity_is_truth_preservation_from_no_premises(lang):
+    pool = gen_big(max_depth=3) if lang == "BIG" else gen_g2(lang, max_depth=3)
+    valid = big_valid if lang == "BIG" else partial(g2_valid, lang)
+    statuses = set()
+    for f in random.Random(17).sample(pool, 120):
+        status = valid(f).status
+        assert decide.truth_preserved(lang, [], f).status == status, print_formula(f)
+        statuses.add(status)
+    assert statuses == {"holds", "fails"}
+
+
+@pytest.mark.parametrize("xi,alpha,budget", [
+    # the qg/6 shape: 6 merged atoms, 262,144 grid points
+    (["B(p)", "B(q)"], "B(p & q) | B(p | r)", 0.05),
+    # a prelinearity cycle over 8 merged atoms: 100,000,000 grid points
+    (["B(a)", "B(b)"], "(B(c) -> B(d)) | (B(d) -> B(e)) | (B(e) -> B(f)) | (B(f) -> B(c))", 1.0),
+])
+def test_qg_entailment_that_holds_visits_no_grid_point(xi, alpha, budget):
+    xi, alpha = [parse("QG", g) for g in xi], parse("QG", alpha)
+    start = time.process_time()
+    assert qg_entails(xi, alpha).holds
+    elapsed = time.process_time() - start
+    assert elapsed < budget, elapsed
+
+
+def test_qg_entails_admits_the_queries_it_admitted(monkeypatch, capsys):
+    def no_search(*args):
+        raise AssertionError("searched a refused query")
+
+    # 9 merged atoms, B(Top) and B(Bot) included: refused before any search
+    with monkeypatch.context() as m:
+        m.setattr(decide, "_outer_search", no_search)
+        with pytest.raises(ValueError,
+                           match=r"^grid decision over 9 atoms \(> 8\): 2,357,947,691 grid points$"):
+            qg_entails([], parse("QG", "B(a) | B(b) | B(c) | B(d) | B(e) | B(f) | B(g)"))
+    # a search past the node cap is refused with its size
+    monkeypatch.setattr(decide, "_MAX_OUTER_NODES", 10)
+    message = ("QG entailment undecided: the search over 6 atoms stopped after "
+               "10 nodes of a 262,144-point grid")
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        qg_entails([parse("QG", "B(p)"), parse("QG", "B(q)")], parse("QG", "B(p & q) | B(p | r)"))
+    assert cli.main(["decide", "qg-entails", "--premise", "B(p)", "--premise", "B(q)",
+                     "B(p & q) | B(p | r)"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert json.loads(captured.err) == {"error": f"ValueError: {message}"}
 
 
 _TWIST_LANGS = {"G2ORD": "G2ORD", "MCB": "G2ORD", "G2NEL": "G2NEL", "NMCB": "G2NEL"}
