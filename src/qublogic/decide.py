@@ -14,26 +14,27 @@ atoms than a decision admits is refused with a ValueError that states the
 number of grid points it would visit.
 
 QG is decided as biG: the outer layer is Goedel logic, and each B-atom is
-one of its atoms.  CPL-equivalent B-atoms are merged first (every model
-gives them the same value, so no verdict changes, but the search stays
-small), and modal axiom instances over the merged atoms are added, both
-plain and under delta: a refuting valuation must then satisfy them
-exactly, which is what makes every returned witness extend to a genuine
-uncertainty model.  The premises, the instances and the target are then
-rebuilt as biG formulas over one variable per merged class, named to sort
-as the classes' representatives print.  Each B-atom is printed once per
-decision, to name its witness value.
+one of its atoms.  B-atoms with the same inner truth set are merged first
+(every model gives them the same value, so no verdict changes, but the
+search stays small), and two-valued modal axiom instances over the merged
+atoms are added: a refuting valuation must then satisfy them exactly,
+which is what makes every returned witness extend to a genuine uncertainty
+model.  The premises, the instances and the target are then rebuilt as
+biG formulas over one variable per merged class, named to sort as the
+classes' representatives print.  Each B-atom is printed once per decision,
+to name its witness value.  MCB and NMCB, C over Belnap-Dunn logic, are
+reduced the same way to G2ORD and G2NEL: C-atoms merge by their positive
+and negative supports, and the layer axioms give the instances.
 
 Truth preservation, the outer logic of the Hilbert calculi, is decided by
 :func:`truth_preserved` for every language with an outer step, through one
 pruned depth-first search over the order types of the atoms' coordinates
-(one per biG atom, a truth and a falsity per twist atom), QG after the
-reduction to biG, MCB and NMCB with their layer axioms' instances as
-premises.  QG entailment runs the same search: by residuation, min xi <=
-alpha iff xi_1 -> (... -> alpha) is true, so a QG query that holds visits
-no grid point.  The biG grid runs for a refuted QG query only, to name
-its witness, the first countervaluation in the order of the printed
-B-atoms.  The grid decisions above decide degree entailment and take no
+(one per biG atom, a truth and a falsity per twist atom), QG, MCB and NMCB
+after that reduction.  QG entailment runs the same search: by residuation,
+min xi <= alpha iff xi_1 -> (... -> alpha) is true, so a QG query that
+holds visits no grid point.  The biG grid runs for a refuted QG query
+only, to name its witness, the first countervaluation in the order of the
+printed B-atoms.  The grid decisions above decide degree entailment and take no
 part in truth preservation.
 """
 
@@ -85,23 +86,12 @@ def grid(denominator: int) -> list[Fraction]:
 # Atom collection
 # ---------------------------------------------------------------------------
 
-def _atom_keys(formulas: Iterable[Formula]) -> list[str]:
-    """Distinct atom keys (variables and printed modal atoms), sorted."""
-    keys: set[str] = set()
-    for f in formulas:
-        keys |= _keys_one(f)
+def _atom_keys(formulas: Sequence[Formula]) -> list[str]:
+    """Distinct atom keys, sorted: printed modal atoms, or variables in a
+    language without them."""
+    atoms = set().union(*map(syntax.modal_atoms, formulas))
+    keys = map(print_formula, atoms) if atoms else set().union(*map(syntax.vars_of, formulas))
     return sorted(keys)
-
-
-def _keys_one(f: Formula) -> set[str]:
-    if f.kind == "var":
-        return {f.var}
-    if f.kind in syntax.MODAL_KINDS:
-        return {print_formula(f)}
-    out: set[str] = set()
-    for c in f.children:
-        out |= _keys_one(c)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -150,12 +140,6 @@ def big_valid(f: Formula) -> Verdict:
 # G2 (both variants)
 # ---------------------------------------------------------------------------
 
-#: The languages each variant decides.  MCB and NMCB are not among them: a
-#: C-atom is not a free twist value (the layer axioms constrain it), so
-#: their steps are decided by :func:`truth_preserved`.
-_VARIANT_LANGS = {"G2ORD": ("G2ORD",), "G2NEL": ("G2NEL",)}
-
-
 def g2_entails(variant: str, gamma: Sequence[Formula], f: Formula) -> Verdict:
     """Decide the two-coordinate entailment for the chosen twist variant.
 
@@ -163,9 +147,11 @@ def g2_entails(variant: str, gamma: Sequence[Formula], f: Formula) -> Verdict:
     variant additionally requires the premises' falsity supremum to reach
     the conclusion's falsity (empty sup is 0, so validity means (1,0)).
     """
-    if variant not in _VARIANT_LANGS:
+    if variant not in ("G2ORD", "G2NEL"):
         raise ValueError(f"unknown variant {variant!r}")
-    _check_langs([*gamma, f], _VARIANT_LANGS[variant], f"a {variant} decision")
+    # a C-atom is not a free twist value (the layer axioms constrain it), so
+    # MCB and NMCB are refused; their steps are decided by truth_preserved
+    _check_langs([*gamma, f], (variant,), f"a {variant} decision")
     keys = _atom_keys([*gamma, f])
     k = len(keys)
     if k > MAX_G2_ATOMS:
@@ -192,92 +178,115 @@ def g2_valid(variant: str, f: Formula) -> Verdict:
 
 
 # ---------------------------------------------------------------------------
-# QG: saturation with modal axiom instances
+# Two-layered languages: merged modal atoms, saturated with axiom instances
 # ---------------------------------------------------------------------------
 
-def qg_b_atoms(formulas: Iterable[Formula]) -> dict[str, Formula]:
-    """B-atoms occurring in ``formulas`` plus B(Top) and B(Bot), each keyed
-    by its printed form, in the order of those texts."""
+#: Each two-layered language's outer variant, implication, and the
+#: equivalence of its De Morgan instances (None: QG has no involution).
+_LAYER = {"QG": ("BIG", "gimp", None), "MCB": ("G2ORD", "gimp", "iff"),
+          "NMCB": ("G2NEL", "simp", "siff")}
+
+
+def qg_b_atoms(formulas: Sequence[Formula]) -> dict[str, Formula]:
+    """Modal atoms occurring in ``formulas``, plus B(Top) and B(Bot) for QG,
+    each keyed by its printed form, in the order of those texts."""
     atoms = set().union(*map(syntax.modal_atoms, formulas))
-    atoms |= {mk("QG", "bmod", mk("CPL", "top")), mk("QG", "bmod", mk("CPL", "bot"))}
+    if formulas and formulas[0].lang == "QG":
+        atoms |= {mk("QG", "bmod", mk("CPL", "top")), mk("QG", "bmod", mk("CPL", "bot"))}
     return dict(sorted((print_formula(a), a) for a in atoms))
 
 
 def qg_merge_atoms(formulas: Sequence[Formula]) -> tuple[dict[str, Formula], dict[Formula, Formula], list[Formula]]:
-    """Merge CPL-equivalent B-atoms.
+    """Merge modal atoms whose inner formulas have the same masks: the same
+    CPL truth set, or the same BD positive and negative supports.
 
     Returns (the atoms as :func:`qg_b_atoms` gives them, atom ->
     representative map, representatives in printed order).  Each class is
-    represented by its first atom in printed order.  Every uncertainty
-    model gives equivalent inner formulas the same measure, so rewriting
-    through the map preserves entailment exactly.
+    represented by its first atom in printed order.  Every model gives the
+    atoms of a class the same value, so rewriting through the map
+    preserves entailment exactly.
     """
     atoms = qg_b_atoms(formulas)
-    masks, _ = _inner_masks(list(atoms.values()))
-    classes: dict[int, Formula] = {}
+    masks = _inner_masks(list(atoms.values()))
+    classes: dict[tuple[int, int], Formula] = {}
     mapping = {a: classes.setdefault(mask, a) for a, mask in zip(atoms.values(), masks)}
     return atoms, mapping, list(classes.values())
 
 
-def _inner_masks(atoms: Sequence[Formula]) -> tuple[list[int], int]:
-    """Truth tables of the atoms' inner formulas over their joint variables,
-    and the full mask."""
+def _inner_masks(atoms: Sequence[Formula]) -> list[tuple[int, int]]:
+    """The atoms' inner formulas over every valuation of their joint
+    variables, bit-sliced: a CPL truth set and its complement, or BD
+    positive and negative supports."""
     names = sorted({v for a in atoms for v in syntax.vars_of(a.children[0])})
+    if atoms and atoms[0].kind == "cmod":
+        masks = bd._support_masks(*bd.valuation_masks(names))
+        return [masks(a.children[0]) for a in atoms]
     env = assignment_masks(names)
     full = (1 << (1 << len(names))) - 1
-    return [cpl_truth_set(a.children[0], env, full) for a in atoms], full
+    truth = [cpl_truth_set(a.children[0], env, full) for a in atoms]
+    return [(t, full & ~t) for t in truth]
 
 
-def _rewrite_atoms(f: Formula, mapping: Mapping[Formula, Formula]) -> Formula:
-    """``f`` as a biG formula, each B-atom replaced by its variable in ``mapping``."""
-    if f.kind == "bmod":
+def _rewrite_atoms(f: Formula, outer: str, mapping: Mapping[Formula, Formula]) -> Formula:
+    """``f`` in the language ``outer``, each modal atom replaced by its variable in ``mapping``."""
+    if f.kind in syntax.MODAL_KINDS:
         return mapping[f]
-    return mk("BIG", f.kind, *(_rewrite_atoms(c, mapping) for c in f.children))
+    return mk(outer, f.kind, *(_rewrite_atoms(c, outer, mapping) for c in f.children))
 
 
 def qg_saturation(reps: Sequence[Formula], with_cap: bool = False) -> list[Formula]:
-    """Modal-axiom instances over representative atoms.
+    """Two-valued axiom instances over representative atoms.
 
-    reg instances appear plain and under delta; nontriv instances are
-    already two-valued.  With ``with_cap`` the two cap' schemas (tautologies
-    are fully believed, contradictions fully disbelieved) join in a
-    value-forcing shape.
+    delta (a -> b) wherever a's supports lie within b's (reg; the BD rule
+    in MCB and NMCB); snot delta (a -> b) for a tautology a and a
+    contradiction b (nontriv); delta (b <-> neg a) wherever b's supports
+    are a's swapped (MCB, NMCB).  With ``with_cap`` the two cap' schemas
+    (tautologies are fully believed, contradictions fully disbelieved)
+    join in a value-forcing shape.  At the valuation that makes every
+    variable both true and false, every BD formula is, so nontriv and cap
+    never apply in MCB and NMCB.
     """
+    if not reps:
+        return []
+    lang = reps[0].lang
+    outer, imp, eq = _LAYER[lang]
+    force = _DELTA[outer]
+    masks = _inner_masks(reps)
     sat: list[Formula] = []
-    masks, full = _inner_masks(reps)
-    taut = [mask == full for mask in masks]
-    contr = [mask == 0 for mask in masks]
     for i, a in enumerate(reps):
+        pos, neg = masks[i]
         for j, b in enumerate(reps):
             if i == j:
                 continue
-            if masks[i] & ~masks[j] == 0:
-                imp = mk("QG", "gimp", a, b)
-                sat.append(mk("QG", "delta", imp))
-                sat.append(imp)
-            if taut[i] and contr[j]:
-                sat.append(mk("QG", "snot", mk("QG", "delta", mk("QG", "gimp", a, b))))
+            if pos & ~masks[j][0] == 0 and masks[j][1] & ~neg == 0:
+                sat.append(mk(lang, force, mk(lang, imp, a, b)))
+            if neg == 0 and masks[j][0] == 0:
+                sat.append(mk(lang, "snot", mk(lang, force, mk(lang, imp, a, b))))
+            if eq and masks[j] == (neg, pos):
+                sat.append(mk(lang, force, mk(lang, eq, b, mk(lang, "dneg", a))))
         if with_cap:
-            if taut[i]:
-                sat.append(mk("QG", "delta", a))
-            if contr[i]:
-                sat.append(mk("QG", "snot", a))
+            if neg == 0:
+                sat.append(mk(lang, force, a))
+            if pos == 0:
+                sat.append(mk(lang, "snot", a))
     return sat
 
 
 def _qg_reduce(premises: Sequence[Formula], target: Formula, with_cap: bool) \
         -> tuple[list[Formula], list[Formula], Formula, list[str], dict[str, str]]:
-    """A QG query as a biG query over one variable per merged B-atom class:
-    the premises, the saturation instances, the target, the variables
-    (named to sort as their representatives print), and each B-atom's
-    printed form (a witness key) mapped to its variable."""
+    """A QG, MCB or NMCB query as a query of its outer variant (biG, G2ORD,
+    G2NEL) over one variable per merged atom class: the premises, the
+    saturation instances, the target, the variables (named to sort as
+    their representatives print), and each modal atom's printed form (a
+    witness key) mapped to its variable."""
     atoms, mapping, reps = qg_merge_atoms([*premises, target])
+    outer = _LAYER[target.lang][0]
     width = len(str(len(reps) - 1))
-    var_of = {rep: syntax.var("BIG", f"b{i:0{width}}") for i, rep in enumerate(reps)}
+    var_of = {rep: syntax.var(outer, f"b{i:0{width}}") for i, rep in enumerate(reps)}
     big = {a: var_of[rep] for a, rep in mapping.items()}
-    return [_rewrite_atoms(g, big) for g in premises], \
-        [_rewrite_atoms(g, big) for g in qg_saturation(reps, with_cap)], \
-        _rewrite_atoms(target, big), [v.var for v in var_of.values()], \
+    return [_rewrite_atoms(g, outer, big) for g in premises], \
+        [_rewrite_atoms(g, outer, big) for g in qg_saturation(reps, with_cap)], \
+        _rewrite_atoms(target, outer, big), [v.var for v in var_of.values()], \
         {name: big[a].var for name, a in atoms.items()}
 
 
@@ -288,13 +297,12 @@ def qg_entails(xi: Sequence[Formula], alpha: Formula, with_cap: bool = False) ->
     Entailment is min xi <= alpha, which holds iff xi_1 -> (... -> alpha)
     takes the value 1 (residuation), so :func:`_outer_search` decides it
     as truth preservation from the saturation instances to that formula.
-    The instances come plain and under delta, or are two-valued, so the
-    grid's countervaluations (every premise and instance above the
-    target) give each of them the value 1: the two readings are one
-    relation.  A query the search refutes is handed to
-    :func:`big_entails`, whose first countervaluation on the grid is the
-    witness.  It assigns a value to every B-atom of the query, keyed by
-    its printed form, and extends to a countermodel via the canonical
+    The instances are two-valued, so the grid's countervaluations (every
+    premise and instance above the target) give each of them the value 1:
+    the two readings are one relation.  A query the search refutes is
+    handed to :func:`big_entails`, whose first countervaluation on the grid
+    is the witness.  It assigns a value to every B-atom of the query, keyed
+    by its printed form, and extends to a countermodel via the canonical
     construction in :mod:`qublogic.measures`.
     """
     _check_langs([*xi, alpha], ("QG",), "the QG decision")
@@ -318,55 +326,36 @@ def qg_entails(xi: Sequence[Formula], alpha: Formula, with_cap: bool = False) ->
 #: VM (python 3.11).
 _MAX_OUTER_NODES = 750_000
 
-#: Each language's delta: designated values stay, others go to the least.
-_DELTA = {"BIG": "delta", "QG": "delta", "G2ORD": "delta1", "MCB": "delta1",
-          "G2NEL": "deltan", "NMCB": "deltan"}
+#: Each outer language's delta: designated values stay, others go to the least.
+_DELTA = {"BIG": "delta", "G2ORD": "delta1", "G2NEL": "deltan"}
 
 
 def truth_preserved(lang: str, premises: Sequence[Formula], target: Formula,
                     with_cap: bool = False) -> Verdict:
     """Decide whether ``target`` is designated wherever every premise is:
     value 1 in biG and QG, (1, 0) in G2ORD and MCB, truth 1 in G2NEL and
-    NMCB.  Every language runs :func:`_outer_search`; QG first merges and
-    saturates its atoms as :func:`qg_entails` does, and MCB/NMCB add
-    value-forcing layer-axiom instances over their C-atoms as premises.  A
-    search that grows too large raises a ValueError that states its size.
+    NMCB.  QG, MCB and NMCB are first reduced to their outer variant as
+    :func:`qg_entails` reduces QG, the saturation instances joining the
+    premises; then :func:`_outer_search` decides.  A search that grows too
+    large raises a ValueError that states its size.
     """
     _check_langs([*premises, target], (lang,), f"a {lang} truth-preservation decision")
-    if lang not in _DELTA:
-        raise ValueError(f"no truth-preservation decision for {lang}")
-    if lang == "QG":
+    if lang in _LAYER:
         premises, saturation, target, keys, names = _qg_reduce(premises, target, with_cap)
         premises = [*premises, *saturation]
-        lang = "BIG"
-    else:
-        if lang in ("MCB", "NMCB"):
-            premises = [*premises, *_layer_saturation(lang, [*premises, target])]
+    elif lang in _DELTA:
         keys = _atom_keys([*premises, target])
         names = {key: key for key in keys}
-    return _outer_search(lang, premises, target, keys, names)
-
-
-def _layer_saturation(lang: str, formulas: Sequence[Formula]) -> list[Formula]:
-    """The layer axioms' (``*_bd``, ``*_neg``) instances over the C-atoms present, under delta."""
-    atoms = sorted(set().union(*map(syntax.modal_atoms, formulas)), key=print_formula)
-    force = _DELTA[lang]
-    imp, eq = ("simp", "siff") if lang == "NMCB" else ("gimp", "iff")
-    sat: list[Formula] = []
-    for a in atoms:
-        for b in atoms:
-            if a is not b and bd.bd_entails(a.children[0], b.children[0])[0]:
-                sat.append(mk(lang, force, mk(lang, imp, a, b)))
-            if b.children[0] == mk("BD", "dneg", a.children[0]):
-                sat.append(mk(lang, force, mk(lang, eq, b, mk(lang, "dneg", a))))
-    return sat
+    else:
+        raise ValueError(f"no truth-preservation decision for {lang}")
+    return _outer_search(target.lang, premises, target, keys, names)
 
 
 def _parts(f: Formula, kind: str, delta: str | None) -> list[Formula]:
     """The ``kind`` ("and" or "or") chain of ``f`` under any ``delta``, with
     <->, ==> and <==> read as conjunctions of implications.  ``f`` is
-    designated exactly where all its "and" parts are, and its value (biG,
-    QG) or truth (twist) is the top where that of one "or" part is.  The
+    designated exactly where all its "and" parts are, and its value (biG)
+    or truth (twist) is the top where that of one "or" part is.  The
     truth of delta1 reads both coordinates, so a twist formula's "or" chain
     is taken with ``delta`` None.
     """
@@ -388,34 +377,35 @@ def _outer_search(lang: str, premises: Sequence[Formula], target: Formula,
     values given so far: 0, the top, a value already on it, or a new value
     strictly inside a gap between two of its neighbours.  Only the order
     of values matters in Goedel logic and its twist products (Dummett
-    1959), so each order type of the coordinates is visited once.  A biG or
-    QG atom has one coordinate; a twist atom has a truth and a falsity
+    1959), so each order type of the coordinates is visited once.  ``lang``
+    is BIG, G2ORD or G2NEL (two-layered queries arrive reduced).  A biG
+    atom has one coordinate; a twist atom has a truth and a falsity
     coordinate on the same chain.  Ranks are spaced integers, the top
     being 2^n for n coordinates, so n bisections always fit.
 
     Premises and target are cut into their conjuncts, and each conjunct
     of the target is searched for on its own: a valuation that designates
-    every premise and leaves the conjunct's value (biG, QG) or truth
-    (twist) below the top.  In G2ORD and MCB a falsity above 0 also leaves
-    a conjunct undesignated, but the truth is enough: reading each atom's
-    (t, f) as (top - f, top - t) reads every value (t, f) as
-    (top - f, top - t), designated values included, so a valuation with
-    the falsity above 0 gives one with the truth below the top.
+    every premise and leaves the conjunct's value (biG) or truth (twist)
+    below the top.  In G2ORD a falsity above 0 also leaves a conjunct
+    undesignated, but the truth is enough: reading each atom's (t, f) as
+    (top - f, top - t) reads every value (t, f) as (top - f, top - t),
+    designated values included, so a valuation with the falsity above 0
+    gives one with the truth below the top.
 
     Each premise and each disjunct of the target conjunct is compiled once
     and read as soon as the coordinates it reads have values: a premise
-    not designated (in G2ORD and MCB, by its truth or by its falsity) or a
-    disjunct at the top closes the branch, so a completed valuation
-    refutes the step.  A fails verdict carries it on the grid i/(k+1)
-    (biG, QG) or i/(2k+1) (twist) for k atoms, the i-th least value
+    not designated (in G2ORD, by its truth or by its falsity) or a disjunct
+    at the top closes the branch, so a completed valuation refutes the
+    step.  A fails verdict carries it on the grid i/(k+1)
+    (biG) or i/(2k+1) (twist) for k atoms, the i-th least value
     strictly between 0 and the top standing for i, keyed by ``names``
     (each witness key mapped to its atom's key in ``keys``).  Searches
     that visit more than ``_MAX_OUTER_NODES`` nodes in all raise a
     ValueError that names the ``decision`` left undecided and states the
     size of that grid.
     """
-    twist = lang not in ("BIG", "QG")
-    nelson = lang in ("G2NEL", "NMCB")
+    twist = lang != "BIG"
+    nelson = lang == "G2NEL"
     k = len(keys)
     coords = range(2 * k) if twist else range(0, 2 * k, 2)
     n = len(coords)
@@ -434,7 +424,7 @@ def _outer_search(lang: str, premises: Sequence[Formula], target: Formula,
     for ev, (truth, falsity) in map(test, dict.fromkeys(
             p for g in premises for p in _parts(g, "and", delta))):
         premise_tests.append((ev, 0, truth))
-        if lang in ("G2ORD", "MCB"):
+        if lang == "G2ORD":
             premise_tests.append((ev, 1, falsity))
     values = [(0, 0)] * k
     nodes = 0

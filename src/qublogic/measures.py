@@ -529,34 +529,12 @@ def _inner_valuation(layer: str, names: Sequence[str], states: int,
     ``vplus`` and ``vminus`` for MCB/NMCB."""
     k = _coordinates(layer, names)
     if a is None:
-        coords = [_coordinate_mask(states, k - 1 - c, k) for c in range(k)]
+        coords = [bd._coordinate_mask(states, k - 1 - c, k) for c in range(k)]
     else:
         coords = [a >> (k - 1 - c) * states & (1 << states) - 1 for c in range(k)]
     if layer == "QG":
         return {"v": dict(zip(names, coords))}
     return {"vplus": dict(zip(names, coords[::2])), "vminus": dict(zip(names, coords[1::2]))}
-
-
-def _coordinate_mask(states: int, place: int, k: int) -> int:
-    """The bit-sliced mask of the coordinate at ``place`` of ``k``, the last
-    being place 0: its subset under valuation ``a`` holds state ``x`` iff
-    bit ``place*states + x`` of ``a`` is set, so that runs of valuations
-    alternately hold and lack ``x``."""
-    size = states << k * states
-    mask = 0
-    for x in range(states):
-        run = states << place * states + x  # bits of a run
-        mask |= _tile(_tile(1 << x, states, run) << run, 2 * run, size)
-    return mask
-
-
-def _tile(word: int, width: int, size: int) -> int:
-    """``word``, of ``width`` bits, repeated to ``size`` bits by doubling;
-    ``size`` is ``width`` times a power of two."""
-    while width < size:
-        word |= word << width
-        width <<= 1
-    return word
 
 
 def _frame_supports(layer: str, inners: Sequence[Formula], names: Sequence[str],

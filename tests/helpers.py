@@ -8,14 +8,38 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
-from qublogic import qp
-from qublogic.syntax import Formula, mk, print_formula, var
+from qublogic import bd, qp
+from qublogic.syntax import Formula, mk, print_formula, var, vars_of
 
 
 def depth(f: Formula) -> int:
     return 1 if not f.children else 1 + max(depth(c) for c in f.children)
+
+
+def layer_instances(atoms: list[Formula]) -> list[Formula]:
+    """The MCB/NMCB layer axioms' instances over the C-atoms ``atoms``, by
+    their definition on the four values, pair by pair: delta (a -> b) where
+    a's inner formula entails b's (``*_bd``), delta (b <-> neg a) where b's
+    inner value is a's negated under every valuation (``*_neg``); the
+    Nelson variant's delta, ~> and <==> in NMCB."""
+    if not atoms:
+        return []
+    lang = atoms[0].lang
+    force, imp, eq = ("deltan", "simp", "siff") if lang == "NMCB" else ("delta1", "gimp", "iff")
+    inners = [a.children[0] for a in atoms]
+    names = sorted(set().union(*map(vars_of, inners)))
+    table = bd.four_eval_table([dict(zip(names, v)) for v in product(bd.FOUR, repeat=len(names))],
+                               inners)
+    sat = []
+    for i, a in enumerate(atoms):
+        for j, b in enumerate(atoms):
+            if i != j and all(map(bd.le4, table[inners[i]], table[inners[j]])):
+                sat.append(mk(lang, force, mk(lang, imp, a, b)))
+            if i != j and table[inners[j]] == tuple(map(bd.neg4, table[inners[i]])):
+                sat.append(mk(lang, force, mk(lang, eq, b, mk(lang, "dneg", a))))
+    return sat
 
 
 def _levels(lang: str, atoms: list[Formula], unary: tuple[str, ...],

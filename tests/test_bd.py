@@ -1,17 +1,21 @@
+import json
+import random
+import re
+import time
 from fractions import Fraction as F
 from itertools import product
 
 import pytest
 
-from qublogic import kripke
+from qublogic import cli, kripke
 from qublogic.algebra import ONE, ZERO
-from qublogic.bd import (BDModel, FOUR, bd_entails, four_eval, four_eval_table, le4,
+from qublogic.bd import (MAX_BD_VARS, BDModel, FOUR, bd_entails, four_eval, four_eval_table, le4,
                          sequent_valid_on_model, single_point_counterpart, support,
                          support_table, truth_sets)
 from qublogic.kripke import G2KripkeModel
 from qublogic.measures import BeliefModel, UncertaintyModel
 from qublogic.qp import GardenforsModel
-from qublogic.syntax import parse, vars_of
+from qublogic.syntax import parse, print_formula, vars_of
 
 from helpers import gen_bd
 from oracles import bd_support_clauses
@@ -75,6 +79,47 @@ def test_bd_entails_examples():
     assert bd_entails(parse("BD", "neg neg p"), parse("BD", "p"))[0]
     assert bd_entails(parse("BD", "p & q"), parse("BD", "q"))[0]
     assert not bd_entails(parse("BD", "p"), parse("BD", "q | neg q"))[0]
+
+
+def _table_entails(phi, chi):
+    """The sequent on the four values, valuation by valuation in
+    ``product(FOUR)`` order, through the lattice tables."""
+    names = sorted(vars_of(phi) | vars_of(chi))
+    valuations = [dict(zip(names, v)) for v in product(FOUR, repeat=len(names))]
+    table = four_eval_table(valuations, [phi, chi])
+    for v, x, y in zip(valuations, table[phi], table[chi]):
+        if not le4(x, y):
+            return False, v
+    return True, None
+
+
+def test_bd_entails_agrees_with_the_four_valued_tables():
+    # the support masks over all valuations at once against the lattice,
+    # countervaluations included
+    rng = random.Random(7)
+    pools = {1: gen_bd(3, ("p",)), 2: gen_bd(3), 4: gen_bd(2, ("p", "q", "r", "s"))}
+    seen = []
+    for _ in range(600):
+        phi, chi = (rng.choice(pools[rng.choice((1, 2, 4))]) for _ in range(2))
+        verdict = bd_entails(phi, chi)
+        assert verdict == _table_entails(phi, chi), (print_formula(phi), print_formula(chi))
+        seen.append(verdict[0])
+    assert seen.count(True) >= 60 and seen.count(False) >= 60, seen.count(True)
+
+
+def test_bd_entails_refuses_past_its_variable_cap(capsys):
+    names = [f"x{i}" for i in range(MAX_BD_VARS + 1)]
+    phi, chi = parse("BD", " & ".join(names)), parse("BD", " | ".join(names))
+    message = f"BD decision over 13 variables (> 12): {4 ** 13:,} valuations"
+    assert MAX_BD_VARS == 12 and message.endswith("67,108,864 valuations")
+    start = time.process_time()
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        bd_entails(phi, chi)
+    assert time.process_time() - start < 0.1
+    assert cli.main(["bd-entails", print_formula(phi), print_formula(chi)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err) == {"error": f"ValueError: {message}"}
 
 
 def test_four_eval_examples():

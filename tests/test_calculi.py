@@ -9,6 +9,7 @@ from itertools import product
 import pytest
 
 import oracles
+from helpers import layer_instances
 from qublogic import calculi, decide, measures, qp
 from qublogic.calculi import (CALC_LANG, Derivation, check_derivation, cpl_valid,
                               match_axiom, match_sequent_axiom, qp_tautology, truth_table)
@@ -1157,11 +1158,12 @@ def _as_variables(f, variant, names):
 
 def _delta_grid_premises(lang, premises, target):
     """The premises under the language's delta and, in MCB/NMCB, the layer
-    axioms' instances over the C-atoms present."""
+    axioms' instances over the C-atoms present, by their definition."""
     delta = "deltan" if lang in ("G2NEL", "NMCB") else "delta1"
     forced = [mk(lang, delta, g) for g in premises]
     if lang in ("MCB", "NMCB"):
-        forced += decide._layer_saturation(lang, [*premises, target])
+        forced += layer_instances(sorted(set().union(*map(modal_atoms, [*premises, target])),
+                                         key=print_formula))
     return forced
 
 
@@ -1201,9 +1203,11 @@ def test_twist_outer_search_agrees_with_the_delta_grid_decision():
         assert verdict.status == _delta_grid_verdict(lang, premises, target), \
             (lang, [print_formula(g) for g in premises], print_formula(target))
         if not verdict.holds:
-            # on the grid i/(2k+1), read back as ranks: the premises and
-            # layer instances designated, the target not
-            top = 2 * len(verdict.witness) + 1
+            # on the grid i/(2k+1) for k merged atoms, read back as ranks:
+            # the premises and layer instances designated, the target not
+            merged = decide.qg_merge_atoms([*premises, target])[2] if lang in ("MCB", "NMCB") \
+                else verdict.witness
+            top = 2 * len(merged) + 1
             env = {key: (int(v.truth * top), int(v.falsity * top))
                    for key, v in verdict.witness.items()}
             assert all((x * top).denominator == 1 for v in verdict.witness.values() for x in v)

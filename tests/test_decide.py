@@ -10,9 +10,9 @@ from itertools import product
 
 import oracles
 import pytest
-from helpers import gen_big, gen_g2
+from helpers import gen_big, gen_g2, layer_instances
 
-from qublogic import algebra, calculi, cli, decide, measures, syntax
+from qublogic import algebra, bd, calculi, cli, decide, measures, syntax
 from qublogic.algebra import (ONE, TwistValue, UnboundVariableError, compile_twist,
                               coordinates_read, eval_big, eval_g2)
 from qublogic.decide import (Verdict, big_entails, big_valid, g2_entails, g2_valid, grid,
@@ -142,41 +142,63 @@ def test_qg_coherence_with_frame_search():
 
 
 def _pairwise_saturation(reps, with_cap):
-    """qg_saturation by its definition: a classical validity check per side condition."""
+    """qg_saturation by its definition, one validity check per side
+    condition: reg, nontriv and cap on classical validity (QG); the BD
+    rule and the De Morgan equivalence on the four values (MCB, NMCB)."""
+    if reps[0].lang != "QG":
+        return layer_instances(reps)
     inners = [a.children[0] for a in reps]
     taut = [calculi.cpl_valid(phi) for phi in inners]
     contr = [calculi.cpl_valid(mk("CPL", "not", phi)) for phi in inners]
     sat = []
     for i, a in enumerate(reps):
         for j, b in enumerate(reps):
-            if i == j:
-                continue
-            if calculi.cpl_valid(mk("CPL", "matimp", inners[i], inners[j])):
-                imp = mk("QG", "gimp", a, b)
-                sat += [mk("QG", "delta", imp), imp]
-            if taut[i] and contr[j]:
+            if i != j and calculi.cpl_valid(mk("CPL", "matimp", inners[i], inners[j])):
+                sat.append(mk("QG", "delta", mk("QG", "gimp", a, b)))
+            if i != j and taut[i] and contr[j]:
                 sat.append(mk("QG", "snot", mk("QG", "delta", mk("QG", "gimp", a, b))))
-        if with_cap:
-            if taut[i]:
-                sat.append(mk("QG", "delta", a))
-            if contr[i]:
-                sat.append(mk("QG", "snot", a))
+        if with_cap and taut[i]:
+            sat.append(mk("QG", "delta", a))
+        if with_cap and contr[i]:
+            sat.append(mk("QG", "snot", a))
     return sat
+
+
+#: inner formulas with equivalent members; tautologies and contradictions
+#: (CPL), De Morgan duals written apart (BD)
+_SATURATION_POOLS = {
+    "bmod": ("CPL", ("p", "~(~p)", "(p & q) | (p & ~q)", "q", "r", "~p", "p & q", "p | q",
+                     "p => q", "p <-> q", "~(q => p)", "p | ~p", "q => q", "Top", "p & ~p", "Bot",
+                     "r & ~r")),
+    "cmod": ("BD", ("p", "neg neg p", "p & (p | q)", "q", "r", "neg p", "p & q", "neg (p & q)",
+                    "neg p | neg q", "p | q", "neg (p | q)", "neg p & neg q", "neg (neg p & neg q)",
+                    "p & neg p", "neg p | p", "p | (q & neg q)", "neg r & (p | r)")),
+}
 
 
 @pytest.mark.parametrize("with_cap", [False, True])
 def test_qg_saturation_matches_pairwise_reference(with_cap):
-    # equivalent (p, ~~p, ...), tautological and contradictory inner formulas
-    pool = [parse("CPL", t) for t in (
-        "p", "~(~p)", "(p & q) | (p & ~q)", "q", "r", "~p", "p & q", "p | q", "p => q",
-        "p <-> q", "~(q => p)", "p | ~p", "q => q", "Top", "p & ~p", "Bot", "r & ~r")]
+    """The instances over every pair of atoms, merged or not, are those the
+    side conditions give, checked one pair at a time; the BD layers get
+    reg and De Morgan instances only."""
     rng = random.Random(3)
-    for _ in range(60):
-        atoms = sorted({mk("QG", "bmod", phi) for phi in rng.sample(pool, rng.randint(1, 7))},
-                       key=print_formula)
-        _, _, reps = qg_merge_atoms(atoms)
-        for group in (atoms, reps):
-            assert qg_saturation(group, with_cap) == _pairwise_saturation(group, with_cap)
+    for lang, modal in (("QG", "bmod"), ("MCB", "cmod"), ("NMCB", "cmod")):
+        inner, texts = _SATURATION_POOLS[modal]
+        pool = [parse(inner, t) for t in texts]
+        kinds = set()
+        for _ in range(60):
+            atoms = sorted({mk(lang, modal, phi) for phi in rng.sample(pool, rng.randint(1, 7))},
+                           key=print_formula)
+            _, _, reps = qg_merge_atoms(atoms)
+            for group in (atoms, reps):
+                sat = qg_saturation(group, with_cap)
+                assert sat == _pairwise_saturation(group, with_cap), \
+                    (lang, [print_formula(a) for a in group])
+                kinds |= {g.children[0].kind for g in sat}
+        # reg, nontriv (under snot delta) and cap (on the atom) in QG
+        expected = {"QG": {"gimp", "delta", *(["bmod"] if with_cap else [])},
+                    "MCB": {"gimp", "iff"}, "NMCB": {"simp", "siff"}}
+        assert kinds == expected[lang], (lang, kinds)
 
 
 def test_qg_rejects_foreign_languages():
@@ -188,11 +210,17 @@ _INNER = ("p", "q", "r", "~p", "p & q", "p | q", "p => q", "~(~p)", "p | (q & r)
           "q | ~q", "r & ~r", "Top", "Bot")
 
 
+#: the connectives generated outer formulas draw from, by language
+_OUTER_KINDS = {"QG": ("and", "or", "gimp", "gimp", "gcoimp", "snot", "delta", "iff"),
+                "MCB": ("and", "or", "gimp", "gimp", "gcoimp", "dneg", "snot", "delta1", "iff"),
+                "NMCB": ("and", "or", "simp", "nimp", "ncoimp", "dneg", "snot", "deltan", "siff")}
+
+
 def _outer_qg(rng, atoms, depth, lang="QG"):
     if depth == 0 or rng.random() < 0.3:
         return rng.choice(atoms)
-    kind = rng.choice(["and", "or", "gimp", "gimp", "gcoimp", "snot", "delta", "iff"])
-    if kind in ("snot", "delta"):
+    kind = rng.choice(_OUTER_KINDS.get(lang, _OUTER_KINDS["QG"]))
+    if kind in UNARY_KINDS:
         return mk(lang, kind, _outer_qg(rng, atoms, depth - 1, lang))
     return mk(lang, kind, _outer_qg(rng, atoms, depth - 1, lang),
               _outer_qg(rng, atoms, depth - 1, lang))
@@ -212,15 +240,24 @@ def _qg_queries(seed, count):
     return queries
 
 
+def _with_plain_copies(saturation):
+    """The saturation with a plain copy of each delta (a -> b), as QG was
+    saturated before its instances were all two-valued."""
+    return [*saturation, *(g.children[0] for g in saturation
+                           if g.kind in ("delta", "delta1", "deltan") and g.children[0].kind == "gimp")]
+
+
 def _reference_qg_entails(xi, alpha, with_cap):
-    """QG entailment as big_entails on the merged, saturated QG formulas,
-    whose grid keys each B-atom by its printed form."""
+    """QG entailment as big_entails on the merged QG formulas, saturated
+    with the plain copies too, whose grid keys each B-atom by its printed
+    form."""
     _, mapping, reps = qg_merge_atoms([*xi, alpha])
 
     def rewrite(f):
         return mapping[f] if f.kind == "bmod" else mk("QG", f.kind, *map(rewrite, f.children))
 
-    verdict = big_entails([*map(rewrite, xi), *qg_saturation(reps, with_cap)], rewrite(alpha))
+    verdict = big_entails([*map(rewrite, xi), *_with_plain_copies(qg_saturation(reps, with_cap))],
+                          rewrite(alpha))
     if verdict.holds:
         return verdict
     return Verdict("fails", {print_formula(a): verdict.witness[print_formula(rep)]
@@ -575,6 +612,118 @@ def test_truth_preserved_has_one_route():
     assert "_outer_search" in reached and "_qg_reduce" in reached, reached
     assert not reached & {"g2_entails", "g2_valid", "big_entails", "big_valid", "qg_entails"}, \
         reached
+
+
+def _pre_change_layer_route(lang, premises, target):
+    """MCB/NMCB truth preservation as it was decided before one reduction
+    served all three two-layered languages: every C-atom apart, a *_bd
+    instance for each ordered pair that bd_entails accepts, a *_neg
+    instance where one inner formula is the other's De Morgan negation as
+    written, and the C-atoms renamed to variables of the outer variant."""
+    atoms = sorted(set().union(*map(modal_atoms, [*premises, target])), key=print_formula)
+    outer, force, imp, eq = ("G2NEL", "deltan", "simp", "siff") if lang == "NMCB" else \
+        ("G2ORD", "delta1", "gimp", "iff")
+    sat = []
+    for a in atoms:
+        for b in atoms:
+            if a != b and bd.bd_entails(a.children[0], b.children[0])[0]:
+                sat.append(mk(lang, force, mk(lang, imp, a, b)))
+            if b.children[0] == mk("BD", "dneg", a.children[0]):
+                sat.append(mk(lang, force, mk(lang, eq, b, mk(lang, "dneg", a))))
+    names = {a: var(outer, f"c{i}") for i, a in enumerate(atoms)}
+
+    def rename(f):
+        return names[f] if f.kind == "cmod" else mk(outer, f.kind, *map(rename, f.children))
+
+    verdict = decide.truth_preserved(outer, [*map(rename, [*premises, *sat])], rename(target))
+    if verdict.holds:
+        return verdict
+    return Verdict("fails", {print_formula(a): verdict.witness[v.var] for a, v in names.items()})
+
+
+_BD_INNER = ("p", "q", "neg p", "neg q", "p & q", "p | q", "neg (p & q)", "neg p | neg q",
+             "neg (p | q)", "neg p & neg q", "neg neg p", "p & neg p", "q | neg q")
+
+
+def _designated_on_ranks(lang, g, env, top):
+    value = oracles.chain_eval_g2(g, env, top, lang == "NMCB")
+    return value == (top, 0) if lang == "MCB" else value[0] == top
+
+
+def test_layer_steps_agree_with_the_pre_change_route_and_qg_with_plain_copies():
+    """MCB/NMCB outer steps are decided as before merging, except where the
+    De Morgan instances read on the supports decide a step that the
+    syntactic ones left open: there the old witness extends to no belief
+    model.  A QG step's witness is the one the search finds with the plain
+    copies of the reg instances."""
+    rng = random.Random(23)
+    seen = []
+    while len(seen) < 200:
+        lang = ("MCB", "NMCB")[len(seen) % 2]
+        atoms = [mk(lang, "cmod", parse("BD", t)) for t in rng.sample(_BD_INNER, rng.randint(2, 4))]
+        premises = [_outer_qg(rng, atoms, 2, lang) for _ in range(rng.randint(0, 2))]
+        target = _outer_qg(rng, atoms, 3, lang)
+        verdict = decide.truth_preserved(lang, premises, target)
+        old = _pre_change_layer_route(lang, premises, target)
+        step = (lang, [print_formula(g) for g in premises], print_formula(target))
+        if verdict.status != old.status:
+            # the new instances hold in every belief model, so no step is lost
+            assert verdict.holds, step
+            with pytest.raises(measures.CanonicalModelError):
+                measures.canonical_mcb_model(old.witness, [*premises, target])
+            seen.append("decided")
+            continue
+        if not verdict.holds:
+            # on the grid i/(2k+1) for k merged atoms, read as ranks: the
+            # premises and the layer instances designated, the target not
+            top = 2 * len(qg_merge_atoms([*premises, target])[2]) + 1
+            env = {key: (int(v.truth * top), int(v.falsity * top))
+                   for key, v in verdict.witness.items()}
+            instances = layer_instances(sorted(set().union(*map(modal_atoms, [*premises, target])),
+                                               key=print_formula))
+            assert all(_designated_on_ranks(lang, g, env, top) for g in [*premises, *instances])
+            assert not _designated_on_ranks(lang, target, env, top), step
+        seen.append(verdict.status)
+    assert seen.count("holds") >= 40 and seen.count("fails") >= 40, seen
+    assert seen.count("decided") >= 1, seen
+    for xi, alpha in _qg_queries(31, 60):
+        premises, saturation, goal, keys, names = decide._qg_reduce(xi, alpha, False)
+        reference = decide._outer_search("BIG", [*premises, *_with_plain_copies(saturation)], goal,
+                                         keys, names)
+        assert decide.truth_preserved("QG", xi, alpha) == reference
+
+
+def test_two_layered_languages_are_named_only_in_the_reduction(monkeypatch):
+    """decide names MCB and NMCB only in the reduction to the outer
+    variants, and the search is reached with BIG, G2ORD and G2NEL only."""
+    tree = ast.parse(pathlib.Path(decide.__file__).read_text())
+    reduction = {"_LAYER", "qg_b_atoms", "qg_merge_atoms", "_inner_masks", "qg_saturation",
+                 "_qg_reduce"}
+    naming = set()
+    for node in tree.body:
+        name = node.name if isinstance(node, ast.FunctionDef) else \
+            next((t.id for t in getattr(node, "targets", ()) if isinstance(t, ast.Name)), None)
+        texts = {n.value for n in ast.walk(node) if isinstance(n, ast.Constant)}
+        if texts & {"MCB", "NMCB"}:
+            naming.add(name)
+        if name in ("_outer_search", "_DELTA", "_parts", "_chain_steps", "_on_grid"):
+            assert not texts & {"QG", "MCB", "NMCB"}, name
+    assert naming and naming <= reduction, naming
+    assert set(decide._DELTA) == {"BIG", "G2ORD", "G2NEL"}
+    reached = []
+    search = decide._outer_search
+
+    def recorded(lang, *args):
+        reached.append(lang)
+        return search(lang, *args)
+
+    monkeypatch.setattr(decide, "_outer_search", recorded)
+    for lang, text in (("BIG", "p -> p | q"), ("QG", "B(p) -> B(p | q)"),
+                       ("G2ORD", "p -> p | q"), ("MCB", "C(p) -> C(p | q)"),
+                       ("G2NEL", "p ~> p | q"), ("NMCB", "C(p) ~> C(p | q)")):
+        assert decide.truth_preserved(lang, [], parse(lang, text)).holds
+    assert qg_entails([parse("QG", "B(p)")], parse("QG", "B(p | q)")).holds
+    assert reached == ["BIG", "BIG", "G2ORD", "G2ORD", "G2NEL", "G2NEL", "BIG"]
 
 
 def test_refusals_state_the_grid_size(capsys):
