@@ -11,19 +11,21 @@ from fractions import Fraction
 from itertools import combinations, product
 
 from qublogic import bd, qp
-from qublogic.syntax import Formula, mk, print_formula, var, vars_of
+from qublogic.syntax import Formula, mk, modal_atoms, print_formula, var, vars_of
 
 
 def depth(f: Formula) -> int:
     return 1 if not f.children else 1 + max(depth(c) for c in f.children)
 
 
-def layer_instances(atoms: list[Formula]) -> list[Formula]:
-    """The MCB/NMCB layer axioms' instances over the C-atoms ``atoms``, by
-    their definition on the four values, pair by pair: delta (a -> b) where
-    a's inner formula entails b's (``*_bd``), delta (b <-> neg a) where b's
-    inner value is a's negated under every valuation (``*_neg``); the
-    Nelson variant's delta, ~> and <==> in NMCB."""
+def layer_instances(formulas: list[Formula]) -> list[Formula]:
+    """The MCB/NMCB layer axioms' instances over the C-atoms of
+    ``formulas``, in printed order, by their definition on the four values,
+    pair by pair: delta (a -> b) where a's inner formula entails b's
+    (``*_bd``), delta (b <-> neg a) where b's inner value is a's negated
+    under every valuation (``*_neg``); the Nelson variant's delta, ~> and
+    <==> in NMCB."""
+    atoms = sorted(set().union(*map(modal_atoms, formulas)), key=print_formula)
     if not atoms:
         return []
     lang = atoms[0].lang

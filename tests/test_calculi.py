@@ -1162,8 +1162,7 @@ def _delta_grid_premises(lang, premises, target):
     delta = "deltan" if lang in ("G2NEL", "NMCB") else "delta1"
     forced = [mk(lang, delta, g) for g in premises]
     if lang in ("MCB", "NMCB"):
-        forced += layer_instances(sorted(set().union(*map(modal_atoms, [*premises, target])),
-                                         key=print_formula))
+        forced += layer_instances([*premises, target])
     return forced
 
 
