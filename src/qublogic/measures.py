@@ -214,8 +214,7 @@ def assignment_masks(names: Sequence) -> dict:
     Its full mask is ``(1 << (1 << len(names))) - 1``."""
     if len(names) > MAX_CPL_VARS:
         raise ValueError(f"too many variables (> {MAX_CPL_VARS})")
-    states = 1 << len(names)
-    return {p: sum(1 << a for a in range(states) if a >> i & 1) for i, p in enumerate(names)}
+    return {p: bd._coordinate_mask(1, i, len(names)) for i, p in enumerate(names)}
 
 
 def truth_set(m: UncertaintyModel, f: Formula) -> int:
