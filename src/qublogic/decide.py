@@ -8,10 +8,16 @@ this against an independent order-type oracle.
 
 The twist decision runs on integer ranks: each formula is compiled once by
 :func:`qublogic.algebra.compile_twist`, rank i stands for the grid value
-i/(2k+1), and Fractions are built only for the returned witness.  The biG
-decision still evaluates Fractions at every grid point.  A query over more
-atoms than a decision admits is refused with a ValueError that states the
-number of grid points it would visit.
+i/(2k+1), and Fractions are built only for the returned witness.  It walks
+the grid in order but visits only the first point of each order type of
+the 2k coordinates (11, 299 and 18,731 points for 1 to 3 atoms), the
+points whose ranks strictly between 0 and 2k+1 are 1..m for some m.  Every
+connective depends only on order, so lowering a countervaluation's
+interior ranks to 1..m keeps it one and moves it no later in the grid: the
+grid's first countervaluation, the witness, is among the points visited.
+The biG decision still evaluates Fractions at every grid point.  A query
+over more atoms than a decision admits is refused with a ValueError that
+states the number of points of its grid.
 
 QG is decided as biG: the outer layer is Goedel logic, and each B-atom is
 one of its atoms.  B-atoms with the same inner truth set are merged first
@@ -42,9 +48,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
+from functools import cache, reduce
 from itertools import product
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from . import algebra, bd, syntax
 from .algebra import ONE, TwistValue, eval_big
@@ -146,6 +152,14 @@ def g2_entails(variant: str, gamma: Sequence[Formula], f: Formula) -> Verdict:
     The (~>, o-) variant constrains only the truth coordinate; the (->, -<)
     variant additionally requires the premises' falsity supremum to reach
     the conclusion's falsity (empty sup is 0, so validity means (1,0)).
+
+    The grid is walked in its order (keys sorted, pairs truth-major) but
+    only at its gap-free points, the first point of each order type: 11,
+    299 and 18,731 of its 16, 4,096 and 262,144 points for 1 to 3 atoms.
+    The verdict and witness are the full grid's: every clause depends only
+    on order, so compressing a countervaluation's interior ranks to 1..m
+    gives a countervaluation that lowers some coordinates and raises none,
+    and the grid's first countervaluation is therefore gap-free.
     """
     if variant not in ("G2ORD", "G2NEL"):
         raise ValueError(f"unknown variant {variant!r}")
@@ -163,14 +177,50 @@ def g2_entails(variant: str, gamma: Sequence[Formula], f: Formula) -> Verdict:
     nelson = variant == "G2NEL"
     goal = algebra.compile_twist(f, slots, d, nelson)
     premises = [algebra.compile_twist(g, slots, d, nelson) for g in gamma]
-    pairs = [(a, b) for a in range(d + 1) for b in range(d + 1)]
-    for combo in product(pairs, repeat=k):
+    for combo in _gap_free_points(d, 2 * k):
         t, fl = goal(combo)
         if (t < d and all(g(combo)[0] > t for g in premises)) or \
                 (not nelson and fl > 0 and all(g(combo)[1] < fl for g in premises)):
             return Verdict("fails", {key: TwistValue(Fraction(a, d), Fraction(b, d))
                                      for key, (a, b) in zip(keys, combo)})
     return HOLDS
+
+
+def _gap_free_points(d: int, left: int, prefix: tuple = (),
+                     mask: int = 0) -> Iterator[tuple[tuple[int, int], ...]]:
+    """The points of the twist grid on ranks 0..d, in grid order, whose
+    interior ranks (strictly between 0 and d) are exactly 1..m for some m:
+    ``prefix``, with interior ranks ``mask``, followed by ``left``
+    coordinates, two per atom."""
+    if not left:  # reached only with no atoms: the grid's one point
+        yield prefix
+        return
+    left -= 2
+    for pair, m in _twist_steps(d, mask, left):
+        point = prefix + (pair,)
+        if left:
+            yield from _gap_free_points(d, left, point, m)
+        else:
+            yield point
+
+
+@cache
+def _twist_pairs(d: int) -> tuple[tuple[tuple[int, int], int], ...]:
+    """The pairs on ranks 0..d, truth-major, each with its interior ranks as
+    bits: rank i, for 0 < i < d, is bit i - 1."""
+    def bit(x: int) -> int:
+        return 1 << (x - 1) if 0 < x < d else 0
+    return tuple(((a, b), bit(a) | bit(b)) for a in range(d + 1) for b in range(d + 1))
+
+
+@cache
+def _twist_steps(d: int, mask: int, left: int) -> tuple[tuple[tuple[int, int], int], ...]:
+    """The pairs that can follow a prefix with interior ranks ``mask`` when
+    ``left`` coordinates follow them: those after which the ranks missing
+    below the highest are no more than ``left``, each with the mask it
+    leaves."""
+    return tuple((pair, m) for pair, bits in _twist_pairs(d)
+                 if (m := mask | bits).bit_length() - m.bit_count() <= left)
 
 
 def g2_valid(variant: str, f: Formula) -> Verdict:

@@ -67,14 +67,15 @@ def gen_big(max_depth: int = 3, sugar: bool = True) -> list[Formula]:
                    unary, ("and", "or", "gimp", "gcoimp"), max_depth)
 
 
-def gen_g2(lang: str, max_depth: int = 3, sugar: bool = True) -> list[Formula]:
+def gen_g2(lang: str, max_depth: int = 3, sugar: bool = True,
+           names: tuple[str, ...] = ("p", "q")) -> list[Formula]:
     if lang == "G2ORD":
         unary = ("dneg", "snot", "delta1") if sugar else ("dneg",)
         binary = ("and", "or", "gimp", "gcoimp")
     else:
         unary = ("dneg", "snot", "deltan", "deltabang") if sugar else ("dneg",)
         binary = ("and", "or", "nimp", "ncoimp")
-    return _levels(lang, [var(lang, "p"), var(lang, "q")], unary, binary, max_depth)
+    return _levels(lang, [var(lang, n) for n in names], unary, binary, max_depth)
 
 
 def gen_bd(max_depth: int, names: tuple[str, ...] = ("p", "q")) -> list[Formula]:

@@ -564,6 +564,77 @@ def test_g2_entails_matches_the_grid_definition(variant):
             ([print_formula(g) for g in gamma], print_formula(f))
 
 
+@pytest.mark.parametrize("variant,imp", [("G2ORD", "->"), ("G2NEL", "~>")])
+def test_twist_decision_visits_one_grid_point_per_order_type(monkeypatch, variant, imp):
+    """A query that holds evaluates its goal once per order type of the 2k
+    coordinates between 0 and 1: 11, 299 and 18,731 for 1 to 3 atoms."""
+    evaluated = []
+
+    def counting(f, *args):
+        ev = compile_twist(f, *args)
+
+        def counted(v):
+            evaluated.append(f)
+            return ev(v)
+        return counted
+
+    monkeypatch.setattr(algebra, "compile_twist", counting)
+    for premises, text, points in (([], f"a {imp} a", 11),
+                                   ([], f"a & b {imp} a", 299),
+                                   (["a & b"], "a", 299),
+                                   ([], f"(a {imp} b) | (b {imp} c) | (c {imp} a)", 18_731)):
+        goal = parse(variant, text)
+        evaluated.clear()
+        assert g2_entails(variant, [parse(variant, g) for g in premises], goal).holds
+        assert evaluated.count(goal) == points, text
+
+
+@pytest.mark.parametrize("variant", ["G2ORD", "G2NEL"])
+def test_three_atom_refutations_match_the_grid_definition(variant):
+    """The first countervaluation of the full grid, witness included; the
+    full grid takes seconds on a query that holds, so only refuted queries
+    are drawn here."""
+    pool = gen_g2(variant, max_depth=2, names=("a", "b", "c"))
+    binary = sorted({g.kind for g in pool if len(g.children) == 2})
+    rng = random.Random(5)
+    refuted = 0
+    for _ in range(200):
+        f = mk(variant, rng.choice(binary), rng.choice(pool), rng.choice(pool))
+        gamma = rng.sample(pool, rng.randint(0, 1))
+        if set().union(*map(vars_of, [*gamma, f])) != {"a", "b", "c"}:
+            continue
+        verdict = g2_entails(variant, gamma, f)
+        if verdict.holds:
+            continue
+        assert verdict == _reference_g2_entails(variant, gamma, f), \
+            ([print_formula(g) for g in gamma], print_formula(f))
+        refuted += 1
+        if refuted == 30:
+            break
+    assert refuted == 30
+
+
+@pytest.mark.parametrize("variant,imp", [("G2ORD", "->"), ("G2NEL", "~>")])
+def test_three_atom_prelinearity_cycles_agree_with_the_chain_oracle(variant, imp):
+    for text in (f"(a {imp} b) | (b {imp} c) | (c {imp} a)", f"(a {imp} b) | (b {imp} c)"):
+        f = parse(variant, text)
+        assert g2_valid(variant, f).holds == \
+            oracles.oracle_g2_valid(f, ["a", "b", "c"], variant == "G2NEL"), text
+
+
+@pytest.mark.parametrize("variant", ["G2ORD", "G2NEL"])
+def test_atom_free_twist_queries_are_decided_at_the_one_grid_point(capsys, variant):
+    for premises in ([], ["Top"]):
+        gamma = [parse(variant, g) for g in premises]
+        for text in ("Top", "snot Bot"):
+            assert g2_entails(variant, gamma, parse(variant, text)) == Verdict("holds")
+        for text in ("Bot", "neg Top"):
+            assert g2_entails(variant, gamma, parse(variant, text)) == Verdict("fails", {})
+            argv = [arg for g in premises for arg in ("--premise", g)]
+            assert cli.main(["decide", "g2-entails", "--lang", variant.lower(), *argv, text]) == 1
+            assert json.loads(capsys.readouterr().out) == {"status": "fails", "witness": {}}
+
+
 def test_oracles_do_not_use_the_twist_compiler():
     source = pathlib.Path(oracles.__file__).read_text()
     assert "compile_twist" not in source
