@@ -6,7 +6,10 @@ exact order statement, so floats are never used.  Twist values are pairs
 ``y >= y'``.  Every twist clause depends only on the order of its
 arguments, so twist values are computed by one compiler,
 :func:`compile_twist`: :func:`eval_g2` runs it on Fractions with top 1, and
-the twist decision on integer ranks of a finite chain.  The outer layers of
+the twist decisions on integer ranks of a finite chain.  Each of its clauses
+also states which atom coordinates the truth and the falsity of its value
+read; the outer-step search (:mod:`qublogic.decide`) prunes on those reads,
+so value and reads come from one pass and cannot disagree.  The outer layers of
 two-layered models go through it too (:mod:`qublogic.measures`): a QG
 formula compiles with its B-atoms as atoms, and on pairs ``(x, 0)`` the
 truth coordinate of each clause is the biG value, biG ``delta`` being the
@@ -163,19 +166,22 @@ _NEL_LANGS = {"G2NEL", "NMCB"}
 
 
 def eval_g2(f: Formula, e: Mapping[str, TwistValue], variant: str | None = None) -> TwistValue:
-    """Evaluate over [0,1]^twist.  ``variant`` defaults to the formula tag."""
+    """Evaluate over [0,1]^twist.  ``variant`` defaults to the formula tag;
+    one from the other family (G2ORD and MCB, G2NEL and NMCB) is refused."""
     lang = variant or f.lang
     if lang not in _ORD_LANGS | _NEL_LANGS:
         raise ValueError(f"{lang} is not a twist-product language")
     if f.lang not in _ORD_LANGS | _NEL_LANGS:
         raise ValueError(f"formula language {f.lang} has no twist semantics")
+    if (lang in _NEL_LANGS) != (f.lang in _NEL_LANGS):
+        raise ValueError(f"a {f.lang} formula has no {lang} value")
     slots: dict[str, int] = {}
     values: list[TwistValue] = []
     for key in dict.fromkeys(map(_key, _twist_atoms(f))):
         v = _lookup(e, key, (ZERO, ZERO))
         slots[key] = len(values)
         values.append(TwistValue(unit(v[0]), unit(v[1])))
-    return TwistValue(*compile_twist(f, slots, ONE, lang in _NEL_LANGS)(values))
+    return TwistValue(*compile_twist(f, slots, ONE, lang in _NEL_LANGS)[0](values))
 
 
 def _twist_atoms(f: Formula) -> list[Formula]:
@@ -192,9 +198,10 @@ def _twist_atoms(f: Formula) -> list[Formula]:
 RankPair = tuple[int, int]
 
 
-def compile_twist(f: Formula, slots: Mapping[str | Formula, int], top: int,
-                  nelson: bool) -> Callable[[Sequence[RankPair]], RankPair]:
-    """Compile a twist or QG formula to a function of (truth, falsity) pairs.
+def compile_twist(f: Formula, slots: Mapping[str | Formula, int], top: int, nelson: bool) \
+        -> tuple[Callable[[Sequence[RankPair]], RankPair], int, int]:
+    """Compile a twist or QG formula to a function of (truth, falsity) pairs,
+    with the atom coordinates that the truth and the falsity of its value read.
 
     The function takes a sequence of (truth, falsity) pairs on the chain
     from the zero of ``top``'s type to ``top``, indexed by the atoms' slots,
@@ -207,97 +214,115 @@ def compile_twist(f: Formula, slots: Mapping[str | Formula, int], top: int,
     coordinates.  ``slots`` maps each atom, or its key (a variable's name, a
     modal atom's printed form), to its index.  Atoms are resolved once, here;
     an atom without a slot raises :class:`UnboundVariableError`.
+
+    The reads are bitmasks over the coordinates, bit ``2 * slot`` an atom's
+    truth and bit ``2 * slot + 1`` its falsity, and each clause states them
+    next to its value: a coordinate not read leaves that side of the value
+    as it is.  A search that gives the coordinates values one at a time may
+    read one side of the value as soon as the coordinates it reads have
+    values.
     """
-    bot = type(top)()  # the zero of top's type: Fractions in give Fractions out
-    tv_top = (top, bot)
-    tv_bot = (bot, top)
-
-    def imp(a: RankPair, b: RankPair) -> RankPair:
-        t = top if a[0] <= b[0] else b[0]
+    kind = f.kind
+    if kind == "var" or kind == "cmod" or kind == "bmod":
+        slot = _slot(f, slots)
+        return itemgetter(slot), 1 << 2 * slot, 2 << 2 * slot
+    bot = ZERO if type(top) is Fraction else 0  # Fractions in give Fractions out
+    if kind == "top" or kind == "bot":
+        tv = (top, bot) if kind == "top" else (bot, top)
+        return (lambda v: tv), 0, 0
+    if kind in ("dneg", "snot", "delta", "delta1", "deltabang", "deltan"):
+        a, t, fl = compile_twist(f.children[0], slots, top, nelson)
+        if kind == "dneg":
+            def ev(v):
+                x, y = a(v)
+                return y, x
+            return ev, fl, t
+        if kind == "snot" and nelson:
+            def ev(v):
+                x = a(v)[0]
+                return (top if x == bot else bot), x
+            return ev, t, t
+        if kind == "snot":
+            def ev(v):
+                x, y = a(v)
+                return (top if x == bot else bot), (top if y < top else bot)
+            return ev, t, fl
+        tv_top, tv_bot = (top, bot), (bot, top)
+        if kind == "deltan" or kind == "delta":
+            def ev(v):
+                return tv_top if a(v)[0] == top else tv_bot
+            return ev, t, t
+        def ev(v):
+            return tv_top if a(v) == tv_top else tv_bot
+        return ev, t | fl, t | fl
+    left, right = f.children
+    a, ta, fa = compile_twist(left, slots, top, nelson)
+    b, tb, fb = compile_twist(right, slots, top, nelson)
+    if kind == "and":
+        def ev(v):
+            x, y = a(v)
+            x2, y2 = b(v)
+            return (x if x < x2 else x2), (y if y > y2 else y2)
+    elif kind == "or":
+        def ev(v):
+            x, y = a(v)
+            x2, y2 = b(v)
+            return (x if x > x2 else x2), (y if y < y2 else y2)
+    elif kind == "gimp":
+        def ev(v):
+            x, y = a(v)
+            x2, y2 = b(v)
+            return (top if x <= x2 else x2), (bot if y2 <= y else y2)
+    elif kind == "gcoimp":
+        def ev(v):
+            x, y = a(v)
+            x2, y2 = b(v)
+            return (bot if x <= x2 else x), (top if y2 <= y else y)
+    # a Nelson implication's falsity compares the antecedent's truth with
+    # the consequent's falsity; a co-implication's, the other way round
+    elif kind == "nimp":
+        def ev(v):
+            x, _ = a(v)
+            x2, y2 = b(v)
+            return (top if x <= x2 else x2), (x if x < y2 else y2)
+        return ev, ta | tb, ta | fb
+    elif kind == "ncoimp":
+        def ev(v):
+            x, y = a(v)
+            x2, _ = b(v)
+            return (bot if x <= x2 else x), (y if y > x2 else x2)
+        return ev, ta | tb, fa | tb
+    elif kind == "iff":
+        def ev(v):
+            p, q = a(v), b(v)
+            return _conj(_imp(p, q, top, bot, nelson), _imp(q, p, top, bot, nelson))
         if nelson:
-            return t, (a[0] if a[0] < b[1] else b[1])
-        return t, (bot if b[1] <= a[1] else b[1])
+            return ev, ta | tb, ta | tb | fa | fb
+    elif kind == "simp" or kind == "siff":
+        both = kind == "siff"
 
-    def conj(a: RankPair, b: RankPair) -> RankPair:
-        return (a[0] if a[0] < b[0] else b[0]), (a[1] if a[1] > b[1] else b[1])
+        def ev(v):
+            p, q = a(v), b(v)
+            np_, nq = (p[1], p[0]), (q[1], q[0])
+            out = _conj(_imp(p, q, top, bot, nelson), _imp(nq, np_, top, bot, nelson))
+            return _conj(out, _conj(_imp(q, p, top, bot, nelson), _imp(np_, nq, top, bot, nelson))) \
+                if both else out
+        return ev, ta | tb | fa | fb, ta | tb | fa | fb
+    else:
+        raise ValueError(f"cannot evaluate kind {kind!r} over the twist product")
+    # the rest read truths for the truth and falsities for the falsity
+    return ev, ta | tb, fa | fb
 
-    def comp(f: Formula) -> Callable[[Sequence[RankPair]], RankPair]:
-        kind = f.kind
-        if kind == "var" or kind == "cmod" or kind == "bmod":
-            return itemgetter(_slot(f, slots))
-        if kind == "top":
-            return lambda v: tv_top
-        if kind == "bot":
-            return lambda v: tv_bot
-        if kind in ("dneg", "snot", "delta", "delta1", "deltabang", "deltan"):
-            a = comp(f.children[0])
-            if kind == "dneg":
-                def ev(v):
-                    x, y = a(v)
-                    return y, x
-            elif kind == "snot" and nelson:
-                def ev(v):
-                    x = a(v)[0]
-                    return (top if x == bot else bot), x
-            elif kind == "snot":
-                def ev(v):
-                    x, y = a(v)
-                    return (top if x == bot else bot), (top if y < top else bot)
-            elif kind == "deltan" or kind == "delta":
-                def ev(v):
-                    return tv_top if a(v)[0] == top else tv_bot
-            else:
-                def ev(v):
-                    return tv_top if a(v) == tv_top else tv_bot
-            return ev
-        a, b = map(comp, f.children)
-        if kind == "and":
-            def ev(v):
-                x, y = a(v)
-                x2, y2 = b(v)
-                return (x if x < x2 else x2), (y if y > y2 else y2)
-        elif kind == "or":
-            def ev(v):
-                x, y = a(v)
-                x2, y2 = b(v)
-                return (x if x > x2 else x2), (y if y < y2 else y2)
-        elif kind == "gimp":
-            def ev(v):
-                x, y = a(v)
-                x2, y2 = b(v)
-                return (top if x <= x2 else x2), (bot if y2 <= y else y2)
-        elif kind == "gcoimp":
-            def ev(v):
-                x, y = a(v)
-                x2, y2 = b(v)
-                return (bot if x <= x2 else x), (top if y2 <= y else y)
-        elif kind == "nimp":
-            def ev(v):
-                x, _ = a(v)
-                x2, y2 = b(v)
-                return (top if x <= x2 else x2), (x if x < y2 else y2)
-        elif kind == "ncoimp":
-            def ev(v):
-                x, y = a(v)
-                x2, _ = b(v)
-                return (bot if x <= x2 else x), (y if y > x2 else x2)
-        elif kind == "iff":
-            def ev(v):
-                p, q = a(v), b(v)
-                return conj(imp(p, q), imp(q, p))
-        elif kind == "simp" or kind == "siff":
-            both = kind == "siff"
 
-            def ev(v):
-                p, q = a(v), b(v)
-                np_, nq = (p[1], p[0]), (q[1], q[0])
-                out = conj(imp(p, q), imp(nq, np_))
-                return conj(out, conj(imp(q, p), imp(np_, nq))) if both else out
-        else:
-            raise ValueError(f"cannot evaluate kind {kind!r} over the twist product")
-        return ev
+def _imp(a: RankPair, b: RankPair, top, bot, nelson: bool) -> RankPair:
+    t = top if a[0] <= b[0] else b[0]
+    if nelson:
+        return t, (a[0] if a[0] < b[1] else b[1])
+    return t, (bot if b[1] <= a[1] else b[1])
 
-    return comp(f)
+
+def _conj(a: RankPair, b: RankPair) -> RankPair:
+    return (a[0] if a[0] < b[0] else b[0]), (a[1] if a[1] > b[1] else b[1])
 
 
 def _slot(atom: Formula, slots: Mapping[str | Formula, int]) -> int:
@@ -307,45 +332,6 @@ def _slot(atom: Formula, slots: Mapping[str | Formula, int]) -> int:
         if slot is None:
             raise UnboundVariableError(f"no slot for atom {_key(atom)!r}")
     return slot
-
-
-def coordinates_read(f: Formula, slots: Mapping[str | Formula, int],
-                     nelson: bool) -> tuple[set[int], set[int]]:
-    """The atom coordinates that the truth and the falsity of ``f``'s value
-    under :func:`compile_twist` read, clause by clause.
-
-    Coordinate ``2 * slot`` is an atom's truth and ``2 * slot + 1`` its
-    falsity; ``slots`` is read as by :func:`compile_twist`.  A search that
-    gives the coordinates values one at a time may read one coordinate of
-    ``f``'s value as soon as the coordinates returned for it have values.
-    """
-    kind = f.kind
-    if kind == "var" or kind == "cmod" or kind == "bmod":
-        slot = _slot(f, slots)
-        return {2 * slot}, {2 * slot + 1}
-    if not f.children:  # top, bot
-        return set(), set()
-    if len(f.children) == 1:
-        t, fl = coordinates_read(f.children[0], slots, nelson)
-        if kind == "dneg":
-            return fl, t
-        if kind == "delta" or kind == "deltan" or kind == "snot" and nelson:
-            return t, t
-        if kind == "delta1" or kind == "deltabang":
-            return t | fl, t | fl
-        return t, fl  # snot
-    (ta, fa), (tb, fb) = (coordinates_read(c, slots, nelson) for c in f.children)
-    # a Nelson implication's falsity compares the antecedent's truth with
-    # the consequent's falsity; a co-implication's, the other way round
-    if kind == "nimp":
-        return ta | tb, ta | fb
-    if kind == "ncoimp":
-        return ta | tb, fa | tb
-    if kind == "iff" and nelson:
-        return ta | tb, ta | tb | fa | fb
-    if kind == "simp" or kind == "siff":
-        return ta | tb | fa | fb, ta | tb | fa | fb
-    return ta | tb, fa | fb
 
 
 # ---------------------------------------------------------------------------

@@ -39,19 +39,12 @@ def _load_json(source: str):
         return json.load(handle)
 
 
-def _load_model(source: str):
+def _load_model(source: str, kind: type):
+    """The model of ``kind`` that the command reads, from JSON text or a file."""
     obj = _load_json(source)
     if not isinstance(obj, dict):
         raise ValueError(f"a model is a JSON object, not {obj!r}")
-    if "weights" in obj:
-        return qp.GardenforsModel.from_json(obj)
-    if "order" in obj:
-        return kripke.G2KripkeModel.from_json(obj)
-    if "mu" in obj:
-        if "vminus" in obj:
-            return measures.BeliefModel.from_json(obj)
-        return measures.UncertaintyModel.from_json(obj)
-    return bd.BDModel.from_json(obj)
+    return kind.from_json(obj)
 
 
 def _verdict_exit(verdict: decide.Verdict) -> int:
@@ -222,12 +215,12 @@ def _dispatch(args) -> int:
         return _emit({"value": algebra.format_twist(algebra.eval_g2(f, e, lang))})
     if cmd == "eval-qg":
         f = syntax.parse("QG", args.text)
-        model = _load_model(args.model)
+        model = _load_model(args.model, measures.UncertaintyModel)
         return _emit({"value": str(measures.eval_qg(model, f))})
     if cmd == "eval-layer":
         lang = _lang(args.lang)
         f = syntax.parse(lang, args.text)
-        model = _load_model(args.model)
+        model = _load_model(args.model, measures.BeliefModel)
         return _emit({"value": algebra.format_twist(measures.eval_layer(model, lang, f))})
     if cmd == "bd-entails":
         phi = syntax.parse("BD", args.phi)
@@ -269,7 +262,7 @@ def _dispatch_decide(args) -> int:
 
 def _dispatch_kripke(args) -> int:
     if args.what == "support":
-        model = _load_model(args.model)
+        model = _load_model(args.model, kripke.G2KripkeModel)
         f = _parse_g2_any(args.text)
         pos, neg = kripke.ksupport(model, args.state, f)
         return _emit({"pos": pos, "neg": neg})
@@ -288,7 +281,7 @@ def _dispatch_kripke(args) -> int:
             e = algebra.twist_valuation_from_json(_load_json(args.valuation))
             return _emit(kripke.valuation_to_model(e).to_json())
         if args.model:
-            model = _load_model(args.model)
+            model = _load_model(args.model, kripke.G2KripkeModel)
             constraints, valuation = kripke.model_to_valuation(model)
             return _emit({"constraints": constraints,
                           "valuation": algebra.twist_valuation_to_json(valuation)})
@@ -307,19 +300,18 @@ def _parse_g2_any(text: str):
 
 def _dispatch_model(args) -> int:
     if args.what == "check-property":
-        model = _load_model(args.model)
-        measure = model.pi if isinstance(model, measures.BeliefModel) else model.mu
-        ok, witness = measures.check_property(model.states, measure, args.prop.lower(), args.m)
+        # a belief model's reader also takes a QG model, its mu read as pi
+        model = _load_model(args.model, measures.BeliefModel)
+        ok, witness = measures.check_property(model.states, model.pi, args.prop.lower(), args.m)
         payload = {"property": args.prop, "holds": ok}
         if witness is not None:
             payload["witness"] = _witness_json(witness)
         return _bool_exit(ok, payload)
     if args.what == "frame-validates":
-        model = _load_model(args.model)
+        model = _load_model(args.model, measures.BeliefModel)
         layer = _lang(args.layer)
         f = syntax.parse(layer, args.text)
-        measure = model.pi if isinstance(model, measures.BeliefModel) else model.mu
-        ok, witness = measures.frame_validates(model.states, measure, f, layer)
+        ok, witness = measures.frame_validates(model.states, model.pi, f, layer)
         payload = {"valid": ok}
         if witness is not None:
             payload["countervaluation"] = {
@@ -367,7 +359,7 @@ def _witness_json(witness):
 
 def _dispatch_qp(args) -> int:
     if args.what == "sat":
-        model = _load_model(args.model)
+        model = _load_model(args.model, qp.GardenforsModel)
         f = syntax.parse("QP", args.text)
         ok = qp.qp_sat(model, args.state, f)
         return _bool_exit(ok, {"satisfied": ok})
@@ -387,7 +379,7 @@ def _dispatch_qp(args) -> int:
         out = qp.kps_instance(args.m, phis, chis)
         return _emit({"lang": "QG", "text": syntax.print_formula(out)})
     if args.what == "counterpart":
-        model = _load_model(args.model)
+        model = _load_model(args.model, measures.UncertaintyModel)
         result = qp.qp_counterpart(model)
         if result is None:
             return _emit({"found": False}, 1)

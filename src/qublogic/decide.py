@@ -175,8 +175,8 @@ def g2_entails(variant: str, gamma: Sequence[Formula], f: Formula) -> Verdict:
     d = 2 * k + 1
     slots = {key: i for i, key in enumerate(keys)}
     nelson = variant == "G2NEL"
-    goal = algebra.compile_twist(f, slots, d, nelson)
-    premises = [algebra.compile_twist(g, slots, d, nelson) for g in gamma]
+    goal = algebra.compile_twist(f, slots, d, nelson)[0]
+    premises = [algebra.compile_twist(g, slots, d, nelson)[0] for g in gamma]
     for combo in _gap_free_points(d, 2 * k):
         t, fl = goal(combo)
         if (t < d and all(g(combo)[0] > t for g in premises)) or \
@@ -290,9 +290,12 @@ def qg_saturation(reps: Sequence[Formula], with_cap: bool = False) -> list[Formu
     delta (a -> b) wherever a's supports lie within b's (reg; the BD rule
     in MCB and NMCB); snot delta (a -> b) for a tautology a and a
     contradiction b (nontriv); delta (b <-> neg a) wherever b's supports
-    are a's swapped (MCB, NMCB).  With ``with_cap`` the two cap' schemas
-    (tautologies are fully believed, contradictions fully disbelieved)
-    join in a value-forcing shape.  At the valuation that makes every
+    are a's swapped, and delta (a -> neg b) and delta (neg a -> b), b = a
+    included, wherever a's supports lie within neg b's and neg a's within
+    b's (MCB, NMCB; without these a witness need not extend to a belief
+    model).  With ``with_cap`` the two cap' schemas (tautologies are fully
+    believed, contradictions fully disbelieved) join in a value-forcing
+    shape.  At the valuation that makes every
     variable both true and false, every BD formula is, so nontriv and cap
     never apply in MCB and NMCB.
     """
@@ -306,11 +309,19 @@ def qg_saturation(reps: Sequence[Formula], with_cap: bool = False) -> list[Formu
     for i, a in enumerate(reps):
         pos, neg = masks[i]
         for j, b in enumerate(reps):
+            pos_b, neg_b = masks[j]
+            if eq and j >= i:
+                # a |- neg b and neg a |- b; each condition is symmetric in
+                # a and b, so one of the two orders is enough
+                if pos & ~neg_b == 0 and pos_b & ~neg == 0:
+                    sat.append(mk(lang, force, mk(lang, imp, a, mk(lang, "dneg", b))))
+                if neg & ~pos_b == 0 and neg_b & ~pos == 0:
+                    sat.append(mk(lang, force, mk(lang, imp, mk(lang, "dneg", a), b)))
             if i == j:
                 continue
-            if pos & ~masks[j][0] == 0 and masks[j][1] & ~neg == 0:
+            if pos & ~pos_b == 0 and neg_b & ~neg == 0:
                 sat.append(mk(lang, force, mk(lang, imp, a, b)))
-            if neg == 0 and masks[j][0] == 0:
+            if neg == 0 and pos_b == 0:
                 sat.append(mk(lang, "snot", mk(lang, force, mk(lang, imp, a, b))))
             if eq and masks[j] == (neg, pos):
                 sat.append(mk(lang, force, mk(lang, eq, b, mk(lang, "dneg", a))))
@@ -443,13 +454,15 @@ def _outer_search(lang: str, premises: Sequence[Formula], target: Formula,
     gives one with the truth below the top.
 
     Each premise and each disjunct of the target conjunct is compiled once
-    and read as soon as the coordinates it reads have values: a premise
-    not designated (in G2ORD, by its truth or by its falsity) or a disjunct
-    at the top closes the branch, so a completed valuation refutes the
-    step.  A fails verdict carries it on the grid i/(k+1)
-    (biG) or i/(2k+1) (twist) for k atoms, the i-th least value
-    strictly between 0 and the top standing for i, keyed by ``names``
-    (each witness key mapped to its atom's key in ``keys``).  Searches
+    by :func:`qublogic.algebra.compile_twist`, which returns with the
+    function the coordinates that its truth and its falsity read, and it
+    is read as soon as those coordinates have values: a premise not
+    designated (in G2ORD, by its truth or by its falsity) or a disjunct at
+    the top closes the branch, so a completed valuation refutes the step.
+    A fails verdict carries it on the grid i/(k+1) (biG) or i/(2k+1)
+    (twist) for k atoms, the i-th least value strictly between 0 and the
+    top standing for i, keyed by ``names`` (each witness key mapped to
+    its atom's key in ``keys``).  Searches
     that visit more than ``_MAX_OUTER_NODES`` nodes in all raise a
     ValueError that names the ``decision`` left undecided and states the
     size of that grid.
@@ -465,13 +478,14 @@ def _outer_search(lang: str, premises: Sequence[Formula], target: Formula,
     delta = _DELTA[lang]
 
     def test(g: Formula) -> tuple:
-        """``g`` compiled, with the coordinates its truth and its falsity read."""
-        return algebra.compile_twist(g, slots, top, nelson), \
-            algebra.coordinates_read(g, slots, nelson)
+        """``g`` compiled, with the coordinates its truth and its falsity
+        read, as bitmasks."""
+        return algebra.compile_twist(g, slots, top, nelson)
 
-    # (evaluator, 0 for a truth check or 1 for a falsity check, coordinates)
+    # (evaluator, 0 for a truth check or 1 for a falsity check, coordinates
+    # as a bitmask)
     premise_tests = []
-    for ev, (truth, falsity) in map(test, dict.fromkeys(
+    for ev, truth, falsity in map(test, dict.fromkeys(
             p for g in premises for p in _parts(g, "and", delta))):
         premise_tests.append((ev, 0, truth))
         if lang == "G2ORD":
@@ -483,26 +497,25 @@ def _outer_search(lang: str, premises: Sequence[Formula], target: Formula,
     def refutes(part: Formula) -> bool:
         """Whether some valuation designates every premise and leaves the
         value, or truth, of every disjunct of ``part`` below the top."""
-        tests = [*premise_tests, *((ev, 2, truth) for ev, (truth, _) in
+        tests = [*premise_tests, *((ev, 2, truth) for ev, truth, _ in
                                    map(test, _parts(part, "or", None if twist else delta)))]
         # greedy order: next the coordinate that completes the most tests,
         # then the one that occurs in the most open ones
         order: list[int] = []
-        pending = [set(c) for _, _, c in tests]
+        pending = [c for _, _, c in tests]
         while len(order) < n:
             best = max((c for c in coords if c not in order),
-                       key=lambda c: (sum(p == {c} for p in pending), sum(c in p for p in pending), -c))
+                       key=lambda c: (pending.count(1 << c), sum(p >> c & 1 for p in pending), -c))
             order.append(best)
-            for p in pending:
-                p.discard(best)
-        depth_of = {c: i + 1 for i, c in enumerate(order)}
+            pending = [p & ~(1 << best) for p in pending]
         # truths[d] / falsities[d] / goals[d]: the premise checks / target
         # disjuncts whose last coordinate is the d-th one given a value
         truths: list[list] = [[] for _ in range(n + 1)]
         falsities: list[list] = [[] for _ in range(n + 1)]
         goals: list[list] = [[] for _ in range(n + 1)]
         for ev, role, c in tests:
-            (truths, falsities, goals)[role][max(map(depth_of.get, c), default=0)].append(ev)
+            depth = max((i for i, x in enumerate(order, 1) if c >> x & 1), default=0)
+            (truths, falsities, goals)[role][depth].append(ev)
         at = [(c >> 1, c & 1) for c in order]
 
         def extends(depth: int, chain: tuple) -> bool:

@@ -253,7 +253,7 @@ def _compile(layer: str, formulas: Sequence[Formula], top) -> tuple[list[Formula
     """
     atoms = list(set().union(*map(modal_atoms, formulas)))
     slots = {a: i for i, a in enumerate(atoms)}
-    return [a.children[0] for a in atoms], [compile_twist(f, slots, top, layer == "NMCB")
+    return [a.children[0] for a in atoms], [compile_twist(f, slots, top, layer == "NMCB")[0]
                                             for f in formulas]
 
 

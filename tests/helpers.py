@@ -21,10 +21,13 @@ def depth(f: Formula) -> int:
 def layer_instances(formulas: list[Formula]) -> list[Formula]:
     """The MCB/NMCB layer axioms' instances over the C-atoms of
     ``formulas``, in printed order, by their definition on the four values,
-    pair by pair: delta (a -> b) where a's inner formula entails b's
-    (``*_bd``), delta (b <-> neg a) where b's inner value is a's negated
-    under every valuation (``*_neg``); the Nelson variant's delta, ~> and
-    <==> in NMCB."""
+    pair by pair: delta (a -> neg b) and delta (neg a -> b) where a's inner
+    formula entails b's negation and a's negation entails b (b = a
+    included; each condition is symmetric in a and b, so taken once per
+    pair), delta (a -> b) where a's inner formula entails b's (``*_bd``),
+    delta (b <-> neg a) where b's inner value is a's negated under every
+    valuation (``*_neg``); the Nelson variant's delta, ==> and <==> in
+    NMCB."""
     atoms = sorted(set().union(*map(modal_atoms, formulas)), key=print_formula)
     if not atoms:
         return []
@@ -37,6 +40,11 @@ def layer_instances(formulas: list[Formula]) -> list[Formula]:
     sat = []
     for i, a in enumerate(atoms):
         for j, b in enumerate(atoms):
+            negated = [tuple(map(bd.neg4, table[phi])) for phi in (inners[i], inners[j])]
+            if j >= i and all(map(bd.le4, table[inners[i]], negated[1])):
+                sat.append(mk(lang, force, mk(lang, imp, a, mk(lang, "dneg", b))))
+            if j >= i and all(map(bd.le4, negated[0], table[inners[j]])):
+                sat.append(mk(lang, force, mk(lang, imp, mk(lang, "dneg", a), b)))
             if i != j and all(map(bd.le4, table[inners[i]], table[inners[j]])):
                 sat.append(mk(lang, force, mk(lang, imp, a, b)))
             if i != j and table[inners[j]] == tuple(map(bd.neg4, table[inners[i]])):

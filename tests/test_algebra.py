@@ -44,6 +44,21 @@ def test_eval_g2_range_checks_atom_values(lang, key):
     assert eval_g2(f, {key: (1, "1/3")}) == TwistValue(ONE, F(1, 3))
 
 
+def test_eval_g2_refuses_a_variant_of_the_other_family():
+    """A formula is evaluated with its own family's clauses: the G2ORD
+    strong negation of p = (1/2, 1/3) is (0, 1), while G2NEL's clause would
+    give (0, 1/2)."""
+    e = {"p": TwistValue(F(1, 2), F(1, 3)), "C(p)": TwistValue(F(1, 2), F(1, 3))}
+    for lang, key, same, other in (("G2ORD", "p", "MCB", "G2NEL"), ("MCB", "C(p)", "G2ORD", "NMCB"),
+                                   ("G2NEL", "p", "NMCB", "G2ORD"), ("NMCB", "C(p)", "G2NEL", "MCB")):
+        f = parse(lang, f"snot {key}")
+        assert eval_g2(f, e, same) == eval_g2(f, e)
+        with pytest.raises(ValueError, match=f"^a {lang} formula has no {other} value$"):
+            eval_g2(f, e, other)
+    assert eval_g2(parse("G2ORD", "snot p"), e) == TwistValue(ZERO, ONE)
+    assert eval_g2(parse("G2NEL", "snot p"), e) == TwistValue(ZERO, F(1, 2))
+
+
 def test_residuation_exhaustive_denominator_six():
     grid = [F(i, 6) for i in range(7)]
     for a in grid:

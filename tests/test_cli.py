@@ -212,6 +212,8 @@ def test_prove_match_axiom_prints_family_parameters_that_check(capsys):
         assert (code, out["accepted"]) == (0, True), (calc, params["m"])
 
 
+_BD_MODEL = '{"states":1,"vplus":{"p":[0]},"vminus":{}}'
+
 _MALFORMED = [
     ["kripke", "support", "--model",
      '{"states":2,"order":[0,1],"vplus":{"p":[1]},"vminus":{}}', "--state", "5", "p"],
@@ -239,6 +241,13 @@ _MALFORMED = [
     ["model", "canonical", "--layer", "mcb", "--valuation", '{"C(p)": 5}', "C(p)"],
     # nesting too deep for the parser's recursive descent
     ["parse", "--lang", "big", "(" * 400 + "p" + ")" * 400],
+    # a BD model where each command reads another kind of model
+    ["eval-qg", "--model", _BD_MODEL, "B(p)"],
+    ["eval-layer", "--lang", "mcb", "--model", _BD_MODEL, "C(p)"],
+    ["kripke", "support", "--model", _BD_MODEL, "--state", "0", "p"],
+    ["model", "check-property", "--model", _BD_MODEL, "--prop", "mono"],
+    ["model", "frame-validates", "--model", _BD_MODEL, "--layer", "qg", "B(p)"],
+    ["qp", "counterpart", "--model", _BD_MODEL],
 ]
 
 # the text of A4_6, past the A4 bound: too deep for the recursive PC

@@ -1,4 +1,5 @@
 import ast
+import gc
 import json
 import math
 import pathlib
@@ -13,8 +14,8 @@ import pytest
 from helpers import gen_big, gen_g2, layer_instances
 
 from qublogic import algebra, bd, calculi, cli, decide, measures, syntax
-from qublogic.algebra import (ONE, TwistValue, UnboundVariableError, compile_twist,
-                              coordinates_read, eval_big, eval_g2)
+from qublogic.algebra import (ONE, TwistValue, UnboundVariableError, compile_twist, eval_big,
+                              eval_g2)
 from qublogic.decide import (Verdict, big_entails, big_valid, g2_entails, g2_valid, grid,
                              qg_entails, qg_merge_atoms, qg_saturation)
 from qublogic.syntax import (BINARY_KINDS, NULLARY_KINDS, PRIMITIVE_KINDS, SUGAR_KINDS,
@@ -180,7 +181,7 @@ _SATURATION_POOLS = {
 def test_qg_saturation_matches_pairwise_reference(with_cap):
     """The instances over every pair of atoms, merged or not, are those the
     side conditions give, checked one pair at a time; the BD layers get
-    reg and De Morgan instances only."""
+    reg, negated-reg and De Morgan instances only."""
     rng = random.Random(3)
     for lang, modal in (("QG", "bmod"), ("MCB", "cmod"), ("NMCB", "cmod")):
         inner, texts = _SATURATION_POOLS[modal]
@@ -443,7 +444,7 @@ def test_compiled_twist_clauses_match_eval_g2(lang):
     rng = random.Random(5)
     for f in formulas:
         for top in (1, 2, 5):
-            ev = compile_twist(f, slots, top, nelson)
+            ev = compile_twist(f, slots, top, nelson)[0]
             for _ in range(30):
                 ranks = tuple((rng.randint(0, top), rng.randint(0, top)) for _ in keys)
                 assert ev(ranks) == oracles.chain_eval_g2(f, dict(zip(keys, ranks)), top, nelson), \
@@ -475,9 +476,9 @@ def test_eval_g2_matches_the_chain_oracle_on_scaled_ranks(lang):
 
 @pytest.mark.parametrize("lang", [*sorted(_TWIST_LANGS), "QG"])
 def test_coordinates_read_covers_what_the_compiled_value_reads(lang):
-    """Changing a coordinate that coordinates_read does not list for the
-    truth (falsity) of a formula leaves its compiled truth (falsity) as it
-    is; the lists are exact on atoms."""
+    """Changing a coordinate that compile_twist does not return as read by
+    the truth (falsity) of a formula leaves its compiled truth (falsity) as
+    it is; the reads are exact on atoms."""
     nelson = _TWIST_LANGS.get(lang) == "G2NEL"
     if lang == "QG":
         atoms = [parse("QG", "B(p)"), parse("QG", "B(q)")]
@@ -493,11 +494,10 @@ def test_coordinates_read_covers_what_the_compiled_value_reads(lang):
     rng = random.Random(7)
     top = 4
     for f in formulas:
-        ev = compile_twist(f, slots, top, nelson)
-        reads = coordinates_read(f, slots, nelson)
+        ev, *reads = compile_twist(f, slots, top, nelson)
         if f.kind in ("var", "cmod", "bmod"):
             slot = slots[print_formula(f) if f.kind != "var" else f.var]
-            assert reads == ({2 * slot}, {2 * slot + 1})
+            assert reads == [1 << 2 * slot, 1 << 2 * slot + 1]
         for _ in range(40):
             coords = [rng.randint(0, top) for _ in range(2 * len(keys))]
             c = rng.randrange(len(coords))
@@ -506,7 +506,7 @@ def test_coordinates_read_covers_what_the_compiled_value_reads(lang):
             pair, pair2 = (ev([tuple(v[2 * i:2 * i + 2]) for i in range(len(keys))])
                            for v in (coords, changed))
             for side in (0, 1):
-                assert c in reads[side] or pair[side] == pair2[side], \
+                assert reads[side] >> c & 1 or pair[side] == pair2[side], \
                     (print_formula(f), side, coords, changed)
 
 
@@ -533,6 +533,43 @@ def test_ordered_twist_values_mirror_under_the_dual_valuation(lang):
 def test_compile_twist_needs_a_slot_per_atom():
     with pytest.raises(UnboundVariableError):
         compile_twist(parse("G2ORD", "p -> q"), {"p": 0}, 3, False)
+
+
+def test_compiling_leaves_no_reference_cycles():
+    """The compiler is one recursion that holds no reference to itself, so
+    neither compiled formulas nor the twist decision leave garbage for the
+    cyclic collector."""
+    slots = {"a": 0, "b": 1, "c": 2}
+    formulas = [parse("G2ORD", "((a -> b) & neg (b -< c)) | snot delta1 (c <-> neg a) | Top"),
+                parse("G2NEL", "((a ~> b) & (b ==> c)) | snot deltaN (c <==> neg a) | deltaBangN Bot")]
+    gc.collect()
+    gc.disable()
+    try:
+        for i in range(1000):
+            f = formulas[i % 2]
+            compile_twist(f, slots, 7, f.lang == "G2NEL")
+        assert gc.collect() == 0
+        excluded_middle = parse("G2ORD", "a | neg a")
+        for _ in range(1000):
+            g2_valid("G2ORD", excluded_middle)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+@pytest.mark.parametrize("lang,k,nodes", [("G2ORD", 4, 62), ("G2NEL", 4, 62), ("BIG", 5, 98),
+                                          ("G2ORD", 5, 98)])
+def test_outer_search_prunes_prelinearity_cycles_within_their_node_counts(monkeypatch, lang, k,
+                                                                          nodes):
+    """Each disjunct of ``(a -> b) | (b -> c) | ... | (. -> a)`` closes a
+    branch as soon as the coordinates that the compiler returns as its
+    reads have values, so the search decides each cycle within these node
+    counts; wider reads would close branches later and cost nodes."""
+    imp = "~>" if lang == "G2NEL" else "->"
+    atoms = "abcde"[:k]
+    target = parse(lang, " | ".join(f"({x} {imp} {y})" for x, y in zip(atoms, atoms[1:] + atoms[:1])))
+    monkeypatch.setattr(decide, "_MAX_OUTER_NODES", nodes)
+    assert decide.truth_preserved(lang, [], target).holds
 
 
 def _reference_g2_entails(variant, gamma, f):
@@ -571,12 +608,12 @@ def test_twist_decision_visits_one_grid_point_per_order_type(monkeypatch, varian
     evaluated = []
 
     def counting(f, *args):
-        ev = compile_twist(f, *args)
+        ev, *reads = compile_twist(f, *args)
 
         def counted(v):
             evaluated.append(f)
             return ev(v)
-        return counted
+        return counted, *reads
 
     monkeypatch.setattr(algebra, "compile_twist", counting)
     for premises, text, points in (([], f"a {imp} a", 11),
@@ -586,7 +623,9 @@ def test_twist_decision_visits_one_grid_point_per_order_type(monkeypatch, varian
         goal = parse(variant, text)
         evaluated.clear()
         assert g2_entails(variant, [parse(variant, g) for g in premises], goal).holds
-        assert evaluated.count(goal) == points, text
+        # by identity: the compiler's recursion is counted too, and a
+        # premise's subformula may equal the goal
+        assert sum(f is goal for f in evaluated) == points, text
 
 
 @pytest.mark.parametrize("variant", ["G2ORD", "G2NEL"])
@@ -721,19 +760,25 @@ def _designated_on_ranks(lang, g, env, top):
     return value == (top, 0) if lang == "MCB" else value[0] == top
 
 
+def _layer_steps(count):
+    """``count`` generated MCB/NMCB outer steps, the languages taking turns:
+    up to two premises and a target over 2 to 4 C-atoms of the BD pool."""
+    rng = random.Random(23)
+    for i in range(count):
+        lang = ("MCB", "NMCB")[i % 2]
+        atoms = [mk(lang, "cmod", parse("BD", t)) for t in rng.sample(_BD_INNER, rng.randint(2, 4))]
+        premises = [_outer_qg(rng, atoms, 2, lang) for _ in range(rng.randint(0, 2))]
+        yield lang, premises, _outer_qg(rng, atoms, 3, lang)
+
+
 def test_layer_steps_agree_with_the_pre_change_route_and_qg_with_plain_copies():
     """MCB/NMCB outer steps are decided as before merging, except where the
     De Morgan instances read on the supports decide a step that the
     syntactic ones left open: there the old witness extends to no belief
     model.  A QG step's witness is the one the search finds with the plain
     copies of the reg instances."""
-    rng = random.Random(23)
     seen = []
-    while len(seen) < 200:
-        lang = ("MCB", "NMCB")[len(seen) % 2]
-        atoms = [mk(lang, "cmod", parse("BD", t)) for t in rng.sample(_BD_INNER, rng.randint(2, 4))]
-        premises = [_outer_qg(rng, atoms, 2, lang) for _ in range(rng.randint(0, 2))]
-        target = _outer_qg(rng, atoms, 3, lang)
+    for lang, premises, target in _layer_steps(200):
         verdict = decide.truth_preserved(lang, premises, target)
         old = _pre_change_layer_route(lang, premises, target)
         step = (lang, [print_formula(g) for g in premises], print_formula(target))
@@ -761,6 +806,26 @@ def test_layer_steps_agree_with_the_pre_change_route_and_qg_with_plain_copies():
         reference = decide._outer_search("BIG", [*premises, *_with_plain_copies(saturation)], goal,
                                          keys, names)
         assert decide.truth_preserved("QG", xi, alpha) == reference
+
+
+def test_refuted_layer_steps_have_witnesses_that_extend_to_belief_models():
+    """The MCB/NMCB saturation has an instance for every inclusion between
+    C-atoms' supports, a |- neg b and neg a |- b (b = a included) too, so
+    the witness of every refuted step is a belief model's: the canonical
+    model takes it, and in that model the premises are designated and the
+    target is not."""
+    refuted = 0
+    for lang, premises, target in _layer_steps(400):
+        verdict = decide.truth_preserved(lang, premises, target)
+        if verdict.holds:
+            continue
+        model = measures.canonical_mcb_model(verdict.witness, [*premises, target])
+        values = [measures.eval_layer(model, lang, g) for g in [*premises, target]]
+        designated = [v == (ONE, 0) if lang == "MCB" else v.truth == ONE for v in values]
+        assert designated == [True] * len(premises) + [False], \
+            (lang, [print_formula(g) for g in premises], print_formula(target))
+        refuted += 1
+    assert refuted == 266
 
 
 def test_two_layered_languages_are_named_only_in_the_reduction(monkeypatch):
