@@ -132,33 +132,44 @@ def _support_masks(vplus: Mapping[str, int], vminus: Mapping[str, int],
     ``and`` and ``or`` goes to ``other`` with the formula and the returned
     function itself, which Kripke semantics uses for its implications.
     """
-    memo: dict[Formula, tuple[int, int]] = {}
+    return _SupportMasks(vplus, vminus, other)
 
-    def rec(f: Formula) -> tuple[int, int]:
-        got = memo.get(f)
+
+class _SupportMasks:
+    """The function :func:`_support_masks` returns.  It recurses through
+    itself as an object, not through a closure cell, so it holds no
+    reference to itself and leaves no reference cycle behind."""
+
+    __slots__ = ("vplus", "vminus", "other", "memo")
+
+    def __init__(self, vplus: Mapping[str, int], vminus: Mapping[str, int],
+                 other: Callable[[Formula, Callable], tuple[int, int]] | None) -> None:
+        self.vplus, self.vminus, self.other = vplus, vminus, other
+        self.memo: dict[Formula, tuple[int, int]] = {}
+
+    def __call__(self, f: Formula) -> tuple[int, int]:
+        got = self.memo.get(f)
         if got is not None:
             return got
         kind = f.kind
         if kind == "var":
             name = f.var
-            if name not in vplus and name not in vminus:
+            if name not in self.vplus and name not in self.vminus:
                 raise KeyError(f"variable {name!r} unbound in model")
-            res = vplus.get(name, 0), vminus.get(name, 0)
+            res = self.vplus.get(name, 0), self.vminus.get(name, 0)
         elif kind == "dneg":
-            p, n = rec(f.children[0])
+            p, n = self(f.children[0])
             res = n, p
         elif kind == "and" or kind == "or":
-            p1, n1 = rec(f.children[0])
-            p2, n2 = rec(f.children[1])
+            p1, n1 = self(f.children[0])
+            p2, n2 = self(f.children[1])
             res = (p1 & p2, n1 | n2) if kind == "and" else (p1 | p2, n1 & n2)
-        elif other is not None:
-            res = other(f, rec)
+        elif self.other is not None:
+            res = self.other(f, self)
         else:
             raise ValueError(f"kind {kind!r} is not a BD connective")
-        memo[f] = res
+        self.memo[f] = res
         return res
-
-    return rec
 
 
 def truth_sets(m: BDModel, f: Formula) -> tuple[int, int]:

@@ -28,7 +28,17 @@ atoms' sets as a slice, 64 valuations at a time, so that frame validity
 still stops at the first failing valuation.  The countermodel search and
 the correspondence test do this once per state count and reuse the sets
 for every measure.  A state count with more than ``_MAX_FRAME_VALUATIONS``
-inner valuations is refused before it starts, with its count."""
+inner valuations is refused before it starts, with its count.
+
+Frame validity, the correspondence test and the countermodel search share
+one loop, :func:`_countervaluation`.  The outer value at a valuation
+depends only on the ranks of the atoms' values, so it runs the caller's
+test once per distinct tuple of them, as long as tuples repeat, and
+returns the first failing valuation's index.  The measure properties of :func:`check_property` also
+read only the order of the values and their equality to 0 and 1, so they
+compare ranks too.  The countermodel search counts the inner valuations
+it reads over all its measures and stops past ``_MAX_SEARCH_VALUATIONS``,
+stating where."""
 
 from __future__ import annotations
 
@@ -43,6 +53,10 @@ from .syntax import Formula, LanguageError, mk, modal_atoms, print_formula, vars
 
 MAX_DENSE_STATES = 16
 MAX_CPL_VARS = 20
+
+#: the rank of 1: a measure on at most MAX_DENSE_STATES states takes at
+#: most 2^MAX_DENSE_STATES values strictly between 0 and 1, ranked below it
+_RANK_TOP = (1 << MAX_DENSE_STATES) + 1
 
 
 def _mask_key(mask: int) -> str:
@@ -87,13 +101,19 @@ def measure_nontrivial(states: int, mu: Mapping[int, Fraction]) -> tuple[bool, t
 
 
 def measure_capacity(states: int, mu: Mapping[int, Fraction]) -> tuple[bool, tuple | None]:
+    return _capacity(states, mu, ONE)
+
+
+def _capacity(states: int, mu: Mapping, one=_RANK_TOP) -> tuple[bool, tuple | None]:
+    """Monotone, 0 at the empty set and ``one`` (by default the rank of 1)
+    at the full one."""
     ok, wit = measure_monotone(states, mu)
     if not ok:
         return ok, wit
     full = (1 << states) - 1
-    if mu[0] != ZERO:
+    if mu[0] != 0:
         return False, (0,)
-    if mu[full] != ONE:
+    if mu[full] != one:
         return False, (full,)
     return True, None
 
@@ -272,13 +292,13 @@ def _supports(layer: str, inners: Sequence[Formula], val: Mapping[str, Mapping[s
 
 
 def _valuations(layer: str, supports: Sequence[int], states: int, count: int,
-                rank: Mapping[int, object]) -> Iterator[list]:
+                rank: Mapping[int, object]) -> Iterator[tuple]:
     """The atoms' values under each of ``count`` valuations in turn, read
     lazily from their bit-sliced ``supports``: for ``rank`` the measure on
     the chain, the measure of each atom's truth set, or of its two support
-    sets, as (truth, falsity) pairs by slot.  Past 64 valuations the masks
-    are cut into words of 64 valuations, so that no slice shifts a long
-    mask."""
+    sets, as a tuple of (truth, falsity) pairs by slot.  Past 64 valuations
+    the masks are cut into words of 64 valuations, so that no slice shifts
+    a long mask."""
     chunks: Iterable[Sequence[int]] = [supports]
     if count > 64:
         size = 8 * states  # bytes of 64 valuations
@@ -290,16 +310,11 @@ def _valuations(layer: str, supports: Sequence[int], states: int, count: int,
     for words in chunks:
         if layer == "QG":
             for o in offsets:
-                yield [(rank[w >> o & low], 0) for w in words]
+                yield tuple([(rank[w >> o & low], 0) for w in words])
         else:
             pairs = list(zip(words[::2], words[1::2]))
             for o in offsets:
-                yield [(rank[pos >> o & low], rank[neg >> o & low]) for pos, neg in pairs]
-
-
-#: the rank of 1: a measure on at most MAX_DENSE_STATES states takes at
-#: most 2^MAX_DENSE_STATES values strictly between 0 and 1, ranked below it
-_RANK_TOP = (1 << MAX_DENSE_STATES) + 1
+                yield tuple([(rank[pos >> o & low], rank[neg >> o & low]) for pos, neg in pairs])
 
 
 def _ranks(mu: Mapping[int, Fraction]) -> dict[int, int]:
@@ -326,7 +341,7 @@ def _subsets(states: int) -> range:
 def _cond_i(states, mu):
     full = (1 << states) - 1
     for x in _subsets(states):
-        if (mu[x] == ONE) != (mu[full & ~x] == ZERO):
+        if (mu[x] == _RANK_TOP) != (mu[full & ~x] == 0):
             return False, (x,)
     return True, None
 
@@ -334,7 +349,7 @@ def _cond_i(states, mu):
 def _cond_ii(states, mu):
     for y in _subsets(states):
         for y2 in _subsets(states):
-            if mu[y & y2] == ZERO and mu[y] > ZERO and mu[y2] > ZERO:
+            if mu[y & y2] == 0 and mu[y] > 0 and mu[y2] > 0:
                 if not (mu[y | y2] > mu[y] and mu[y | y2] > mu[y2]):
                     return False, (y, y2)
     return True, None
@@ -342,7 +357,7 @@ def _cond_ii(states, mu):
 
 def _cond_iii(states, mu):
     for y in _subsets(states):
-        if mu[y] != ZERO:
+        if mu[y] != 0:
             continue
         for y2 in _subsets(states):
             if mu[y | y2] != mu[y2]:
@@ -418,9 +433,9 @@ def _mcb_i(states, pi):
     the hypothesis and conclusion mirror the axiom's delta-structure.
     """
     for x, y, x2, y2 in _belief_pairs(states):
-        if pi[x & x2] == ZERO and pi[y | y2] == ONE \
-                and not (pi[x] == ZERO and pi[y] == ONE) \
-                and not (pi[x2] == ZERO and pi[y2] == ONE):
+        if pi[x & x2] == 0 and pi[y | y2] == _RANK_TOP \
+                and not (pi[x] == 0 and pi[y] == _RANK_TOP) \
+                and not (pi[x2] == 0 and pi[y2] == _RANK_TOP):
             if not ((pi[x | x2] > pi[x] or pi[y & y2] < pi[y])
                     and (pi[x | x2] > pi[x2] or pi[y & y2] < pi[y2])):
                 return False, (x, y, x2, y2)
@@ -429,7 +444,7 @@ def _mcb_i(states, pi):
 
 def _mcb_ii(states, pi):
     for x, y, x2, y2 in _belief_pairs(states):
-        if pi[x] == ZERO and pi[y] == ONE:
+        if pi[x] == 0 and pi[y] == _RANK_TOP:
             if pi[x | x2] != pi[x2] or pi[y & y2] != pi[y2]:
                 return False, (x, y, x2, y2)
     return True, None
@@ -438,11 +453,11 @@ def _mcb_ii(states, pi):
 _PROPS: dict[str, Callable] = {
     "monotone": measure_monotone,
     "nontrivial": measure_nontrivial,
-    "capacity": measure_capacity,
+    "capacity": _capacity,
     "cond_i": _cond_i,
     "cond_ii": _cond_ii,
     "cond_iii": _cond_iii,
-    "cond_iv": measure_capacity,
+    "cond_iv": _capacity,
     "mupm": _mu_pm,
     "mcb_i": _mcb_i,
     "mcb_ii": _mcb_ii,
@@ -453,17 +468,21 @@ _PROPS: dict[str, Callable] = {
 
 def check_property(states: int, measure: Mapping[int, Fraction], prop: str,
                    m: int | None = None) -> tuple[bool, tuple | None]:
-    """Exhaustively check a named measure property; returns a violating tuple."""
+    """Exhaustively check a named measure property; returns a violating tuple.
+
+    Every property reads the measure only through the order of its values
+    and their equality to 0 and 1, so each runs on the measure's ranks
+    (:func:`_ranks`), 0 and ``_RANK_TOP`` standing for 0 and 1."""
     _check_measure(states, measure)
     if prop == "mukps":
         if m is None:
             raise ValueError("mukps needs the parameter m")
-        return _mu_kps(states, measure, m)
+        return _mu_kps(states, _ranks(measure), m)
     try:
         fn = _PROPS[prop]
     except KeyError:
         raise ValueError(f"unknown property {prop!r}") from None
-    return fn(states, measure)
+    return fn(states, _ranks(measure))
 
 
 # ---------------------------------------------------------------------------
@@ -485,7 +504,7 @@ def frame_validates(states: int, measure: Mapping[int, Fraction], formula: Formu
     names = sorted(vars_of(formula))
     inners, (ev,) = _compile(layer, [formula], _RANK_TOP)
     count, supports = _frame_supports(layer, inners, names, states)
-    a = _countervaluation(layer, ev, supports, states, count, _ranks(measure))
+    a = _countervaluation(layer, _designated(layer, ev), supports, states, count, _ranks(measure))
     return (True, None) if a is None else (False, _inner_valuation(layer, names, states, a))
 
 
@@ -545,16 +564,45 @@ def _frame_supports(layer: str, inners: Sequence[Formula], names: Sequence[str],
     return count, _supports(layer, inners, val, (1 << count * states) - 1)
 
 
-def _countervaluation(layer: str, ev: Callable, supports: Sequence[int], states: int,
-                      count: int, rank: Mapping[int, int]) -> int | None:
-    """The index of the first of ``count`` inner valuations on which the
-    compiled formula ``ev`` is not designated on the measure's ranks, or
-    None."""
-    for a, atoms in enumerate(_valuations(layer, supports, states, count, rank)):
-        t, fl = ev(atoms)
-        if t != _RANK_TOP or (layer == "MCB" and fl != 0):
+#: distinct atom-value tuples the frame loop remembers before it checks
+#: whether remembering pays
+_MEMO_PROBE = 256
+
+
+def _countervaluation(layer: str, test: Callable[[tuple], bool], supports: Sequence[int],
+                      states: int, count: int, rank: Mapping[int, int]) -> int | None:
+    """The index of the first of ``count`` inner valuations whose atom
+    values on the measure's ranks fail ``test``, or None.
+
+    This is the one loop of the frame searches.  The outer layer reads a
+    valuation only through its atoms' values, so ``test`` runs once per
+    distinct tuple of them: a tuple already seen passed, and is skipped.
+    Where the tuples hardly repeat (a measure with many distinct values on
+    a large frame), remembering them costs more time and memory than the
+    tests it saves, so once more than ``_MEMO_PROBE`` are remembered and
+    they are over half of the valuations read, the rest are tested one by
+    one."""
+    valuations = enumerate(_valuations(layer, supports, states, count, rank))
+    passed: set[tuple] = set()
+    for a, atoms in valuations:
+        if atoms not in passed:
+            if not test(atoms):
+                return a
+            passed.add(atoms)
+            if len(passed) > _MEMO_PROBE and 2 * len(passed) > a + 1:
+                break
+    for a, atoms in valuations:
+        if not test(atoms):
             return a
     return None
+
+
+def _designated(layer: str, ev: Callable) -> Callable[[tuple], bool]:
+    """The test that the compiled formula ``ev`` is designated on ranks:
+    (top, 0) in MCB, truth top in QG and NMCB."""
+    if layer == "MCB":
+        return lambda atoms: ev(atoms) == (_RANK_TOP, 0)
+    return lambda atoms: ev(atoms)[0] == _RANK_TOP
 
 
 #: frame-condition name -> (layer, named formula text, property name)
@@ -586,28 +634,30 @@ def iter_monotone_measures(states: int, denominator: int, *,
     one-smaller subset's)."""
     values = [Fraction(i, denominator) for i in range(denominator + 1)]
     order = sorted(_subsets(states), key=lambda x: (bin(x).count("1"), x))
+    yield from _measures_from(states, values, order, capacity, {})
+
+
+def _measures_from(states: int, values: Sequence[Fraction], order: Sequence[int],
+                   capacity: bool, mu: dict[int, Fraction]) -> Iterator[dict[int, Fraction]]:
+    """The measures of :func:`iter_monotone_measures` that extend ``mu``,
+    given on the first ``len(mu)`` subsets of ``order``."""
     full = (1 << states) - 1
-
-    def rec(idx: int, mu: dict[int, Fraction]) -> Iterator[dict[int, Fraction]]:
-        if idx == len(order):
-            if not mu[full] > mu[0]:
-                return
+    if len(mu) == len(order):
+        if mu[full] > mu[0]:
             yield dict(mu)
-            return
-        x = order[idx]
-        lo = max((mu[x & ~(1 << i)] for i in range(states) if x >> i & 1), default=ZERO)
-        for val in values:
-            if val < lo:
-                continue
-            if capacity and x == 0 and val != ZERO:
-                continue
-            if capacity and x == full and val != ONE:
-                continue
-            mu[x] = val
-            yield from rec(idx + 1, mu)
-        del mu[x]
-
-    yield from rec(0, {})
+        return
+    x = order[len(mu)]
+    lo = max((mu[x & ~(1 << i)] for i in range(states) if x >> i & 1), default=ZERO)
+    for val in values:
+        if val < lo:
+            continue
+        if capacity and x == 0 and val != ZERO:
+            continue
+        if capacity and x == full and val != ONE:
+            continue
+        mu[x] = val
+        yield from _measures_from(states, values, order, capacity, mu)
+    del mu[x]
 
 
 def correspondence_test(cond: str, max_states: int, denominator: int) -> dict:
@@ -621,13 +671,15 @@ def correspondence_test(cond: str, max_states: int, denominator: int) -> dict:
     for states in range(1, max_states + 1):
         _frame_size(layer, names, states)
     inners, (ev,) = _compile(layer, [formula], _RANK_TOP)
+    designated = _designated(layer, ev)
     checked = 0
     mismatches: list[dict] = []
     for states in range(1, max_states + 1):
         count, supports = _frame_supports(layer, inners, names, states)
         for mu in iter_monotone_measures(states, denominator):
             checked += 1
-            valid = _countervaluation(layer, ev, supports, states, count, _ranks(mu)) is None
+            valid = _countervaluation(layer, designated, supports, states, count,
+                                      _ranks(mu)) is None
             holds, wit = check_property(states, mu, prop)
             if valid != holds:
                 mismatches.append({
@@ -643,6 +695,12 @@ def correspondence_test(cond: str, max_states: int, denominator: int) -> dict:
 # ---------------------------------------------------------------------------
 # Countermodel search
 # ---------------------------------------------------------------------------
+
+#: inner valuations, summed over its measures, that one countermodel search
+#: may read before it gives up: about 3 s of CPU for 2 MCB variables on 3
+#: states (python 3.11, shared 2-core VM)
+_MAX_SEARCH_VALUATIONS = 1 << 21
+
 
 def _refuted_on(xi_values: Sequence[RankPair], alpha_value: RankPair, layer: str) -> bool:
     """Whether rank values refute the entailment: the premises' least truth
@@ -661,21 +719,35 @@ def find_frame_countermodel(xi: Sequence[Formula], alpha: Formula, layer: str,
 
     Deterministic order: ascending state count, then grid denominator, then
     lexicographic measures and valuations.  Returns the first hit or None.
+    A search that reads more than ``_MAX_SEARCH_VALUATIONS`` inner
+    valuations over all its measures stops with a ValueError that states
+    where it stopped.
     """
     _check_layer(layer, [*xi, alpha])
     names = sorted(set().union(*(vars_of(f) for f in [*xi, alpha])))
     inners, evs = _compile(layer, [*xi, alpha], _RANK_TOP)
+
+    def kept(atoms: tuple) -> bool:
+        *xi_values, alpha_value = [ev(atoms) for ev in evs]
+        return not _refuted_on(xi_values, alpha_value, layer)
+
+    read = 0
     for states in range(1, max_states + 1):
         count, supports = _frame_supports(layer, inners, names, states)
         for denom in range(1, denominator + 1):
             for mu in iter_monotone_measures(states, denom, capacity=capacity):
-                for a, atoms in enumerate(_valuations(layer, supports, states, count, _ranks(mu))):
-                    *xi_values, alpha_value = [ev(atoms) for ev in evs]
-                    if _refuted_on(xi_values, alpha_value, layer):
-                        val = _inner_valuation(layer, names, states, a)
-                        if layer == "QG":
-                            return UncertaintyModel(states, mu=mu, **val)
-                        return BeliefModel(states, pi=mu, **val)
+                a = _countervaluation(layer, kept, supports, states, count, _ranks(mu))
+                if a is not None:
+                    val = _inner_valuation(layer, names, states, a)
+                    if layer == "QG":
+                        return UncertaintyModel(states, mu=mu, **val)
+                    return BeliefModel(states, pi=mu, **val)
+                read += count
+                if read > _MAX_SEARCH_VALUATIONS:
+                    raise ValueError(
+                        f"countermodel search undecided: stopped on {states} states at "
+                        f"denominator {denom} after reading {read:,} inner valuations "
+                        f"(> {_MAX_SEARCH_VALUATIONS:,})")
     return None
 
 

@@ -251,6 +251,233 @@ def layer_refutes(layer: str, xi_values: list, alpha_value) -> bool:
 
 
 # ---------------------------------------------------------------------------
+# Frames by plain per-valuation evaluation
+# ---------------------------------------------------------------------------
+
+def _names(formulas: list[Formula]) -> list[str]:
+    names: set[str] = set()
+    for f in formulas:
+        for a in _modal_atoms(f):
+            names |= _vars(a.children[0])
+    return sorted(names)
+
+
+def _vars(f: Formula) -> set[str]:
+    if f.kind == "var":
+        return {f.var}
+    return set().union(*(_vars(c) for c in f.children))
+
+
+def frame_countervaluation(layer: str, f: Formula, states: int, mu: dict):
+    """The first inner valuation, in :func:`inner_valuations` order, on
+    which ``f`` is not designated over the measure ``mu``, or None: every
+    valuation evaluated on its own, on Fractions."""
+    for val in inner_valuations(layer, states, _names([f])):
+        if not layer_valid(layer, layer_value(layer, f, states, val, mu)):
+            return val
+    return None
+
+
+def monotone_measures(states: int, denominator: int, capacity: bool = False):
+    """Every monotone nontrivial measure on the grid of ``denominator``, in
+    lexicographic order of its values on the subsets sorted by size, then
+    by mask; with ``capacity``, only those with 0 and 1 at the ends."""
+    order = sorted(range(1 << states), key=lambda x: (bin(x).count("1"), x))
+    full = (1 << states) - 1
+    grid = [Fraction(i, denominator) for i in range(denominator + 1)]
+    for values in product(grid, repeat=len(order)):
+        mu = dict(zip(order, values))
+        if mu[full] <= mu[0] or capacity and (mu[0] != 0 or mu[full] != 1):
+            continue
+        if all(mu[x] <= mu[x | 1 << i] for x in order for i in range(states)):
+            yield mu
+
+
+def frame_countermodel(layer: str, xi: list[Formula], alpha: Formula, max_states: int,
+                       denominator: int, capacity: bool = False):
+    """The first (states, inner valuation, measure) on which ``xi |= alpha``
+    is refuted, ascending in state count, then grid denominator, then
+    measure (:func:`monotone_measures`) and valuation, or None.  Each
+    valuation's atom sets are computed once per state count."""
+    names = _names([*xi, alpha])
+    for states in range(1, max_states + 1):
+        vals = [(val, layer_atom_sets(layer, [*xi, alpha], states, val))
+                for val in inner_valuations(layer, states, names)]
+        for denom in range(1, denominator + 1):
+            for mu in monotone_measures(states, denom, capacity):
+                for val, sets in vals:
+                    *xi_values, alpha_value = [layer_value_on(layer, g, sets, mu)
+                                               for g in [*xi, alpha]]
+                    if layer_refutes(layer, xi_values, alpha_value):
+                        return states, val, mu
+    return None
+
+
+def correspondence_report(layer: str, f: Formula, prop: str, max_states: int,
+                          denominator: int) -> list[tuple[int, dict, bool, bool]]:
+    """(states, measure, frame validity, property) for every monotone
+    nontrivial frame within the bounds, from :func:`frame_countervaluation`
+    and :func:`measure_property`."""
+    return [(states, mu, frame_countervaluation(layer, f, states, mu) is None,
+             measure_property(states, mu, prop)[0])
+            for states in range(1, max_states + 1)
+            for mu in monotone_measures(states, denominator)]
+
+
+# ---------------------------------------------------------------------------
+# Measure properties on Fraction values
+# ---------------------------------------------------------------------------
+
+def measure_property(states: int, mu: dict, prop: str, m: int | None = None):
+    """A named measure property checked on the measure's Fraction values:
+    (holds, first violating tuple)."""
+    if prop == "mukps":
+        return _mu_kps(states, mu, m)
+    return _PROPERTIES[prop](states, mu)
+
+
+def _subsets(states: int) -> range:
+    return range(1 << states)
+
+
+def _monotone(states, mu):
+    for x in _subsets(states):
+        for i in range(states):
+            if not x >> i & 1:
+                y = x | 1 << i
+                if mu[x] > mu[y]:
+                    return False, (x, y)
+    return True, None
+
+
+def _nontrivial(states, mu):
+    full = (1 << states) - 1
+    return (True, None) if mu[full] > mu[0] else (False, (0, full))
+
+
+def _capacity(states, mu):
+    ok, wit = _monotone(states, mu)
+    if not ok:
+        return ok, wit
+    full = (1 << states) - 1
+    if mu[0] != 0:
+        return False, (0,)
+    if mu[full] != 1:
+        return False, (full,)
+    return True, None
+
+
+def _cond_i(states, mu):
+    full = (1 << states) - 1
+    for x in _subsets(states):
+        if (mu[x] == 1) != (mu[full & ~x] == 0):
+            return False, (x,)
+    return True, None
+
+
+def _cond_ii(states, mu):
+    for y in _subsets(states):
+        for y2 in _subsets(states):
+            if mu[y & y2] == 0 and mu[y] > 0 and mu[y2] > 0:
+                if not (mu[y | y2] > mu[y] and mu[y | y2] > mu[y2]):
+                    return False, (y, y2)
+    return True, None
+
+
+def _cond_iii(states, mu):
+    for y in _subsets(states):
+        if mu[y] != 0:
+            continue
+        for y2 in _subsets(states):
+            if mu[y | y2] != mu[y2]:
+                return False, (y, y2)
+    return True, None
+
+
+def _mu_pm(states, mu):
+    for x in _subsets(states):
+        for y in _subsets(states):
+            if x & ~y or x == y or mu[x] >= mu[y]:
+                continue
+            for z in _subsets(states):
+                if y & z:
+                    continue
+                if mu[x | z] >= mu[y | z]:
+                    return False, (x, y, z)
+    return True, None
+
+
+def _mu_kps(states, mu, m):
+    """KPS_m by sums of membership-difference vectors: one pair with
+    mu(X) < mu(Y) and m pairs with mu(X_j) <= mu(Y_j) that cancel."""
+    def vec(mask):
+        return tuple(1 if mask >> i & 1 else 0 for i in range(states))
+
+    le_vecs: dict = {}
+    lt_vecs: dict = {}
+    for x in _subsets(states):
+        for y in _subsets(states):
+            d = tuple(a - b for a, b in zip(vec(x), vec(y)))
+            if mu[x] <= mu[y]:
+                le_vecs.setdefault(d, (x, y))
+            if mu[x] < mu[y]:
+                lt_vecs.setdefault(d, (x, y))
+    frontier: dict = {(0,) * states: ()}
+    for _ in range(m):
+        nxt: dict = {}
+        for s, path in frontier.items():
+            for d, pair in le_vecs.items():
+                t = tuple(a + b for a, b in zip(s, d))
+                if t not in nxt:
+                    nxt[t] = path + (pair,)
+        frontier = nxt
+    for d, pair in lt_vecs.items():
+        need = tuple(-a for a in d)
+        if need in frontier:
+            return False, (pair, frontier[need])
+    return True, None
+
+
+def _belief_pairs(states):
+    return product(_subsets(states), repeat=4)
+
+
+def _mcb_i(states, pi):
+    for x, y, x2, y2 in _belief_pairs(states):
+        if pi[x & x2] == 0 and pi[y | y2] == 1 \
+                and not (pi[x] == 0 and pi[y] == 1) \
+                and not (pi[x2] == 0 and pi[y2] == 1):
+            if not ((pi[x | x2] > pi[x] or pi[y & y2] < pi[y])
+                    and (pi[x | x2] > pi[x2] or pi[y & y2] < pi[y2])):
+                return False, (x, y, x2, y2)
+    return True, None
+
+
+def _mcb_ii(states, pi):
+    for x, y, x2, y2 in _belief_pairs(states):
+        if pi[x] == 0 and pi[y] == 1:
+            if pi[x | x2] != pi[x2] or pi[y & y2] != pi[y2]:
+                return False, (x, y, x2, y2)
+    return True, None
+
+
+_PROPERTIES = {
+    "monotone": _monotone,
+    "nontrivial": _nontrivial,
+    "capacity": _capacity,
+    "cond_i": _cond_i,
+    "cond_ii": _cond_ii,
+    "cond_iii": _cond_iii,
+    "cond_iv": _capacity,
+    "mupm": _mu_pm,
+    "mcb_i": _mcb_i,
+    "mcb_ii": _mcb_ii,
+    "mcb_iii": _cond_ii,
+    "mcb_iv": _cond_iii,
+}
+
+
+# ---------------------------------------------------------------------------
 # Coarse-grid weight search (LP cross-check)
 # ---------------------------------------------------------------------------
 

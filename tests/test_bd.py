@@ -1,3 +1,4 @@
+import gc
 import json
 import random
 import re
@@ -230,3 +231,21 @@ _MU3 = {x: F(bin(x).count("1"), 3) for x in range(8)}
 ], ids=lambda m: type(m).__name__)
 def test_two_layered_model_json_round_trip(model):
     assert type(model).from_json(model.to_json()) == model
+
+
+def test_support_recursions_leave_no_reference_cycles():
+    phi, chi = parse("BD", "p & (q | neg r)"), parse("BD", "neg neg p | r")
+    m = BDModel(3, {"p": 0b011, "q": 0b101, "r": 0b110}, {"p": 0b100, "r": 0b001})
+    k = G2KripkeModel(3, (0, 1, 2), {"p": 0b110, "q": 0b100}, {"p": 0b100, "q": 0b111})
+    g = parse("G2ORD", "(p -> q) | neg (q -< p)")
+    calls = [lambda: bd_entails(phi, chi), lambda: bd_entails(chi, phi),
+             lambda: support_table(m, [phi, chi]), lambda: kripke.support_table(k, [g])]
+    gc.collect()
+    gc.disable()
+    try:
+        for call in calls:
+            for _ in range(50):
+                call()
+            assert gc.collect() == 0
+    finally:
+        gc.enable()

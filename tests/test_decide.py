@@ -557,6 +557,26 @@ def test_compiling_leaves_no_reference_cycles():
         gc.enable()
 
 
+def test_outer_searches_leave_no_reference_cycles():
+    """The outer-step search walks its order types without recursion and the
+    BD support recursion is an object, so decisions that hold, fail or
+    merge C-atoms leave no garbage for the cyclic collector."""
+    calls = [lambda: decide.truth_preserved("BIG", [], parse("BIG", "(a -> b) | (b -> a)")),
+             lambda: decide.truth_preserved("BIG", [], parse("BIG", "a | (a -> b)")),
+             lambda: qg_entails([], parse("QG", "B(p) -> B(p | q)")),
+             lambda: qg_entails([], parse("QG", "B(p | q) -> B(p)")),
+             lambda: decide.truth_preserved("MCB", [parse("MCB", "C(p & q)")], parse("MCB", "C(p)"))]
+    gc.collect()
+    gc.disable()
+    try:
+        for call in calls:
+            for _ in range(50):
+                call()
+            assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
 @pytest.mark.parametrize("lang,k,nodes", [("G2ORD", 4, 62), ("G2NEL", 4, 62), ("BIG", 5, 98),
                                           ("G2ORD", 5, 98)])
 def test_outer_search_prunes_prelinearity_cycles_within_their_node_counts(monkeypatch, lang, k,

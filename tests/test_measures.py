@@ -1,5 +1,7 @@
+import gc
 import json
 import random
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -400,32 +402,26 @@ def test_two_layered_evaluation_matches_the_fraction_oracle(layer):
 def test_frame_validity_matches_the_fraction_oracle(layer):
     rng = random.Random(43)
     for f in _layer_cases(layer, 5, 12):
-        names = sorted(vars_of(f))
         for states in (1, 2, 3):
             mu = _random_measure(rng, states)
-            first = next((val for val in oracles.inner_valuations(layer, states, names)
-                          if not oracles.layer_valid(
-                              layer, oracles.layer_value(layer, f, states, val, mu))), None)
+            first = oracles.frame_countervaluation(layer, f, states, mu)
             assert frame_validates(states, mu, f, layer) == (first is None, first), \
                 print_formula(f)
 
 
-def _oracle_search(layer, xi, alpha, max_states, denominator, capacity=False):
-    """The first (states, valuation, measure) on which the oracle refutes
-    ``xi |= alpha``, in the search's documented order, or None; each
-    valuation's atom sets are computed once per state count."""
-    names = sorted(set().union(*(vars_of(g) for g in [*xi, alpha])))
-    for states in range(1, max_states + 1):
-        vals = [(val, oracles.layer_atom_sets(layer, [*xi, alpha], states, val))
-                for val in oracles.inner_valuations(layer, states, names)]
-        for denom in range(1, denominator + 1):
-            for mu in iter_monotone_measures(states, denom, capacity=capacity):
-                for val, sets in vals:
-                    *xi_values, alpha_value = [oracles.layer_value_on(layer, g, sets, mu)
-                                               for g in [*xi, alpha]]
-                    if oracles.layer_refutes(layer, xi_values, alpha_value):
-                        return states, val, mu
-    return None
+@pytest.mark.parametrize("layer", ["QG", "MCB", "NMCB"])
+def test_frame_validity_on_monotone_frames_matches_the_per_valuation_oracle(layer):
+    """The one loop tests each distinct atom-rank tuple once; on monotone
+    frames, where ranks repeat most, it still returns the first
+    countervaluation that evaluating every valuation on its own finds."""
+    rng = random.Random(53)
+    frames = [(states, mu) for states, denominator in ((1, 4), (2, 2), (3, 1))
+              for mu in oracles.monotone_measures(states, denominator)]
+    for f in _layer_cases(layer, 7, 8):
+        for states, mu in rng.sample(frames, 6):
+            first = oracles.frame_countervaluation(layer, f, states, mu)
+            assert frame_validates(states, mu, f, layer) == (first is None, first), \
+                print_formula(f)
 
 
 @pytest.mark.parametrize("layer", ["QG", "MCB", "NMCB"])
@@ -438,7 +434,7 @@ def test_countermodel_search_matches_the_fraction_oracle(layer):
     cases += [([_layer_formula(rng, layer, 1)], _layer_formula(rng, layer, 2)) for _ in range(5)]
     for xi, alpha in cases:
         for max_states, denominator in ((2, 2), (3, 1)):
-            first = _oracle_search(layer, xi, alpha, max_states, denominator)
+            first = oracles.frame_countermodel(layer, xi, alpha, max_states, denominator)
             got = find_frame_countermodel(xi, alpha, layer, max_states, denominator)
             if first is None:
                 assert got is None, print_formula(alpha)
@@ -452,7 +448,158 @@ def test_countermodel_search_matches_the_fraction_oracle(layer):
 def test_countermodel_search_first_refuting_on_three_states():
     """Three pairwise disjoint sets of positive capacity need three states."""
     alpha = parse("QG", "snot (snot snot B(p & ~q) & snot snot B(q & ~p) & snot snot B(~p & ~q))")
-    states, val, mu = _oracle_search("QG", [], alpha, 3, 2, capacity=True)
+    states, val, mu = oracles.frame_countermodel("QG", [], alpha, 3, 2, capacity=True)
     assert states == 3
     got = find_frame_countermodel([], alpha, "QG", 3, 2, capacity=True)
     assert got == UncertaintyModel(states, mu=mu, **val)
+
+
+def _wrong_correspondences():
+    """Each condition's formula paired with another condition's property of
+    the same layer, so that the reports have mismatches to compare."""
+    conds = measures.CORRESPONDENCES
+    out = {}
+    for cond, (layer, text, _) in conds.items():
+        other = next(c for c in conds if c != cond and conds[c][0] == layer)
+        out[f"{cond}/{other}"] = (layer, text, conds[other][2])
+    return out
+
+
+@pytest.mark.parametrize("max_states,denominator", [(2, 2), (3, 1)])
+def test_correspondence_reports_match_the_per_valuation_oracle(monkeypatch, max_states,
+                                                               denominator):
+    """Each report's frame count and mismatches are those of the plain
+    per-valuation frame evaluator and the Fraction property definitions,
+    for the paper's pairs and for mismatched ones."""
+    pairs = {**measures.CORRESPONDENCES, **_wrong_correspondences()}
+    monkeypatch.setattr(measures, "CORRESPONDENCES", pairs)
+    mismatched = 0
+    for cond, (layer, text, prop) in pairs.items():
+        if layer != "QG" and max_states == 3:
+            continue  # 4,096 valuations a frame: the oracle is too slow
+        rows = oracles.correspondence_report(layer, parse(layer, text), prop, max_states,
+                                             denominator)
+        report = correspondence_test(cond, max_states, denominator)
+        assert report == {
+            "condition": cond, "frames": len(rows),
+            "mismatches": [{"states": states,
+                            "mu": {measures._mask_key(x): str(v) for x, v in mu.items()},
+                            "frame_validates": valid, "property": holds}
+                           for states, mu, valid, holds in rows if valid != holds],
+            "equivalent": all(valid == holds for _, _, valid, holds in rows)}, cond
+        mismatched += len(report["mismatches"])
+    assert mismatched > 20
+
+
+def test_check_property_on_ranks_matches_the_fraction_definitions():
+    """Every property, run on the measure's ranks, gives the verdict and the
+    witness of its definition on Fraction values: on monotone measures and
+    on arbitrary ones, endpoints and repeated values included."""
+    rng = random.Random(59)
+    frames = [(states, mu) for states, denominator in ((1, 3), (2, 3), (3, 1))
+              for mu in oracles.monotone_measures(states, denominator)]
+    frames += [(states, _random_measure(rng, states)) for states in (1, 2, 3) for _ in range(12)]
+    props = sorted(measures._PROPS)
+    assert set(props) == set(oracles._PROPERTIES)
+    for states, mu in frames:
+        for prop in props:
+            assert check_property(states, mu, prop) == \
+                oracles.measure_property(states, mu, prop), (prop, mu)
+        for m in range(4):
+            assert check_property(states, mu, "mukps", m) == \
+                oracles.measure_property(states, mu, "mukps", m), (m, mu)
+    # the public checks keep their value semantics
+    for states, mu in frames:
+        assert measures.measure_monotone(states, mu) == oracles.measure_property(states, mu, "monotone")
+        assert measures.measure_capacity(states, mu) == oracles.measure_property(states, mu, "capacity")
+
+
+def _mcb_ii_on_four_states():
+    layer, text, _ = measures.CORRESPONDENCES["mcb_ii"]
+    return parse(layer, text), {x: F(bin(x).count("1"), 4) for x in range(16)}
+
+
+def test_frame_validation_tests_each_atom_rank_tuple_once(monkeypatch):
+    """On 4 states, mu(X) = |X|/4 and mcb_ii's 2^16 inner valuations, the
+    compiled formula runs once per distinct tuple of its atoms' ranks."""
+    f, mu = _mcb_ii_on_four_states()
+    seen = []
+    real = measures._compile
+
+    def compile_counted(layer, formulas, top):
+        inners, evs = real(layer, formulas, top)
+        return inners, [lambda atoms, ev=ev: seen.append(atoms) or ev(atoms) for ev in evs]
+
+    monkeypatch.setattr(measures, "_compile", compile_counted)
+    assert frame_validates(4, mu, f, "MCB") == (True, None)
+    # the atoms C(p), C(q), C(p | q) read the measure at |p+|, |p-|, |q+|,
+    # |q-|, |p+ or q+| and |p- and q-|: one rank per state count
+    pop = [bin(x).count("1") for x in range(16)]
+    distinct = {(pop[pp], pop[pn], pop[qp], pop[qn], pop[pp | qp], pop[pn & qn])
+                for pp in range(16) for pn in range(16) for qp in range(16) for qn in range(16)}
+    assert len(seen) == len(set(seen)) == len(distinct) < 1 << 16
+
+
+def test_frame_loop_stops_remembering_tuples_that_do_not_repeat():
+    """With a distinct value on each subset of 3 states, no two of the 4,096
+    two-variable MCB valuations share their atoms' ranks, so the loop stops
+    remembering them after ``_MEMO_PROBE``; the countervaluation it returns
+    later is still the first."""
+    mu = {x: F(x, 7) for x in range(8)}
+    f = parse("MCB", "delta1 C(p) -> C(q)")
+    first = oracles.frame_countervaluation("MCB", f, 3, mu)
+    assert first == {"vplus": {"p": 7, "q": 0}, "vminus": {"p": 0, "q": 0}}
+    assert frame_validates(3, mu, f, "MCB") == (False, first)
+    assert frame_validates(3, mu, parse("MCB", "delta1 (C(p & q) -> C(q))"), "MCB") == (True, None)
+
+
+def test_frame_validation_on_four_states_within_its_budget():
+    f, mu = _mcb_ii_on_four_states()
+    frame_validates(4, mu, f, "MCB")
+    start = time.process_time()
+    assert frame_validates(4, mu, f, "MCB") == (True, None)
+    elapsed = time.process_time() - start
+    assert elapsed < 0.15, elapsed
+
+
+def test_countermodel_search_stops_past_its_work_cap(monkeypatch, capsys):
+    """The search counts the inner valuations it reads over all measures and
+    stops past ``_MAX_SEARCH_VALUATIONS``, stating where; a search that finds
+    its model first is unaffected."""
+    k = parse("QG", "B(p => Bot) -> (B(p) -> B(Bot))")
+    assert find_frame_countermodel([], k, "QG").states == 2
+    start = time.process_time()
+    assert cli.main(["model", "search-countermodel", "--layer", "mcb", "C(p & q) -> C(p)"]) == 2
+    assert time.process_time() - start < 10
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err) == {
+        "error": "ValueError: countermodel search undecided: stopped on 3 states at "
+                 "denominator 3 after reading 2,099,264 inner valuations (> 2,097,152)"}
+    # 4 valuations a measure on 1 state, 10 measures up to denominator 3,
+    # then 16 on 2 states: the first measure there passes the cap
+    monkeypatch.setattr(measures, "_MAX_SEARCH_VALUATIONS", 40)
+    with pytest.raises(ValueError, match=r"^countermodel search undecided: stopped on 2 states at "
+                                         r"denominator 1 after reading 56 inner valuations "
+                                         r"\(> 40\)$"):
+        find_frame_countermodel([], parse("QG", "B(p & q) -> B(p)"), "QG", 2, 3)
+    assert find_frame_countermodel([], parse("QG", "B(r | ~r)"), "QG").states == 1
+
+
+def test_frame_searches_leave_no_reference_cycles():
+    mu = {0: F(0), 1: F(1, 2), 2: F(1, 2), 3: F(1)}
+    mcb = parse("MCB", "C(p & q) -> C(p)")
+    calls = [lambda: frame_validates(2, mu, mcb, "MCB"),
+             lambda: frame_validates(2, mu, parse("QG", "B(p) -> B(p | q)"), "QG"),
+             lambda: find_frame_countermodel([], mcb, "MCB", 2, 2),
+             lambda: correspondence_test("mcb_ii", 2, 2),
+             lambda: check_property(2, mu, "mcb_i")]
+    gc.collect()
+    gc.disable()
+    try:
+        for call in calls:
+            for _ in range(20):
+                call()
+            assert gc.collect() == 0
+    finally:
+        gc.enable()
