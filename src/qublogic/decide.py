@@ -497,7 +497,6 @@ def _outer_search(lang: str, premises: Sequence[Formula], target: Formula,
     def refutes(part: Formula) -> bool:
         """Whether some valuation designates every premise and leaves the
         value, or truth, of every disjunct of ``part`` below the top."""
-        nonlocal nodes
         tests = [*premise_tests, *((ev, 2, truth) for ev, truth, _ in
                                    map(test, _parts(part, "or", None if twist else delta)))]
         # greedy order: next the coordinate that completes the most tests,
@@ -518,10 +517,10 @@ def _outer_search(lang: str, premises: Sequence[Formula], target: Formula,
             depth = max((i for i, x in enumerate(order, 1) if c >> x & 1), default=0)
             (truths, falsities, goals)[role][depth].append(ev)
         at = [(c >> 1, c & 1) for c in order]
-        checked = [bool(truths[i] or falsities[i] or goals[i]) for i in range(n + 1)]
 
-        def admits(depth: int) -> bool:
-            """Whether the values of order[:depth] pass the checks they complete."""
+        def extends(depth: int, chain: tuple) -> bool:
+            """Whether the values of order[:depth], on ``chain``, extend to a refutation."""
+            nonlocal nodes
             for ev in truths[depth]:
                 if ev(values)[0] != top:
                     return False
@@ -531,44 +530,30 @@ def _outer_search(lang: str, premises: Sequence[Formula], target: Formula,
             for ev in goals[depth]:
                 if ev(values)[0] == top:
                     return False
-            return True
-
-        # depth first, without recursion: ``left[i]`` holds the steps not
-        # yet taken for coordinate order[i], ``others[i]`` the value of the
-        # other coordinate of its atom; ``steps``, ``slot``, ``falsity`` and
-        # ``other`` are those of the coordinate given a value last
-        left: list = [None] * n
-        others = [0] * n
-        depth, chain = 0, (0, top)
-        while True:
-            if not checked[depth] or admits(depth):
-                if depth == n:
+            if depth == n:
+                return True
+            slot, falsity = at[depth]
+            other = values[slot][1 - falsity]
+            steps = successors.get(chain)
+            if steps is None:
+                steps = successors[chain] = _chain_steps(chain)
+            for x, longer in steps:
+                nodes += 1
+                if nodes > _MAX_OUTER_NODES:
+                    raise ValueError(
+                        f"{decision} undecided: the search over {k} atoms stopped after "
+                        f"{nodes - 1:,} nodes of a {(d + 1) ** n:,}-point grid")
+                values[slot] = (other, x) if falsity else (x, other)
+                if extends(depth + 1, longer):
                     return True
-                slot, falsity = at[depth]
-                other = others[depth] = values[slot][1 - falsity]
-                steps = successors.get(chain)
-                if steps is None:
-                    steps = successors[chain] = _chain_steps(chain)
-                steps = left[depth] = iter(steps)
-                depth += 1
-            elif not depth:
-                return False
-            step = next(steps, None)
-            while step is None:
-                depth -= 1
-                if not depth:
-                    return False
-                steps = left[depth - 1]
-                slot, falsity = at[depth - 1]
-                other = others[depth - 1]
-                step = next(steps, None)
-            nodes += 1
-            if nodes > _MAX_OUTER_NODES:
-                raise ValueError(
-                    f"{decision} undecided: the search over {k} atoms stopped after "
-                    f"{nodes - 1:,} nodes of a {(d + 1) ** n:,}-point grid")
-            x, chain = step
-            values[slot] = (other, x) if falsity else (x, other)
+            return False
+
+        # ``extends`` calls itself through its own cell: empty the cell when
+        # the search ends, so that no reference cycle is left behind
+        try:
+            return extends(0, (0, top))
+        finally:
+            del extends
 
     for part in dict.fromkeys(_parts(target, "and", delta)):
         if refutes(part):

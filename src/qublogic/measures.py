@@ -33,8 +33,8 @@ inner valuations is refused before it starts, with its count.
 Frame validity, the correspondence test and the countermodel search share
 one loop, :func:`_countervaluation`.  The outer value at a valuation
 depends only on the ranks of the atoms' values, so it runs the caller's
-test once per distinct tuple of them, as long as tuples repeat, and
-returns the first failing valuation's index.  The measure properties of :func:`check_property` also
+test once per distinct tuple of them and returns the first failing
+valuation's index.  The measure properties of :func:`check_property` also
 read only the order of the values and their equality to 0 and 1, so they
 compare ranks too.  The countermodel search counts the inner valuations
 it reads over all its measures and stops past ``_MAX_SEARCH_VALUATIONS``,
@@ -564,11 +564,6 @@ def _frame_supports(layer: str, inners: Sequence[Formula], names: Sequence[str],
     return count, _supports(layer, inners, val, (1 << count * states) - 1)
 
 
-#: distinct atom-value tuples the frame loop remembers before it checks
-#: whether remembering pays
-_MEMO_PROBE = 256
-
-
 def _countervaluation(layer: str, test: Callable[[tuple], bool], supports: Sequence[int],
                       states: int, count: int, rank: Mapping[int, int]) -> int | None:
     """The index of the first of ``count`` inner valuations whose atom
@@ -576,24 +571,13 @@ def _countervaluation(layer: str, test: Callable[[tuple], bool], supports: Seque
 
     This is the one loop of the frame searches.  The outer layer reads a
     valuation only through its atoms' values, so ``test`` runs once per
-    distinct tuple of them: a tuple already seen passed, and is skipped.
-    Where the tuples hardly repeat (a measure with many distinct values on
-    a large frame), remembering them costs more time and memory than the
-    tests it saves, so once more than ``_MEMO_PROBE`` are remembered and
-    they are over half of the valuations read, the rest are tested one by
-    one."""
-    valuations = enumerate(_valuations(layer, supports, states, count, rank))
+    distinct tuple of them: a tuple already seen passed, and is skipped."""
     passed: set[tuple] = set()
-    for a, atoms in valuations:
+    for a, atoms in enumerate(_valuations(layer, supports, states, count, rank)):
         if atoms not in passed:
             if not test(atoms):
                 return a
             passed.add(atoms)
-            if len(passed) > _MEMO_PROBE and 2 * len(passed) > a + 1:
-                break
-    for a, atoms in valuations:
-        if not test(atoms):
-            return a
     return None
 
 
@@ -678,9 +662,9 @@ def correspondence_test(cond: str, max_states: int, denominator: int) -> dict:
         count, supports = _frame_supports(layer, inners, names, states)
         for mu in iter_monotone_measures(states, denominator):
             checked += 1
-            valid = _countervaluation(layer, designated, supports, states, count,
-                                      _ranks(mu)) is None
-            holds, wit = check_property(states, mu, prop)
+            rank = _ranks(mu)
+            valid = _countervaluation(layer, designated, supports, states, count, rank) is None
+            holds, _ = _PROPS[prop](states, rank)
             if valid != holds:
                 mismatches.append({
                     "states": states,

@@ -558,9 +558,9 @@ def test_compiling_leaves_no_reference_cycles():
 
 
 def test_outer_searches_leave_no_reference_cycles():
-    """The outer-step search walks its order types without recursion and the
-    BD support recursion is an object, so decisions that hold, fail or
-    merge C-atoms leave no garbage for the cyclic collector."""
+    """The outer-step search empties its recursion's own cell when it ends
+    and the BD support recursion is an object, so decisions that hold, fail
+    or merge C-atoms leave no garbage for the cyclic collector."""
     calls = [lambda: decide.truth_preserved("BIG", [], parse("BIG", "(a -> b) | (b -> a)")),
              lambda: decide.truth_preserved("BIG", [], parse("BIG", "a | (a -> b)")),
              lambda: qg_entails([], parse("QG", "B(p) -> B(p | q)")),
