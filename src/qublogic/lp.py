@@ -1,16 +1,20 @@
 """Two-phase tableau simplex over exact rationals.
 
 Sized for the order-representability problems this package solves (a few
-dozen rows and columns).  The tableau is a list of ``Fraction`` rows.  The
-reduced costs z_j - c_j are carried as one more row: computed once at the
-start of each phase, then pivoted like the others.  A pivot updates only the
-columns where the pivot row is nonzero, and divides the pivot row only when
-the pivot element is not 1.
+dozen rows and columns).  The tableau is a list of rows of exact entries:
+an entry is an ``int`` when it is integral and a ``Fraction`` only when it
+is not, so a problem with integer coefficients pivots mostly on ints.  The
+ratio test compares exact ratios ``Fraction(a, b)``, never float quotients.
+The reduced costs z_j - c_j are carried as one more row: computed once at
+the start of each phase, then pivoted like the others.  A pivot updates
+only the columns where the pivot row is nonzero, and divides the pivot row
+only when the pivot element is not 1.
 
 Bland's rule keeps it cycle-free: the first column with a negative reduced
 cost enters, and among rows with the least ratio the one whose basic variable
 has the smallest index leaves.  The pivot sequence, and so which optimal
-vertex is returned when several are, depends only on that rule.
+vertex is returned when several are, depends only on that rule and the
+exact values, not on how they are stored.
 """
 
 from __future__ import annotations
@@ -18,8 +22,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
-ZERO = Fraction(0)
-ONE = Fraction(1)
+Exact = int | Fraction
 
 
 def solve_lp(objective: Sequence[Fraction | int],
@@ -32,17 +35,17 @@ def solve_lp(objective: Sequence[Fraction | int],
     "optimal", "infeasible", or "unbounded"; x and value are Fractions.
     """
     n = len(objective)
-    rows: list[tuple[list[Fraction], Fraction, str]] = []
+    rows: list[tuple[list[Exact], Exact, str]] = []
     for coeffs, rhs in zip(a_ub, b_ub):
-        coeffs = [Fraction(v) for v in coeffs]
-        rhs = Fraction(rhs)
+        coeffs = [_exact(v) for v in coeffs]
+        rhs = _exact(rhs)
         if rhs >= 0:
             rows.append((coeffs, rhs, "le"))
         else:
             rows.append(([-v for v in coeffs], -rhs, "ge"))
     for coeffs, rhs in zip(a_eq, b_eq):
-        coeffs = [Fraction(v) for v in coeffs]
-        rhs = Fraction(rhs)
+        coeffs = [_exact(v) for v in coeffs]
+        rhs = _exact(rhs)
         if rhs < 0:
             coeffs, rhs = [-v for v in coeffs], -rhs
         rows.append((coeffs, rhs, "eq"))
@@ -51,7 +54,7 @@ def solve_lp(objective: Sequence[Fraction | int],
     nslack = sum(1 for r in rows if r[2] in ("le", "ge"))
     nart = sum(1 for r in rows if r[2] in ("ge", "eq"))
     total = n + nslack + nart
-    tab = [[ZERO] * (total + 1) for _ in range(m)]
+    tab: list[list[Exact]] = [[0] * (total + 1) for _ in range(m)]
     basis = [0] * m
     art_cols: set[int] = set()
     si, ai = n, n + nslack
@@ -60,31 +63,31 @@ def solve_lp(objective: Sequence[Fraction | int],
             tab[i][j] = v
         tab[i][total] = rhs
         if kind == "le":
-            tab[i][si] = ONE
+            tab[i][si] = 1
             basis[i] = si
             si += 1
         elif kind == "ge":
-            tab[i][si] = -ONE
+            tab[i][si] = -1
             si += 1
-            tab[i][ai] = ONE
+            tab[i][ai] = 1
             basis[i] = ai
             art_cols.add(ai)
             ai += 1
         else:
-            tab[i][ai] = ONE
+            tab[i][ai] = 1
             basis[i] = ai
             art_cols.add(ai)
             ai += 1
 
-    def run(cost: list[Fraction], banned: set[int]) -> str:
+    def run(cost: list[Exact], banned: set[int]) -> str:
         # reduced costs z_j - c_j, carried as one more row under the tableau
-        zrow = [-c for c in cost] + [ZERO]
+        zrow = [-c for c in cost] + [0]
         for i in range(m):
             cb = cost[basis[i]]
             if cb:
                 for j, v in enumerate(tab[i]):
                     if v:
-                        zrow[j] += cb * v
+                        zrow[j] = _exact(zrow[j] + cb * v)
         tab_z = tab + [zrow]
         while True:
             entering = -1
@@ -97,7 +100,7 @@ def solve_lp(objective: Sequence[Fraction | int],
             leaving, best = -1, None
             for i in range(m):
                 if tab[i][entering] > 0:
-                    ratio = tab[i][total] / tab[i][entering]
+                    ratio = Fraction(tab[i][total], tab[i][entering])
                     if best is None or ratio < best or (ratio == best and basis[i] < basis[leaving]):
                         leaving, best = i, ratio
             if leaving < 0:
@@ -105,9 +108,9 @@ def solve_lp(objective: Sequence[Fraction | int],
             _pivot(tab_z, basis, leaving, entering)
 
     if art_cols:
-        cost1 = [ZERO] * total
+        cost1: list[Exact] = [0] * total
         for j in art_cols:
-            cost1[j] = Fraction(-1)
+            cost1[j] = -1
         status = run(cost1, banned=set())
         value1 = sum(tab[i][total] for i in range(m) if basis[i] in art_cols)
         if status != "optimal" or value1 != 0:
@@ -120,32 +123,44 @@ def solve_lp(objective: Sequence[Fraction | int],
                         _pivot(tab, basis, i, j)
                         break
 
-    cost2 = [Fraction(objective[j]) if j < n else ZERO for j in range(total)]
+    obj = [_exact(c) for c in objective]
+    cost2 = obj + [0] * (total - n)
     status = run(cost2, banned=art_cols)
     if status != "optimal":
         return status, None, None
-    x = [ZERO] * n
+    x = [Fraction(0)] * n
     for i in range(m):
         if basis[i] < n:
-            x[basis[i]] = tab[i][total]
-    value = sum(Fraction(objective[j]) * x[j] for j in range(n))
+            x[basis[i]] = Fraction(tab[i][total])
+    value = sum((c * v for c, v in zip(obj, x)), Fraction(0))
     return "optimal", x, value
 
 
-def _pivot(rows: list[list[Fraction]], basis: list[int], row: int, col: int) -> None:
+def _exact(v: Fraction | int) -> Exact:
+    """``v`` as the tableau stores it: an int when integral, else a Fraction."""
+    if type(v) is int:
+        return v
+    v = Fraction(v)
+    return v.numerator if v.denominator == 1 else v
+
+
+def _pivot(rows: list[list[Exact]], basis: list[int], row: int, col: int) -> None:
     """Pivot on rows[row][col], in place; rows past the basis are updated too.
 
-    Only the columns where the pivot row is nonzero can change.
+    Only the columns where the pivot row is nonzero can change.  Every
+    result that is integral is stored as an int.
     """
     prow = rows[row]
     nz = [j for j, v in enumerate(prow) if v]
     pv = prow[col]
     if pv != 1:
         for j in nz:
-            prow[j] /= pv
+            v = Fraction(prow[j], pv)
+            prow[j] = v.numerator if v.denominator == 1 else v
     for i, r in enumerate(rows):
         factor = r[col]
         if factor and i != row:
             for j in nz:
-                r[j] -= factor * prow[j]
+                v = r[j] - factor * prow[j]
+                r[j] = v.numerator if type(v) is not int and v.denominator == 1 else v
     basis[row] = col

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import ClassVar
 
 LANGS = ("CPL", "BD", "BIG", "G2ORD", "G2NEL", "QG", "MCB", "NMCB", "QP")
 
@@ -68,17 +67,28 @@ class FormulaSyntaxError(ValueError):
         self.pos = pos
 
 
-@dataclass(frozen=True, eq=True)
+@dataclass(frozen=True, init=False)
 class Formula:
     """An immutable formula node.  ``var`` is set only for kind ``var``."""
 
+    # slots, not an instance dict; ``_hash`` is no dataclass field, so
+    # equality, ``dataclasses.fields`` and pickles see only the four fields
+    __slots__ = ("lang", "kind", "children", "var", "_hash")
+
     lang: str
     kind: str
-    children: tuple["Formula", ...] = ()
-    var: str = ""
+    children: tuple[Formula, ...]
+    var: str
 
-    # trees are shared heavily; each node caches its structural hash here
-    _hash: ClassVar[int | None] = None
+    def __init__(self, lang: str, kind: str, children: tuple[Formula, ...] = (),
+                 var: str = "") -> None:
+        _set = object.__setattr__
+        _set(self, "lang", lang)
+        _set(self, "kind", kind)
+        _set(self, "children", children)
+        _set(self, "var", var)
+        # trees are shared heavily; each node caches its structural hash here
+        _set(self, "_hash", None)
 
     def __hash__(self) -> int:
         h = self._hash
@@ -86,6 +96,11 @@ class Formula:
             h = hash((self.lang, self.kind, self.children, self.var))
             object.__setattr__(self, "_hash", h)
         return h
+
+    def __reduce__(self):
+        # rebuilt through __init__: a hash cached under one hash seed is not
+        # carried into another process
+        return Formula, (self.lang, self.kind, self.children, self.var)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Formula({self.lang}: {print_formula(self)})"

@@ -560,3 +560,101 @@ def lp_by_vertices(objective, a_ub, b_ub, a_eq, b_eq):
     if ray is not None and ray > 0:
         return "unbounded", None
     return "optimal", value
+
+
+# ---------------------------------------------------------------------------
+# All-Fraction tableau (simplex reference)
+# ---------------------------------------------------------------------------
+
+def fraction_tableau_lp(objective, a_ub, b_ub, a_eq, b_eq):
+    """``qublogic.lp.solve_lp`` with every entry a Fraction: the same
+    two-phase tableau, reduced-cost row and Bland's rule, so it takes the
+    same pivots and returns the same (status, x, value), vertex included."""
+    n = len(objective)
+    rows = []
+    for coeffs, rhs in zip(a_ub, b_ub):
+        coeffs = [Fraction(v) for v in coeffs]
+        rhs = Fraction(rhs)
+        if rhs >= 0:
+            rows.append((coeffs, rhs, "le"))
+        else:
+            rows.append(([-v for v in coeffs], -rhs, "ge"))
+    for coeffs, rhs in zip(a_eq, b_eq):
+        coeffs = [Fraction(v) for v in coeffs]
+        rhs = Fraction(rhs)
+        if rhs < 0:
+            coeffs, rhs = [-v for v in coeffs], -rhs
+        rows.append((coeffs, rhs, "eq"))
+
+    m = len(rows)
+    nslack = sum(1 for r in rows if r[2] in ("le", "ge"))
+    nart = sum(1 for r in rows if r[2] in ("ge", "eq"))
+    total = n + nslack + nart
+    tab = [[Fraction(0)] * (total + 1) for _ in range(m)]
+    basis = [0] * m
+    art_cols = set()
+    si, ai = n, n + nslack
+    for i, (coeffs, rhs, kind) in enumerate(rows):
+        tab[i][:n] = coeffs
+        tab[i][total] = rhs
+        if kind != "eq":
+            tab[i][si] = Fraction(1 if kind == "le" else -1)
+            if kind == "le":
+                basis[i] = si
+            si += 1
+        if kind != "le":
+            tab[i][ai] = Fraction(1)
+            basis[i] = ai
+            art_cols.add(ai)
+            ai += 1
+
+    def run(cost, banned):
+        zrow = [-c for c in cost] + [Fraction(0)]
+        for i in range(m):
+            for j, v in enumerate(tab[i]):
+                zrow[j] += cost[basis[i]] * v
+        while True:
+            entering = next((j for j in range(total) if zrow[j] < 0 and j not in banned), -1)
+            if entering < 0:
+                return "optimal"
+            leaving, best = -1, None
+            for i in range(m):
+                if tab[i][entering] > 0:
+                    ratio = tab[i][total] / tab[i][entering]
+                    if best is None or ratio < best or (ratio == best and basis[i] < basis[leaving]):
+                        leaving, best = i, ratio
+            if leaving < 0:
+                return "unbounded"
+            _fraction_pivot(tab + [zrow], basis, leaving, entering)
+
+    if art_cols:
+        cost1 = [Fraction(-1 if j in art_cols else 0) for j in range(total)]
+        status = run(cost1, set())
+        if status != "optimal" or sum(tab[i][total] for i in range(m) if basis[i] in art_cols):
+            return "infeasible", None, None
+        for i in range(m):
+            if basis[i] in art_cols:
+                j = next((j for j in range(total) if j not in art_cols and tab[i][j]), None)
+                if j is not None:
+                    _fraction_pivot(tab, basis, i, j)
+
+    cost2 = [Fraction(objective[j]) if j < n else Fraction(0) for j in range(total)]
+    status = run(cost2, art_cols)
+    if status != "optimal":
+        return status, None, None
+    x = [Fraction(0)] * n
+    for i in range(m):
+        if basis[i] < n:
+            x[basis[i]] = tab[i][total]
+    return "optimal", x, sum((Fraction(c) * v for c, v in zip(objective, x)), Fraction(0))
+
+
+def _fraction_pivot(rows, basis, row, col):
+    """Pivot on rows[row][col], rewriting every row in place."""
+    prow = rows[row]
+    prow[:] = [v / prow[col] for v in prow]
+    for i, r in enumerate(rows):
+        factor = r[col]
+        if i != row and factor:
+            r[:] = [a - factor * b for a, b in zip(r, prow)]
+    basis[row] = col

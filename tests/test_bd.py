@@ -3,12 +3,13 @@ import json
 import random
 import re
 import time
+import tracemalloc
 from fractions import Fraction as F
 from itertools import product
 
 import pytest
 
-from qublogic import cli, kripke
+from qublogic import bd, cli, kripke
 from qublogic.algebra import ONE, ZERO
 from qublogic.bd import (MAX_BD_VARS, BDModel, FOUR, bd_entails, four_eval, four_eval_table, le4,
                          sequent_valid_on_model, single_point_counterpart, support,
@@ -121,6 +122,35 @@ def test_bd_entails_refuses_past_its_variable_cap(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert json.loads(captured.err) == {"error": f"ValueError: {message}"}
+
+
+def test_bd_entails_keeps_only_the_masks_still_to_be_read():
+    # over 10 variables every mask has 4**10 bits: the variables take 20,
+    # and the 39 conjunctions and disjunctions 78 more if every subformula's
+    # masks were kept to the end, as support_table keeps them
+    x = [f"x{i}" for i in range(10)]
+    phi = parse("BD", " & ".join(f"(neg {a} | {b})" for a, b in zip(x, x[1:] + x[:1])))
+    chi = parse("BD", "(" + " & ".join(f"(neg {b} | {a})" for a, b in zip(x, x[1:] + x[:1]))
+                + ") | neg x3")
+
+    def traced_peak(call):
+        tracemalloc.start()
+        try:
+            return call(), tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def keep_every_mask():
+        masks = bd._support_masks(*bd.valuation_masks(x))
+        return masks(phi), masks(chi)
+
+    (p1, n1), (p2, n2) = keep_every_mask()
+    assert p1 & ~p2 | n2 & ~n1
+    _, kept = traced_peak(keep_every_mask)
+    verdict, peak = traced_peak(lambda: bd_entails(phi, chi))
+    assert verdict == (False, {**{p: "t" for p in x[:8]}, "x8": "b", "x9": "n"})
+    assert peak < kept / 2, (peak, kept)
+    assert bd_entails(phi, parse("BD", f"{print_formula(chi)} | {print_formula(phi)}")) == (True, None)
 
 
 def test_four_eval_examples():

@@ -4,7 +4,7 @@ from fractions import Fraction as F
 
 from qublogic.lp import solve_lp
 
-from oracles import lp_by_vertices
+from oracles import fraction_tableau_lp, lp_by_vertices
 
 
 def _feasible(x, a_ub, b_ub, a_eq, b_eq) -> bool:
@@ -100,3 +100,77 @@ def test_random_lps_match_vertex_enumeration():
             assert x is None and value is None
         statuses[status] += 1
     assert min(statuses[s] for s in ("optimal", "infeasible", "unbounded")) >= 20, statuses
+
+
+def _random_lp(rng, coeff, n_max=4, rhs=lambda rng: rng.randint(-2, 4)):
+    n = rng.randint(1, n_max)
+    a_ub = [[coeff() for _ in range(n)] for _ in range(rng.randint(0, 4))]
+    a_eq = [[coeff() for _ in range(n)] for _ in range(rng.randint(0, 2))]
+    return ([coeff() for _ in range(n)], a_ub, [rhs(rng) for _ in a_ub],
+            a_eq, [rhs(rng) for _ in a_eq])
+
+
+def test_int_and_fraction_inputs_take_the_reference_tableau_pivots():
+    # the same pivots reach the same vertex as the all-Fraction tableau,
+    # whether the inputs are ints, Fractions, or integral Fractions
+    rng = random.Random(21)
+    statuses = Counter()
+    for _ in range(300):
+        for coeff in (lambda: rng.randint(-3, 3),
+                      lambda: F(rng.randint(-3, 3), rng.choice((1, 2, 3))),
+                      lambda: F(rng.randint(-3, 3))):
+            lp = _random_lp(rng, coeff)
+            got = solve_lp(*lp)
+            assert got == fraction_tableau_lp(*lp), lp
+            statuses[got[0]] += 1
+    assert min(statuses[s] for s in ("optimal", "infeasible", "unbounded")) >= 50, statuses
+
+
+def test_tied_ratios_are_broken_as_in_the_reference_tableau():
+    # every right-hand side 0 but one: each ratio at the first pivot is 0,
+    # so Bland's tie-break picks the leaving row whenever two rows compete
+    rng = random.Random(5)
+    ties = 0
+    for _ in range(300):
+        n = rng.randint(2, 4)
+        a_ub = [[rng.randint(-1, 1) for _ in range(n)] for _ in range(rng.randint(2, 5))]
+        a_ub.append([1] * n)
+        b_ub = [0] * (len(a_ub) - 1) + [1]
+        objective = [rng.randint(0, 2) for _ in range(n)]
+        lp = (objective, a_ub, b_ub, [], [])
+        assert solve_lp(*lp) == fraction_tableau_lp(*lp), lp
+        entering = next((j for j, c in enumerate(objective) if c > 0), None)
+        if entering is not None and sum(r[entering] > 0 for r in a_ub[:-1]) >= 2:
+            ties += 1
+    assert ties >= 50, ties
+
+
+def test_huge_coefficients_compare_exact_ratios():
+    # x <= 10**20 + 1 and x <= 10**20 as float ratios tie, and the tie would
+    # let row 0 leave, putting x past row 1's bound
+    big = 10 ** 20
+    assert float(big + 1) == float(big)
+    lp = ([1, 0], [[1, 0], [1, 0], [0, 3]], [big + 1, big, big + 1], [], [])
+    assert solve_lp(*lp) == fraction_tableau_lp(*lp) == \
+        ("optimal", [F(big), F(0)], F(big))
+    # a ratio that is no float: (3 * 10**20 + 1) / 3
+    lp = ([0, 1], [[1, 0], [0, 3]], [big, 3 * big + 1], [[1, -1]], [0])
+    assert solve_lp(*lp) == fraction_tableau_lp(*lp) == \
+        ("optimal", [F(big), F(big)], F(big))
+
+
+def test_order_shaped_int_inputs_give_fractions():
+    # max eps over weights summing to 1, strict pairs w(x) + eps <= w(y),
+    # ties w(x) = w(y), eps <= 1: all coefficients 0 or +-1, as built by
+    # qp.represent_order_lp
+    rng = random.Random(3)
+    for _ in range(200):
+        n = rng.randint(1, 3)
+        pair = lambda eps: [rng.randint(-1, 1) for _ in range(n)] + [eps]
+        a_ub = [pair(1) for _ in range(rng.randint(0, 4))] + [[0] * n + [1]]
+        a_eq = [pair(0) for _ in range(rng.randint(0, 2))] + [[1] * n + [0]]
+        lp = ([0] * n + [1], a_ub, [0] * (len(a_ub) - 1) + [1], a_eq, [0] * (len(a_eq) - 1) + [1])
+        status, x, value = got = solve_lp(*lp)
+        assert got == fraction_tableau_lp(*lp), lp
+        if status == "optimal":
+            assert all(type(v) is F for v in x) and type(value) is F

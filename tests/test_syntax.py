@@ -1,3 +1,6 @@
+import copy
+import dataclasses
+import pickle
 import random
 
 import pytest
@@ -257,3 +260,27 @@ def test_tokenizer_matches_the_per_position_reference():
     for text in texts:
         assert _tokens_or_error(syntax._tokenize, text) == \
             _tokens_or_error(_reference_tokenize, text), repr(text)
+
+
+def test_formula_nodes_are_slotted_and_frozen():
+    f = parse("QG", "snot delta(B(p & ~q) -> B(~p & q))")
+    g = parse("QG", "snot delta(B(p & ~q) -> B(~p & q))")
+    assert not hasattr(f, "__dict__")
+    assert [fl.name for fl in dataclasses.fields(syntax.Formula)] == \
+        ["lang", "kind", "children", "var"]
+    assert f is not g and f == g and hash(f) == hash(g)
+    for copied in (pickle.loads(pickle.dumps(f)), copy.deepcopy(f), copy.copy(f)):
+        assert copied == f and hash(copied) == hash(f)
+        assert print_formula(copied) == print_formula(f)
+    for name in ("lang", "kind", "children", "var", "_hash"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(f, name, None)
+    assert hash(f) == hash(g)
+
+
+def test_pickled_formulas_carry_no_hash():
+    # the cached hash belongs to the process's hash seed, so a pickle
+    # rebuilds the node through its fields alone
+    f = parse("BD", "p & neg q")
+    hash(f)
+    assert pickle.loads(pickle.dumps(f))._hash is None
