@@ -219,12 +219,30 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
     return out
 
 
+#: the nodes parse has built, keyed by their fields: an equal subformula
+#: parsed again, in the same text or a later one, is the node already
+#: built, so texts that repeat subformulas hold each once.  The table is
+#: emptied when it reaches _MAX_PARSED nodes, which bounds what it keeps
+#: alive.
+_PARSED: dict[tuple, Formula] = {}
+_MAX_PARSED = 1 << 12
+
+
 class _Parser:
     def __init__(self, lang: str, tokens: list[tuple[str, str, int]], length: int):
         self.lang = lang
         self.toks = tokens
         self.i = 0
         self.length = length
+
+    def node(self, kind: str, *children: Formula, var: str = "") -> Formula:
+        """``mk`` in the parser's language, or the node parsed before with
+        the same fields."""
+        key = (self.lang, kind, children, var)
+        f = _PARSED.get(key)
+        if f is None:
+            f = _PARSED[key] = mk(self.lang, kind, *children, var=var)
+        return f
 
     def peek(self) -> tuple[str, str, int] | None:
         return self.toks[self.i] if self.i < len(self.toks) else None
@@ -259,7 +277,7 @@ class _Parser:
             nxt = self.peek()
             if nxt and nxt[1] in _CMP_TOKENS:
                 raise FormulaSyntaxError("comparisons do not chain; parenthesize", nxt[2])
-            return mk(self.lang, kind, left, right)
+            return self.node(kind, left, right)
         return left
 
     def implication(self) -> Formula:
@@ -269,7 +287,7 @@ class _Parser:
             self.next()
             kind = self._check(_SYMBOL_KIND[tok[1]], tok[2])
             right = self.implication()  # right-associative
-            return mk(self.lang, kind, left, right)
+            return self.node(kind, left, right)
         return left
 
     def disjunction(self) -> Formula:
@@ -278,7 +296,7 @@ class _Parser:
             tok = self.peek()
             if tok and tok[1] == "|":
                 self.next()
-                left = mk(self.lang, "or", left, self.conjunction())
+                left = self.node("or", left, self.conjunction())
             else:
                 return left
 
@@ -288,7 +306,7 @@ class _Parser:
             tok = self.peek()
             if tok and tok[1] == "&":
                 self.next()
-                left = mk(self.lang, "and", left, self.prefix())
+                left = self.node("and", left, self.prefix())
             else:
                 return left
 
@@ -299,11 +317,11 @@ class _Parser:
             # (infix-only) likelihood-equality operator
             self.next()
             kind = self._check("not", tok[2])
-            return mk(self.lang, kind, mk(self.lang, kind, self.prefix()))
+            return self.node(kind, self.node(kind, self.prefix()))
         if tok and tok[1] in _PREFIX_TOKENS:
             self.next()
             kind = self._check(_PREFIX_TOKENS[tok[1]], tok[2])
-            return mk(self.lang, kind, self.prefix())
+            return self.node(kind, self.prefix())
         return self.atom()
 
     def atom(self) -> Formula:
@@ -313,9 +331,9 @@ class _Parser:
             self.expect(")")
             return f
         if typ == "var":
-            return var(self.lang, val)
+            return self.node("var", var=val)
         if val in ("Top", "Bot"):
-            return mk(self.lang, _KEYWORDS[val])
+            return self.node(_KEYWORDS[val])
         if val in ("B", "C"):
             kind = _KEYWORDS[val]
             if kind not in PRIMITIVE_KINDS[self.lang]:
@@ -323,7 +341,7 @@ class _Parser:
             self.expect("(")
             inner = parse_tokens(INNER_LANG[kind], self)
             self.expect(")")
-            return mk(self.lang, kind, inner)
+            return self.node(kind, inner)
         raise FormulaSyntaxError(f"unexpected token {val!r}", pos)
 
 
@@ -345,6 +363,8 @@ def parse(lang: str, text: str) -> Formula:
     """
     if lang not in LANGS:
         raise LanguageError(f"unknown language {lang!r}")
+    if len(_PARSED) >= _MAX_PARSED:
+        _PARSED.clear()
     parser = _Parser(lang, _tokenize(text), len(text))
     try:
         f = parser.comparison()

@@ -264,18 +264,15 @@ def test_tokenizer_matches_the_per_position_reference():
 
 def test_formula_nodes_are_slotted_and_frozen():
     f = parse("QG", "snot delta(B(p & ~q) -> B(~p & q))")
-    g = parse("QG", "snot delta(B(p & ~q) -> B(~p & q))")
     assert not hasattr(f, "__dict__")
     assert [fl.name for fl in dataclasses.fields(syntax.Formula)] == \
         ["lang", "kind", "children", "var"]
-    assert f is not g and f == g and hash(f) == hash(g)
     for copied in (pickle.loads(pickle.dumps(f)), copy.deepcopy(f), copy.copy(f)):
-        assert copied == f and hash(copied) == hash(f)
+        assert copied is not f and copied == f and hash(copied) == hash(f)
         assert print_formula(copied) == print_formula(f)
     for name in ("lang", "kind", "children", "var", "_hash"):
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(f, name, None)
-    assert hash(f) == hash(g)
 
 
 def test_pickled_formulas_carry_no_hash():
@@ -284,3 +281,18 @@ def test_pickled_formulas_carry_no_hash():
     f = parse("BD", "p & neg q")
     hash(f)
     assert pickle.loads(pickle.dumps(f))._hash is None
+
+
+def test_parse_shares_equal_subformulas(monkeypatch):
+    f = parse("BD", "(p | q) & (p | q)")
+    assert f.children[0] is f.children[1]
+    assert parse("BD", "neg (p | q)").children[0] is f.children[0]
+    assert parse("BIG", "p | q").lang == "BIG"
+    assert parse("BD", "(p | q) & (p | q)") is f
+    # the table is emptied once full, so it keeps at most a bounded number
+    # of nodes alive
+    monkeypatch.setattr(syntax, "_MAX_PARSED", 8)
+    for i in range(20):
+        parse("BD", f"x{i} & neg x{i}")
+        assert len(syntax._PARSED) <= 8 + 3
+    assert parse("BD", "(p | q) & (p | q)") is not f
