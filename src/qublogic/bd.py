@@ -60,7 +60,7 @@ def neg4(x: str) -> str:
     return _OF_PAIR[(xn, xp)]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BDModel:
     """A Belnap-Dunn model: independent positive and negative valuations."""
 
@@ -117,6 +117,8 @@ def _masks_from_json(obj: Mapping, key: str) -> dict[str, int]:
 def _list_to_mask(states: Sequence[int]) -> int:
     if not isinstance(states, (list, tuple)) or not all(type(s) is int and s >= 0 for s in states):
         raise ValueError(f"a state set is a list of state numbers, not {states!r}")
+    if any(s >= MAX_STATES for s in states):
+        raise ValueError(f"state {max(states)} is past the cap of {MAX_STATES} states")
     mask = 0
     for s in states:
         mask |= 1 << s

@@ -20,17 +20,18 @@ over more atoms than a decision admits is refused with a ValueError that
 states the number of points of its grid.
 
 QG is decided as biG: the outer layer is Goedel logic, and each B-atom is
-one of its atoms.  B-atoms with the same inner truth set are merged first
-(every model gives them the same value, so no verdict changes, but the
-search stays small), and two-valued modal axiom instances over the merged
-atoms are added: a refuting valuation must then satisfy them exactly,
-which is what makes every returned witness extend to a genuine uncertainty
-model.  The premises, the instances and the target are then rebuilt as
-biG formulas over one variable per merged class, named to sort as the
-classes' representatives print.  Each B-atom is printed once per decision,
-to name its witness value.  MCB and NMCB, C over Belnap-Dunn logic, are
-reduced the same way to G2ORD and G2NEL: C-atoms merge by their positive
-and negative supports, and the layer axioms give the instances.
+one of its atoms.  B-atoms with the same truth set in the canonical frame
+(:func:`qublogic.measures.canonical_frame`) are merged first (every model
+gives them the same value, so no verdict changes, but the search stays
+small), and two-valued modal axiom instances over the merged atoms, read
+off the same sets, are added: a refuting valuation must then satisfy them
+exactly, which is what makes every returned witness extend to a genuine
+uncertainty model.  The premises, the instances and the target are then
+rebuilt as biG formulas over one variable per merged class, named to sort
+as the classes' representatives print.  Each B-atom is printed once per
+decision, to name its witness value.  MCB and NMCB, C over Belnap-Dunn
+logic, are reduced the same way to G2ORD and G2NEL: C-atoms merge by their
+positive and negative supports, and the layer axioms give the instances.
 
 Truth preservation, the outer logic of the Hilbert calculi, is decided by
 :func:`truth_preserved` for every language with an outer step, through one
@@ -52,9 +53,9 @@ from functools import cache, reduce
 from itertools import product
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from . import algebra, bd, syntax
+from . import algebra, syntax
 from .algebra import ONE, TwistValue, eval_big
-from .measures import assignment_masks, cpl_truth_set
+from .measures import canonical_frame
 from .syntax import Formula, mk, print_formula
 
 
@@ -247,8 +248,9 @@ def qg_b_atoms(formulas: Sequence[Formula]) -> dict[str, Formula]:
 
 
 def qg_merge_atoms(formulas: Sequence[Formula]) -> tuple[dict[str, Formula], dict[Formula, Formula], list[Formula]]:
-    """Merge modal atoms whose inner formulas have the same masks: the same
-    CPL truth set, or the same BD positive and negative supports.
+    """Merge modal atoms whose inner formulas have the same sets in the
+    canonical frame: the same CPL truth set, or the same BD positive and
+    negative supports.
 
     Returns (the atoms as :func:`qg_b_atoms` gives them, atom ->
     representative map, representatives in printed order).  Each class is
@@ -257,24 +259,10 @@ def qg_merge_atoms(formulas: Sequence[Formula]) -> tuple[dict[str, Formula], dic
     preserves entailment exactly.
     """
     atoms = qg_b_atoms(formulas)
-    masks = _inner_masks(list(atoms.values()))
+    masks = canonical_frame(list(atoms.values()))[2]
     classes: dict[tuple[int, int], Formula] = {}
     mapping = {a: classes.setdefault(mask, a) for a, mask in zip(atoms.values(), masks)}
     return atoms, mapping, list(classes.values())
-
-
-def _inner_masks(atoms: Sequence[Formula]) -> list[tuple[int, int]]:
-    """The atoms' inner formulas over every valuation of their joint
-    variables, bit-sliced: a CPL truth set and its complement, or BD
-    positive and negative supports."""
-    names = sorted({v for a in atoms for v in syntax.vars_of(a.children[0])})
-    if atoms and atoms[0].kind == "cmod":
-        masks = bd._support_masks(*bd.valuation_masks(names))
-        return [masks(a.children[0]) for a in atoms]
-    env = assignment_masks(names)
-    full = (1 << (1 << len(names))) - 1
-    truth = [cpl_truth_set(a.children[0], env, full) for a in atoms]
-    return [(t, full & ~t) for t in truth]
 
 
 def _rewrite_atoms(f: Formula, outer: str, mapping: Mapping[Formula, Formula]) -> Formula:
@@ -304,7 +292,7 @@ def qg_saturation(reps: Sequence[Formula], with_cap: bool = False) -> list[Formu
     lang = reps[0].lang
     outer, imp, eq = _LAYER[lang]
     force = _DELTA[outer]
-    masks = _inner_masks(reps)
+    masks = canonical_frame(reps)[2]
     sat: list[Formula] = []
     for i, a in enumerate(reps):
         pos, neg = masks[i]

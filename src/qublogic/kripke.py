@@ -28,7 +28,7 @@ _SUGAR_KINDS = SUGAR_KINDS["G2ORD"] | SUGAR_KINDS["G2NEL"]
 _IMPLICATION_KINDS = {"gimp", "gcoimp", "nimp", "ncoimp"}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class G2KripkeModel:
     """Finite linear model with independent positive/negative valuations.
 
@@ -45,8 +45,8 @@ class G2KripkeModel:
     def __post_init__(self):
         if self.states < 1:
             raise ValueError("at least one state required")
-        if sorted(self.order) != list(range(self.states)):
-            raise ValueError("order must be a permutation of ranks 0..n-1")
+        if len(self.order) != self.states or sorted(self.order) != list(range(self.states)):
+            raise ValueError(f"order must be a permutation of ranks 0..{self.states - 1}")
         valuation = [*self.vplus.items(), *self.vminus.items()]
         for name, mask in valuation:
             if mask >> self.states:

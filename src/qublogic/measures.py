@@ -1,9 +1,13 @@
 """Two-layered models over uncertainty measures, and the inner CPL layer.
 
-This module owns the classical state-set semantics of the inner layer:
-:func:`cpl_truth_set` is the one recursion over the CPL connectives.
-Model truth sets, truth tables (``calculi``), QP truth sets (``qp``) and
-the B-atom masks of the QG decision (``decide``) all go through it.
+This module owns the semantics of the inner layer.
+:func:`cpl_truth_set` is the one recursion over the CPL connectives: model
+truth sets, truth tables (``calculi``) and QP truth sets (``qp``) go
+through it.  :func:`canonical_frame` is the one construction over every
+inner valuation of some modal atoms, the 2^n assignments for B-atoms and
+the 4^n valuations of 4 for C-atoms, with each atom's positive and
+negative sets.  The atom merge and saturation of the decisions
+(``decide``) and both canonical models read it.
 
 An uncertainty model pairs a classical valuation with a measure given
 extensionally on every subset of the (small) state space; a belief model
@@ -49,7 +53,7 @@ from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from . import bd
 from .algebra import ONE, ZERO, RankPair, TwistValue, compile_twist, parse_fraction, unit
-from .syntax import Formula, LanguageError, mk, modal_atoms, print_formula, vars_of
+from .syntax import Formula, LanguageError, modal_atoms, print_formula, vars_of
 
 MAX_DENSE_STATES = 16
 MAX_CPL_VARS = 20
@@ -118,7 +122,7 @@ def _capacity(states: int, mu: Mapping, one=_RANK_TOP) -> tuple[bool, tuple | No
     return True, None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class UncertaintyModel:
     """Classical inner valuation plus a dense measure over subsets."""
 
@@ -152,7 +156,7 @@ class UncertaintyModel:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BeliefModel:
     """BD inner valuation plus a dense measure over subsets."""
 
@@ -736,11 +740,49 @@ def find_frame_countermodel(xi: Sequence[Formula], alpha: Formula, layer: str,
 
 
 # ---------------------------------------------------------------------------
-# Canonical models
+# The canonical frame and canonical models
 # ---------------------------------------------------------------------------
+
+def canonical_frame(atoms: Sequence[Formula]) -> tuple[int, dict, list[tuple[int, int]]]:
+    """The canonical frame of modal atoms, a state per inner valuation of
+    their variables (sorted by name): the state count, the valuation as the
+    keyword arguments of the layer's model, and each atom's positive and
+    negative sets by :func:`_supports`.  B-atoms have the 2^n assignments of
+    :func:`assignment_masks`, a truth set and its complement; C-atoms the
+    4^n valuations of 4 in ``bd.valuation_masks`` order and the supports."""
+    if not atoms:
+        return 1, {}, []
+    inners = [a.children[0] for a in atoms]
+    names = sorted(set().union(*map(vars_of, inners)))
+    if atoms[0].kind == "bmod":
+        val, states = {"v": assignment_masks(names)}, 1 << len(names)
+    else:
+        val, states = dict(zip(("vplus", "vminus"), bd.valuation_masks(names))), 4 ** len(names)
+    full = (1 << states) - 1
+    sets = _supports(atoms[0].lang, inners, val, full)
+    pairs = zip(sets, [full & ~t for t in sets]) if "v" in val else zip(sets[::2], sets[1::2])
+    return states, val, list(pairs)
+
 
 class CanonicalModelError(ValueError):
     """The given valuation cannot come from any measure (reg violated)."""
+
+
+def canonical_qg_model(e: Mapping[str, Fraction], formulas: Sequence[Formula]) -> UncertaintyModel:
+    """Replay the completeness construction on the canonical frame of the
+    B-atoms, where state ``a`` makes the ``i``-th variable true iff ``a >> i
+    & 1``.  ``e`` maps printed B-atoms to values and must respect
+    reg-monotonicity on the definable sets; elsewhere the measure takes the
+    supremum of definable subsets (0 when none)."""
+    return _canonical_model(e, formulas, False)
+
+
+def canonical_mcb_model(e: Mapping[str, TwistValue], formulas: Sequence[Formula]) -> BeliefModel:
+    """The same on the canonical frame of the C-atoms, where state ``a``, the
+    ``a``-th valuation of 4, stands for the literal set {p : p true at a} |
+    {neg p : p false at a}.  One state supports every inner formula both
+    ways and one none, so the end points pi(W)=1, pi(0)=0 are safe."""
+    return _canonical_model(e, formulas, True)
 
 
 def _completion(states: int, values: Iterable[tuple[int, Fraction, str]]) -> dict[int, Fraction]:
@@ -761,72 +803,33 @@ def _completion(states: int, values: Iterable[tuple[int, Fraction, str]]) -> dic
             for x in range(1 << states)}
 
 
-def canonical_qg_model(e: Mapping[str, Fraction], formulas: Sequence[Formula]) -> UncertaintyModel:
-    """Replay the completeness construction: states are variable subsets.
-
-    ``e`` maps printed B-atoms to values and must respect reg-monotonicity
-    on the definable sets; elsewhere the measure takes the supremum of
-    definable subsets (0 when none).
-    """
-    atoms: set[Formula] = set()
-    for f in formulas:
-        atoms |= modal_atoms(f)
-    names = sorted(set().union(*(vars_of(a.children[0]) for a in atoms)) | set())
-    states = 1 << len(names)
-    if states > MAX_DENSE_STATES:
-        raise ValueError("too many inner variables for a dense canonical model")
-    v = assignment_masks(names)
+def _canonical_model(e: Mapping, formulas: Sequence[Formula], belief: bool):
+    """The :func:`_completion` through each atom's value on its sets in
+    :func:`canonical_frame`: truth and falsity for a belief model, whose
+    full and empty sets take 1 and 0."""
+    atoms = sorted(set().union(*map(modal_atoms, formulas)), key=print_formula)
+    count = len(set().union(*(vars_of(a.children[0]) for a in atoms)))
+    if (4 if belief else 2) ** count > MAX_DENSE_STATES:
+        raise ValueError(f"too many {'literals' if belief else 'inner variables'} "
+                         "for a dense canonical model")
+    states, val, sets = canonical_frame(atoms)
 
     def values() -> Iterator[tuple[int, Fraction, str]]:
-        for a in sorted(atoms, key=print_formula):
+        for a, (pos, neg) in zip(atoms, sets):
             key = print_formula(a)
             if key not in e:
                 raise KeyError(f"no value for atom {key!r}")
-            yield cpl_truth_set(a.children[0], v, (1 << states) - 1), unit(e[key]), \
-                f"the truth set of {key}"
+            if not belief:
+                yield pos, unit(e[key]), f"the truth set of {key}"
+                continue
+            inner = print_formula(a.children[0])
+            yield pos, unit(e[key][0]), f"|{inner}|+"
+            yield neg, unit(e[key][1]), f"|{inner}|-"
+        if belief:
+            yield (1 << states) - 1, ONE, "the full set"
+            yield 0, ZERO, "the empty set"
 
-    return UncertaintyModel(states, v, _completion(states, values()))
-
-
-def canonical_mcb_model(e: Mapping[str, TwistValue], formulas: Sequence[Formula]) -> BeliefModel:
-    """Canonical belief model: states are subsets of the literals in play.
-
-    The literal set is closed under the De Morgan negation, so positive and
-    negative interpretations of inner formulas are never the empty or full
-    set and the end points pi(W)=1, pi(0)=0 can be imposed safely.
-    """
-    atoms: set[Formula] = set()
-    for f in formulas:
-        atoms |= modal_atoms(f)
-    names = sorted(set().union(*(vars_of(a.children[0]) for a in atoms)) if atoms else set())
-    literals = [var_ for p in names
-                for var_ in (mk("BD", "var", var=p), mk("BD", "dneg", mk("BD", "var", var=p)))]
-    lit_list = sorted(literals, key=print_formula)
-    states = 1 << len(lit_list)
-    if states > MAX_DENSE_STATES:
-        raise ValueError("too many literals for a dense canonical model")
-    vplus: dict[str, int] = {}
-    vminus: dict[str, int] = {}
-    for lit, mask in assignment_masks(lit_list).items():
-        if lit.kind == "var":
-            vplus[lit.var] = vplus.get(lit.var, 0) | mask
-        else:
-            vminus[lit.children[0].var] = vminus.get(lit.children[0].var, 0) | mask
-    for a in atoms:
-        for name in vars_of(a.children[0]):
-            vplus.setdefault(name, 0)
-            vminus.setdefault(name, 0)
-    inner = bd.BDModel(max(states, 1), vplus, vminus)
-
-    def values() -> Iterator[tuple[int, Fraction, str]]:
-        for a in sorted(atoms, key=print_formula):
-            key = print_formula(a)
-            if key not in e:
-                raise KeyError(f"no value for atom {key!r}")
-            pos, neg = bd.truth_sets(inner, a.children[0])
-            yield pos, unit(e[key][0]), f"|{print_formula(a.children[0])}|+"
-            yield neg, unit(e[key][1]), f"|{print_formula(a.children[0])}|-"
-        yield (1 << states) - 1, ONE, "the full set"
-        yield 0, ZERO, "the empty set"
-
-    return BeliefModel(states, vplus, vminus, _completion(states, values()))
+    measure = _completion(states, values())
+    if belief:
+        return BeliefModel(states, pi=measure, **val)
+    return UncertaintyModel(states, mu=measure, **val)

@@ -20,11 +20,11 @@ from typing import Iterable, Mapping, Sequence
 
 from . import bd, lp
 from .algebra import ONE, ZERO, parse_fraction
-from .measures import UncertaintyModel, cpl_truth_set
-from .syntax import Formula, LanguageError, desugar, is_sif, mk, retag
+from .measures import MAX_DENSE_STATES, UncertaintyModel, cpl_truth_set
+from .syntax import Formula, LanguageError, _cmp_free, desugar, mk, retag
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GardenforsModel:
     """States with per-state probability weights and a classical valuation."""
 
@@ -35,8 +35,9 @@ class GardenforsModel:
     def __post_init__(self):
         if self.states < 1:
             raise ValueError("at least one state required")
-        if set(self.weights) != set(range(self.states)):
-            raise ValueError("one weight vector per state required")
+        if len(self.weights) != self.states or set(self.weights) != set(range(self.states)):
+            raise ValueError(f"one weight vector per state required: {len(self.weights)} "
+                             f"for {self.states} states")
         for x, w in self.weights.items():
             if len(w) != self.states:
                 raise ValueError(f"weight vector at state {x} has wrong length")
@@ -107,14 +108,16 @@ def qp_true(m: GardenforsModel, f: Formula) -> bool:
 # ---------------------------------------------------------------------------
 
 def translate_sif(f: Formula) -> Formula:
-    """Translate a simple inequality formula into the QG language."""
-    if not is_sif(f):
-        raise LanguageError("formula is not a simple inequality formula")
+    """Translate a simple inequality formula into the QG language.  It is
+    desugared once, and checked as :func:`qublogic.syntax.is_sif` checks it
+    while it is translated."""
+    if f.lang != "QP":
+        raise LanguageError("is_sif applies to QP formulas only")
     return _translate(desugar(f))
 
 
 def _translate(f: Formula) -> Formula:
-    if f.kind == "leq":
+    if f.kind == "leq" and all(map(_cmp_free, f.children)):
         chi, chi2 = (retag(c, "CPL") for c in f.children)
         return mk("QG", "delta",
                   mk("QG", "gimp", mk("QG", "bmod", chi), mk("QG", "bmod", chi2)))
@@ -126,7 +129,7 @@ def _translate(f: Formula) -> Formula:
         return mk("QG", "or", *(_translate(c) for c in f.children))
     if f.kind == "matimp":
         return mk("QG", "gimp", *(_translate(c) for c in f.children))
-    raise LanguageError(f"unexpected kind {f.kind!r} in a SIF")
+    raise LanguageError("formula is not a simple inequality formula")
 
 
 # ---------------------------------------------------------------------------
@@ -208,7 +211,7 @@ def g_counterpart(m: GardenforsModel, x: int) -> UncertaintyModel:
     return UncertaintyModel(m.states, dict(m.v), mu)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class OrderInstance:
     """A total preorder on the subsets of a ground set, as a rank map."""
 
@@ -218,6 +221,8 @@ class OrderInstance:
     def __post_init__(self):
         if self.ground_size < 1:
             raise ValueError("ground set must be nonempty")
+        if self.ground_size > MAX_DENSE_STATES:
+            raise ValueError(f"ground set of {self.ground_size} atoms (> {MAX_DENSE_STATES})")
         if set(self.rank) != set(range(1 << self.ground_size)):
             raise ValueError("rank map must be total on all subsets")
         ranks = sorted(set(self.rank.values()))
@@ -244,7 +249,7 @@ class OrderInstance:
         return cls(states, {mask: pos[mu[mask]] for mask in mu})
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MeasureWitness:
     """Atom weights of a strictly order-agreeing probability measure."""
 

@@ -1,6 +1,7 @@
 import json
 import os
 import pathlib
+import resource
 import shlex
 import subprocess
 import sys
@@ -248,7 +249,22 @@ _MALFORMED = [
     ["model", "check-property", "--model", _BD_MODEL, "--prop", "mono"],
     ["model", "frame-validates", "--model", _BD_MODEL, "--layer", "qg", "B(p)"],
     ["qp", "counterpart", "--model", _BD_MODEL],
+    # sizes past the caps, refused before anything of that size is allocated
+    ["eval-qg", "--model", '{"states":1,"v":{"p":[100000000000]},"mu":{"[]":"0","[0]":"1"}}',
+     "B(p)"],
+    ["qp", "sat", "--model", '{"states":1000000000,"weights":{},"v":{}}', "p <= p"],
+    ["qp", "represent-lp", "--order", '{"ground":40,"rank":{}}'],
+    ["kripke", "support", "--model", '{"states":1000000000,"order":[0],"vplus":{}}',
+     "--state", "0", "p"],
 ]
+
+#: the address space of each swept process: an input that allocates for its
+#: stated size fails with a MemoryError instead of exhausting the machine
+_SWEEP_ADDRESS_SPACE = 3 << 29  # 1.5 GiB
+
+
+def _limit_address_space() -> None:
+    resource.setrlimit(resource.RLIMIT_AS, (_SWEEP_ADDRESS_SPACE, _SWEEP_ADDRESS_SPACE))
 
 # the text of A4_6, past the A4 bound: too deep for the recursive PC
 # check, and for print_formula under pytest's stack, so a fresh process
@@ -271,7 +287,8 @@ def test_cli_processes_exit_2_with_one_json_line_on_input_errors():
     deep_match = ["prove", "match-axiom", "--calculus", "hqp", a4_6]
     for argv in _MALFORMED + matches + [["prove", "check", deep], deep_match]:
         done = subprocess.run([sys.executable, "-m", "qublogic.cli", *argv], env=env,
-                              capture_output=True, text=True, timeout=60)
+                              capture_output=True, text=True, timeout=60,
+                              preexec_fn=_limit_address_space)
         assert "Traceback" not in done.stdout + done.stderr, argv
         if argv in matches:
             assert (done.returncode, done.stderr) == (0, ""), argv

@@ -8,7 +8,7 @@ import random
 import time
 from fractions import Fraction as F
 from functools import partial, reduce
-from itertools import product
+from itertools import combinations, product
 
 import oracles
 import pytest
@@ -201,6 +201,35 @@ def test_qg_saturation_matches_pairwise_reference(with_cap):
         expected = {"QG": {"gimp", "delta", *(["bmod"] if with_cap else [])},
                     "MCB": {"gimp", "iff"}, "NMCB": {"simp", "siff"}}
         assert kinds == expected[lang], (lang, kinds)
+
+
+def test_canonical_frame_sets_are_equal_exactly_where_atoms_merge():
+    """Over generated B- and C-atom sets, two atoms get equal sets in the
+    canonical frame exactly when qg_merge_atoms merges them, and exactly
+    when their inner formulas are equivalent: classically, or both ways in
+    BD.  The frame has a state per assignment, or per valuation of 4."""
+    rng = random.Random(22)
+    for lang, modal in (("QG", "bmod"), ("MCB", "cmod"), ("NMCB", "cmod")):
+        inner, texts = _SATURATION_POOLS[modal]
+        pool = [parse(inner, t) for t in texts]
+        merged = 0
+        for _ in range(40):
+            atoms = sorted({mk(lang, modal, phi) for phi in rng.sample(pool, rng.randint(2, 7))},
+                           key=print_formula)
+            states, _, sets = measures.canonical_frame(atoms)
+            names = set().union(*(vars_of(a.children[0]) for a in atoms))
+            assert states == (2 if lang == "QG" else 4) ** len(names)
+            _, mapping, _ = qg_merge_atoms(atoms)
+            for (a, sa), (b, sb) in combinations(zip(atoms, sets), 2):
+                x, y = a.children[0], b.children[0]
+                if lang == "QG":
+                    equivalent = calculi.cpl_valid(mk("CPL", "iff", x, y))
+                else:
+                    equivalent = bd.bd_entails(x, y)[0] and bd.bd_entails(y, x)[0]
+                assert (sa == sb) == (mapping[a] == mapping[b]) == equivalent, \
+                    (print_formula(a), print_formula(b))
+                merged += equivalent
+        assert merged >= 10, (lang, merged)
 
 
 def test_qg_rejects_foreign_languages():
@@ -855,8 +884,7 @@ def test_two_layered_languages_are_named_only_in_the_reduction(monkeypatch):
     """decide names MCB and NMCB only in the reduction to the outer
     variants, and the search is reached with BIG, G2ORD and G2NEL only."""
     tree = ast.parse(pathlib.Path(decide.__file__).read_text())
-    reduction = {"_LAYER", "qg_b_atoms", "qg_merge_atoms", "_inner_masks", "qg_saturation",
-                 "_qg_reduce"}
+    reduction = {"_LAYER", "qg_b_atoms", "qg_merge_atoms", "qg_saturation", "_qg_reduce"}
     naming = set()
     for node in tree.body:
         name = node.name if isinstance(node, ast.FunctionDef) else \

@@ -1,12 +1,13 @@
 import gc
 import json
+import pickle
 import random
 import time
 from fractions import Fraction as F
 
 import pytest
 
-from qublogic import bd, calculi, cli, measures
+from qublogic import bd, calculi, cli, kripke, measures, qp
 from qublogic.algebra import ONE, ZERO, TwistValue, twist_le
 from qublogic.measures import (BeliefModel, CanonicalModelError, UncertaintyModel,
                                canonical_mcb_model, canonical_qg_model, check_property,
@@ -310,9 +311,33 @@ def test_canonical_qg_model_rejects_reg_violations():
 def test_canonical_mcb_model():
     e = {"C(p)": TwistValue(F(1, 2), F(1, 4))}
     m = canonical_mcb_model(e, [parse("MCB", "C(p)")])
-    assert m.states == 4  # powerset of {p, neg p}
+    assert m.states == 4  # the valuations of 4 to p: the literal sets over {p, neg p}
     assert eval_layer(m, "MCB", parse("MCB", "C(p)")) == TwistValue(F(1, 2), F(1, 4))
     assert m.pi[m.full] == ONE and m.pi[0] == ZERO
+
+
+@pytest.mark.parametrize("layer", ["MCB", "NMCB"])
+@pytest.mark.parametrize("names", [("p",), ("p", "q")])
+def test_canonical_belief_models_take_every_atom_value_of_a_belief_model(layer, names):
+    """On n variables the canonical belief model has a state per valuation
+    of 4, 4^n, gives every C-atom back the value it has in the belief model
+    it is built from, and its pi is monotone, 0 on the empty set and 1 on
+    the full one."""
+    rng = random.Random(len(names))
+    inners = gen_bd(3 if len(names) == 1 else 2, names)
+    for _ in range(15):
+        states = rng.randint(1, 3)
+        pi = rng.choice(list(iter_monotone_measures(states, 3, capacity=True)))
+        source = BeliefModel(states, {p: rng.randrange(1 << states) for p in names},
+                             {p: rng.randrange(1 << states) for p in names}, pi)
+        atoms = [mk(layer, "cmod", phi) for phi in rng.sample(inners, 6)]
+        atoms.append(mk(layer, "cmod", mk("BD", "var", var=names[-1])))
+        e = {print_formula(a): eval_layer(source, layer, a) for a in atoms}
+        m = canonical_mcb_model(e, atoms)
+        assert m.states == 4 ** len(names)
+        assert all(eval_layer(m, layer, a) == e[print_formula(a)] for a in atoms)
+        assert check_property(m.states, m.pi, "monotone") == (True, None)
+        assert m.pi[0] == ZERO and m.pi[m.full] == ONE
 
 
 def test_truth_set_classical_connectives():
@@ -329,6 +354,24 @@ def test_model_json_round_trip():
     pi = next(iter(iter_monotone_measures(3, 2)))
     bm = BeliefModel(3, {"p": 0b1}, {"p": 0b10}, pi)
     assert BeliefModel.from_json(bm.to_json()) == bm
+
+
+def test_model_dataclasses_are_slotted_and_pickle():
+    """Models, orders and LP witnesses keep no instance dict, and each
+    comes back equal from a pickle round trip."""
+    pi = {0: F(0), 1: F(1, 2), 2: F(1, 2), 3: F(1)}
+    values = [
+        UncertaintyModel(2, {"p": 0b01}, pi),
+        BeliefModel(2, {"p": 0b01}, {"p": 0b10}, pi),
+        qp.GardenforsModel(2, {0: (F(1), F(0)), 1: (F(1, 2), F(1, 2))}, {"p": 0b10}),
+        qp.OrderInstance(2, {0: 0, 1: 1, 2: 1, 3: 2}),
+        qp.MeasureWitness((F(1, 2), F(1, 2)), F(1, 2)),
+        bd.BDModel(2, {"p": 0b11}, {"q": 0b01}),
+        kripke.G2KripkeModel(2, (1, 0), {"p": 0b01}, {}),
+    ]
+    for value in values:
+        assert not hasattr(value, "__dict__"), type(value).__name__
+        assert pickle.loads(pickle.dumps(value)) == value, type(value).__name__
 
 
 def test_measure_validation():
