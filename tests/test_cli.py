@@ -266,6 +266,7 @@ _SWEEP_ADDRESS_SPACE = 3 << 29  # 1.5 GiB
 def _limit_address_space() -> None:
     resource.setrlimit(resource.RLIMIT_AS, (_SWEEP_ADDRESS_SPACE, _SWEEP_ADDRESS_SPACE))
 
+
 # the text of A4_6, past the A4 bound: too deep for the recursive PC
 # check, and for print_formula under pytest's stack, so a fresh process
 # prints it
