@@ -111,7 +111,6 @@ def _parser() -> argparse.ArgumentParser:
     d.add_argument("--state", type=int, required=True)
     d.add_argument("text")
     d = ksub.add_parser("entails")
-    d.add_argument("--max-states", type=int, default=3)
     d.add_argument("--premise", action="append", default=[])
     d.add_argument("--lang", default="g2ord")
     d.add_argument("text")
@@ -205,7 +204,10 @@ def _dispatch(args) -> int:
         f = syntax.formula_from_json(_lang(args.lang), _load_json(args.ast))
         return _emit({"text": syntax.print_formula(f)})
     if cmd == "eval-big":
-        f = syntax.parse(_lang(args.lang), args.text)
+        lang = _lang(args.lang)
+        if lang not in ("BIG", "QG"):
+            raise syntax.LanguageError(f"eval-big evaluates BIG or QG formulas, not {lang}")
+        f = syntax.parse(lang, args.text)
         e = algebra.valuation_from_json(_load_json(args.valuation))
         return _emit({"value": str(algebra.eval_big(f, e))})
     if cmd == "eval-g2":
@@ -270,7 +272,7 @@ def _dispatch_kripke(args) -> int:
         lang = _lang(args.lang)
         gamma = [syntax.parse(lang, t) for t in args.premise]
         f = syntax.parse(lang, args.text)
-        ok, model, state = kripke.kentails(args.max_states, gamma, f)
+        ok, model, state = kripke.kentails(gamma, f)
         payload = {"status": "holds" if ok else "fails"}
         if model is not None:
             payload["countermodel"] = model.to_json()

@@ -4,44 +4,30 @@ biG validity and entailment are decided by exhausting valuations over the
 grid {0, 1/(k+1), ..., 1} for k atoms, which is complete for bi-Goedel
 logic.  The twist-product logics use denominator 2k+1 so every relative
 ordering of the 2k coordinates is realizable; the test suite cross-checks
-this against an independent order-type oracle.
-
-The twist decision runs on integer ranks: each formula is compiled once by
-:func:`qublogic.algebra.compile_twist`, rank i stands for the grid value
-i/(2k+1), and Fractions are built only for the returned witness.  It walks
-the grid in order but visits only the first point of each order type of
-the 2k coordinates (11, 299 and 18,731 points for 1 to 3 atoms), the
-points whose ranks strictly between 0 and 2k+1 are 1..m for some m.  Every
-connective depends only on order, so lowering a countervaluation's
-interior ranks to 1..m keeps it one and moves it no later in the grid: the
-grid's first countervaluation, the witness, is among the points visited.
-The biG decision still evaluates Fractions at every grid point.  A query
-over more atoms than a decision admits is refused with a ValueError that
-states the number of points of its grid.
+this against an independent order-type oracle.  The twist decision runs
+on integer ranks and visits only the first grid point of each order type
+(:func:`g2_entails`); the biG decision still evaluates Fractions at every
+grid point.  A query over more atoms than a decision admits is refused
+with a ValueError that states the number of points of its grid.
 
 QG is decided as biG: the outer layer is Goedel logic, and each B-atom is
-one of its atoms.  B-atoms with the same truth set in the canonical frame
-(:func:`qublogic.measures.canonical_frame`) are merged first (every model
-gives them the same value, so no verdict changes, but the search stays
-small), and two-valued modal axiom instances over the merged atoms, read
-off the same sets, are added: a refuting valuation must then satisfy them
-exactly, which is what makes every returned witness extend to a genuine
-uncertainty model.  The premises, the instances and the target are then
-rebuilt as biG formulas over one variable per merged class, named to sort
-as the classes' representatives print.  Each B-atom is printed once per
-decision, to name its witness value.  MCB and NMCB, C over Belnap-Dunn
-logic, are reduced the same way to G2ORD and G2NEL: C-atoms merge by their
-positive and negative supports, and the layer axioms give the instances.
+one of its atoms.  B-atoms with the same sets in the canonical frame are
+merged, and two-valued modal axiom instances over the merged atoms are
+added, so that every returned witness extends to a genuine uncertainty
+model (:func:`qg_merge_atoms`, :func:`qg_saturation`).  MCB and NMCB, C
+over Belnap-Dunn logic, are reduced the same way to G2ORD and G2NEL.
 
 Truth preservation, the outer logic of the Hilbert calculi, is decided by
 :func:`truth_preserved` for every language with an outer step, through one
 pruned depth-first search over the order types of the atoms' coordinates
 (one per biG atom, a truth and a falsity per twist atom), QG, MCB and NMCB
 after that reduction.  QG entailment runs the same search: by residuation,
-min xi <= alpha iff xi_1 -> (... -> alpha) is true, so a QG query that
-holds visits no grid point.  The biG grid runs for a refuted QG query
-only, to name its witness, the first countervaluation in the order of the
-printed B-atoms.  The grid decisions above decide degree entailment and take no
+min xi <= alpha iff xi_1 -> (... -> alpha) is true (:func:`curried`), so a
+QG query that holds visits no grid point.  The biG grid runs for a refuted
+QG query only, to name its witness, the first countervaluation in the
+order of the printed B-atoms.  Kripke local entailment
+(:func:`qublogic.kripke.kentails`) is the truth of the same curried
+formula.  The grid decisions above decide degree entailment and take no
 part in truth preservation.
 """
 
@@ -339,6 +325,13 @@ def _qg_reduce(premises: Sequence[Formula], target: Formula, with_cap: bool) \
         {name: big[a].var for name, a in atoms.items()}
 
 
+def curried(premises: Sequence[Formula], target: Formula) -> Formula:
+    """gamma_1 => (... => target), => the implication of biG, G2ORD or G2NEL:
+    its truth is the top iff min truth(premises) <= truth(target)."""
+    imp = "nimp" if target.lang == "G2NEL" else "gimp"
+    return reduce(lambda f, g: mk(target.lang, imp, g, f), reversed(premises), target)
+
+
 def qg_entails(xi: Sequence[Formula], alpha: Formula, with_cap: bool = False) -> Verdict:
     """Decide QG entailment as biG entailment over the merged B-atoms,
     saturated with modal axiom instances.
@@ -357,8 +350,8 @@ def qg_entails(xi: Sequence[Formula], alpha: Formula, with_cap: bool = False) ->
     _check_langs([*xi, alpha], ("QG",), "the QG decision")
     premises, saturation, goal, keys, names = _qg_reduce(xi, alpha, with_cap)
     _admit_big(len(keys))
-    curried = reduce(lambda f, g: mk("BIG", "gimp", g, f), reversed(premises), goal)
-    if _outer_search("BIG", saturation, curried, keys, names, "QG entailment").holds:
+    if _outer_search("BIG", saturation, curried(premises, goal), keys, names,
+                     "QG entailment").holds:
         return HOLDS
     verdict = big_entails([*premises, *saturation], goal)
     assert not verdict.holds, "the grid and the order-type search disagree"

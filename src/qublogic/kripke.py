@@ -5,7 +5,9 @@ supports of all formulas are up-sets and a chain model is determined by
 support-set sizes.  Support masks extend the BD recursion of
 :mod:`qublogic.bd`: an implication quantifies over earlier or later
 states, which on a chain is a down- or up-closure in rank order, and sugar
-is expanded by :func:`qublogic.syntax.desugar`.
+is expanded by :func:`qublogic.syntax.desugar`.  Local entailment is
+decided exactly by the order-type search of :mod:`qublogic.decide`: on a
+chain only the order of values matters.
 
 The counterpart constructions translate between twist valuations and chain
 models; the rational carrier of the original construction is replaced by a
@@ -17,14 +19,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import product
 from typing import Callable, Iterable, Mapping, Sequence
 
-from . import bd
+from . import bd, decide
 from .algebra import ONE, ZERO, TwistValue, unit
-from .syntax import RESERVED_VAR, SUGAR_KINDS, Formula, desugar, vars_of
+from .syntax import RESERVED_VAR, SUGAR_KINDS, Formula, LanguageError, desugar, retag
 
-_SUGAR_KINDS = SUGAR_KINDS["G2ORD"] | SUGAR_KINDS["G2NEL"]
 _IMPLICATION_KINDS = {"gimp", "gcoimp", "nimp", "ncoimp"}
 
 
@@ -109,7 +109,7 @@ def _support_masks(m: G2KripkeModel) -> Callable[[Formula], tuple[int, int]]:
 
     def clause(f: Formula, rec: Callable[[Formula], tuple[int, int]]) -> tuple[int, int]:
         kind = f.kind
-        if kind in _SUGAR_KINDS:
+        if kind in SUGAR_KINDS[f.lang]:
             return rec(desugar(f))
         if kind not in _IMPLICATION_KINDS:
             raise ValueError(f"kind {kind!r} has no Kripke clause")
@@ -157,35 +157,32 @@ def global_support(m: G2KripkeModel, f: Formula) -> tuple[bool, bool]:
 
 
 # ---------------------------------------------------------------------------
-# Bounded local entailment
+# Local entailment
 # ---------------------------------------------------------------------------
 
-def iter_chain_models(variables: Sequence[str], max_states: int) -> Iterable[G2KripkeModel]:
-    """All chain models (identity order) up to ``max_states`` states.
-
-    Every finite linear frame is isomorphic to a chain, and up-sets of a
-    chain are suffixes, so this enumeration is exhaustive up to the bound.
+def kentails(gamma: Sequence[Formula], f: Formula) -> tuple[bool, G2KripkeModel | None, int | None]:
+    """Local entailment: every state of every chain model that positively
+    supports each premise positively supports ``f``.  A state supports a
+    formula iff its truth reaches the state's threshold, so this is the truth
+    of gamma_1 => (... => f) at the top, which :func:`qublogic.decide.truth_preserved`
+    decides (in G2ORD that truth is all of designation).  BD is read as G2ORD;
+    other languages than BD, biG, G2ORD and G2NEL raise a LanguageError.
+    A refutation returns the chain model of the search's witness (biG values
+    as truths) and its least state that supports every premise and not ``f``.
     """
-    for n in range(1, max_states + 1):
-        suffixes = [((1 << n) - 1) ^ ((1 << k) - 1) for k in range(n + 1)]
-        for choice in product(suffixes, repeat=2 * len(variables)):
-            vplus = {p: choice[2 * i] for i, p in enumerate(variables)}
-            vminus = {p: choice[2 * i + 1] for i, p in enumerate(variables)}
-            yield G2KripkeModel(n, tuple(range(n)), vplus, vminus)
-
-
-def kentails(max_states: int, gamma: Sequence[Formula], f: Formula) -> tuple[bool, G2KripkeModel | None, int | None]:
-    """Local entailment by model search; refutation-complete up to the bound.
-
-    Returns (holds-at-bound, countermodel, state).
-    """
-    variables = sorted(set().union(*(vars_of(g) for g in [*gamma, f])) or set())
-    for m in iter_chain_models(variables, max_states):
-        table = support_table(m, [*gamma, f])
-        for s in range(m.states):
-            if all(table[g][0] >> s & 1 for g in gamma) and not table[f][0] >> s & 1:
-                return False, m, s
-    return True, None, None
+    lang, langs = "G2ORD" if f.lang == "BD" else f.lang, {f.lang} | {g.lang for g in gamma}
+    if lang not in ("BIG", "G2ORD", "G2NEL") or len(langs) > 1:
+        raise LanguageError(f"no Kripke local entailment over {' and '.join(sorted(langs))} formulas")
+    query = [retag(g, lang) for g in [*gamma, f]] if lang != f.lang else [*gamma, f]
+    verdict = decide.truth_preserved(lang, [], decide.curried(query[:-1], query[-1]))
+    if verdict.holds:
+        return True, None, None
+    m = valuation_to_model({p: TwistValue(v, ZERO) if lang == "BIG" else v for p, v in verdict.witness.items()})
+    table = support_table(m, [*gamma, f])
+    state = next((s for s in range(m.states)
+                  if all(table[g][0] >> s & 1 for g in gamma) and not table[f][0] >> s & 1), None)
+    assert state is not None, "the search's witness refutes at no state of its chain model"
+    return False, m, state
 
 
 # ---------------------------------------------------------------------------
@@ -200,16 +197,10 @@ def valuation_to_model(e: Mapping[str, TwistValue]) -> G2KripkeModel:
     """
     values = sorted({ZERO, ONE} | {unit(v[0]) for v in e.values()} | {unit(v[1]) for v in e.values()})
     n = len(values) - 1
-    rank = {v: i for i, v in enumerate(values)}
     full = (1 << n) - 1
-
-    def upset(value: Fraction) -> int:
-        size = rank[unit(value)]
-        return (full >> (n - size)) << (n - size) if size else 0
-
-    vplus = {p: upset(v[0]) for p, v in e.items()}
-    vminus = {p: upset(v[1]) for p, v in e.items()}
-    return G2KripkeModel(n, tuple(range(n)), vplus, vminus)
+    upset = {v: full >> n - size << n - size for size, v in enumerate(values)}
+    return G2KripkeModel(n, tuple(range(n)), {p: upset[unit(v[0])] for p, v in e.items()},
+                         {p: upset[unit(v[1])] for p, v in e.items()})
 
 
 def model_to_valuation(m: G2KripkeModel) -> tuple[list[dict], dict[str, TwistValue]]:

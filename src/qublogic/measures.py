@@ -479,8 +479,8 @@ def check_property(states: int, measure: Mapping[int, Fraction], prop: str,
     (:func:`_ranks`), 0 and ``_RANK_TOP`` standing for 0 and 1."""
     _check_measure(states, measure)
     if prop == "mukps":
-        if m is None:
-            raise ValueError("mukps needs the parameter m")
+        if m is None or m < 0:
+            raise ValueError(f"mukps needs a parameter m >= 0, not {m}")
         return _mu_kps(states, _ranks(measure), m)
     try:
         fn = _PROPS[prop]
@@ -615,11 +615,18 @@ CORRESPONDENCES: dict[str, tuple[str, str, str]] = {
 }
 
 
+def _check_bounds(states: int, denominator: int) -> None:
+    """Refuse a state bound or a grid denominator below 1: nothing is under it."""
+    if states < 1 or denominator < 1:
+        raise ValueError(f"state bound and grid denominator must be >= 1, not {states}, {denominator}")
+
+
 def iter_monotone_measures(states: int, denominator: int, *,
                            capacity: bool = False) -> Iterator[dict[int, Fraction]]:
     """All monotone nontrivial measures with values on the given grid, by
     recursion in popcount order (a subset's value is at least each
     one-smaller subset's)."""
+    _check_bounds(states, denominator)
     values = [Fraction(i, denominator) for i in range(denominator + 1)]
     order = sorted(_subsets(states), key=lambda x: (bin(x).count("1"), x))
     yield from _measures_from(states, values, order, capacity, {})
@@ -656,6 +663,7 @@ def correspondence_test(cond: str, max_states: int, denominator: int) -> dict:
     layer, text, prop = CORRESPONDENCES[cond]
     formula = parse(layer, text)
     names = sorted(vars_of(formula))
+    _check_bounds(max_states, denominator)
     for states in range(1, max_states + 1):
         _frame_size(layer, names, states)
     inners, (ev,) = _compile(layer, [formula], _RANK_TOP)
@@ -712,6 +720,7 @@ def find_frame_countermodel(xi: Sequence[Formula], alpha: Formula, layer: str,
     where it stopped.
     """
     _check_layer(layer, [*xi, alpha])
+    _check_bounds(max_states, denominator)
     names = sorted(set().union(*(vars_of(f) for f in [*xi, alpha])))
     inners, evs = _compile(layer, [*xi, alpha], _RANK_TOP)
 

@@ -463,12 +463,16 @@ def formula_to_json(f: Formula) -> dict:
 
 
 def formula_from_json(lang: str, obj: dict) -> Formula:
-    kind = obj["kind"]
+    """The formula of a JSON AST.  A node that is no object with a string
+    ``kind`` and a string ``var`` or a list of ``children`` raises a ValueError."""
+    kind = obj.get("kind") if isinstance(obj, dict) else None
+    key, shape = ("var", str) if kind == "var" else ("children", list)
+    if not isinstance(kind, str) or not isinstance(obj.get(key, []), shape):
+        raise ValueError(f"a formula node has a string 'kind' and a 'var' string or 'children' list, not {obj!r}")
     if kind == "var":
         return var(lang, obj["var"])
     sublang = INNER_LANG.get(kind, lang)
-    children = tuple(formula_from_json(sublang, c) for c in obj.get("children", ()))
-    return mk(lang, kind, *children)
+    return mk(lang, kind, *(formula_from_json(sublang, c) for c in obj.get("children", [])))
 
 
 # ---------------------------------------------------------------------------

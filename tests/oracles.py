@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations, product
+from typing import NamedTuple
 
 from qublogic.syntax import Formula, print_formula
 
@@ -145,6 +146,80 @@ def bd_support_clauses(vplus: dict[str, set[int]], vminus: dict[str, set[int]],
     if k == "and":
         return p1 and p2, n1 or n2
     return p1 or p2, n1 and n2
+
+
+# ---------------------------------------------------------------------------
+# Kripke chain models by the quantifier clauses (bounded local entailment)
+# ---------------------------------------------------------------------------
+
+class ChainModel(NamedTuple):
+    """A linear Kripke model: state s has rank ``order[s]``; ``vplus`` and
+    ``vminus`` map variables to the bitmasks of the states supporting them."""
+
+    states: int
+    order: tuple[int, ...]
+    vplus: dict[str, int]
+    vminus: dict[str, int]
+
+
+def kripke_supports(m, f: Formula) -> tuple[int, int]:
+    """Positive/negative support masks of the sugar-free formula ``f`` on
+    the linear model ``m`` by the clauses as stated, each implication
+    quantifying over the states above or below each state of the order.
+    A variable a map omits is supported nowhere."""
+    n = m.states
+    below = [[t for t in range(n) if m.order[t] <= m.order[s]] for s in range(n)]
+    above = [[t for t in range(n) if m.order[t] >= m.order[s]] for s in range(n)]
+    if f.kind == "var":
+        return m.vplus.get(f.var, 0), m.vminus.get(f.var, 0)
+    if f.kind == "dneg":
+        p, q = kripke_supports(m, f.children[0])
+        return q, p
+    (p1, n1), (p2, n2) = (kripke_supports(m, c) for c in f.children)
+    at = lambda mask, t: bool(mask >> t & 1)
+    pos = neg = 0
+    for s in range(n):
+        if f.kind == "and":
+            p, q = at(p1 & p2, s), at(n1 | n2, s)
+        elif f.kind == "or":
+            p, q = at(p1 | p2, s), at(n1 & n2, s)
+        elif f.kind in ("gimp", "nimp"):
+            p = all(not at(p1, t) or at(p2, t) for t in above[s])
+            q = any(not at(n1, t) and at(n2, t) for t in below[s]) if f.kind == "gimp" \
+                else at(p1, s) and at(n2, s)
+        else:
+            p = any(at(p1, t) and not at(p2, t) for t in below[s])
+            q = all(at(n1, t) or not at(n2, t) for t in above[s]) if f.kind == "gcoimp" \
+                else at(n1, s) or at(p2, s)
+        pos |= p << s
+        neg |= q << s
+    return pos, neg
+
+
+def chain_models(variables: list[str], max_states: int):
+    """Every chain model (identity order) of 1 to ``max_states`` states over
+    ``variables``: each finite linear frame is isomorphic to a chain, whose
+    up-sets are its suffixes."""
+    for n in range(1, max_states + 1):
+        suffixes = [((1 << n) - 1) ^ ((1 << k) - 1) for k in range(n + 1)]
+        for choice in product(suffixes, repeat=2 * len(variables)):
+            yield ChainModel(n, tuple(range(n)), dict(zip(variables, choice[::2])),
+                             dict(zip(variables, choice[1::2])))
+
+
+def chain_countermodel(gamma: list[Formula], f: Formula, variables: list[str],
+                       max_states: int):
+    """The first model of :func:`chain_models` over ``variables`` with a
+    state that positively supports every sugar-free formula of ``gamma``
+    and not ``f``, with its least such state, or None: local entailment,
+    refutation-complete up to ``max_states`` states."""
+    for m in chain_models(variables, max_states):
+        premises = [kripke_supports(m, g)[0] for g in gamma]
+        target = kripke_supports(m, f)[0]
+        for s in range(m.states):
+            if all(p >> s & 1 for p in premises) and not target >> s & 1:
+                return m, s
+    return None
 
 
 # ---------------------------------------------------------------------------

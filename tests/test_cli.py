@@ -256,6 +256,24 @@ _MALFORMED = [
     ["qp", "represent-lp", "--order", '{"ground":40,"rank":{}}'],
     ["kripke", "support", "--model", '{"states":1000000000,"order":[0],"vplus":{}}',
      "--state", "0", "p"],
+    # bounds below 1, which would search nothing
+    ["model", "correspondence", "--cond", "cond_iii", "--grid", "0"],
+    ["model", "correspondence", "--cond", "cond_iii", "--max-states", "0"],
+    ["model", "search-countermodel", "--layer", "qg", "--grid", "0", "B(p)"],
+    ["model", "search-countermodel", "--layer", "qg", "--max-states", "0", "B(p)"],
+    ["model", "check-property", "--model", '{"states":1,"v":{},"mu":{"[]":"0","[0]":"1"}}',
+     "--prop", "mukps", "--m", "-1"],
+    # ASTs of the wrong shape
+    ["print", "--lang", "big", "[1]"],
+    ["print", "--lang", "big", '{"kind":"and","children":"xy"}'],
+    ["print", "--lang", "big", '{"kind":"var","var":5}'],
+    # languages a command does not take
+    *(["eval-big", "--lang", lang, "--valuation", '{"p":"1/2","q":"1/3"}', "p & q"]
+      for lang in ("qp", "cpl", "bd", "g2ord", "g2nel")),
+    ["kripke", "entails", "--lang", "qg", "B(p)"],
+    # a search past its node cap, refused with the size it stopped at
+    ["kripke", "entails", "--lang", "big",
+     "((a | b | c | d) -> (e | f | g | h)) | ((e | f | g | h) -> (a | b | c | d))"],
 ]
 
 #: the address space of each swept process: an input that allocates for its
@@ -304,6 +322,20 @@ def test_cli_processes_exit_2_with_one_json_line_on_input_errors():
         assert len(lines) == 1 and set(json.loads(lines[0])) == {"error"}, argv
         if argv == deep_match:
             assert json.loads(lines[0]) == {"error": "formula nests too deeply"}
+
+
+def test_kripke_entails(capsys):
+    code, out = run(capsys, "kripke", "entails", "(p & q) -> (p & q)")
+    assert (code, out) == (0, {"status": "holds"})
+    code, out = run(capsys, "kripke", "entails", "--lang", "big", "delta p | snot delta p")
+    assert (code, out) == (0, {"status": "holds"})
+    code, out = run(capsys, "kripke", "entails", "--lang", "bd", "--premise", "p & neg p", "q")
+    assert code == 1 and set(out) == {"status", "countermodel", "state"}
+    state = out["state"]
+    assert state in out["countermodel"]["vplus"]["p"] and state in out["countermodel"]["vminus"]["p"]
+    assert state not in out["countermodel"]["vplus"]["q"]
+    # the search has no state bound to set
+    assert cli.main(["kripke", "entails", "--max-states", "3", "p"]) == 2
 
 
 def test_qp_represent_lp(capsys):

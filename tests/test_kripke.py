@@ -1,14 +1,16 @@
 import random
+import time
 from fractions import Fraction as F
 
 import pytest
 
+import oracles
 from qublogic.algebra import ONE, TwistValue, eval_g2
-from qublogic.kripke import (G2KripkeModel, global_support, iter_chain_models, kentails,
-                             ksupport, model_to_valuation, support_table, valuation_to_model)
-from qublogic.syntax import parse, print_formula
+from qublogic.kripke import (G2KripkeModel, global_support, kentails, ksupport,
+                             model_to_valuation, support_table, valuation_to_model)
+from qublogic.syntax import LanguageError, desugar, parse, print_formula, vars_of
 
-from helpers import gen_g2
+from helpers import depth, gen_bd, gen_big, gen_g2
 
 
 def test_implication_fails_at_bottom_when_top_violates():
@@ -33,12 +35,75 @@ def test_nelson_coimplication_two_chain():
     assert ksupport(m, 0, parse("G2NEL", "p o- q")) == (True, False)
 
 
+def _assert_refutes_at(m, gamma, f, state):
+    """``state`` is the least state of ``m`` that positively supports every
+    premise and not ``f``, by the support masks and by the quantifier
+    clauses of the oracle alike."""
+    table = support_table(m, [*gamma, f])
+    for supports in (table.__getitem__, lambda g: oracles.kripke_supports(m, desugar(g))):
+        refuted = [s for s in range(m.states)
+                   if all(supports(g)[0] >> s & 1 for g in gamma) and not supports(f)[0] >> s & 1]
+        assert refuted and refuted[0] == state, [print_formula(g) for g in [*gamma, f]]
+
+
 def test_kentails_examples():
-    ok, m, s = kentails(2, [], parse("G2ORD", "p | neg p"))
-    assert not ok and m.states == 1 and s == 0
-    assert kentails(2, [parse("G2ORD", "p")], parse("G2ORD", "p"))[0]
-    assert kentails(2, [parse("G2ORD", "p -> q"), parse("G2ORD", "p")],
+    f = parse("G2ORD", "p | neg p")
+    ok, m, s = kentails([], f)
+    assert not ok
+    _assert_refutes_at(m, [], f, s)
+    assert kentails([parse("G2ORD", "p")], parse("G2ORD", "p"))[0]
+    assert kentails([parse("G2ORD", "p -> q"), parse("G2ORD", "p")],
                     parse("G2ORD", "q"))[0]
+    # biG's delta has a Kripke clause through its expansion
+    assert kentails([], parse("BIG", "delta p | snot delta p"))[0]
+    gamma, f = [parse("BD", "p & neg p")], parse("BD", "q")
+    ok, m, s = kentails(gamma, f)
+    assert not ok
+    _assert_refutes_at(m, gamma, f, s)
+
+
+def test_kentails_refuses_other_languages():
+    with pytest.raises(LanguageError):
+        kentails([], parse("QG", "B(p)"))
+    with pytest.raises(LanguageError):
+        kentails([parse("G2ORD", "p")], parse("G2NEL", "p"))
+
+
+def _kentails_queries(lang: str, rng: random.Random, count: int):
+    """``count`` queries over p and q: 0-2 premises of depth at most 2 and a
+    target of depth at most 3."""
+    pool = {"BD": lambda: gen_bd(3), "BIG": lambda: gen_big(3),
+            "G2ORD": lambda: gen_g2("G2ORD", 3), "G2NEL": lambda: gen_g2("G2NEL", 3)}[lang]()
+    small = [f for f in pool if depth(f) <= 2]
+    return [(rng.sample(small, rng.randint(0, 2)), rng.choice(pool)) for _ in range(count)]
+
+
+@pytest.mark.parametrize("lang", ["BD", "BIG", "G2ORD", "G2NEL"])
+def test_kentails_agrees_with_the_bounded_chain_search(lang):
+    """The exact decision and the chain-model search up to 3 states give
+    the same verdict, and every countermodel refutes at its state."""
+    refuted = 0
+    for gamma, f in _kentails_queries(lang, random.Random(7), 50):
+        ok, m, s = kentails(gamma, f)
+        # the variable of the sugar expansions is supported nowhere
+        variables = sorted(set().union(*map(vars_of, [*gamma, f])))
+        ref = oracles.chain_countermodel([desugar(g) for g in gamma], desugar(f), variables, 3)
+        assert ok == (ref is None), [print_formula(g) for g in [*gamma, f]]
+        if not ok:
+            refuted += 1
+            _assert_refutes_at(m, gamma, f, s)
+    assert 0 < refuted < 50
+
+
+@pytest.mark.parametrize("text", [
+    "(p & q) -> (p & q)",
+    "(p -> q) | (q -> r) | (r -> s) | (s -> p)",
+])
+def test_kentails_decides_past_the_old_bound_quickly(text):
+    f = parse("G2ORD", text)
+    start = time.process_time()
+    assert kentails([], f)[0]
+    assert time.process_time() - start < 0.1
 
 
 def test_model_validation():
@@ -111,45 +176,15 @@ def test_model_to_valuation_round_trip():
 
 def test_chain_model_iteration_counts():
     # (n+1)^(2 vars * 2 polarities) chain models per size
-    models = list(iter_chain_models(["p"], 2))
+    models = list(oracles.chain_models(["p"], 2))
     assert len(models) == 2 ** 2 + 3 ** 2
+    # each is a valid model: the constructor checks that supports are up-sets
+    assert all(G2KripkeModel(*m) for m in models)
 
 
 def test_global_support():
     m = G2KripkeModel(2, (0, 1), {"p": 0b11}, {"p": 0})
     assert global_support(m, parse("G2ORD", "p")) == (True, False)
-
-
-def _quantifier_supports(m, f):
-    """Supports by the clauses as stated: implications quantify over the
-    states above or below each state of the order."""
-    n = m.states
-    below = [[t for t in range(n) if m.order[t] <= m.order[s]] for s in range(n)]
-    above = [[t for t in range(n) if m.order[t] >= m.order[s]] for s in range(n)]
-    if f.kind == "var":
-        return m.vplus.get(f.var, 0), m.vminus.get(f.var, 0)
-    if f.kind == "dneg":
-        p, q = _quantifier_supports(m, f.children[0])
-        return q, p
-    (p1, n1), (p2, n2) = (_quantifier_supports(m, c) for c in f.children)
-    at = lambda mask, t: bool(mask >> t & 1)
-    pos = neg = 0
-    for s in range(n):
-        if f.kind == "and":
-            p, q = at(p1 & p2, s), at(n1 | n2, s)
-        elif f.kind == "or":
-            p, q = at(p1 | p2, s), at(n1 & n2, s)
-        elif f.kind in ("gimp", "nimp"):
-            p = all(not at(p1, t) or at(p2, t) for t in above[s])
-            q = any(not at(n1, t) and at(n2, t) for t in below[s]) if f.kind == "gimp" \
-                else at(p1, s) and at(n2, s)
-        else:
-            p = any(at(p1, t) and not at(p2, t) for t in below[s])
-            q = all(at(n1, t) or not at(n2, t) for t in above[s]) if f.kind == "gcoimp" \
-                else at(n1, s) or at(p2, s)
-        pos |= p << s
-        neg |= q << s
-    return pos, neg
 
 
 def test_closure_masks_match_the_quantifier_clauses_on_permuted_orders():
@@ -163,4 +198,4 @@ def test_closure_masks_match_the_quantifier_clauses_on_permuted_orders():
         m = G2KripkeModel(n, tuple(order), {"p": up(), "q": up()}, {"p": up(), "q": up()})
         table = support_table(m, formulas)
         for f in formulas[::13]:
-            assert table[f] == _quantifier_supports(m, f), (order, print_formula(f))
+            assert table[f] == oracles.kripke_supports(m, f), (order, print_formula(f))

@@ -247,6 +247,19 @@ def test_counterexample_search_examples():
     assert find_frame_countermodel([], parse("QG", "B(p & q) -> B(p)"), "QG", 2, 3) is None
 
 
+def test_bounds_below_one_are_refused():
+    f = parse("QG", "B(p)")
+    with pytest.raises(ValueError):
+        next(iter_monotone_measures(2, 0))
+    for max_states, denominator in ((0, 4), (4, 0)):
+        with pytest.raises(ValueError):
+            find_frame_countermodel([], f, "QG", max_states, denominator)
+        with pytest.raises(ValueError):
+            correspondence_test("cond_iii", max_states, denominator)
+    with pytest.raises(ValueError):
+        check_property(1, {0: F(0), 1: F(1)}, "mukps", -1)
+
+
 def test_k_formula_valid_on_single_point_frames():
     k = parse("QG", "B(p => Bot) -> (B(p) -> B(Bot))")
     for mu in iter_monotone_measures(1, 4):

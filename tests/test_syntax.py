@@ -182,6 +182,15 @@ def test_json_round_trip():
         assert formula_from_json(lang, formula_to_json(f)) == f
 
 
+@pytest.mark.parametrize("obj", [
+    [1], {"kind": 5}, {"var": "p"}, {"kind": "var", "var": 5}, {"kind": "var"},
+    {"kind": "and", "children": "xy"}, {"kind": "and", "children": [{"kind": "var", "var": "p"}, 3]},
+])
+def test_malformed_json_asts_are_refused(obj):
+    with pytest.raises(ValueError):
+        formula_from_json("BIG", obj)
+
+
 def test_generated_formula_sets_have_expected_sizes():
     assert len(gen_big(3)) == 1982
     assert len(gen_g2("G2ORD", 3)) == 2378
