@@ -412,7 +412,7 @@ def _outer_step_ok(calc: str, cited: Sequence[Formula], instances: Sequence[Form
         return False, f"outer steps are not supported for {calc}"
     try:
         verdict = decide.truth_preserved(lang, [*cited, *instances], target,
-                                         with_cap=calc == "HQPG_TOP")
+                                         with_cap=calc == "HQPG_TOP", decision="outer step")
     except ValueError as exc:  # the search reached its node cap; the message says how large
         return False, str(exc)
     if verdict.holds:

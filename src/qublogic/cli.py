@@ -185,6 +185,8 @@ def main(argv: list[str] | None = None) -> int:
         return _error(str(exc))
     except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
         return _error(f"{type(exc).__name__}: {exc}")
+    except RecursionError:  # JSON and AST readers recurse once per level of nesting
+        return _error("input nests too deeply")
 
 
 def _error(message: str) -> int:

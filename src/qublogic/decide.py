@@ -7,8 +7,9 @@ ordering of the 2k coordinates is realizable; the test suite cross-checks
 this against an independent order-type oracle.  The twist decision runs
 on integer ranks and visits only the first grid point of each order type
 (:func:`g2_entails`); the biG decision still evaluates Fractions at every
-grid point.  A query over more atoms than a decision admits is refused
-with a ValueError that states the number of points of its grid.
+grid point.  A query over more atoms than a grid decision admits (in QG,
+a refuted query's witness scan) is refused with a ValueError that states
+the number of points of its grid.
 
 QG is decided as biG: the outer layer is Goedel logic, and each B-atom is
 one of its atoms.  B-atoms with the same sets in the canonical frame are
@@ -106,7 +107,9 @@ def big_entails(gamma: Sequence[Formula], f: Formula) -> Verdict:
     _check_langs([*gamma, f], ("BIG", "QG"), "a biG decision")
     keys = _atom_keys([*gamma, f])
     k = len(keys)
-    _admit_big(k)
+    if k > MAX_BIG_ATOMS:
+        raise ValueError(f"grid decision over {k} atoms (> {MAX_BIG_ATOMS}): "
+                         f"{(k + 2) ** k:,} grid points")
     values = grid(k + 1)
     for combo in product(values, repeat=k):
         e = dict(zip(keys, combo))
@@ -116,13 +119,6 @@ def big_entails(gamma: Sequence[Formula], f: Formula) -> Verdict:
         if all(eval_big(g, e) > target for g in gamma):
             return Verdict("fails", e)
     return HOLDS
-
-
-def _admit_big(k: int) -> None:
-    """Refuse a biG or QG query over more than ``MAX_BIG_ATOMS`` atoms."""
-    if k > MAX_BIG_ATOMS:
-        raise ValueError(f"grid decision over {k} atoms (> {MAX_BIG_ATOMS}): "
-                         f"{(k + 2) ** k:,} grid points")
 
 
 def big_valid(f: Formula) -> Verdict:
@@ -349,7 +345,6 @@ def qg_entails(xi: Sequence[Formula], alpha: Formula, with_cap: bool = False) ->
     """
     _check_langs([*xi, alpha], ("QG",), "the QG decision")
     premises, saturation, goal, keys, names = _qg_reduce(xi, alpha, with_cap)
-    _admit_big(len(keys))
     if _outer_search("BIG", saturation, curried(premises, goal), keys, names,
                      "QG entailment").holds:
         return HOLDS
@@ -373,13 +368,13 @@ _DELTA = {"BIG": "delta", "G2ORD": "delta1", "G2NEL": "deltan"}
 
 
 def truth_preserved(lang: str, premises: Sequence[Formula], target: Formula,
-                    with_cap: bool = False) -> Verdict:
+                    with_cap: bool = False, decision: str = "truth preservation") -> Verdict:
     """Decide whether ``target`` is designated wherever every premise is:
     value 1 in biG and QG, (1, 0) in G2ORD and MCB, truth 1 in G2NEL and
     NMCB.  QG, MCB and NMCB are first reduced to their outer variant as
     :func:`qg_entails` reduces QG, the saturation instances joining the
     premises; then :func:`_outer_search` decides.  A search that grows too
-    large raises a ValueError that states its size.
+    large raises a ValueError that names ``decision`` and states its size.
     """
     _check_langs([*premises, target], (lang,), f"a {lang} truth-preservation decision")
     if lang in _LAYER:
@@ -390,7 +385,7 @@ def truth_preserved(lang: str, premises: Sequence[Formula], target: Formula,
         names = {key: key for key in keys}
     else:
         raise ValueError(f"no truth-preservation decision for {lang}")
-    return _outer_search(target.lang, premises, target, keys, names)
+    return _outer_search(target.lang, premises, target, keys, names, decision)
 
 
 def _parts(f: Formula, kind: str, delta: str | None) -> list[Formula]:
@@ -411,8 +406,7 @@ def _parts(f: Formula, kind: str, delta: str | None) -> list[Formula]:
 
 
 def _outer_search(lang: str, premises: Sequence[Formula], target: Formula,
-                  keys: Sequence, names: Mapping[str, object],
-                  decision: str = "outer step") -> Verdict:
+                  keys: Sequence, names: Mapping[str, object], decision: str) -> Verdict:
     """Decide truth preservation by a pruned search over order types.
 
     The search gives the coordinates one at a time a value on the chain of
@@ -443,10 +437,10 @@ def _outer_search(lang: str, premises: Sequence[Formula], target: Formula,
     A fails verdict carries it on the grid i/(k+1) (biG) or i/(2k+1)
     (twist) for k atoms, the i-th least value strictly between 0 and the
     top standing for i, keyed by ``names`` (each witness key mapped to
-    its atom's key in ``keys``).  Searches
-    that visit more than ``_MAX_OUTER_NODES`` nodes in all raise a
-    ValueError that names the ``decision`` left undecided and states the
-    size of that grid.
+    its atom's key in ``keys``).  Searches that visit more than
+    ``_MAX_OUTER_NODES`` nodes in all raise a ValueError that names the
+    ``decision`` left undecided and states its atoms, its coordinates and
+    the nodes it visited.
     """
     twist = lang != "BIG"
     nelson = lang == "G2NEL"
@@ -522,8 +516,8 @@ def _outer_search(lang: str, premises: Sequence[Formula], target: Formula,
                 nodes += 1
                 if nodes > _MAX_OUTER_NODES:
                     raise ValueError(
-                        f"{decision} undecided: the search over {k} atoms stopped after "
-                        f"{nodes - 1:,} nodes of a {(d + 1) ** n:,}-point grid")
+                        f"{decision} undecided: the search over {k} atoms and {n} coordinates "
+                        f"stopped after visiting {nodes - 1:,} nodes")
                 values[slot] = (other, x) if falsity else (x, other)
                 if extends(depth + 1, longer):
                     return True

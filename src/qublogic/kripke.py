@@ -174,7 +174,8 @@ def kentails(gamma: Sequence[Formula], f: Formula) -> tuple[bool, G2KripkeModel 
     if lang not in ("BIG", "G2ORD", "G2NEL") or len(langs) > 1:
         raise LanguageError(f"no Kripke local entailment over {' and '.join(sorted(langs))} formulas")
     query = [retag(g, lang) for g in [*gamma, f]] if lang != f.lang else [*gamma, f]
-    verdict = decide.truth_preserved(lang, [], decide.curried(query[:-1], query[-1]))
+    verdict = decide.truth_preserved(lang, [], decide.curried(query[:-1], query[-1]),
+                                     decision="Kripke local entailment")
     if verdict.holds:
         return True, None, None
     m = valuation_to_model({p: TwistValue(v, ZERO) if lang == "BIG" else v for p, v in verdict.witness.items()})

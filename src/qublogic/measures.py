@@ -18,11 +18,12 @@ is the state list of :mod:`qublogic.bd`.
 
 The outer layer of QG, MCB and NMCB formulas is evaluated by
 :func:`qublogic.algebra.compile_twist`.  It reads the measure only through
-the order of its values, so frame validity and the countermodel search map
-each measure once to the integer ranks of its values, with 0 and 1 at the
-ends, and compare ranks; only the countervaluation or model they return
-carries Fractions.  One model's evaluation runs the same compiled formula
-on the measure's own values.
+the order of its values, so the frame searches compare integer ranks, 0
+and 1 at the ends: frame validity ranks its measure once, and the
+countermodel search and the correspondence test enumerate one rank
+function per measure order type.  Only the countervaluation or model they
+return carries Fractions.  One model's evaluation runs the same compiled
+formula on the measure's own values.
 
 Inner truth is statewise and does not depend on the measure, so frame
 searches bit-slice the inner valuations: one mask over (valuation, state)
@@ -31,29 +32,31 @@ recursion per inner formula on those masks, and each valuation reads its
 atoms' sets as a slice, 64 valuations at a time, so that frame validity
 still stops at the first failing valuation.  The countermodel search and
 the correspondence test do this once per state count and reuse the sets
-for every measure.  A state count with more than ``_MAX_FRAME_VALUATIONS``
+for every order type.  A state count with more than ``_MAX_FRAME_VALUATIONS``
 inner valuations is refused before it starts, with its count.
 
 Frame validity, the correspondence test and the countermodel search share
 one loop, :func:`_countervaluation`.  The outer value at a valuation
 depends only on the ranks of the atoms' values, so it runs the caller's
 test once per distinct tuple of them and returns the first failing
-valuation's index.  The measure properties of :func:`check_property` also
-read only the order of the values and their equality to 0 and 1, so they
-compare ranks too.  The countermodel search counts the inner valuations
-it reads over all its measures and stops past ``_MAX_SEARCH_VALUATIONS``,
-stating where."""
+valuation's index.  The countermodel search and the correspondence test
+also share the loop around it, :func:`_frame_search`, which stops past
+``_MAX_SEARCH_VALUATIONS`` inner valuations, stating where.  The measure
+properties of :func:`check_property` compare ranks too, and refuse past
+``_MAX_PROPERTY_TUPLES`` tuples of subsets."""
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import combinations, product
+from math import comb
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from . import bd
 from .algebra import ONE, ZERO, RankPair, TwistValue, compile_twist, parse_fraction, unit
-from .syntax import Formula, LanguageError, modal_atoms, print_formula, vars_of
+from .syntax import Formula, LanguageError, modal_atoms, parse, print_formula, vars_of
 
 MAX_DENSE_STATES = 16
 MAX_CPL_VARS = 20
@@ -296,7 +299,7 @@ def _supports(layer: str, inners: Sequence[Formula], val: Mapping[str, Mapping[s
 
 
 def _valuations(layer: str, supports: Sequence[int], states: int, count: int,
-                rank: Mapping[int, object]) -> Iterator[tuple]:
+                rank: Mapping[int, object] | Sequence) -> Iterator[tuple]:
     """The atoms' values under each of ``count`` valuations in turn, read
     lazily from their bit-sliced ``supports``: for ``rank`` the measure on
     the chain, the measure of each atom's truth set, or of its two support
@@ -338,52 +341,34 @@ def _ranks(mu: Mapping[int, Fraction]) -> dict[int, int]:
 # Measure properties
 # ---------------------------------------------------------------------------
 
-def _subsets(states: int) -> range:
-    return range(1 << states)
-
-
 def _cond_i(states, mu):
     full = (1 << states) - 1
-    for x in _subsets(states):
+    for x in range(1 << states):
         if (mu[x] == _RANK_TOP) != (mu[full & ~x] == 0):
             return False, (x,)
     return True, None
 
 
 def _cond_ii(states, mu):
-    for y in _subsets(states):
-        for y2 in _subsets(states):
-            if mu[y & y2] == 0 and mu[y] > 0 and mu[y2] > 0:
-                if not (mu[y | y2] > mu[y] and mu[y | y2] > mu[y2]):
-                    return False, (y, y2)
+    for y, y2 in product(range(1 << states), repeat=2):
+        if mu[y & y2] == 0 and mu[y] > 0 and mu[y2] > 0 \
+                and not (mu[y | y2] > mu[y] and mu[y | y2] > mu[y2]):
+            return False, (y, y2)
     return True, None
 
 
 def _cond_iii(states, mu):
-    for y in _subsets(states):
-        if mu[y] != 0:
-            continue
-        for y2 in _subsets(states):
-            if mu[y | y2] != mu[y2]:
-                return False, (y, y2)
+    for y, y2 in product(range(1 << states), repeat=2):
+        if mu[y] == 0 and mu[y | y2] != mu[y2]:
+            return False, (y, y2)
     return True, None
 
 
 def _mu_pm(states, mu):
-    for x in _subsets(states):
-        for y in _subsets(states):
-            if x & ~y or x == y or mu[x] >= mu[y]:
-                continue
-            for z in _subsets(states):
-                if y & z:
-                    continue
-                if mu[x | z] >= mu[y | z]:
-                    return False, (x, y, z)
+    for x, y, z in product(range(1 << states), repeat=3):
+        if not (x & ~y or x == y or y & z) and mu[x] < mu[y] and mu[x | z] >= mu[y | z]:
+            return False, (x, y, z)
     return True, None
-
-
-def _vec(states: int, mask: int) -> tuple[int, ...]:
-    return tuple(1 if mask >> i & 1 else 0 for i in range(states))
 
 
 def _mu_kps(states: int, mu, m: int):
@@ -396,13 +381,12 @@ def _mu_kps(states: int, mu, m: int):
         raise ValueError("muKPS bounds exceeded (states <= 6, m <= 8, joint cost bound)")
     le_vecs: dict[tuple[int, ...], tuple[int, int]] = {}
     lt_vecs: dict[tuple[int, ...], tuple[int, int]] = {}
-    for x in _subsets(states):
-        for y in _subsets(states):
-            d = tuple(a - b for a, b in zip(_vec(states, x), _vec(states, y)))
-            if mu[x] <= mu[y]:
-                le_vecs.setdefault(d, (x, y))
-            if mu[x] < mu[y]:
-                lt_vecs.setdefault(d, (x, y))
+    for x, y in product(range(1 << states), repeat=2):
+        d = tuple((x >> i & 1) - (y >> i & 1) for i in range(states))
+        if mu[x] <= mu[y]:
+            le_vecs.setdefault(d, (x, y))
+        if mu[x] < mu[y]:
+            lt_vecs.setdefault(d, (x, y))
     # sums of exactly m vectors from le_vecs (the zero vector is always
     # present, so this includes shorter sums)
     frontier: dict[tuple[int, ...], tuple] = {tuple(0 for _ in range(states)): ()}
@@ -422,21 +406,13 @@ def _mu_kps(states: int, mu, m: int):
     return True, None
 
 
-def _belief_pairs(states: int) -> Iterator[tuple[int, int, int, int]]:
-    for x in _subsets(states):
-        for y in _subsets(states):
-            for x2 in _subsets(states):
-                for y2 in _subsets(states):
-                    yield x, y, x2, y2
-
-
 def _mcb_i(states, pi):
     """Exact frame condition of the paraconsistent disj+ axiom.
 
     X/Y are the positive/negative sets of one variable, X'/Y' of the other;
     the hypothesis and conclusion mirror the axiom's delta-structure.
     """
-    for x, y, x2, y2 in _belief_pairs(states):
+    for x, y, x2, y2 in product(range(1 << states), repeat=4):
         if pi[x & x2] == 0 and pi[y | y2] == _RANK_TOP \
                 and not (pi[x] == 0 and pi[y] == _RANK_TOP) \
                 and not (pi[x2] == 0 and pi[y2] == _RANK_TOP):
@@ -447,7 +423,7 @@ def _mcb_i(states, pi):
 
 
 def _mcb_ii(states, pi):
-    for x, y, x2, y2 in _belief_pairs(states):
+    for x, y, x2, y2 in product(range(1 << states), repeat=4):
         if pi[x] == 0 and pi[y] == _RANK_TOP:
             if pi[x | x2] != pi[x2] or pi[y & y2] != pi[y2]:
                 return False, (x, y, x2, y2)
@@ -470,13 +446,21 @@ _PROPS: dict[str, Callable] = {
 }
 
 
+#: the subsets each property ranges over at once (else one), and the tuples
+#: of them one check may visit: mcb_i on 6 states, 3.2 s of CPU, 2-core VM
+_ARITY = dict(cond_ii=2, cond_iii=2, mcb_iii=2, mcb_iv=2, mupm=3, mcb_i=4, mcb_ii=4)
+_MAX_PROPERTY_TUPLES = 1 << 24
+
+
 def check_property(states: int, measure: Mapping[int, Fraction], prop: str,
                    m: int | None = None) -> tuple[bool, tuple | None]:
     """Exhaustively check a named measure property; returns a violating tuple.
 
     Every property reads the measure only through the order of its values
     and their equality to 0 and 1, so each runs on the measure's ranks
-    (:func:`_ranks`), 0 and ``_RANK_TOP`` standing for 0 and 1."""
+    (:func:`_ranks`), 0 and ``_RANK_TOP`` standing for 0 and 1.  A property
+    over k subsets at once is refused past ``_MAX_PROPERTY_TUPLES`` of its
+    2^(k * states) tuples, stating their count; muKPS has its own bounds."""
     _check_measure(states, measure)
     if prop == "mukps":
         if m is None or m < 0:
@@ -486,6 +470,10 @@ def check_property(states: int, measure: Mapping[int, Fraction], prop: str,
         fn = _PROPS[prop]
     except KeyError:
         raise ValueError(f"unknown property {prop!r}") from None
+    tuples = 1 << states * _ARITY.get(prop, 1)
+    if tuples > _MAX_PROPERTY_TUPLES:
+        raise ValueError(f"property {prop} on {states} states: {tuples:,} tuples of subsets "
+                         f"(> {_MAX_PROPERTY_TUPLES:,})")
     return fn(states, _ranks(measure))
 
 
@@ -508,7 +496,8 @@ def frame_validates(states: int, measure: Mapping[int, Fraction], formula: Formu
     names = sorted(vars_of(formula))
     inners, (ev,) = _compile(layer, [formula], _RANK_TOP)
     count, supports = _frame_supports(layer, inners, names, states)
-    a = _countervaluation(layer, _designated(layer, ev), supports, states, count, _ranks(measure))
+    a = _countervaluation(layer, lambda atoms: _designated(layer, ev(atoms)), supports, states,
+                          count, _ranks(measure))
     return (True, None) if a is None else (False, _inner_valuation(layer, names, states, a))
 
 
@@ -569,7 +558,8 @@ def _frame_supports(layer: str, inners: Sequence[Formula], names: Sequence[str],
 
 
 def _countervaluation(layer: str, test: Callable[[tuple], bool], supports: Sequence[int],
-                      states: int, count: int, rank: Mapping[int, int]) -> int | None:
+                      states: int, count: int,
+                      rank: Mapping[int, int] | Sequence[int]) -> int | None:
     """The index of the first of ``count`` inner valuations whose atom
     values on the measure's ranks fail ``test``, or None.
 
@@ -585,12 +575,10 @@ def _countervaluation(layer: str, test: Callable[[tuple], bool], supports: Seque
     return None
 
 
-def _designated(layer: str, ev: Callable) -> Callable[[tuple], bool]:
-    """The test that the compiled formula ``ev`` is designated on ranks:
-    (top, 0) in MCB, truth top in QG and NMCB."""
-    if layer == "MCB":
-        return lambda atoms: ev(atoms) == (_RANK_TOP, 0)
-    return lambda atoms: ev(atoms)[0] == _RANK_TOP
+def _designated(layer: str, value: RankPair) -> bool:
+    """Whether a value on ranks is designated: (top, 0) in MCB, truth top in
+    QG and NMCB."""
+    return value == (_RANK_TOP, 0) if layer == "MCB" else value[0] == _RANK_TOP
 
 
 #: frame-condition name -> (layer, named formula text, property name)
@@ -621,82 +609,108 @@ def _check_bounds(states: int, denominator: int) -> None:
         raise ValueError(f"state bound and grid denominator must be >= 1, not {states}, {denominator}")
 
 
-def iter_monotone_measures(states: int, denominator: int, *,
-                           capacity: bool = False) -> Iterator[dict[int, Fraction]]:
-    """All monotone nontrivial measures with values on the given grid, by
-    recursion in popcount order (a subset's value is at least each
-    one-smaller subset's)."""
-    _check_bounds(states, denominator)
-    values = [Fraction(i, denominator) for i in range(denominator + 1)]
-    order = sorted(_subsets(states), key=lambda x: (bin(x).count("1"), x))
-    yield from _measures_from(states, values, order, capacity, {})
+def _grid_order(states: int) -> list[int]:
+    """The subsets in the grid's order: by size, then mask."""
+    return sorted(range(1 << states), key=lambda x: (x.bit_count(), x))
 
 
-def _measures_from(states: int, values: Sequence[Fraction], order: Sequence[int],
-                   capacity: bool, mu: dict[int, Fraction]) -> Iterator[dict[int, Fraction]]:
-    """The measures of :func:`iter_monotone_measures` that extend ``mu``,
-    given on the first ``len(mu)`` subsets of ``order``."""
+def _rank_functions(states: int, m: int, capacity: bool = False) -> Iterator[tuple[int, ...]]:
+    """The ranks, by subset, of each monotone nontrivial measure with ``m``
+    interior values, 1..m, in the grid's order; with ``capacity``, 0 and
+    ``_RANK_TOP`` at the ends."""
     full = (1 << states) - 1
-    if len(mu) == len(order):
-        if mu[full] > mu[0]:
-            yield dict(mu)
+    levels = [(0, 0), *((r, 1 << r - 1) for r in range(1, m + 1)), (_RANK_TOP, 0)]
+    ends = {0: levels[:1], full: levels[-1:]} if capacity else {}
+    steps = [(x, [x & ~(1 << i) for i in range(states) if x >> i & 1], ends.get(x, levels))
+             for x in _grid_order(states)]
+    for rank in _ranks_from(steps, [0] * (full + 1), m, 0, 0):
+        if rank[full] > rank[0]:
+            yield rank
+
+
+def _ranks_from(steps: Sequence[tuple], rank: list[int], m: int, i: int,
+                used: int) -> Iterator[tuple[int, ...]]:
+    """The rank functions extending ``rank`` on ``steps[:i]``, its interior
+    ranks the bits of ``used``: monotone, with room for the unused ones."""
+    if i == len(steps):
+        yield tuple(rank)
         return
-    x = order[len(mu)]
-    lo = max((mu[x & ~(1 << i)] for i in range(states) if x >> i & 1), default=ZERO)
-    for val in values:
-        if val < lo:
-            continue
-        if capacity and x == 0 and val != ZERO:
-            continue
-        if capacity and x == full and val != ONE:
-            continue
-        mu[x] = val
-        yield from _measures_from(states, values, order, capacity, mu)
-    del mu[x]
+    x, below, levels = steps[i]
+    lo = max([rank[y] for y in below], default=0)
+    for r, bit in levels:
+        if r >= lo and m - (used | bit).bit_count() < len(steps) - i:
+            rank[x] = r
+            yield from _ranks_from(steps, rank, m, i + 1, used | bit)
+
+
+def _grid_measures(rank: Sequence[int], m: int, denominator: int) -> Iterator[dict[int, Fraction]]:
+    """The grid measures of the order type ``rank``, keyed in the grid's
+    order: the grid of denominator d has the order types of at most d - 1
+    interior values, one with ``m`` once per choice of m of its d - 1."""
+    order = _grid_order(len(rank).bit_length() - 1)
+    for values in combinations(range(1, denominator), m):
+        value = [ZERO, *(Fraction(v, denominator) for v in values)]
+        yield {x: ONE if rank[x] == _RANK_TOP else value[rank[x]] for x in order}
+
+
+#: inner valuations a frame search may read over all its order types: about
+#: 3 s of CPU for 2 MCB variables on 3 states (python 3.11, 2-core VM)
+_MAX_SEARCH_VALUATIONS = 1 << 21
+
+
+def _frame_search(search: str, layer: str, formulas: Sequence[Formula],
+                  kept: Callable[[list[RankPair]], bool], max_states: int, denominator: int,
+                  capacity: bool = False) -> Iterator[tuple[int, int, tuple, dict | None]]:
+    """(states, m, ranks, the first inner valuation where ``kept`` fails on
+    the formulas' values or None) for each state count and each order type
+    of at most ``denominator - 1`` interior values, fewest first; past
+    ``_MAX_SEARCH_VALUATIONS`` valuations, a ValueError naming ``search``."""
+    _check_layer(layer, formulas)
+    _check_bounds(max_states, denominator)
+    names = sorted(set().union(*map(vars_of, formulas)))
+    inners, evs = _compile(layer, formulas, _RANK_TOP)
+    test = lambda atoms: kept([ev(atoms) for ev in evs])
+    read = 0
+    for states in range(1, max_states + 1):
+        count, supports = _frame_supports(layer, inners, names, states)
+        for m in range(denominator):
+            for rank in _rank_functions(states, m, capacity):
+                a = _countervaluation(layer, test, supports, states, count, rank)
+                val = None if a is None else _inner_valuation(layer, names, states, a)
+                yield states, m, rank, val
+                read += count
+                if read > _MAX_SEARCH_VALUATIONS:
+                    raise ValueError(
+                        f"{search} undecided: stopped on {states} states at denominator {m + 1} "
+                        f"after reading {read:,} inner valuations (> {_MAX_SEARCH_VALUATIONS:,})")
 
 
 def correspondence_test(cond: str, max_states: int, denominator: int) -> dict:
     """Compare frame validity of the named formula with its measure property
-    on every monotone nontrivial frame within the bounds."""
-    from .syntax import parse
-
+    on every monotone nontrivial frame within the bounds: each order type
+    once, counted as its grid measures, each mismatching one listed as them."""
     layer, text, prop = CORRESPONDENCES[cond]
     formula = parse(layer, text)
-    names = sorted(vars_of(formula))
     _check_bounds(max_states, denominator)
-    for states in range(1, max_states + 1):
-        _frame_size(layer, names, states)
-    inners, (ev,) = _compile(layer, [formula], _RANK_TOP)
-    designated = _designated(layer, ev)
-    checked = 0
-    mismatches: list[dict] = []
-    for states in range(1, max_states + 1):
-        count, supports = _frame_supports(layer, inners, names, states)
-        for mu in iter_monotone_measures(states, denominator):
-            checked += 1
-            rank = _ranks(mu)
-            valid = _countervaluation(layer, designated, supports, states, count, rank) is None
-            holds, _ = _PROPS[prop](states, rank)
-            if valid != holds:
-                mismatches.append({
-                    "states": states,
-                    "mu": {_mask_key(k): str(v) for k, v in mu.items()},
-                    "frame_validates": valid,
-                    "property": holds,
-                })
-    return {"condition": cond, "frames": checked, "mismatches": mismatches,
+    _frame_size(layer, sorted(vars_of(formula)), max_states)
+    frames, mismatched = 0, []
+    for states, m, rank, val in _frame_search("correspondence test", layer, [formula],
+                                              lambda values: _designated(layer, values[0]),
+                                              max_states, denominator):
+        frames += comb(denominator - 1, m)
+        if (val is None) != _PROPS[prop](states, rank)[0]:
+            mismatched += [(states, tuple(mu.values()), mu, val is None)
+                           for mu in _grid_measures(rank, m, denominator)]
+    mismatches = [{"states": states, "mu": {_mask_key(k): str(v) for k, v in mu.items()},
+                   "frame_validates": valid, "property": not valid}
+                  for states, _, mu, valid in sorted(mismatched, key=lambda row: row[:2])]
+    return {"condition": cond, "frames": frames, "mismatches": mismatches,
             "equivalent": not mismatches}
 
 
 # ---------------------------------------------------------------------------
 # Countermodel search
 # ---------------------------------------------------------------------------
-
-#: inner valuations, summed over its measures, that one countermodel search
-#: may read before it gives up: about 3 s of CPU for 2 MCB variables on 3
-#: states (python 3.11, shared 2-core VM)
-_MAX_SEARCH_VALUATIONS = 1 << 21
-
 
 def _refuted_on(xi_values: Sequence[RankPair], alpha_value: RankPair, layer: str) -> bool:
     """Whether rank values refute the entailment: the premises' least truth
@@ -714,37 +728,21 @@ def find_frame_countermodel(xi: Sequence[Formula], alpha: Formula, layer: str,
     """Iterative-deepening search for a model refuting ``xi |= alpha``.
 
     Deterministic order: ascending state count, then grid denominator, then
-    lexicographic measures and valuations.  Returns the first hit or None.
-    A search that reads more than ``_MAX_SEARCH_VALUATIONS`` inner
-    valuations over all its measures stops with a ValueError that states
-    where it stopped.
+    lexicographic measures and valuations; returns the first hit or None.
+    Each order type is tried once, deepening over m = 0..denominator - 1
+    interior values: the grids' first hit, on the least grid d' with one,
+    has d' - 1 (one with fewer was tried on a smaller grid).  Past
+    ``_MAX_SEARCH_VALUATIONS`` valuations read it stops, stating where.
     """
-    _check_layer(layer, [*xi, alpha])
-    _check_bounds(max_states, denominator)
-    names = sorted(set().union(*(vars_of(f) for f in [*xi, alpha])))
-    inners, evs = _compile(layer, [*xi, alpha], _RANK_TOP)
-
-    def kept(atoms: tuple) -> bool:
-        *xi_values, alpha_value = [ev(atoms) for ev in evs]
-        return not _refuted_on(xi_values, alpha_value, layer)
-
-    read = 0
-    for states in range(1, max_states + 1):
-        count, supports = _frame_supports(layer, inners, names, states)
-        for denom in range(1, denominator + 1):
-            for mu in iter_monotone_measures(states, denom, capacity=capacity):
-                a = _countervaluation(layer, kept, supports, states, count, _ranks(mu))
-                if a is not None:
-                    val = _inner_valuation(layer, names, states, a)
-                    if layer == "QG":
-                        return UncertaintyModel(states, mu=mu, **val)
-                    return BeliefModel(states, pi=mu, **val)
-                read += count
-                if read > _MAX_SEARCH_VALUATIONS:
-                    raise ValueError(
-                        f"countermodel search undecided: stopped on {states} states at "
-                        f"denominator {denom} after reading {read:,} inner valuations "
-                        f"(> {_MAX_SEARCH_VALUATIONS:,})")
+    for states, m, rank, val in _frame_search(
+            "countermodel search", layer, [*xi, alpha],
+            lambda values: not _refuted_on(values[:-1], values[-1], layer),
+            max_states, denominator, capacity):
+        if val is not None:
+            mu = next(_grid_measures(rank, m, m + 1))
+            if layer == "QG":
+                return UncertaintyModel(states, mu=mu, **val)
+            return BeliefModel(states, pi=mu, **val)
     return None
 
 

@@ -20,7 +20,7 @@ from qublogic.syntax import mk, parse, print_formula, var
 
 from helpers import (ac_normal, gen_bd, gen_big, gen_g2, gen_sifs, measure_from_rank,
                      nontrivial_orders, random_gardenfors)
-from oracles import oracle_big_valid, oracle_g2_valid
+from oracles import monotone_measures, oracle_big_valid, oracle_g2_valid
 
 DATA = pathlib.Path(__file__).parent / "data"
 
@@ -165,7 +165,7 @@ def test_criterion_06_correspondence():
 
 def _qbel_frames():
     for states, denom in ((1, 3), (2, 3), (3, 2)):
-        for mu in measures.iter_monotone_measures(states, denom):
+        for mu in monotone_measures(states, denom):
             yield states, mu
 
 

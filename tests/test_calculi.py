@@ -363,7 +363,7 @@ def test_soundness_audit_layer_axioms():
             instances.append((lang, mk(lang, imp, c(left), c(right))))
         instances.append((lang, mk(lang, eq, c("neg p"), mk(lang, "dneg", c("p")))))
     for states in (1, 2):
-        for pi in measures.iter_monotone_measures(states, 2):
+        for pi in oracles.monotone_measures(states, 2):
             for lang, inst in instances:
                 assert measures.frame_validates(states, pi, inst, lang)[0], \
                     print_formula(inst)
@@ -979,8 +979,8 @@ def test_outer_search_cap_fails_the_step(monkeypatch):
     target = parse("BIG", "((a | b | c | d) -> (e | f | g | h)) | ((e | f | g | h) -> (a | b | c | d))")
     ok, reason = calculi._outer_step_ok("HBIG", [], [], target)
     assert not ok
-    assert reason == ("outer step undecided: the search over 8 atoms stopped after "
-                      "1,000 nodes of a 100,000,000-point grid")
+    assert reason == ("outer step undecided: the search over 8 atoms and 8 coordinates stopped "
+                      "after visiting 1,000 nodes")
     deriv = Derivation.from_json({"calculus": "HBIG", "steps": [
         {"formula": print_formula(target), "just": {"outer": []}}]})
     assert check_derivation("HBIG", deriv).steps[0]["reason"] == reason
@@ -996,9 +996,9 @@ def test_outer_search_visits_each_order_type_once(monkeypatch, k, nodes):
     monkeypatch.setattr(decide, "_MAX_OUTER_NODES", nodes)
     assert decide.truth_preserved("BIG", [], target).holds
     monkeypatch.setattr(decide, "_MAX_OUTER_NODES", nodes - 1)
-    with pytest.raises(ValueError, match=f"^outer step undecided: the search over {k} atoms "
-                                         f"stopped after {nodes - 1} nodes of a "
-                                         f"{(k + 2) ** k:,}-point grid$"):
+    with pytest.raises(ValueError, match=f"^truth preservation undecided: the search over {k} "
+                                         f"atoms and {k} coordinates stopped after visiting "
+                                         f"{nodes - 1} nodes$"):
         decide.truth_preserved("BIG", [], target)
 
 
@@ -1131,12 +1131,12 @@ def test_twist_outer_steps_over_four_atoms_are_decided(monkeypatch):
     assert calculi._outer_step_ok("HG2ORD", [], [], parse("G2ORD", "(p -> q) | (q -> r) | (r -> s)")) \
         == (False, "not an outer-logic consequence of the cited steps")
     # each disjunct's truth reads all 6 coordinates, so nothing prunes
-    # before the leaves; the cap states the (2k+2)^(2k) grid of k atoms
+    # before the leaves; the cap states the 2k coordinates of k atoms
     monkeypatch.setattr(decide, "_MAX_OUTER_NODES", 1000)
     target = parse("G2ORD", "((p | neg p | q) -> (neg q | r | neg r)) | "
                           "((neg q | r | neg r) -> (p | neg p | q))")
-    reason = ("outer step undecided: the search over 3 atoms stopped after "
-              "1,000 nodes of a 262,144-point grid")
+    reason = ("outer step undecided: the search over 3 atoms and 6 coordinates stopped after "
+              "visiting 1,000 nodes")
     assert calculi._outer_step_ok("HG2ORD", [], [], target) == (False, reason)
     deriv = Derivation.from_json({"calculus": "HG2ORD", "steps": [
         {"formula": print_formula(target), "just": {"outer": []}}]})

@@ -242,6 +242,10 @@ _MALFORMED = [
     ["model", "canonical", "--layer", "mcb", "--valuation", '{"C(p)": 5}', "C(p)"],
     # nesting too deep for the parser's recursive descent
     ["parse", "--lang", "big", "(" * 400 + "p" + ")" * 400],
+    # ASTs nested too deep for the JSON and AST readers
+    *(["print", "--lang", "g2ord",
+       '{"kind":"dneg","children":[' * depth + '{"kind":"var","var":"p"}' + "]}" * depth]
+      for depth in (800, 3000)),
     # a BD model where each command reads another kind of model
     ["eval-qg", "--model", _BD_MODEL, "B(p)"],
     ["eval-layer", "--lang", "mcb", "--model", _BD_MODEL, "C(p)"],
@@ -322,6 +326,8 @@ def test_cli_processes_exit_2_with_one_json_line_on_input_errors():
         assert len(lines) == 1 and set(json.loads(lines[0])) == {"error"}, argv
         if argv == deep_match:
             assert json.loads(lines[0]) == {"error": "formula nests too deeply"}
+        if argv[0] == "print" and len(argv[-1]) > 10_000:
+            assert json.loads(lines[0]) == {"error": "input nests too deeply"}
 
 
 def test_kripke_entails(capsys):

@@ -14,7 +14,7 @@ import oracles
 import pytest
 from helpers import gen_big, gen_g2, layer_instances
 
-from qublogic import algebra, bd, calculi, cli, decide, measures, syntax
+from qublogic import algebra, bd, calculi, cli, decide, kripke, measures, syntax
 from qublogic.algebra import (ONE, TwistValue, UnboundVariableError, compile_twist, eval_big,
                               eval_g2)
 from qublogic.decide import (Verdict, big_entails, big_valid, g2_entails, g2_valid, grid,
@@ -387,6 +387,28 @@ def test_big_entailment_is_truth_of_the_curried_implication():
     assert statuses == {"holds", "fails"}
 
 
+def test_twist_degree_entailment_is_truth_of_the_curried_formula_and_kripke_entailment():
+    """gamma |= f in G2ORD and G2NEL iff gamma_1 => (... => f) is
+    designated everywhere, which is Kripke local entailment: the grid walk,
+    the order-type search and ``kentails`` agree.  In G2ORD the falsity
+    half of degree entailment adds nothing: by the search's duality, a
+    valuation that breaks it gives one that breaks the truth half."""
+    names = ("p", "q", "r")
+    rng = random.Random(11)
+    held = 0
+    for lang in ("G2ORD", "G2NEL"):
+        premises, targets = gen_g2(lang, 2, names=names), gen_g2(lang, 3, names=names)
+        for _ in range(400):
+            gamma = [rng.choice(premises) for _ in range(rng.randint(0, 2))]
+            f = rng.choice(targets)
+            holds = g2_entails(lang, gamma, f).holds
+            assert decide.truth_preserved(lang, [], decide.curried(gamma, f)).holds == holds \
+                == kripke.kentails(gamma, f)[0], (lang, [print_formula(g) for g in gamma],
+                                                   print_formula(f))
+            held += holds
+    assert held == 200
+
+
 @pytest.mark.parametrize("lang", ["BIG", "G2ORD", "G2NEL"])
 def test_validity_is_truth_preservation_from_no_premises(lang):
     pool = gen_big(max_depth=3) if lang == "BIG" else gen_g2(lang, max_depth=3)
@@ -418,19 +440,18 @@ def test_qg_entailment_that_holds_visits_no_grid_point(monkeypatch, xi, alpha, b
 
 
 def test_qg_entails_admits_the_queries_it_admitted(monkeypatch, capsys):
-    def no_search(*args):
-        raise AssertionError("searched a refused query")
-
-    # 9 merged atoms, B(Top) and B(Bot) included: refused before any search
-    with monkeypatch.context() as m:
-        m.setattr(decide, "_outer_search", no_search)
-        with pytest.raises(ValueError,
-                           match=r"^grid decision over 9 atoms \(> 8\): 2,357,947,691 grid points$"):
-            qg_entails([], parse("QG", "B(a) | B(b) | B(c) | B(d) | B(e) | B(f) | B(g)"))
+    # 9 merged atoms, B(Top) and B(Bot) included: a query that holds is
+    # decided by the search alone; a refuted one is refused at the grid
+    # scan that would name its witness
+    assert qg_entails([parse("QG", "B(a)")],
+                      parse("QG", "B(a | b) | B(c) | B(d) | B(e) | B(f) | B(g)")).holds
+    with pytest.raises(ValueError,
+                       match=r"^grid decision over 9 atoms \(> 8\): 2,357,947,691 grid points$"):
+        qg_entails([], parse("QG", "B(a) | B(b) | B(c) | B(d) | B(e) | B(f) | B(g)"))
     # a search past the node cap is refused with its size
     monkeypatch.setattr(decide, "_MAX_OUTER_NODES", 10)
-    message = ("QG entailment undecided: the search over 6 atoms stopped after "
-               "10 nodes of a 262,144-point grid")
+    message = ("QG entailment undecided: the search over 6 atoms and 6 coordinates stopped "
+               "after visiting 10 nodes")
     with pytest.raises(ValueError, match=f"^{message}$"):
         qg_entails([parse("QG", "B(p)"), parse("QG", "B(q)")], parse("QG", "B(p & q) | B(p | r)"))
     assert cli.main(["decide", "qg-entails", "--premise", "B(p)", "--premise", "B(q)",
@@ -439,6 +460,29 @@ def test_qg_entails_admits_the_queries_it_admitted(monkeypatch, capsys):
     assert captured.out == ""
     assert captured.err.count("\n") == 1
     assert json.loads(captured.err) == {"error": f"ValueError: {message}"}
+
+
+def test_node_cap_refusals_name_the_decision_and_the_search(monkeypatch, capsys):
+    """A search stopped at the node cap names its caller's decision and
+    states its atoms, coordinates and visited nodes, not a grid that was
+    never searched."""
+    wide = "((a | b | c | d) -> (e | f | g | h)) | ((e | f | g | h) -> (a | b | c | d))"
+    monkeypatch.setattr(decide, "_MAX_OUTER_NODES", 100)
+    size = "the search over 8 atoms and {} coordinates stopped after visiting 100 nodes"
+    for lang, coordinates in (("BIG", 8), ("G2ORD", 16)):
+        with pytest.raises(ValueError, match=f"^Kripke local entailment undecided: "
+                                             f"{size.format(coordinates)}$"):
+            kripke.kentails([], parse(lang, wide))
+        with pytest.raises(ValueError, match=f"^truth preservation undecided: "
+                                             f"{size.format(coordinates)}$"):
+            decide.truth_preserved(lang, [], parse(lang, wide))
+    assert calculi._outer_step_ok("HBIG", [], [], parse("BIG", wide)) == \
+        (False, f"outer step undecided: {size.format(8)}")
+    assert cli.main(["kripke", "entails", "--lang", "big", wide]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err) == {
+        "error": f"ValueError: Kripke local entailment undecided: {size.format(8)}"}
 
 
 _TWIST_LANGS = {"G2ORD": "G2ORD", "MCB": "G2ORD", "G2NEL": "G2NEL", "NMCB": "G2NEL"}
@@ -856,7 +900,7 @@ def test_layer_steps_agree_with_the_pre_change_route_and_qg_with_plain_copies():
     for xi, alpha in _qg_queries(31, 60):
         premises, saturation, goal, keys, names = decide._qg_reduce(xi, alpha, False)
         reference = decide._outer_search("BIG", [*premises, *_with_plain_copies(saturation)], goal,
-                                         keys, names)
+                                         keys, names, "truth preservation")
         assert decide.truth_preserved("QG", xi, alpha) == reference
 
 

@@ -2,6 +2,7 @@ import gc
 import json
 import pickle
 import random
+import re
 import time
 from fractions import Fraction as F
 
@@ -13,7 +14,7 @@ from qublogic.measures import (BeliefModel, CanonicalModelError, UncertaintyMode
                                canonical_mcb_model, canonical_qg_model, check_property,
                                correspondence_test, eval_layer, eval_qg,
                                find_frame_countermodel, frame_validates,
-                               iter_monotone_measures, truth_set)
+                               truth_set)
 from qublogic.syntax import (BINARY_KINDS, NULLARY_KINDS, PRIMITIVE_KINDS, SUGAR_KINDS,
                              UNARY_KINDS, mk, modal_atoms, parse, print_formula, vars_of)
 
@@ -138,11 +139,11 @@ _CAP = r"\(> 65,536\)"
 
 
 def test_frame_searches_refuse_oversized_state_counts_with_the_count(monkeypatch):
-    pi = next(iter(iter_monotone_measures(3, 2)))
+    pi = next(oracles.monotone_measures(3, 2))
     with pytest.raises(ValueError, match=r"^frame validation over 3 variables on 3 states: "
                                          r"262,144 inner valuations " + _CAP + "$"):
         frame_validates(3, pi, parse("MCB", "C(p & q & r)"), "MCB")
-    mu = next(iter(iter_monotone_measures(5, 1)))
+    mu = next(oracles.monotone_measures(5, 1))
     with pytest.raises(ValueError, match=r"^frame validation over 4 variables on 5 states: "
                                          r"1,048,576 inner valuations " + _CAP + "$"):
         frame_validates(5, mu, parse("QG", "B(p & q & r & s)"), "QG")
@@ -156,7 +157,7 @@ def test_frame_searches_refuse_oversized_state_counts_with_the_count(monkeypatch
                                          r"262,144 inner valuations " + _CAP + "$"):
         find_frame_countermodel([], parse("MCB", "C(p & q & r) -> C(p)"), "MCB", 3, 1)
     # the correspondence test refuses before it visits any frame
-    monkeypatch.setattr(measures, "iter_monotone_measures", None)
+    monkeypatch.setattr(measures, "_rank_functions", None)
     with pytest.raises(ValueError, match=r"^frame validation over 2 variables on 9 states: "
                                          r"262,144 inner valuations " + _CAP + "$"):
         correspondence_test("cond_ii", 9, 1)
@@ -206,6 +207,31 @@ def test_frame_searches_run_the_inner_recursion_once_per_inner_formula(monkeypat
     assert len(calls) == 2
 
 
+def test_check_property_refuses_past_its_tuple_cap(capsys):
+    """A property over k subsets at once ranges over 2^(k * states) tuples:
+    past 2^24 it is refused before it loops, stating the count.  mcb_i on
+    6 states is admitted; on 9 states it would take hours."""
+    def refused(prop, states):
+        tuples = 1 << states * {"mcb_i": 4, "mupm": 3, "cond_ii": 2}[prop]
+        return re.escape(f"property {prop} on {states} states: {tuples:,} tuples of subsets "
+                         f"(> 16,777,216)")
+
+    for prop, states in (("mcb_i", 7), ("mupm", 9), ("cond_ii", 13)):
+        mu = {x: F(bin(x).count("1"), states) for x in range(1 << states)}
+        with pytest.raises(ValueError, match=f"^{refused(prop, states)}$"):
+            check_property(states, mu, prop)
+    assert measures._MAX_PROPERTY_TUPLES == 1 << 4 * 6
+    assert check_property(6, {x: F(bin(x).count("1"), 6) for x in range(64)}, "monotone")[0]
+    model = json.dumps({"states": 9, "v": {}, "mu": {measures._mask_key(x): str(F(bin(x).count("1"), 9))
+                                                     for x in range(1 << 9)}})
+    start = time.process_time()
+    assert cli.main(["model", "check-property", "--model", model, "--prop", "mcb_i"]) == 2
+    assert time.process_time() - start < 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert re.fullmatch(f"ValueError: {refused('mcb_i', 9)}", json.loads(captured.err)["error"])
+
+
 def test_mask_keys():
     assert measures._mask_key(0) == "[]"
     assert measures._mask_key(0b1101) == "[0,2,3]"
@@ -222,21 +248,58 @@ def test_correspondence_small_bounds():
 
 def test_correspondence_test_agrees_with_frame_validates_frame_by_frame(monkeypatch):
     """Each frame's verdict in the report is frame_validates' verdict: with
-    the property stubbed to hold, the mismatches are the invalid frames."""
+    the property stubbed to hold, the mismatches are the invalid frames, in
+    the grid's order.  On grids 1 and 2 each order type is one grid
+    measure, so the property runs once per frame; up to 2 states the
+    invalid frames are also those of the per-valuation oracle."""
     calls = []
-    frames = [(states, mu) for states in (1, 2, 3) for mu in oracles.monotone_measures(states, 1)]
-    for cond in ("mcb_i", "mcb_ii", "mcb_iii", "mcb_iv"):
-        layer, text, prop = measures.CORRESPONDENCES[cond]
-        monkeypatch.setitem(measures._PROPS, prop,
-                            lambda states, rank: calls.append(states) or (True, None))
-        f = parse(layer, text)
-        calls.clear()
-        report = correspondence_test(cond, 3, 1)
-        assert report["frames"] == len(calls) == len(frames) and set(calls) == {1, 2, 3}
-        assert report["mismatches"] == [
-            {"states": states, "mu": {measures._mask_key(k): str(v) for k, v in mu.items()},
-             "frame_validates": False, "property": True}
-            for states, mu in frames if not frame_validates(states, mu, f, layer)[0]], cond
+    for max_states, denominator in ((3, 1), (2, 2)):
+        frames = [(states, mu) for states in range(1, max_states + 1)
+                  for mu in oracles.monotone_measures(states, denominator)]
+        for cond in ("mcb_i", "mcb_ii", "mcb_iii", "mcb_iv"):
+            layer, text, prop = measures.CORRESPONDENCES[cond]
+            monkeypatch.setitem(measures._PROPS, prop,
+                                lambda states, rank: calls.append(states) or (True, None))
+            f = parse(layer, text)
+            invalid = [(states, mu) for states, mu in frames
+                       if not frame_validates(states, mu, f, layer)[0]]
+            if max_states <= 2:
+                rows = oracles.correspondence_report(layer, f, prop, max_states, denominator)
+                assert invalid == [(states, mu) for states, mu, valid, _ in rows if not valid]
+            calls.clear()
+            report = correspondence_test(cond, max_states, denominator)
+            assert report["frames"] == len(calls) == len(frames)
+            assert set(calls) == set(range(1, max_states + 1))
+            assert report["mismatches"] == [
+                {"states": states, "mu": {measures._mask_key(k): str(v) for k, v in mu.items()},
+                 "frame_validates": False, "property": True} for states, mu in invalid], cond
+
+
+def test_frame_searches_evaluate_each_measure_order_type_once(monkeypatch):
+    """The countermodel search tries each order type of at most d - 1
+    values strictly between 0 and 1 once, not once per grid 1..d that has
+    it: at d = 4, 4, 42 and 2,049 of them on 1 to 3 states, where the grids
+    hold 20, 167 and 4,551 measures.  The correspondence test evaluates
+    each order type once too, and counts it as its C(d - 1, m) grid
+    measures."""
+    calls = []
+    real = measures._countervaluation
+
+    def counted(layer, test, supports, states, count, rank):
+        calls.append(states)
+        return real(layer, test, supports, states, count, rank)
+
+    monkeypatch.setattr(measures, "_countervaluation", counted)
+    assert find_frame_countermodel([], parse("QG", "B(p & q) -> B(p)"), "QG", 3, 4) is None
+    assert [calls.count(states) for states in (1, 2, 3)] == [4, 42, 2049]
+    assert [sum(1 for d in range(1, 5) for _ in oracles.monotone_measures(states, d))
+            for states in (1, 2)] == [20, 167]
+    calls.clear()
+    report = correspondence_test("cond_iii", 2, 4)
+    assert [calls.count(states) for states in (1, 2)] == [4, 42]
+    assert report["equivalent"]
+    assert report["frames"] == sum(1 for states in (1, 2)
+                                   for _ in oracles.monotone_measures(states, 4))
 
 
 def test_counterexample_search_examples():
@@ -249,8 +312,6 @@ def test_counterexample_search_examples():
 
 def test_bounds_below_one_are_refused():
     f = parse("QG", "B(p)")
-    with pytest.raises(ValueError):
-        next(iter_monotone_measures(2, 0))
     for max_states, denominator in ((0, 4), (4, 0)):
         with pytest.raises(ValueError):
             find_frame_countermodel([], f, "QG", max_states, denominator)
@@ -262,7 +323,7 @@ def test_bounds_below_one_are_refused():
 
 def test_k_formula_valid_on_single_point_frames():
     k = parse("QG", "B(p => Bot) -> (B(p) -> B(Bot))")
-    for mu in iter_monotone_measures(1, 4):
+    for mu in oracles.monotone_measures(1, 4):
         assert frame_validates(1, mu, k, "QG")[0]
 
 
@@ -271,7 +332,7 @@ def test_reg_soundness_invariant():
     pairs = [("p & q", "p"), ("p", "p | q"), ("p & q", "q | r"), ("Bot", "p")]
     for _ in range(40):
         states = rng.randint(1, 3)
-        mu = rng.choice(list(iter_monotone_measures(states, 2)))
+        mu = rng.choice(list(oracles.monotone_measures(states, 2)))
         v = {name: rng.randrange(1 << states) for name in "pqr"}
         model = UncertaintyModel(states, v, mu)
         for left, right in pairs:
@@ -286,7 +347,7 @@ def test_layer_soundness_and_negation_bridge():
     formulas = gen_bd(2)
     for _ in range(25):
         states = rng.randint(1, 3)
-        pi = rng.choice(list(iter_monotone_measures(states, 2)))
+        pi = rng.choice(list(oracles.monotone_measures(states, 2)))
         vplus = {n: rng.randrange(1 << states) for n in "pq"}
         vminus = {n: rng.randrange(1 << states) for n in "pq"}
         model = BeliefModel(states, vplus, vminus, pi)
@@ -338,9 +399,11 @@ def test_canonical_belief_models_take_every_atom_value_of_a_belief_model(layer, 
     the full one."""
     rng = random.Random(len(names))
     inners = gen_bd(3 if len(names) == 1 else 2, names)
+    capacities = {states: list(oracles.monotone_measures(states, 3, capacity=True))
+                  for states in (1, 2, 3)}
     for _ in range(15):
         states = rng.randint(1, 3)
-        pi = rng.choice(list(iter_monotone_measures(states, 3, capacity=True)))
+        pi = rng.choice(capacities[states])
         source = BeliefModel(states, {p: rng.randrange(1 << states) for p in names},
                              {p: rng.randrange(1 << states) for p in names}, pi)
         atoms = [mk(layer, "cmod", phi) for phi in rng.sample(inners, 6)]
@@ -364,7 +427,7 @@ def test_truth_set_classical_connectives():
 def test_model_json_round_trip():
     m = _example_model()
     assert UncertaintyModel.from_json(m.to_json()) == m
-    pi = next(iter(iter_monotone_measures(3, 2)))
+    pi = next(oracles.monotone_measures(3, 2))
     bm = BeliefModel(3, {"p": 0b1}, {"p": 0b10}, pi)
     assert BeliefModel.from_json(bm.to_json()) == bm
 
@@ -637,15 +700,29 @@ def test_countermodel_search_stops_past_its_work_cap(monkeypatch, capsys):
     assert captured.out == ""
     assert json.loads(captured.err) == {
         "error": "ValueError: countermodel search undecided: stopped on 3 states at "
-                 "denominator 3 after reading 2,099,264 inner valuations (> 2,097,152)"}
-    # 4 valuations a measure on 1 state, 10 measures up to denominator 3,
-    # then 16 on 2 states: the first measure there passes the cap
+                 "denominator 3 after reading 2,099,776 inner valuations (> 2,097,152)"}
+    # 4 valuations an order type on 1 state, 4 order types with at most 2
+    # interior values, then 16 on 2 states: the second order type there
+    # passes the cap
     monkeypatch.setattr(measures, "_MAX_SEARCH_VALUATIONS", 40)
     with pytest.raises(ValueError, match=r"^countermodel search undecided: stopped on 2 states at "
-                                         r"denominator 1 after reading 56 inner valuations "
+                                         r"denominator 1 after reading 48 inner valuations "
                                          r"\(> 40\)$"):
         find_frame_countermodel([], parse("QG", "B(p & q) -> B(p)"), "QG", 2, 3)
     assert find_frame_countermodel([], parse("QG", "B(r | ~r)"), "QG").states == 1
+
+
+def test_correspondence_test_stops_past_the_shared_work_cap():
+    """The correspondence test counts the inner valuations it reads under
+    the countermodel search's cap: mcb_i up to 4 states on grid 3, 160,944
+    grid measures on 4 states alone at 65,536 valuations each, stops on 3
+    states."""
+    start = time.process_time()
+    with pytest.raises(ValueError, match=r"^correspondence test undecided: stopped on 3 states at "
+                                         r"denominator 3 after reading 2,097,472 inner valuations "
+                                         r"\(> 2,097,152\)$"):
+        correspondence_test("mcb_i", 4, 3)
+    assert time.process_time() - start < 10
 
 
 def test_frame_searches_leave_no_reference_cycles():
