@@ -30,7 +30,7 @@ from operator import itemgetter
 from typing import Callable, Mapping, NamedTuple, Sequence
 
 from . import bd
-from .syntax import RESERVED_VAR, Formula, print_formula
+from .syntax import RESERVED_VAR, Formula, memo, print_formula
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -167,7 +167,13 @@ _NEL_LANGS = {"G2NEL", "NMCB"}
 
 def eval_g2(f: Formula, e: Mapping[str, TwistValue], variant: str | None = None) -> TwistValue:
     """Evaluate over [0,1]^twist.  ``variant`` defaults to the formula tag;
-    one from the other family (G2ORD and MCB, G2NEL and NMCB) is refused."""
+    one from the other family (G2ORD and MCB, G2NEL and NMCB) is refused.
+
+    The formula's atom keys, left to right, and its compiled function are
+    kept on its node (:func:`qublogic.syntax.memo`), so a formula evaluated
+    again is neither compiled nor printed again.  The valuation is read on
+    every call: each atom's value is range-checked, and the first atom from
+    the left without one is the one reported."""
     lang = variant or f.lang
     if lang not in _ORD_LANGS | _NEL_LANGS:
         raise ValueError(f"{lang} is not a twist-product language")
@@ -175,13 +181,20 @@ def eval_g2(f: Formula, e: Mapping[str, TwistValue], variant: str | None = None)
         raise ValueError(f"formula language {f.lang} has no twist semantics")
     if (lang in _NEL_LANGS) != (f.lang in _NEL_LANGS):
         raise ValueError(f"a {f.lang} formula has no {lang} value")
-    slots: dict[str, int] = {}
-    values: list[TwistValue] = []
-    for key in dict.fromkeys(map(_key, _twist_atoms(f))):
+    nelson = lang in _NEL_LANGS
+    keys, ev = memo(f, ("algebra.eval_g2", nelson), lambda: _g2_plan(f, nelson))
+    values = []
+    for key in keys:
         v = _lookup(e, key, (ZERO, ZERO))
-        slots[key] = len(values)
-        values.append(TwistValue(unit(v[0]), unit(v[1])))
-    return TwistValue(*compile_twist(f, slots, ONE, lang in _NEL_LANGS)[0](values))
+        values.append((unit(v[0]), unit(v[1])))
+    return TwistValue(*ev(values))
+
+
+def _g2_plan(f: Formula, nelson: bool) -> tuple[tuple[str, ...], Callable]:
+    """The atom keys of a twist formula, left to right, and the formula
+    compiled at top 1 over them in that order."""
+    keys = tuple(dict.fromkeys(map(_key, _twist_atoms(f))))
+    return keys, compile_twist(f, {key: i for i, key in enumerate(keys)}, ONE, nelson)[0]
 
 
 def _twist_atoms(f: Formula) -> list[Formula]:

@@ -56,7 +56,7 @@ from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from . import bd
 from .algebra import ONE, ZERO, RankPair, TwistValue, compile_twist, parse_fraction, unit
-from .syntax import Formula, LanguageError, modal_atoms, parse, print_formula, vars_of
+from .syntax import Formula, LanguageError, memo, modal_atoms, parse, print_formula, vars_of
 
 MAX_DENSE_STATES = 16
 MAX_CPL_VARS = 20
@@ -250,7 +250,11 @@ def truth_set(m: UncertaintyModel, f: Formula) -> int:
 
 
 def eval_qg(m: UncertaintyModel, alpha: Formula) -> Fraction:
-    """Value of a QG formula: B-atoms get the measure of their truth set."""
+    """Value of a QG formula: B-atoms get the measure of their truth set.
+
+    The formula is compiled once, on its first evaluation, and kept on its
+    node (:func:`_compile`); the model's truth sets and measure values are
+    read, and range-checked, on every call."""
     if alpha.lang != "QG":
         raise LanguageError("eval_qg expects a QG formula")
     inners, (ev,) = _compile("QG", [alpha], ONE)
@@ -259,7 +263,9 @@ def eval_qg(m: UncertaintyModel, alpha: Formula) -> Fraction:
 
 
 def eval_layer(m: BeliefModel, variant: str, alpha: Formula) -> TwistValue:
-    """Value of an MCB/NMCB formula over a belief model."""
+    """Value of an MCB/NMCB formula over a belief model.  As in
+    :func:`eval_qg`, the compiled formula is kept on its node and the model
+    is read on every call."""
     if variant not in ("MCB", "NMCB"):
         raise ValueError("variant must be MCB or NMCB")
     if alpha.lang != variant:
@@ -269,7 +275,8 @@ def eval_layer(m: BeliefModel, variant: str, alpha: Formula) -> TwistValue:
     return TwistValue(*ev(next(_valuations(variant, supports, m.states, 1, m.pi))))
 
 
-def _compile(layer: str, formulas: Sequence[Formula], top) -> tuple[list[Formula], list[Callable]]:
+def _compile(layer: str, formulas: Sequence[Formula], top) \
+        -> tuple[tuple[Formula, ...], tuple[Callable, ...]]:
     """Compile ``formulas`` for values on the chain from 0 to ``top``.
 
     Returns the inner formulas of the modal atoms of all of them, in slot
@@ -277,11 +284,21 @@ def _compile(layer: str, formulas: Sequence[Formula], top) -> tuple[list[Formula
     :func:`qublogic.algebra.compile_twist`.  A compiled formula maps the
     atoms' values (:func:`_valuations`) to a (truth, falsity) pair; QG
     atoms enter as (value, 0) and a QG value is the truth coordinate.
+
+    A single formula's compilation is kept on its node
+    (:func:`qublogic.syntax.memo`), by layer and by the type and value of
+    ``top``: 1 and the Fraction 1 are equal keys, but compile to ints and to
+    Fractions.
     """
-    atoms = list(set().union(*map(modal_atoms, formulas)))
-    slots = {a: i for i, a in enumerate(atoms)}
-    return [a.children[0] for a in atoms], [compile_twist(f, slots, top, layer == "NMCB")[0]
-                                            for f in formulas]
+    def build():
+        atoms = list(set().union(*map(modal_atoms, formulas)))
+        slots = {a: i for i, a in enumerate(atoms)}
+        return (tuple(a.children[0] for a in atoms),
+                tuple(compile_twist(f, slots, top, layer == "NMCB")[0] for f in formulas))
+
+    if len(formulas) == 1:
+        return memo(formulas[0], ("measures._compile", layer, type(top), top), build)
+    return build()
 
 
 def _supports(layer: str, inners: Sequence[Formula], val: Mapping[str, Mapping[str, int]],
@@ -490,7 +507,12 @@ _MAX_FRAME_VALUATIONS = 1 << 16
 
 def frame_validates(states: int, measure: Mapping[int, Fraction], formula: Formula,
                     layer: str) -> tuple[bool, dict | None]:
-    """Validity of a two-layered formula on the frame (all inner valuations)."""
+    """Validity of a two-layered formula on the frame (all inner valuations).
+
+    The formula is compiled on ranks once and kept on its node
+    (:func:`_compile`), so validating it on many frames compiles it once;
+    the measure's ranks and the inner formulas' bit-sliced sets are computed
+    on every call."""
     _check_layer(layer, [formula])
     _check_measure(states, measure)
     names = sorted(vars_of(formula))

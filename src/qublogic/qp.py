@@ -21,7 +21,7 @@ from typing import Iterable, Mapping, Sequence
 from . import bd, lp
 from .algebra import ONE, ZERO, parse_fraction
 from .measures import MAX_DENSE_STATES, UncertaintyModel, cpl_truth_set
-from .syntax import Formula, LanguageError, _cmp_free, desugar, mk, retag
+from .syntax import Formula, LanguageError, _cmp_free, desugar, memo, mk, retag
 
 
 @dataclass(frozen=True, slots=True)
@@ -110,10 +110,13 @@ def qp_true(m: GardenforsModel, f: Formula) -> bool:
 def translate_sif(f: Formula) -> Formula:
     """Translate a simple inequality formula into the QG language.  It is
     desugared once, and checked as :func:`qublogic.syntax.is_sif` checks it
-    while it is translated."""
+    while it is translated.  The translation is kept on the node of ``f``
+    (:func:`qublogic.syntax.memo`), so translating it again returns the same
+    node, and that node's own compilation is reused too; a formula that is
+    no SIF raises on every call."""
     if f.lang != "QP":
         raise LanguageError("is_sif applies to QP formulas only")
-    return _translate(desugar(f))
+    return memo(f, "qp.translate_sif", lambda: _translate(desugar(f)))
 
 
 def _translate(f: Formula) -> Formula:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from typing import Callable, TypeVar
 
 LANGS = ("CPL", "BD", "BIG", "G2ORD", "G2NEL", "QG", "MCB", "NMCB", "QP")
 
@@ -71,9 +72,10 @@ class FormulaSyntaxError(ValueError):
 class Formula:
     """An immutable formula node.  ``var`` is set only for kind ``var``."""
 
-    # slots, not an instance dict; ``_hash`` is no dataclass field, so
-    # equality, ``dataclasses.fields`` and pickles see only the four fields
-    __slots__ = ("lang", "kind", "children", "var", "_hash")
+    # slots, not an instance dict; ``_hash`` and ``_memo`` are no dataclass
+    # fields, so equality, ``dataclasses.fields`` and pickles see only the
+    # four fields.  ``_memo`` is unset until :func:`memo` first stores in it.
+    __slots__ = ("lang", "kind", "children", "var", "_hash", "_memo")
 
     lang: str
     kind: str
@@ -99,11 +101,33 @@ class Formula:
 
     def __reduce__(self):
         # rebuilt through __init__: a hash cached under one hash seed is not
-        # carried into another process
+        # carried into another process, nor is a memo
         return Formula, (self.lang, self.kind, self.children, self.var)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Formula({self.lang}: {print_formula(self)})"
+
+
+_T = TypeVar("_T")
+
+
+def memo(f: Formula, key: object, build: Callable[[], _T]) -> _T:
+    """``build()``, kept on the node ``f`` under ``key`` for later calls.
+
+    For data that depends on the formula alone, such as its compiled
+    evaluator: the node is immutable, so the value stays right for as long
+    as the node lives, and it is freed with the node.  Each user keys by its
+    own name first.  A ``build`` that raises stores nothing."""
+    try:
+        table = f._memo
+    except AttributeError:
+        table = {}
+        object.__setattr__(f, "_memo", table)
+    try:
+        return table[key]
+    except KeyError:
+        value = table[key] = build()
+        return value
 
 
 def mk(lang: str, kind: str, *children: Formula, var: str = "") -> Formula:
