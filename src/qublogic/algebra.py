@@ -4,18 +4,18 @@ Values are :class:`fractions.Fraction`: every law the package tests is an
 exact order statement, so floats are never used.  Twist values are pairs
 (truth, falsity) ordered by ``(x, y) <= (x', y')`` iff ``x <= x'`` and
 ``y >= y'``.  Every twist clause depends only on the order of its
-arguments, so twist values are computed by one compiler,
-:func:`compile_twist`: :func:`eval_g2` runs it on Fractions with top 1, and
-the twist decisions on integer ranks of a finite chain.  Each of its clauses
-also states which atom coordinates the truth and the falsity of its value
-read; the outer-step search (:mod:`qublogic.decide`) prunes on those reads,
-so value and reads come from one pass and cannot disagree.  The outer layers of
+arguments, so every outer language is computed by one compiler,
+:func:`compile_twist`: :func:`eval_g2` and :func:`eval_big` run it on
+Fractions with top 1, and the twist decisions on integer ranks of a finite
+chain.  Each of its clauses also states which atom coordinates the truth
+and the falsity of its value read; the outer-step search
+(:mod:`qublogic.decide`) prunes on those reads, so value and reads come
+from one pass and cannot disagree.  The outer layers of
 two-layered models go through it too (:mod:`qublogic.measures`): a QG
 formula compiles with its B-atoms as atoms, and on pairs ``(x, 0)`` the
 truth coordinate of each clause is the biG value, biG ``delta`` being the
 truth-only clause of ``deltaN``.  Frame searches run it on the integer
-ranks of a measure's values.  The biG decision still evaluates with
-:func:`eval_big`, a Fraction walk.
+ranks of a measure's values, and the biG decision on the grid's Fractions.
 
 Sugar connectives are evaluated directly from their value tables rather
 than by expanding them, which keeps the reserved expansion variable out of
@@ -84,27 +84,6 @@ def twist_le(a: TwistValue, b: TwistValue) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Goedel operations
-# ---------------------------------------------------------------------------
-
-def godel_impl(a: Fraction, b: Fraction) -> Fraction:
-    return ONE if a <= b else b
-
-
-def godel_coimpl(b: Fraction, a: Fraction) -> Fraction:
-    """Co-implication ``b -< a``: 0 if b <= a, else b."""
-    return ZERO if b <= a else b
-
-
-def meet(a: Fraction, b: Fraction) -> Fraction:
-    return min(a, b)
-
-
-def join(a: Fraction, b: Fraction) -> Fraction:
-    return max(a, b)
-
-
-# ---------------------------------------------------------------------------
 # biG / outer-QG evaluation
 # ---------------------------------------------------------------------------
 
@@ -129,32 +108,18 @@ def _lookup(e: Mapping[str, object], key: str, default=None):
 
 
 def eval_big(f: Formula, e: Mapping[str, Fraction]) -> Fraction:
-    """Evaluate a biG formula (or a QG formula with B-atoms as atoms)."""
-    kind = f.kind
-    if kind == "var":
-        return unit(_lookup(e, f.var, ZERO))
-    if kind == "bmod":
-        return unit(_lookup(e, print_formula(f), ZERO))
-    if kind == "top":
-        return ONE
-    if kind == "bot":
-        return ZERO
-    if kind == "snot":
-        return ONE if eval_big(f.children[0], e) == ZERO else ZERO
-    if kind == "delta":
-        return ONE if eval_big(f.children[0], e) == ONE else ZERO
-    if kind == "and":
-        return meet(eval_big(f.children[0], e), eval_big(f.children[1], e))
-    if kind == "or":
-        return join(eval_big(f.children[0], e), eval_big(f.children[1], e))
-    if kind == "gimp":
-        return godel_impl(eval_big(f.children[0], e), eval_big(f.children[1], e))
-    if kind == "gcoimp":
-        return godel_coimpl(eval_big(f.children[0], e), eval_big(f.children[1], e))
-    if kind == "iff":
-        a, b = (eval_big(c, e) for c in f.children)
-        return meet(godel_impl(a, b), godel_impl(b, a))
-    raise ValueError(f"cannot evaluate kind {kind!r} as biG")
+    """Evaluate a biG formula, or a QG formula with its B-atoms as atoms,
+    each keyed by its printed form.
+
+    The value is the truth coordinate of the formula compiled at top 1
+    (:func:`compile_twist`) on the pairs (value, 0).  As in :func:`eval_g2`,
+    the atom keys and the compiled function are kept on the node, every
+    value read is range-checked, and the first atom from the left without
+    one is the one reported."""
+    if f.lang not in ("BIG", "QG"):
+        raise ValueError(f"formula language {f.lang} has no biG value")
+    keys, ev = memo(f, "algebra.eval_big", lambda: _plan(f, False))
+    return ev([(unit(_lookup(e, key, ZERO)), ZERO) for key in keys])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -182,7 +147,7 @@ def eval_g2(f: Formula, e: Mapping[str, TwistValue], variant: str | None = None)
     if (lang in _NEL_LANGS) != (f.lang in _NEL_LANGS):
         raise ValueError(f"a {f.lang} formula has no {lang} value")
     nelson = lang in _NEL_LANGS
-    keys, ev = memo(f, ("algebra.eval_g2", nelson), lambda: _g2_plan(f, nelson))
+    keys, ev = memo(f, ("algebra.eval_g2", nelson), lambda: _plan(f, nelson))
     values = []
     for key in keys:
         v = _lookup(e, key, (ZERO, ZERO))
@@ -190,18 +155,18 @@ def eval_g2(f: Formula, e: Mapping[str, TwistValue], variant: str | None = None)
     return TwistValue(*ev(values))
 
 
-def _g2_plan(f: Formula, nelson: bool) -> tuple[tuple[str, ...], Callable]:
-    """The atom keys of a twist formula, left to right, and the formula
-    compiled at top 1 over them in that order."""
-    keys = tuple(dict.fromkeys(map(_key, _twist_atoms(f))))
+def _plan(f: Formula, nelson: bool) -> tuple[tuple[str, ...], Callable]:
+    """The atom keys of a formula, left to right, and the formula compiled
+    at top 1 over them in that order."""
+    keys = tuple(dict.fromkeys(map(_key, _atoms(f))))
     return keys, compile_twist(f, {key: i for i, key in enumerate(keys)}, ONE, nelson)[0]
 
 
-def _twist_atoms(f: Formula) -> list[Formula]:
-    """The variables and modal atoms of a twist formula, left to right."""
-    if f.kind == "var" or f.kind == "cmod":
+def _atoms(f: Formula) -> list[Formula]:
+    """The variables and modal atoms of an outer formula, left to right."""
+    if f.kind == "var" or f.kind == "cmod" or f.kind == "bmod":
         return [f]
-    return [a for c in f.children for a in _twist_atoms(c)]
+    return [a for c in f.children for a in _atoms(c)]
 
 
 # ---------------------------------------------------------------------------

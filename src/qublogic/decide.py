@@ -6,10 +6,11 @@ logic.  The twist-product logics use denominator 2k+1 so every relative
 ordering of the 2k coordinates is realizable; the test suite cross-checks
 this against an independent order-type oracle.  The twist decision runs
 on integer ranks and visits only the first grid point of each order type
-(:func:`g2_entails`); the biG decision still evaluates Fractions at every
-grid point.  A query over more atoms than a grid decision admits (in QG,
-a refuted query's witness scan) is refused with a ValueError that states
-the number of points of its grid.
+(:func:`g2_entails`); the biG decision runs every grid point, on the
+grid's Fractions.  Both compile each formula once, by
+:func:`qublogic.algebra.compile_twist`.  A query over more atoms than a
+grid decision admits (in QG, a refuted query's witness scan) is refused
+with a ValueError that states the number of points of its grid.
 
 QG is decided as biG: the outer layer is Goedel logic, and each B-atom is
 one of its atoms.  B-atoms with the same sets in the canonical frame are
@@ -41,7 +42,7 @@ from itertools import product
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from . import algebra, syntax
-from .algebra import ONE, TwistValue, eval_big
+from .algebra import ONE, ZERO, TwistValue
 from .measures import canonical_frame
 from .syntax import Formula, mk, print_formula
 
@@ -80,12 +81,12 @@ def grid(denominator: int) -> list[Fraction]:
 # Atom collection
 # ---------------------------------------------------------------------------
 
-def _atom_keys(formulas: Sequence[Formula]) -> list[str]:
+def _atom_keys(formulas: Sequence[Formula]) -> tuple[str, ...]:
     """Distinct atom keys, sorted: printed modal atoms, or variables in a
     language without them."""
     atoms = set().union(*map(syntax.modal_atoms, formulas))
     keys = map(print_formula, atoms) if atoms else set().union(*map(syntax.vars_of, formulas))
-    return sorted(keys)
+    return tuple(sorted(keys))
 
 
 # ---------------------------------------------------------------------------
@@ -103,22 +104,38 @@ MAX_G2_ATOMS = 3
 
 
 def big_entails(gamma: Sequence[Formula], f: Formula) -> Verdict:
-    """Decide ``gamma |= f`` in biG; B-atoms are treated as atoms."""
+    """Decide ``gamma |= f`` in biG; B-atoms are treated as atoms.
+
+    The grid is walked in product order, keys sorted, up to its first
+    countervaluation.  Each formula is compiled once over the keys at top 1
+    (:func:`_compiled`) and run on the pairs (value, 0), whose truth is its
+    biG value."""
     _check_langs([*gamma, f], ("BIG", "QG"), "a biG decision")
     keys = _atom_keys([*gamma, f])
     k = len(keys)
     if k > MAX_BIG_ATOMS:
         raise ValueError(f"grid decision over {k} atoms (> {MAX_BIG_ATOMS}): "
                          f"{(k + 2) ** k:,} grid points")
-    values = grid(k + 1)
-    for combo in product(values, repeat=k):
-        e = dict(zip(keys, combo))
-        target = eval_big(f, e)
-        if target == ONE:
-            continue
-        if all(eval_big(g, e) > target for g in gamma):
-            return Verdict("fails", e)
+    goal, *premises = (_compiled(g, keys, ONE, False) for g in (f, *gamma))
+    for combo in product(_big_pairs(k), repeat=k):
+        t = goal(combo)[0]
+        if t != ONE and all(g(combo)[0] > t for g in premises):
+            return Verdict("fails", {key: v for key, (v, _) in zip(keys, combo)})
     return HOLDS
+
+
+@cache
+def _big_pairs(k: int) -> tuple[tuple[Fraction, Fraction], ...]:
+    """The biG grid values for ``k`` atoms as pairs (value, 0)."""
+    return tuple((v, ZERO) for v in grid(k + 1))
+
+
+def _compiled(f: Formula, keys: tuple[str, ...], top, nelson: bool):
+    """``f`` compiled by :func:`qublogic.algebra.compile_twist` over
+    ``keys`` in that order, kept on its node for that order and top."""
+    return syntax.memo(f, ("decide._compiled", keys, type(top), top, nelson),
+                       lambda: algebra.compile_twist(f, dict(zip(keys, range(len(keys)))),
+                                                     top, nelson)[0])
 
 
 def big_valid(f: Formula) -> Verdict:
@@ -156,10 +173,8 @@ def g2_entails(variant: str, gamma: Sequence[Formula], f: Formula) -> Verdict:
                          f"{(2 * k + 2) ** (2 * k):,} grid points")
     # ranks i stand for the grid values i/d, in the grid's order
     d = 2 * k + 1
-    slots = {key: i for i, key in enumerate(keys)}
     nelson = variant == "G2NEL"
-    goal = algebra.compile_twist(f, slots, d, nelson)[0]
-    premises = [algebra.compile_twist(g, slots, d, nelson)[0] for g in gamma]
+    goal, *premises = (_compiled(g, keys, d, nelson) for g in (f, *gamma))
     for combo in _gap_free_points(d, 2 * k):
         t, fl = goal(combo)
         if (t < d and all(g(combo)[0] > t for g in premises)) or \

@@ -167,8 +167,11 @@ def kentails(gamma: Sequence[Formula], f: Formula) -> tuple[bool, G2KripkeModel 
     of gamma_1 => (... => f) at the top, which :func:`qublogic.decide.truth_preserved`
     decides (in G2ORD that truth is all of designation).  BD is read as G2ORD;
     other languages than BD, biG, G2ORD and G2NEL raise a LanguageError.
-    A refutation returns the chain model of the search's witness (biG values
-    as truths) and its least state that supports every premise and not ``f``.
+    A refutation returns a chain model and its least state that supports
+    every premise and not ``f``: that of the search's witness (biG values as
+    truths), with adjacent values merged while a state still refutes.  Each
+    merge takes one state out of the chain, so no state of the model
+    returned can be taken out.
     """
     lang, langs = "G2ORD" if f.lang == "BD" else f.lang, {f.lang} | {g.lang for g in gamma}
     if lang not in ("BIG", "G2ORD", "G2NEL") or len(langs) > 1:
@@ -178,12 +181,28 @@ def kentails(gamma: Sequence[Formula], f: Formula) -> tuple[bool, G2KripkeModel 
                                      decision="Kripke local entailment")
     if verdict.holds:
         return True, None, None
-    m = valuation_to_model({p: TwistValue(v, ZERO) if lang == "BIG" else v for p, v in verdict.witness.items()})
-    table = support_table(m, [*gamma, f])
-    state = next((s for s in range(m.states)
-                  if all(table[g][0] >> s & 1 for g in gamma) and not table[f][0] >> s & 1), None)
-    assert state is not None, "the search's witness refutes at no state of its chain model"
+    e = {p: TwistValue(v, ZERO) if lang == "BIG" else v for p, v in verdict.witness.items()}
+    found = _refutation(e, gamma, f)
+    assert found, "the search's witness refutes at no state of its chain model"
+    while found:
+        e, m, state = found
+        values = sorted({ZERO, ONE} | {x for v in e.values() for x in v})
+        # two adjacent values become one, an endpoint staying what it is
+        merges = [(lo, hi) if hi == ONE else (hi, lo) for lo, hi in zip(values, values[1:])]
+        found = m.states > 1 and next(filter(None, (_refutation(
+            {p: TwistValue(*(kept if x == gone else x for x in v)) for p, v in e.items()}, gamma, f)
+            for gone, kept in merges)), None)
     return False, m, state
+
+
+def _refutation(e: Mapping[str, TwistValue], gamma: Sequence[Formula], f: Formula) \
+        -> tuple[dict, G2KripkeModel, int] | None:
+    """``e``, its chain model and the model's least state that supports
+    every premise and not ``f``; None if no state does."""
+    m = valuation_to_model(e)
+    state = next((s for s in range(m.states) if not ksupport(m, s, f)[0]
+                  and all(ksupport(m, s, g)[0] for g in gamma)), None)
+    return None if state is None else (e, m, state)
 
 
 # ---------------------------------------------------------------------------

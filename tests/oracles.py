@@ -54,6 +54,23 @@ def oracle_big_valid(f: Formula, names: list[str]) -> bool:
     return True
 
 
+def oracle_big_entails(gamma: list[Formula], f: Formula, names: list[str],
+                       aliases: dict[str, str] | None = None) -> dict[str, Fraction] | None:
+    """The first countervaluation of ``gamma |= f`` in biG, or None: ranks
+    0..k+1 for the k atoms ``names``, in product order, a point counting
+    when the value of ``f`` is below the top and every premise's above it.
+    ``aliases`` maps further atom keys to the name whose rank they take.
+    The countervaluation gives every key its rank over k+1."""
+    top = len(names) + 1
+    for ranks in product(range(top + 1), repeat=len(names)):
+        env = dict(zip(names, ranks))
+        env.update({key: env[name] for key, name in (aliases or {}).items()})
+        value = chain_eval_big(f, env, top)
+        if value < top and all(chain_eval_big(g, env, top) > value for g in gamma):
+            return {key: Fraction(rank, top) for key, rank in env.items()}
+    return None
+
+
 def _chain_pair(kind: str, a, b, top):
     imp = lambda x, y: top if x <= y else y
     coimp = lambda x, y: 0 if x <= y else x

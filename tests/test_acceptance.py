@@ -14,13 +14,12 @@ from fractions import Fraction as F
 from itertools import product
 
 from qublogic import bd, calculi, decide, kripke, measures, qp
-from qublogic.algebra import (ONE, ZERO, TwistValue, eval_big, eval_g2, godel_coimpl,
-                              godel_impl, join, meet, twist_le)
+from qublogic.algebra import ONE, ZERO, TwistValue, eval_big, eval_g2, twist_le
 from qublogic.syntax import mk, parse, print_formula, var
 
 from helpers import (ac_normal, gen_bd, gen_big, gen_g2, gen_sifs, measure_from_rank,
                      nontrivial_orders, random_gardenfors)
-from oracles import monotone_measures, oracle_big_valid, oracle_g2_valid
+from oracles import chain_eval_big, monotone_measures, oracle_big_valid, oracle_g2_valid
 
 DATA = pathlib.Path(__file__).parent / "data"
 
@@ -40,15 +39,17 @@ def _criterion(n: int, limit: float, body) -> None:
 def test_criterion_01_algebra_tables():
     def body():
         grid = [F(i, 6) for i in range(7)]
+        meet, imp, coimp, join = (parse("BIG", t) for t in ("p & q", "q -> r", "p -< q", "q | r"))
         triples = 0
         for a in grid:
             for b in grid:
                 for c in grid:
-                    assert (meet(a, b) <= c) == (a <= godel_impl(b, c))
-                    assert (godel_coimpl(a, b) <= c) == (a <= join(b, c))
+                    e = {"p": a, "q": b, "r": c}
+                    assert (eval_big(meet, e) <= c) == (a <= eval_big(imp, e))
+                    assert (eval_big(coimp, e) <= c) == (a <= eval_big(join, e))
                     triples += 1
         assert triples == 343
-        assert godel_impl(F(7, 10), F(3, 10)) == F(3, 10)
+        assert eval_big(imp, {"q": F(7, 10), "r": F(3, 10)}) == F(3, 10)
 
     _criterion(1, 1.0, body)
 
@@ -81,7 +82,7 @@ def test_criterion_03_big_decision():
         assert decide.big_valid(parse("BIG", "delta(a -> b) | delta(b -> a)")).holds
         misprint = parse("BIG", "delta(a -> b) | snot delta(b -> a)")
         verdict = decide.big_valid(misprint)
-        assert not verdict.holds and eval_big(misprint, verdict.witness) < ONE
+        assert not verdict.holds and chain_eval_big(misprint, verdict.witness, ONE) < ONE
         v = decide.big_valid(parse("BIG", "p -> q"))
         assert not v.holds and v.witness["p"] > v.witness["q"]
 

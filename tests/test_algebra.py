@@ -5,17 +5,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qublogic.algebra import (ONE, ZERO, TV_BOT, TV_TOP, TwistValue, eval_big, eval_g2,
-                              godel_coimpl, godel_impl, join, meet, twist_le, unit,
-                              UnboundVariableError)
+                              twist_le, unit, UnboundVariableError)
 from qublogic.syntax import mk, parse, var
 
 unit_fracs = st.fractions(min_value=0, max_value=1, max_denominator=12)
 
 
 def test_godel_operation_examples():
-    assert godel_impl(F(7, 10), F(3, 10)) == F(3, 10)
-    assert godel_impl(F(3, 10), F(7, 10)) == ONE
-    assert godel_coimpl(ONE, ONE) == ZERO
+    imp, coimp = parse("BIG", "p -> q"), parse("BIG", "p -< q")
+    assert eval_big(imp, {"p": F(7, 10), "q": F(3, 10)}) == F(3, 10)
+    assert eval_big(imp, {"p": F(3, 10), "q": F(7, 10)}) == ONE
+    assert eval_big(coimp, {"p": ONE, "q": ONE}) == ZERO
 
 
 def test_unit_bounds_enforced():
@@ -61,11 +61,13 @@ def test_eval_g2_refuses_a_variant_of_the_other_family():
 
 def test_residuation_exhaustive_denominator_six():
     grid = [F(i, 6) for i in range(7)]
+    meet, imp, coimp, join = (parse("BIG", t) for t in ("p & q", "q -> r", "p -< q", "q | r"))
     for a in grid:
         for b in grid:
             for c in grid:
-                assert (meet(a, b) <= c) == (a <= godel_impl(b, c))
-                assert (godel_coimpl(a, b) <= c) == (a <= join(b, c))
+                e = {"p": a, "q": b, "r": c}
+                assert (eval_big(meet, e) <= c) == (a <= eval_big(imp, e))
+                assert (eval_big(coimp, e) <= c) == (a <= eval_big(join, e))
 
 
 def test_eval_big_remark_value():

@@ -1,4 +1,4 @@
-"""Smoke test of the benchmark's calls into qublogic.
+"""Smoke tests of the benchmark's calls into qublogic.
 
 ``bench/worker.py --dump`` runs one round of a workload, checks every
 output and prints how many queries failed.  A change to a function that
@@ -6,16 +6,18 @@ the benchmark calls with a signature of its own, such as
 ``find_frame_countermodel(xi, alpha, layer, 4, 4)``, ``eval_g2(f, e, lang)``
 or ``canonical_qg_model(witness, formulas)``, fails its queries there.
 
-Gap: the calls that only the traced run makes (``algebra.eval_big`` and
-``decide.qg_merge_atoms``) are not made by ``--dump``, so this test does
-not cover them.  It pins no digest: the determinism self-check compares
-those between two trees.
+The calls that only the traced run makes (``decide.qg_merge_atoms``
+through ``grid_points``, and ``algebra.eval_big`` and ``algebra.eval_g2``
+on ``probe_pairs``) are made here in this process, on one round's
+queries, as ``bench/run.py --trace 1`` makes them.  No digest is pinned:
+the determinism self-check compares those between two trees.
 """
 
 import json
 import pathlib
 import subprocess
 import sys
+from types import SimpleNamespace
 
 import pytest
 
@@ -28,3 +30,23 @@ def test_one_round_of_each_workload_has_no_failed_query(workload):
                            "--dump"], capture_output=True, text=True, timeout=300, check=True)
     report = json.loads(done.stdout.splitlines()[-1])
     assert report["queries"] > 0 and report["failed"] == 0, (report, done.stderr)
+
+
+@pytest.mark.parametrize("workload", ["decide-valid", "decide-refute", "models", "proofs-orders"])
+def test_the_calls_only_the_traced_run_makes_succeed(workload, monkeypatch):
+    monkeypatch.syspath_prepend(str(WORKER.parent))
+    import worker
+
+    from qublogic import algebra
+
+    ctx = worker.Ctx()
+    queries = worker.setup(SimpleNamespace(workload=workload, seed=1), ctx)
+    for q in queries:
+        if q.grid is not None:
+            assert worker.grid_points(ctx, q) >= 1
+    big, g2 = worker.probe_pairs(ctx, queries, 1)
+    assert big or g2
+    # a stand-in for the reference kernel: one pass over the pairs, unscaled
+    ref = SimpleNamespace(block=lambda: 1.0)
+    for fn, pairs in ((algebra.eval_big, big), (algebra.eval_g2, g2)):
+        assert worker.run_probe(fn, pairs, ref, min_seconds=0) >= 0

@@ -340,6 +340,9 @@ def test_kripke_entails(capsys):
     state = out["state"]
     assert state in out["countermodel"]["vplus"]["p"] and state in out["countermodel"]["vminus"]["p"]
     assert state not in out["countermodel"]["vplus"]["q"]
+    # no state of the countermodel can be taken out: it has one
+    assert out == {"status": "fails", "state": 0, "countermodel": {
+        "states": 1, "order": [0], "vplus": {"p": [0], "q": []}, "vminus": {"p": [0], "q": []}}}
     # the search has no state bound to set
     assert cli.main(["kripke", "entails", "--max-states", "3", "p"]) == 2
 

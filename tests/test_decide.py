@@ -15,8 +15,7 @@ import pytest
 from helpers import gen_big, gen_g2, layer_instances
 
 from qublogic import algebra, bd, calculi, cli, decide, kripke, measures, syntax
-from qublogic.algebra import (ONE, TwistValue, UnboundVariableError, compile_twist, eval_big,
-                              eval_g2)
+from qublogic.algebra import ONE, TwistValue, UnboundVariableError, compile_twist, eval_g2
 from qublogic.decide import (Verdict, big_entails, big_valid, g2_entails, g2_valid, grid,
                              qg_entails, qg_merge_atoms, qg_saturation)
 from qublogic.syntax import (BINARY_KINDS, NULLARY_KINDS, PRIMITIVE_KINDS, SUGAR_KINDS,
@@ -40,7 +39,8 @@ def test_comparability_formula_and_its_misprint():
     # (as the running example misprints it) is refutable
     verdict = big_valid(parse("BIG", "delta(a -> b) | snot delta(b -> a)"))
     assert not verdict.holds
-    assert eval_big(parse("BIG", "delta(a -> b) | snot delta(b -> a)"), verdict.witness) < ONE
+    misprint = parse("BIG", "delta(a -> b) | snot delta(b -> a)")
+    assert oracles.chain_eval_big(misprint, verdict.witness, ONE) < ONE
 
 
 def test_all_bi_goedel_axioms_hold_atomically():
@@ -65,6 +65,52 @@ def test_big_entails():
     assert not big_entails([parse("BIG", "p")], parse("BIG", "q")).holds
     # empty premises: entailment is validity
     assert big_entails([], parse("BIG", "p -> p")).holds
+
+
+def _big_queries(seed, count):
+    """biG queries over 1 to 4 of the variables p, q, r, s: 0-2 premises of
+    depth at most 2 and a target of depth at most 3."""
+    rng = random.Random(seed)
+    queries = []
+    for _ in range(count):
+        atoms = [var("BIG", n) for n in rng.sample("pqrs", rng.randint(1, 4))]
+        gamma = [_outer_qg(rng, atoms, 2, "BIG") for _ in range(rng.randint(0, 2))]
+        queries.append((gamma, _outer_qg(rng, atoms, 3, "BIG")))
+    return queries
+
+
+def test_big_entails_matches_the_grid_oracle():
+    """Verdict and witness are the first countervaluation of the chain
+    oracle's loop over the grid in product order."""
+    statuses, widest = set(), 0
+    for gamma, f in _big_queries(21, 150):
+        names = sorted(set().union(*map(vars_of, [*gamma, f])))
+        witness = oracles.oracle_big_entails(gamma, f, names)
+        expected = Verdict("holds") if witness is None else Verdict("fails", witness)
+        assert big_entails(gamma, f) == expected, [print_formula(g) for g in [*gamma, f]]
+        statuses.add(expected.status)
+        widest = max(widest, len(names))
+    assert statuses == {"holds", "fails"} and widest == 4
+
+
+@pytest.mark.parametrize("with_cap", [False, True])
+def test_qg_witnesses_match_the_grid_oracle(with_cap):
+    """A refuted QG query's witness is the oracle's first countervaluation
+    over its merged atoms in printed order, premises and saturation above
+    the target, each merged atom taking its representative's value."""
+    refuted = 0
+    for xi, alpha in _qg_queries(17, 120):
+        _, mapping, reps = qg_merge_atoms([*xi, alpha])
+        aliases = {print_formula(a): print_formula(rep) for a, rep in mapping.items() if a != rep}
+        witness = oracles.oracle_big_entails([*xi, *qg_saturation(reps, with_cap)], alpha,
+                                             [print_formula(rep) for rep in reps], aliases)
+        verdict = qg_entails(xi, alpha, with_cap)
+        assert verdict.holds == (witness is None)
+        if witness is not None:
+            refuted += 1
+            assert verdict.witness == witness, ([print_formula(g) for g in xi],
+                                                print_formula(alpha))
+    assert refuted > 20
 
 
 def test_grid():

@@ -12,8 +12,8 @@ from itertools import product
 
 import pytest
 
-from qublogic import algebra, measures, qp, syntax
-from qublogic.algebra import ONE, TwistValue, UnboundVariableError, eval_g2
+from qublogic import algebra, decide, measures, qp, syntax
+from qublogic.algebra import ONE, TwistValue, UnboundVariableError, eval_big, eval_g2
 from qublogic.measures import (BeliefModel, UncertaintyModel, eval_layer, eval_qg,
                                frame_validates)
 from qublogic.syntax import mk, parse, print_formula
@@ -66,6 +66,36 @@ def test_eval_g2_compiles_once_per_formula_and_variant_family(compiles):
             # a variant of the same family is the same key
             assert eval_g2(f, e, other) == value
         assert compiles == [(f, F, nelson)]
+
+
+def test_eval_big_compiles_once_per_formula(compiles):
+    for lang, text in (("BIG", "snot (p -> q) | delta (q -< p) & (p <-> q)"),
+                       ("QG", "snot (B(p) -> B(q)) | delta (B(q) -< B(p))")):
+        f = _fresh(parse(lang, text))
+        keys = ["p", "q"] if lang == "BIG" else ["B(p)", "B(q)"]
+        compiles.clear()
+        for a, b in product(THIRDS, repeat=2):
+            e = dict(zip(keys, (a, b)))
+            assert eval_big(f, e) == oracles.chain_eval_big(f, e, ONE), (a, b)
+        assert compiles == [(f, F, False)]
+
+
+def test_grid_decisions_compile_once_per_formula_and_slot_order(compiles):
+    """A formula decided again over the same sorted atoms is not compiled
+    again; over other atoms, or at another top, it is."""
+    f, g = _fresh(parse("BIG", "q -> p")), _fresh(parse("BIG", "q"))
+    r = parse("BIG", "r")
+    compiles.clear()
+    for _ in range(2):
+        assert not decide.big_entails([g], f).holds
+    assert compiles == [(f, F, False), (g, F, False)]
+    assert not decide.big_entails([g, r], f).holds
+    assert compiles[2:] == [(f, F, False), (g, F, False), (r, F, False)]
+    compiles.clear()
+    h, k = _fresh(parse("G2NEL", "q ~> p")), _fresh(parse("G2NEL", "q"))
+    for _ in range(2):
+        assert not decide.g2_entails("G2NEL", [k], h).holds
+    assert compiles == [(h, int, True), (k, int, True)]
 
 
 def test_layer_evaluation_compiles_once_per_formula_and_layer(compiles):
@@ -202,6 +232,15 @@ def test_a_warm_node_reports_the_same_first_bad_atom():
     assert error(f, {"p": good["p"]}) == (UnboundVariableError, "\"no value for atom 'q'\"")
     assert error(f, {**good, "q": (F(3, 2), 0), "r": (2, 0)}) == \
         (ValueError, "value 3/2 outside [0, 1]")
+    big = parse("BIG", "q & (p -> r) | snot p")
+    eval_big(big, {k: F(1, 2) for k in "pqr"})
+    for e in ({"p": ONE}, {"p": ONE, "q": ONE, "r": 2}, {"r": F(-1, 2)}):
+        with pytest.raises((UnboundVariableError, ValueError)) as warm:
+            eval_big(big, e)
+        with pytest.raises(type(warm.value), match=re.escape(str(warm.value))):
+            eval_big(_fresh(big), e)
+    with pytest.raises(UnboundVariableError, match="no value for atom 'q'"):
+        eval_big(big, {"p": ONE})
     # a two-layered model missing a variable, warm and cold
     g = parse("QG", "B(p) -> B(q)")
     model = UncertaintyModel(1, {"p": 1}, {0: F(0), 1: ONE})
