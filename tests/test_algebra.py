@@ -96,6 +96,12 @@ def test_eval_big_unbound_variable():
         eval_big(parse("BIG", "p"), {})
 
 
+@pytest.mark.parametrize("lang, text", [("G2ORD", "p & q"), ("MCB", "C(p)"), ("CPL", "p")])
+def test_eval_big_refuses_other_languages(lang, text):
+    with pytest.raises(ValueError, match=f"^formula language {lang} has no biG value$"):
+        eval_big(parse(lang, text), {"p": ONE, "q": ONE, "C(p)": ONE})
+
+
 @given(a=unit_fracs, b=unit_fracs)
 def test_order_determinacy(a, b):
     e = {"p": a, "q": b}
