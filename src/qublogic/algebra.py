@@ -30,7 +30,7 @@ from operator import itemgetter
 from typing import Callable, Mapping, NamedTuple, Sequence
 
 from . import bd
-from .syntax import RESERVED_VAR, Formula, memo, print_formula
+from .syntax import OUTER, RESERVED_VAR, Formula, memo, print_formula
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -48,13 +48,9 @@ def unit(value) -> Fraction:
 def parse_fraction(value) -> Fraction:
     """An exact rational read from JSON: a string or a number, else a
     ValueError."""
-    if isinstance(value, bool) or not isinstance(value, (str, int, float)):
+    if isinstance(value, bool) or not isinstance(value, (str, int, float, Fraction)):
         raise ValueError(f"expected a number, not {value!r}")
     return Fraction(value)
-
-
-def parse_unit(text: str) -> Fraction:
-    return unit(parse_fraction(text))
 
 
 class TwistValue(NamedTuple):
@@ -66,13 +62,10 @@ TV_TOP = TwistValue(ONE, ZERO)
 TV_BOT = TwistValue(ZERO, ONE)
 
 
-def twist(truth, falsity) -> TwistValue:
-    return TwistValue(unit(truth), unit(falsity))
-
-
 def parse_twist(pair) -> TwistValue:
     a, b = bd._checked(pair, list, "a twist value")
-    return twist(parse_fraction(a), parse_fraction(b))
+    a, b = parse_fraction(a), parse_fraction(b)
+    return TwistValue(unit(a), unit(b))
 
 
 def format_twist(v: TwistValue) -> list[str]:
@@ -116,9 +109,9 @@ def eval_big(f: Formula, e: Mapping[str, Fraction]) -> Fraction:
     the atom keys and the compiled function are kept on the node, every
     value read is range-checked, and the first atom from the left without
     one is the one reported."""
-    if f.lang not in ("BIG", "QG"):
+    if OUTER.get(f.lang) != "BIG":
         raise ValueError(f"formula language {f.lang} has no biG value")
-    keys, ev = memo(f, "algebra.eval_big", lambda: _plan(f, False))
+    keys, ev = memo(f, "algebra._plan", lambda: _plan(f))
     return ev([(unit(_lookup(e, key, ZERO)), ZERO) for key in keys])[0]
 
 
@@ -126,28 +119,21 @@ def eval_big(f: Formula, e: Mapping[str, Fraction]) -> Fraction:
 # Twist-product evaluation (both G2 variants, outer MCB/NMCB)
 # ---------------------------------------------------------------------------
 
-_ORD_LANGS = {"G2ORD", "MCB"}
-_NEL_LANGS = {"G2NEL", "NMCB"}
-
-
 def eval_g2(f: Formula, e: Mapping[str, TwistValue], variant: str | None = None) -> TwistValue:
-    """Evaluate over [0,1]^twist.  ``variant`` defaults to the formula tag;
-    one from the other family (G2ORD and MCB, G2NEL and NMCB) is refused.
+    """Evaluate over [0,1]^twist by the clauses of the formula's language;
+    a ``variant`` of the other family (G2ORD and MCB, G2NEL and NMCB) is refused.
 
     The formula's atom keys, left to right, and its compiled function are
-    kept on its node (:func:`qublogic.syntax.memo`), so a formula evaluated
-    again is neither compiled nor printed again.  The valuation is read on
-    every call: each atom's value is range-checked, and the first atom from
-    the left without one is the one reported."""
+    kept on its node (:func:`qublogic.syntax.memo`, as :func:`eval_big` does),
+    so a formula evaluated again is neither compiled nor printed again.  The
+    valuation is read on every call: each atom's value is range-checked, and
+    the first atom from the left without one is the one reported."""
     lang = variant or f.lang
-    if lang not in _ORD_LANGS | _NEL_LANGS:
+    if OUTER.get(lang) not in ("G2ORD", "G2NEL"):
         raise ValueError(f"{lang} is not a twist-product language")
-    if f.lang not in _ORD_LANGS | _NEL_LANGS:
-        raise ValueError(f"formula language {f.lang} has no twist semantics")
-    if (lang in _NEL_LANGS) != (f.lang in _NEL_LANGS):
+    if OUTER.get(f.lang) != OUTER[lang]:
         raise ValueError(f"a {f.lang} formula has no {lang} value")
-    nelson = lang in _NEL_LANGS
-    keys, ev = memo(f, ("algebra.eval_g2", nelson), lambda: _plan(f, nelson))
+    keys, ev = memo(f, "algebra._plan", lambda: _plan(f))
     values = []
     for key in keys:
         v = _lookup(e, key, (ZERO, ZERO))
@@ -155,11 +141,11 @@ def eval_g2(f: Formula, e: Mapping[str, TwistValue], variant: str | None = None)
     return TwistValue(*ev(values))
 
 
-def _plan(f: Formula, nelson: bool) -> tuple[tuple[str, ...], Callable]:
+def _plan(f: Formula) -> tuple[tuple[str, ...], Callable]:
     """The atom keys of a formula, left to right, and the formula compiled
     at top 1 over them in that order."""
     keys = tuple(dict.fromkeys(map(_key, _atoms(f))))
-    return keys, compile_twist(f, {key: i for i, key in enumerate(keys)}, ONE, nelson)[0]
+    return keys, compile_twist(f, {key: i for i, key in enumerate(keys)}, ONE)[0]
 
 
 def _atoms(f: Formula) -> list[Formula]:
@@ -176,10 +162,11 @@ def _atoms(f: Formula) -> list[Formula]:
 RankPair = tuple[int, int]
 
 
-def compile_twist(f: Formula, slots: Mapping[str | Formula, int], top: int, nelson: bool) \
+def compile_twist(f: Formula, slots: Mapping[str | Formula, int], top: int) \
         -> tuple[Callable[[Sequence[RankPair]], RankPair], int, int]:
     """Compile a twist or QG formula to a function of (truth, falsity) pairs,
-    with the atom coordinates that the truth and the falsity of its value read.
+    with the atom coordinates that the truth and the falsity of its value
+    read, by the clauses of its language's outer variant.
 
     The function takes a sequence of (truth, falsity) pairs on the chain
     from the zero of ``top``'s type to ``top``, indexed by the atoms' slots,
@@ -208,8 +195,9 @@ def compile_twist(f: Formula, slots: Mapping[str | Formula, int], top: int, nels
     if kind == "top" or kind == "bot":
         tv = (top, bot) if kind == "top" else (bot, top)
         return (lambda v: tv), 0, 0
+    nelson = OUTER.get(f.lang) == "G2NEL"
     if kind in ("dneg", "snot", "delta", "delta1", "deltabang", "deltan"):
-        a, t, fl = compile_twist(f.children[0], slots, top, nelson)
+        a, t, fl = compile_twist(f.children[0], slots, top)
         if kind == "dneg":
             def ev(v):
                 x, y = a(v)
@@ -234,8 +222,8 @@ def compile_twist(f: Formula, slots: Mapping[str | Formula, int], top: int, nels
             return tv_top if a(v) == tv_top else tv_bot
         return ev, t | fl, t | fl
     left, right = f.children
-    a, ta, fa = compile_twist(left, slots, top, nelson)
-    b, tb, fb = compile_twist(right, slots, top, nelson)
+    a, ta, fa = compile_twist(left, slots, top)
+    b, tb, fb = compile_twist(right, slots, top)
     if kind == "and":
         def ev(v):
             x, y = a(v)
@@ -317,7 +305,7 @@ def _slot(atom: Formula, slots: Mapping[str | Formula, int]) -> int:
 # ---------------------------------------------------------------------------
 
 def valuation_from_json(obj: Mapping[str, str]) -> dict[str, Fraction]:
-    return {k: parse_unit(v) for k, v in bd._checked(obj, dict, "a valuation").items()}
+    return {k: unit(parse_fraction(v)) for k, v in bd._checked(obj, dict, "a valuation").items()}
 
 
 def twist_valuation_from_json(obj: Mapping[str, list]) -> dict[str, TwistValue]:

@@ -42,13 +42,9 @@ CALC_LANG = {
     "HQP": "QP", "HMCB": "MCB", "HNMCB": "NMCB", "RFDE": "BD",
 }
 
-#: the propositional variant of each Hilbert calculus: its propositional
-#: rows and its necessitation rule are read in the variant, and modus
-#: ponens detaches the variant's implication
-VARIANT = {
-    "HBIG": "BIG", "HQG": "BIG", "HQPG": "BIG", "HQPG_TOP": "BIG",
-    "HG2ORD": "G2ORD", "HMCB": "G2ORD", "HG2NEL": "G2NEL", "HNMCB": "G2NEL", "HQP": "QP",
-}
+#: each Hilbert calculus' propositional variant, its language's outer one (QP's own): its
+#: propositional rows and necessitation are read in it, and modus ponens detaches its implication
+VARIANT = {c: syntax.OUTER.get(lang, lang) for c, lang in CALC_LANG.items() if c != "RFDE"}
 
 #: the implication and co-implication of each variant; QP has no co-implication
 _ARROWS = {"BIG": ("gimp", "gcoimp"), "G2ORD": ("gimp", "gcoimp"),

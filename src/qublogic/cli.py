@@ -10,6 +10,7 @@ import argparse
 import functools
 import json
 import sys
+from fractions import Fraction
 
 from . import algebra, bd, calculi, decide, kripke, measures, qp, syntax
 
@@ -33,10 +34,19 @@ def _emit(obj, code: int = 0) -> int:
 
 
 def _load_json(source: str):
-    if source.lstrip().startswith(("{", "[")):
-        return json.loads(source)
-    with open(source) as handle:
-        return json.load(handle)
+    """JSON text, or the JSON file it names, its numbers read exactly."""
+    if not source.lstrip().startswith(("{", "[")):
+        with open(source) as handle:
+            source = handle.read()
+    return json.loads(source, parse_float=_decimal, parse_constant=_decimal)
+
+
+def _decimal(text: str) -> Fraction:
+    """A JSON number with a fraction or an exponent as a Fraction (0.1 is
+    1/10); NaN, Infinity and exponents of over four digits are refused."""
+    if len(text.lower().partition("e")[2].lstrip("+-")) > 4:
+        raise ValueError(f"number {text} has too large an exponent")
+    return Fraction(text)
 
 
 def _load_model(source: str, kind: type):
@@ -207,7 +217,7 @@ def _dispatch(args) -> int:
         return _emit({"text": syntax.print_formula(f)})
     if cmd == "eval-big":
         lang = _lang(args.lang)
-        if lang not in ("BIG", "QG"):
+        if syntax.OUTER.get(lang) != "BIG":
             raise syntax.LanguageError(f"eval-big evaluates BIG or QG formulas, not {lang}")
         f = syntax.parse(lang, args.text)
         e = algebra.valuation_from_json(_load_json(args.valuation))
@@ -391,8 +401,8 @@ def _dispatch_qp(args) -> int:
         return _emit({"found": True, "state": state, "model": gmodel.to_json()})
     if args.what == "represent-lp":
         obj = bd._checked(_load_json(args.order), dict, "an order")
-        rank = {measures._key_mask(k): bd._checked(r, int, "a rank")
-                for k, r in bd._checked(obj["rank"], dict, "'rank'").items()}
+        rank = measures._sets_from_json(obj["rank"], "'rank'",
+                                       lambda r: bd._checked(r, int, "a rank"))
         order = qp.OrderInstance(bd._checked(obj["ground"], int, "'ground'"), rank)
         witness = qp.represent_order_lp(order)
         if witness is None:

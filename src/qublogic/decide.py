@@ -116,7 +116,7 @@ def big_entails(gamma: Sequence[Formula], f: Formula) -> Verdict:
     if k > MAX_BIG_ATOMS:
         raise ValueError(f"grid decision over {k} atoms (> {MAX_BIG_ATOMS}): "
                          f"{(k + 2) ** k:,} grid points")
-    goal, *premises = (_compiled(g, keys, ONE, False) for g in (f, *gamma))
+    goal, *premises = (_compiled(g, keys, ONE) for g in (f, *gamma))
     for combo in product(_big_pairs(k), repeat=k):
         t = goal(combo)[0]
         if t != ONE and all(g(combo)[0] > t for g in premises):
@@ -130,12 +130,11 @@ def _big_pairs(k: int) -> tuple[tuple[Fraction, Fraction], ...]:
     return tuple((v, ZERO) for v in grid(k + 1))
 
 
-def _compiled(f: Formula, keys: tuple[str, ...], top, nelson: bool):
+def _compiled(f: Formula, keys: tuple[str, ...], top):
     """``f`` compiled by :func:`qublogic.algebra.compile_twist` over
     ``keys`` in that order, kept on its node for that order and top."""
-    return syntax.memo(f, ("decide._compiled", keys, type(top), top, nelson),
-                       lambda: algebra.compile_twist(f, dict(zip(keys, range(len(keys)))),
-                                                     top, nelson)[0])
+    return syntax.memo(f, ("decide._compiled", keys, type(top), top),
+                       lambda: algebra.compile_twist(f, dict(zip(keys, range(len(keys)))), top)[0])
 
 
 def big_valid(f: Formula) -> Verdict:
@@ -173,8 +172,8 @@ def g2_entails(variant: str, gamma: Sequence[Formula], f: Formula) -> Verdict:
                          f"{(2 * k + 2) ** (2 * k):,} grid points")
     # ranks i stand for the grid values i/d, in the grid's order
     d = 2 * k + 1
-    nelson = variant == "G2NEL"
-    goal, *premises = (_compiled(g, keys, d, nelson) for g in (f, *gamma))
+    nelson = syntax.OUTER[variant] == "G2NEL"
+    goal, *premises = (_compiled(g, keys, d) for g in (f, *gamma))
     for combo in _gap_free_points(d, 2 * k):
         t, fl = goal(combo)
         if (t < d and all(g(combo)[0] > t for g in premises)) or \
@@ -229,10 +228,8 @@ def g2_valid(variant: str, f: Formula) -> Verdict:
 # Two-layered languages: merged modal atoms, saturated with axiom instances
 # ---------------------------------------------------------------------------
 
-#: Each two-layered language's outer variant, implication, and the
-#: equivalence of its De Morgan instances (None: QG has no involution).
-_LAYER = {"QG": ("BIG", "gimp", None), "MCB": ("G2ORD", "gimp", "iff"),
-          "NMCB": ("G2NEL", "simp", "siff")}
+#: Each two-layered language's implication and De Morgan equivalence (QG has no involution).
+_LAYER = {"QG": ("gimp", None), "MCB": ("gimp", "iff"), "NMCB": ("simp", "siff")}
 
 
 def qg_b_atoms(formulas: Sequence[Formula]) -> dict[str, Formula]:
@@ -287,8 +284,8 @@ def qg_saturation(reps: Sequence[Formula], with_cap: bool = False) -> list[Formu
     if not reps:
         return []
     lang = reps[0].lang
-    outer, imp, eq = _LAYER[lang]
-    force = _DELTA[outer]
+    imp, eq = _LAYER[lang]
+    force = _DELTA[syntax.OUTER[lang]]
     masks = canonical_frame(reps)[2]
     sat: list[Formula] = []
     for i, a in enumerate(reps):
@@ -326,7 +323,7 @@ def _qg_reduce(premises: Sequence[Formula], target: Formula, with_cap: bool) \
     their representatives print), and each modal atom's printed form (a
     witness key) mapped to its variable."""
     atoms, mapping, reps = qg_merge_atoms([*premises, target])
-    outer = _LAYER[target.lang][0]
+    outer = syntax.OUTER[target.lang]
     width = len(str(len(reps) - 1))
     var_of = {rep: syntax.var(outer, f"b{i:0{width}}") for i, rep in enumerate(reps)}
     big = {a: var_of[rep] for a, rep in mapping.items()}
@@ -339,7 +336,7 @@ def _qg_reduce(premises: Sequence[Formula], target: Formula, with_cap: bool) \
 def curried(premises: Sequence[Formula], target: Formula) -> Formula:
     """gamma_1 => (... => target), => the implication of biG, G2ORD or G2NEL:
     its truth is the top iff min truth(premises) <= truth(target)."""
-    imp = "nimp" if target.lang == "G2NEL" else "gimp"
+    imp = "nimp" if syntax.OUTER[target.lang] == "G2NEL" else "gimp"
     return reduce(lambda f, g: mk(target.lang, imp, g, f), reversed(premises), target)
 
 
@@ -360,8 +357,7 @@ def qg_entails(xi: Sequence[Formula], alpha: Formula, with_cap: bool = False) ->
     """
     _check_langs([*xi, alpha], ("QG",), "the QG decision")
     premises, saturation, goal, keys, names = _qg_reduce(xi, alpha, with_cap)
-    if _outer_search("BIG", saturation, curried(premises, goal), keys, names,
-                     "QG entailment").holds:
+    if _outer_search(saturation, curried(premises, goal), keys, names, "QG entailment").holds:
         return HOLDS
     verdict = big_entails([*premises, *saturation], goal)
     assert not verdict.holds, "the grid and the order-type search disagree"
@@ -400,7 +396,7 @@ def truth_preserved(lang: str, premises: Sequence[Formula], target: Formula,
         names = {key: key for key in keys}
     else:
         raise ValueError(f"no truth-preservation decision for {lang}")
-    return _outer_search(target.lang, premises, target, keys, names, decision)
+    return _outer_search(premises, target, keys, names, decision)
 
 
 def _parts(f: Formula, kind: str, delta: str | None) -> list[Formula]:
@@ -420,19 +416,20 @@ def _parts(f: Formula, kind: str, delta: str | None) -> list[Formula]:
     return [f]
 
 
-def _outer_search(lang: str, premises: Sequence[Formula], target: Formula,
-                  keys: Sequence, names: Mapping[str, object], decision: str) -> Verdict:
+def _outer_search(premises: Sequence[Formula], target: Formula, keys: Sequence,
+                  names: Mapping[str, object], decision: str) -> Verdict:
     """Decide truth preservation by a pruned search over order types.
 
     The search gives the coordinates one at a time a value on the chain of
     values given so far: 0, the top, a value already on it, or a new value
     strictly inside a gap between two of its neighbours.  Only the order
     of values matters in Goedel logic and its twist products (Dummett
-    1959), so each order type of the coordinates is visited once.  ``lang``
-    is BIG, G2ORD or G2NEL (two-layered queries arrive reduced).  A biG
-    atom has one coordinate; a twist atom has a truth and a falsity
-    coordinate on the same chain.  Ranks are spaced integers, the top
-    being 2^n for n coordinates, so n bisections always fit.
+    1959), so each order type of the coordinates is visited once.  The
+    target's language, BIG, G2ORD or G2NEL (two-layered queries arrive
+    reduced), picks the clauses.  A biG atom has one coordinate; a twist
+    atom has a truth and a falsity coordinate on the same chain.  Ranks are
+    spaced integers, the top being 2^n for n coordinates, so n bisections
+    always fit.
 
     Premises and target are cut into their conjuncts, and each conjunct
     of the target is searched for on its own: a valuation that designates
@@ -457,8 +454,8 @@ def _outer_search(lang: str, premises: Sequence[Formula], target: Formula,
     ``decision`` left undecided and states its atoms, its coordinates and
     the nodes it visited.
     """
+    lang = target.lang
     twist = lang != "BIG"
-    nelson = lang == "G2NEL"
     k = len(keys)
     coords = range(2 * k) if twist else range(0, 2 * k, 2)
     n = len(coords)
@@ -470,7 +467,7 @@ def _outer_search(lang: str, premises: Sequence[Formula], target: Formula,
     def test(g: Formula) -> tuple:
         """``g`` compiled, with the coordinates its truth and its falsity
         read, as bitmasks."""
-        return algebra.compile_twist(g, slots, top, nelson)
+        return algebra.compile_twist(g, slots, top)
 
     # (evaluator, 0 for a truth check or 1 for a falsity check, coordinates
     # as a bitmask)

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import reduce
 from typing import Callable, Iterable, Mapping, Sequence
 
 from . import bd, decide
@@ -200,9 +201,9 @@ def _refutation(e: Mapping[str, TwistValue], gamma: Sequence[Formula], f: Formul
     """``e``, its chain model and the model's least state that supports
     every premise and not ``f``; None if no state does."""
     m = valuation_to_model(e)
-    state = next((s for s in range(m.states) if not ksupport(m, s, f)[0]
-                  and all(ksupport(m, s, g)[0] for g in gamma)), None)
-    return None if state is None else (e, m, state)
+    table = support_table(m, [*gamma, f])
+    refuting = reduce(int.__and__, (table[g][0] for g in gamma), ~table[f][0]) & (1 << m.states) - 1
+    return (e, m, (refuting & -refuting).bit_length() - 1) if refuting else None
 
 
 # ---------------------------------------------------------------------------

@@ -56,7 +56,7 @@ from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from . import bd
 from .algebra import ONE, ZERO, RankPair, TwistValue, compile_twist, parse_fraction, unit
-from .syntax import Formula, LanguageError, memo, modal_atoms, parse, print_formula, vars_of
+from .syntax import OUTER, Formula, LanguageError, memo, modal_atoms, parse, print_formula, vars_of
 
 MAX_DENSE_STATES = 16
 MAX_CPL_VARS = 20
@@ -71,15 +71,21 @@ def _mask_key(mask: int) -> str:
 
 
 def _key_mask(key: str) -> int:
-    body = key.strip()[1:-1].strip()
-    return bd._list_to_mask([int(part) for part in body.split(",")]) if body else 0
+    try:
+        return bd._list_to_mask(json.loads(key))
+    except json.JSONDecodeError:
+        raise ValueError(f"a set is keyed by a JSON list of states, not {key!r}") from None
 
 
-def _measure_from_json(obj: Mapping) -> dict[int, Fraction]:
-    """The measure under ``mu``: an object of state lists, written as JSON
-    text, to values."""
-    mu = bd._checked(obj["mu"], dict, "'mu'")
-    return {_key_mask(k): parse_fraction(q) for k, q in mu.items()}
+def _sets_from_json(obj, what: str, read: Callable) -> dict[int, object]:
+    """JSON state lists, as text, to values read by ``read``; no set may be named twice."""
+    out = {}
+    for key, value in bd._checked(obj, dict, what).items():
+        mask = _key_mask(key)
+        if mask in out:
+            raise ValueError(f"{what} names the set {_mask_key(mask)} twice")
+        out[mask] = read(value)
+    return out
 
 
 def _check_measure(states: int, mu: Mapping[int, Fraction]) -> None:
@@ -155,7 +161,7 @@ class UncertaintyModel:
         return cls(
             states=bd._checked(obj["states"], int, "'states'"),
             v=bd._masks_from_json(obj, "v"),
-            mu=_measure_from_json(obj),
+            mu=_sets_from_json(obj["mu"], "'mu'", parse_fraction),
         )
 
 
@@ -188,11 +194,13 @@ class BeliefModel:
 
     @classmethod
     def from_json(cls, obj: dict) -> "BeliefModel":
+        if "v" in obj and "vplus" in obj:
+            raise ValueError("a belief model gives 'v' or 'vplus', not both")
         return cls(
             states=bd._checked(obj["states"], int, "'states'"),
             vplus=bd._masks_from_json(obj, "v" if "v" in obj else "vplus"),
             vminus=bd._masks_from_json(obj, "vminus"),
-            pi=_measure_from_json(obj),
+            pi=_sets_from_json(obj["mu"], "'mu'", parse_fraction),
         )
 
 
@@ -257,7 +265,7 @@ def eval_qg(m: UncertaintyModel, alpha: Formula) -> Fraction:
     read, and range-checked, on every call."""
     if alpha.lang != "QG":
         raise LanguageError("eval_qg expects a QG formula")
-    inners, (ev,) = _compile("QG", [alpha], ONE)
+    inners, (ev,) = _compile([alpha], ONE)
     supports = _supports("QG", inners, {"v": m.v}, m.full)
     return unit(ev(next(_valuations("QG", supports, m.states, 1, m.mu)))[0])
 
@@ -270,34 +278,32 @@ def eval_layer(m: BeliefModel, variant: str, alpha: Formula) -> TwistValue:
         raise ValueError("variant must be MCB or NMCB")
     if alpha.lang != variant:
         raise LanguageError(f"eval_layer expects an {variant} formula")
-    inners, (ev,) = _compile(variant, [alpha], ONE)
+    inners, (ev,) = _compile([alpha], ONE)
     supports = _supports(variant, inners, {"vplus": m.vplus, "vminus": m.vminus}, m.full)
     return TwistValue(*ev(next(_valuations(variant, supports, m.states, 1, m.pi))))
 
 
-def _compile(layer: str, formulas: Sequence[Formula], top) \
-        -> tuple[tuple[Formula, ...], tuple[Callable, ...]]:
-    """Compile ``formulas`` for values on the chain from 0 to ``top``.
+def _compile(formulas: Sequence[Formula], top) -> tuple[tuple[Formula, ...], tuple[Callable, ...]]:
+    """Compile ``formulas``, of one layer, for values on the chain from 0 to ``top``.
 
     Returns the inner formulas of the modal atoms of all of them, in slot
-    order, and each formula compiled over those slots by
-    :func:`qublogic.algebra.compile_twist`.  A compiled formula maps the
-    atoms' values (:func:`_valuations`) to a (truth, falsity) pair; QG
-    atoms enter as (value, 0) and a QG value is the truth coordinate.
+    order, and each formula compiled over those slots, by its language's
+    clauses, by :func:`qublogic.algebra.compile_twist`.  A compiled formula
+    maps the atoms' values (:func:`_valuations`) to a (truth, falsity) pair;
+    QG atoms enter as (value, 0) and a QG value is the truth coordinate.
 
     A single formula's compilation is kept on its node
-    (:func:`qublogic.syntax.memo`), by layer and by the type and value of
-    ``top``: 1 and the Fraction 1 are equal keys, but compile to ints and to
-    Fractions.
+    (:func:`qublogic.syntax.memo`), by the type and value of ``top``: 1 and
+    the Fraction 1 are equal keys, but compile to ints and to Fractions.
     """
     def build():
         atoms = list(set().union(*map(modal_atoms, formulas)))
         slots = {a: i for i, a in enumerate(atoms)}
         return (tuple(a.children[0] for a in atoms),
-                tuple(compile_twist(f, slots, top, layer == "NMCB")[0] for f in formulas))
+                tuple(compile_twist(f, slots, top)[0] for f in formulas))
 
     if len(formulas) == 1:
-        return memo(formulas[0], ("measures._compile", layer, type(top), top), build)
+        return memo(formulas[0], ("measures._compile", type(top), top), build)
     return build()
 
 
@@ -516,7 +522,7 @@ def frame_validates(states: int, measure: Mapping[int, Fraction], formula: Formu
     _check_layer(layer, [formula])
     _check_measure(states, measure)
     names = sorted(vars_of(formula))
-    inners, (ev,) = _compile(layer, [formula], _RANK_TOP)
+    inners, (ev,) = _compile([formula], _RANK_TOP)
     count, supports = _frame_supports(layer, inners, names, states)
     a = _countervaluation(layer, lambda atoms: _designated(layer, ev(atoms)), supports, states,
                           count, _ranks(measure))
@@ -600,7 +606,7 @@ def _countervaluation(layer: str, test: Callable[[tuple], bool], supports: Seque
 def _designated(layer: str, value: RankPair) -> bool:
     """Whether a value on ranks is designated: (top, 0) in MCB, truth top in
     QG and NMCB."""
-    return value == (_RANK_TOP, 0) if layer == "MCB" else value[0] == _RANK_TOP
+    return value == (_RANK_TOP, 0) if OUTER[layer] == "G2ORD" else value[0] == _RANK_TOP
 
 
 #: frame-condition name -> (layer, named formula text, property name)
@@ -690,7 +696,7 @@ def _frame_search(search: str, layer: str, formulas: Sequence[Formula],
     _check_layer(layer, formulas)
     _check_bounds(max_states, denominator)
     names = sorted(set().union(*map(vars_of, formulas)))
-    inners, evs = _compile(layer, formulas, _RANK_TOP)
+    inners, evs = _compile(formulas, _RANK_TOP)
     test = lambda atoms: kept([ev(atoms) for ev in evs])
     read = 0
     for states in range(1, max_states + 1):
@@ -741,7 +747,7 @@ def _refuted_on(xi_values: Sequence[RankPair], alpha_value: RankPair, layer: str
     t, fl = alpha_value
     if min((v[0] for v in xi_values), default=_RANK_TOP) > t:
         return True
-    return layer == "MCB" and max((v[1] for v in xi_values), default=0) < fl
+    return OUTER[layer] == "G2ORD" and max((v[1] for v in xi_values), default=0) < fl
 
 
 def find_frame_countermodel(xi: Sequence[Formula], alpha: Formula, layer: str,

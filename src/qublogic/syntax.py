@@ -16,6 +16,10 @@ from typing import Callable, TypeVar
 
 LANGS = ("CPL", "BD", "BIG", "G2ORD", "G2NEL", "QG", "MCB", "NMCB", "QP")
 
+#: each language with an outer layer to its outer variant, whose clauses evaluate that layer
+OUTER = {"BIG": "BIG", "G2ORD": "G2ORD", "G2NEL": "G2NEL",
+         "QG": "BIG", "MCB": "G2ORD", "NMCB": "G2NEL"}
+
 # Variable used when expanding Top/Bot-style sugar.  It is a legal variable
 # name on purpose: desugared formulas must still print and re-parse.
 RESERVED_VAR = "rsvd"
@@ -37,9 +41,6 @@ PRIMITIVE_KINDS = {
     "BIG": frozenset({"var", "and", "or", "gimp", "gcoimp"}),
     "G2ORD": frozenset({"var", "dneg", "and", "or", "gimp", "gcoimp"}),
     "G2NEL": frozenset({"var", "dneg", "and", "or", "nimp", "ncoimp"}),
-    "QG": frozenset({"bmod", "and", "or", "gimp", "gcoimp"}),
-    "MCB": frozenset({"cmod", "dneg", "and", "or", "gimp", "gcoimp"}),
-    "NMCB": frozenset({"cmod", "dneg", "and", "or", "nimp", "ncoimp"}),
     "QP": frozenset({"var", "not", "and", "or", "matimp", "leq"}),
 }
 
@@ -49,11 +50,14 @@ SUGAR_KINDS = {
     "BIG": frozenset({"top", "bot", "snot", "delta", "iff"}),
     "G2ORD": frozenset({"top", "bot", "snot", "delta1", "iff"}),
     "G2NEL": frozenset({"top", "bot", "snot", "deltan", "deltabang", "simp", "siff", "iff"}),
-    "QG": frozenset({"top", "bot", "snot", "delta", "iff"}),
-    "MCB": frozenset({"top", "bot", "snot", "delta1", "iff"}),
-    "NMCB": frozenset({"top", "bot", "snot", "deltan", "deltabang", "simp", "siff", "iff"}),
     "QP": frozenset({"top", "bot", "iff", "approx", "less"}),
 }
+
+#: a two-layered language has its outer variant's connectives, over its modal atoms
+_MODAL_ATOM = {"QG": "bmod", "MCB": "cmod", "NMCB": "cmod"}
+PRIMITIVE_KINDS.update({lang: PRIMITIVE_KINDS[OUTER[lang]] - {"var"} | {atom}
+                        for lang, atom in _MODAL_ATOM.items()})
+SUGAR_KINDS.update({lang: SUGAR_KINDS[OUTER[lang]] for lang in _MODAL_ATOM})
 
 
 class LanguageError(ValueError):
@@ -148,8 +152,6 @@ def mk(lang: str, kind: str, *children: Formula, var: str = "") -> Formula:
         raise LanguageError(f"connective {TOKEN_OF.get(kind, kind)!r} not in language {lang}")
     if kind == "var":
         if not children and var:
-            if lang in ("QG", "MCB", "NMCB"):
-                raise LanguageError(f"bare variables are not {lang} formulas; atoms are modal")
             return Formula(lang, "var", (), var)
         raise ValueError("variable node needs a name and no children")
     arity = 0 if kind in NULLARY_KINDS else 1 if kind in UNARY_KINDS else 2
@@ -505,10 +507,9 @@ def formula_from_json(lang: str, obj: dict) -> Formula:
 
 def _atom_unit(lang: str) -> Formula:
     """The reserved atom used by Top/Bot expansions of ``lang``."""
-    if lang == "QG":
-        return mk(lang, "bmod", var("CPL", RESERVED_VAR))
-    if lang in ("MCB", "NMCB"):
-        return mk(lang, "cmod", var("BD", RESERVED_VAR))
+    atom = _MODAL_ATOM.get(lang)
+    if atom:
+        return mk(lang, atom, var(INNER_LANG[atom], RESERVED_VAR))
     return var(lang, RESERVED_VAR)
 
 
@@ -545,7 +546,7 @@ def _expand(lang: str, kind: str, kids: tuple[Formula, ...]) -> Formula:
         if kind == "less":
             a, b = kids
             return mk(lang, "and", mk(lang, "leq", a, b), mk(lang, "not", mk(lang, "leq", b, a)))
-    elif lang in ("BIG", "QG", "G2ORD", "MCB"):
+    elif OUTER.get(lang) in ("BIG", "G2ORD"):
         # Goedel-style expansions; the same shapes serve the (->, -<) twist
         # languages, whose first coordinate mirrors biG.
         top = mk(lang, "gimp", unit, unit)

@@ -18,6 +18,23 @@ def depth(f: Formula) -> int:
     return 1 if not f.children else 1 + max(depth(c) for c in f.children)
 
 
+def schema_metas(pattern: Formula):
+    """The metavariables (``mv_`` variables) of a schema pattern, with repeats."""
+    if pattern.kind == "var" and pattern.var.startswith("mv_"):
+        yield pattern.var
+    for c in pattern.children:
+        yield from schema_metas(c)
+
+
+def instantiate_schema(pattern: Formula, subst: dict) -> Formula:
+    """A schema pattern with each metavariable replaced by its formula in ``subst``."""
+    if pattern.kind == "var" and pattern.var.startswith("mv_"):
+        return subst[pattern.var]
+    if pattern.kind == "var":
+        return pattern
+    return mk(pattern.lang, pattern.kind, *(instantiate_schema(c, subst) for c in pattern.children))
+
+
 def layer_instances(formulas: list[Formula]) -> list[Formula]:
     """The MCB/NMCB layer axioms' instances over the C-atoms of
     ``formulas``, in printed order, by their definition on the four values,

@@ -17,8 +17,8 @@ from qublogic import bd, calculi, decide, kripke, measures, qp
 from qublogic.algebra import ONE, ZERO, TwistValue, eval_big, eval_g2, twist_le
 from qublogic.syntax import mk, parse, print_formula, var
 
-from helpers import (ac_normal, gen_bd, gen_big, gen_g2, gen_sifs, measure_from_rank,
-                     nontrivial_orders, random_gardenfors)
+from helpers import (ac_normal, gen_bd, gen_big, gen_g2, gen_sifs, instantiate_schema,
+                     measure_from_rank, nontrivial_orders, random_gardenfors, schema_metas)
 from oracles import chain_eval_big, monotone_measures, oracle_big_valid, oracle_g2_valid
 
 DATA = pathlib.Path(__file__).parent / "data"
@@ -71,10 +71,10 @@ def test_criterion_03_big_decision():
     def body():
         names = ("p", "q", "r")
         for schema in calculi.schema_table("HBIG"):
-            metas = sorted({v for v in _metas(schema.sugared)})
+            metas = sorted({v for v in schema_metas(schema.sugared)})
             for combo in product(names, repeat=len(metas)):
                 subst = {m_: var("BIG", n) for m_, n in zip(metas, combo)}
-                inst = _instantiate(schema.sugared, subst)
+                inst = instantiate_schema(schema.sugared, subst)
                 assert decide.big_valid(inst).holds, schema.name
         # the comparability formula of the belief-comparison example, in the
         # form the recap section prints (the in-text variant with a strong
@@ -87,21 +87,6 @@ def test_criterion_03_big_decision():
         assert not v.holds and v.witness["p"] > v.witness["q"]
 
     _criterion(3, 5.0, body)
-
-
-def _metas(pattern):
-    if pattern.kind == "var" and pattern.var.startswith("mv_"):
-        yield pattern.var
-    for c in pattern.children:
-        yield from _metas(c)
-
-
-def _instantiate(pattern, subst):
-    if pattern.kind == "var" and pattern.var.startswith("mv_"):
-        return subst[pattern.var]
-    if pattern.kind == "var":
-        return pattern
-    return mk(pattern.lang, pattern.kind, *(_instantiate(c, subst) for c in pattern.children))
 
 
 def test_criterion_04_grid_vs_oracle():

@@ -9,7 +9,7 @@ from itertools import product
 import pytest
 
 import oracles
-from helpers import layer_instances
+from helpers import layer_instances, schema_metas
 from qublogic import calculi, decide, measures, qp
 from qublogic.calculi import (CALC_LANG, Derivation, check_derivation, cpl_valid,
                               match_axiom, match_sequent_axiom, qp_tautology, truth_table)
@@ -256,7 +256,7 @@ def test_a0_pattern_matches():
 
 
 def _atomic_instantiations(calc, schema, names):
-    metas = sorted({v for v in _metas(schema.sugared)})
+    metas = sorted({v for v in schema_metas(schema.sugared)})
     lang = CALC_LANG[calc]
     for combo in product(names, repeat=len(metas)):
         subst = dict(zip(metas, combo))
@@ -278,13 +278,6 @@ def _atomic_instantiations(calc, schema, names):
         yield inst(schema.sugared)
 
 
-def _metas(pattern):
-    if pattern.kind == "var" and pattern.var.startswith("mv_"):
-        yield pattern.var
-    for c in pattern.children:
-        yield from _metas(c)
-
-
 def test_soundness_audit_bi_goedel_axioms_exhaustive():
     for schema in calculi.schema_table("HBIG"):
         for inst in _atomic_instantiations("HBIG", schema, ("p", "q")):
@@ -292,7 +285,7 @@ def test_soundness_audit_bi_goedel_axioms_exhaustive():
 
 
 def _instantiate_with(calc, schema, names):
-    metas = sorted({v for v in _metas(schema.sugared)})
+    metas = sorted({v for v in schema_metas(schema.sugared)})
     subst = {m_: names[i % len(names)] for i, m_ in enumerate(metas)}
     lang = CALC_LANG[calc]
 

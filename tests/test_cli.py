@@ -407,3 +407,84 @@ def test_unknown_language_flag_exits_2_with_a_json_error(capsys, argv):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert json.loads(captured.err) == {"error": "unknown language 'foo'"}
+
+
+@pytest.mark.parametrize("number", ["0.1", "1e-1", "0.10", "1.0e-1", "10e-2"])
+def test_json_decimals_read_exactly(capsys, number):
+    """A JSON decimal is read from its text, not through a binary float."""
+    code, out = run(capsys, "eval-big", "--valuation", f'{{"p": {number}}}', "p")
+    assert (code, out) == (0, {"value": "1/10"})
+    code, out = run(capsys, "eval-g2", "--lang", "g2ord", "--valuation",
+                    f'{{"p": [{number}, 0.25]}}', "p")
+    assert (code, out) == (0, {"value": ["1/10", "1/4"]})
+    model = f'{{"states": 1, "v": {{"p": [0]}}, "mu": {{"[]": 0, "[0]": {number}}}}}'
+    code, out = run(capsys, "eval-qg", "--model", model, "B(p)")
+    assert (code, out) == (0, {"value": "1/10"})
+
+
+def test_json_whole_numbers_and_strings_read_as_before(capsys):
+    code, out = run(capsys, "eval-big", "--valuation", '{"p": 1, "q": "1/3", "r": "0.5"}',
+                    "p & q & r")
+    assert (code, out) == (0, {"value": "1/3"})
+
+
+def _input_error(capsys, argv) -> str:
+    """The one JSON error line of a command that exits 2."""
+    code = cli.main(argv)
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    (line,) = captured.err.splitlines()
+    return json.loads(line)["error"]
+
+
+_QG_MODEL = {"states": 2, "v": {"p": [0]}, "mu": {"[]": "0", "[0]": "1/2", "[1]": "1/2", "[0,1]": "1"}}
+
+
+@pytest.mark.parametrize("model,error", [
+    ({**_QG_MODEL, "states": 2.0}, "'states' must be a whole number"),
+    ({**_QG_MODEL, "states": 1.5}, "'states' must be a whole number"),
+    ({**_QG_MODEL, "v": {"p": [0.0]}}, "a state set is a list of state numbers"),
+    # a key is a JSON list: its brackets are not stripped unread
+    ({**_QG_MODEL, "mu": {"[]": "0", "00,10": "1", "[0]": "1", "[1]": "0"}},
+     "a set is keyed by a JSON list of states, not '00,10'"),
+    ({**_QG_MODEL, "mu": {"[]": "0", "x0y": "1", "[1]": "0", "[0,1]": "1"}},
+     "a set is keyed by a JSON list of states, not 'x0y'"),
+    ({**_QG_MODEL, "mu": {"[]": "0", "[0.5]": "1", "[1]": "0", "[0,1]": "1"}},
+     "a state set is a list of state numbers"),
+    # one set named twice: the later value is not kept silently
+    ({**_QG_MODEL, "mu": {**_QG_MODEL["mu"], "[1,0]": "0"}}, "'mu' names the set [0,1] twice"),
+    ({**_QG_MODEL, "mu": {**_QG_MODEL["mu"], " [ 0 ] ": "0"}}, "'mu' names the set [0] twice"),
+])
+def test_malformed_or_conflicting_models_exit_2(capsys, model, error):
+    assert error in _input_error(capsys, ["eval-qg", "--model", json.dumps(model), "B(p | ~p)"])
+
+
+@pytest.mark.parametrize("value,error", [
+    ("1e99999", "number 1e99999 has too large an exponent"),
+    ("1e-99999", "number 1e-99999 has too large an exponent"),
+    ("Infinity", "Invalid literal for Fraction: 'Infinity'"),
+    ("-Infinity", "Invalid literal for Fraction: '-Infinity'"),
+    ("NaN", "Invalid literal for Fraction: 'NaN'"),
+])
+def test_numbers_that_are_not_read_exit_2(capsys, value, error):
+    model = f'{{"states": 1, "v": {{"p": [0]}}, "mu": {{"[]": 0, "[0]": {value}}}}}'
+    assert _input_error(capsys, ["eval-qg", "--model", model, "B(p)"]) == f"ValueError: {error}"
+
+
+def test_a_belief_model_with_both_v_and_vplus_exits_2(capsys):
+    model = {"states": 1, "v": {"p": [0]}, "vplus": {"p": []}, "vminus": {"p": []},
+             "mu": {"[]": "0", "[0]": "1"}}
+    assert _input_error(capsys, ["eval-layer", "--lang", "mcb", "--model", json.dumps(model),
+                                 "C(p)"]) == \
+        "ValueError: a belief model gives 'v' or 'vplus', not both"
+
+
+@pytest.mark.parametrize("rank,error", [
+    ({"[]": 0, "[0]": 1, "[1]": 1, "[0,1]": 2, "[1,0]": 0}, "'rank' names the set [0,1] twice"),
+    ({"[]": 0, "0": 1, "[1]": 1, "[0,1]": 2}, "a state set is a list of state numbers"),
+    ({"[]": 0, "[0]x": 1, "[1]": 1, "[0,1]": 2}, "a set is keyed by a JSON list of states"),
+    ({"[]": 0, "[0]": 1.0, "[1]": 1, "[0,1]": 2}, "a rank must be a whole number"),
+])
+def test_malformed_or_conflicting_orders_exit_2(capsys, rank, error):
+    order = json.dumps({"ground": 2, "rank": rank})
+    assert error in _input_error(capsys, ["qp", "represent-lp", "--order", order])

@@ -12,7 +12,7 @@ from itertools import combinations, product
 
 import oracles
 import pytest
-from helpers import gen_big, gen_g2, layer_instances
+from helpers import gen_big, gen_g2, instantiate_schema, layer_instances
 
 from qublogic import algebra, bd, calculi, cli, decide, kripke, measures, syntax
 from qublogic.algebra import ONE, TwistValue, UnboundVariableError, compile_twist, eval_g2
@@ -47,16 +47,8 @@ def test_all_bi_goedel_axioms_hold_atomically():
     names = ["p", "q", "r"]
     for schema in calculi.schema_table("HBIG"):
         subst = {f"mv_{n}": var("BIG", v) for n, v in zip("abc", names)}
-        inst = _instantiate(schema.sugared, subst)
+        inst = instantiate_schema(schema.sugared, subst)
         assert big_valid(inst).holds, schema.name
-
-
-def _instantiate(pattern, subst):
-    if pattern.kind == "var" and pattern.var.startswith("mv_"):
-        return subst[pattern.var]
-    if pattern.kind == "var":
-        return pattern
-    return mk(pattern.lang, pattern.kind, *(_instantiate(c, subst) for c in pattern.children))
 
 
 def test_big_entails():
@@ -564,7 +556,7 @@ def test_compiled_twist_clauses_match_eval_g2(lang):
     rng = random.Random(5)
     for f in formulas:
         for top in (1, 2, 5):
-            ev = compile_twist(f, slots, top, nelson)[0]
+            ev = compile_twist(f, slots, top)[0]
             for _ in range(30):
                 ranks = tuple((rng.randint(0, top), rng.randint(0, top)) for _ in keys)
                 assert ev(ranks) == oracles.chain_eval_g2(f, dict(zip(keys, ranks)), top, nelson), \
@@ -599,7 +591,6 @@ def test_coordinates_read_covers_what_the_compiled_value_reads(lang):
     """Changing a coordinate that compile_twist does not return as read by
     the truth (falsity) of a formula leaves its compiled truth (falsity) as
     it is; the reads are exact on atoms."""
-    nelson = _TWIST_LANGS.get(lang) == "G2NEL"
     if lang == "QG":
         atoms = [parse("QG", "B(p)"), parse("QG", "B(q)")]
         keys = [print_formula(a) for a in atoms]
@@ -614,7 +605,7 @@ def test_coordinates_read_covers_what_the_compiled_value_reads(lang):
     rng = random.Random(7)
     top = 4
     for f in formulas:
-        ev, *reads = compile_twist(f, slots, top, nelson)
+        ev, *reads = compile_twist(f, slots, top)
         if f.kind in ("var", "cmod", "bmod"):
             slot = slots[print_formula(f) if f.kind != "var" else f.var]
             assert reads == [1 << 2 * slot, 1 << 2 * slot + 1]
@@ -652,7 +643,7 @@ def test_ordered_twist_values_mirror_under_the_dual_valuation(lang):
 
 def test_compile_twist_needs_a_slot_per_atom():
     with pytest.raises(UnboundVariableError):
-        compile_twist(parse("G2ORD", "p -> q"), {"p": 0}, 3, False)
+        compile_twist(parse("G2ORD", "p -> q"), {"p": 0}, 3)
 
 
 def test_compiling_leaves_no_reference_cycles():
@@ -667,7 +658,7 @@ def test_compiling_leaves_no_reference_cycles():
     try:
         for i in range(1000):
             f = formulas[i % 2]
-            compile_twist(f, slots, 7, f.lang == "G2NEL")
+            compile_twist(f, slots, 7)
         assert gc.collect() == 0
         excluded_middle = parse("G2ORD", "a | neg a")
         for _ in range(1000):
@@ -945,7 +936,7 @@ def test_layer_steps_agree_with_the_pre_change_route_and_qg_with_plain_copies():
     assert seen.count("decided") >= 1, seen
     for xi, alpha in _qg_queries(31, 60):
         premises, saturation, goal, keys, names = decide._qg_reduce(xi, alpha, False)
-        reference = decide._outer_search("BIG", [*premises, *_with_plain_copies(saturation)], goal,
+        reference = decide._outer_search([*premises, *_with_plain_copies(saturation)], goal,
                                          keys, names, "truth preservation")
         assert decide.truth_preserved("QG", xi, alpha) == reference
 
@@ -989,9 +980,9 @@ def test_two_layered_languages_are_named_only_in_the_reduction(monkeypatch):
     reached = []
     search = decide._outer_search
 
-    def recorded(lang, *args):
-        reached.append(lang)
-        return search(lang, *args)
+    def recorded(premises, target, *args):
+        reached.append(target.lang)
+        return search(premises, target, *args)
 
     monkeypatch.setattr(decide, "_outer_search", recorded)
     for lang, text in (("BIG", "p -> p | q"), ("QG", "B(p) -> B(p | q)"),

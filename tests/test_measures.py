@@ -647,8 +647,8 @@ def test_frame_validation_tests_each_atom_rank_tuple_once(monkeypatch):
     seen = []
     real = measures._compile
 
-    def compile_counted(layer, formulas, top):
-        inners, evs = real(layer, formulas, top)
+    def compile_counted(formulas, top):
+        inners, evs = real(formulas, top)
         return inners, [lambda atoms, ev=ev: seen.append(atoms) or ev(atoms) for ev in evs]
 
     monkeypatch.setattr(measures, "_compile", compile_counted)

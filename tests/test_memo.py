@@ -27,18 +27,18 @@ THIRDS = [F(i, 3) for i in range(4)]
 @pytest.fixture
 def compiles(monkeypatch):
     """The formulas ``compile_twist`` was called on at the top of a
-    compilation, each with its top's type and its variant; the compiler's
-    own recursion into children is left out."""
+    compilation, each with its top's type; the compiler's own recursion
+    into children is left out."""
     calls = []
     real = algebra.compile_twist
     depth = [0]
 
-    def counting(f, slots, top, nelson):
+    def counting(f, slots, top):
         if depth[0] == 0:
-            calls.append((f, type(top), nelson))
+            calls.append((f, type(top)))
         depth[0] += 1
         try:
-            return real(f, slots, top, nelson)
+            return real(f, slots, top)
         finally:
             depth[0] -= 1
 
@@ -65,7 +65,7 @@ def test_eval_g2_compiles_once_per_formula_and_variant_family(compiles):
             assert value == oracles.chain_eval_g2(f, e, ONE, nelson), coords
             # a variant of the same family is the same key
             assert eval_g2(f, e, other) == value
-        assert compiles == [(f, F, nelson)]
+        assert compiles == [(f, F)]
 
 
 def test_eval_big_compiles_once_per_formula(compiles):
@@ -77,7 +77,7 @@ def test_eval_big_compiles_once_per_formula(compiles):
         for a, b in product(THIRDS, repeat=2):
             e = dict(zip(keys, (a, b)))
             assert eval_big(f, e) == oracles.chain_eval_big(f, e, ONE), (a, b)
-        assert compiles == [(f, F, False)]
+        assert compiles == [(f, F)]
 
 
 def test_grid_decisions_compile_once_per_formula_and_slot_order(compiles):
@@ -88,14 +88,14 @@ def test_grid_decisions_compile_once_per_formula_and_slot_order(compiles):
     compiles.clear()
     for _ in range(2):
         assert not decide.big_entails([g], f).holds
-    assert compiles == [(f, F, False), (g, F, False)]
+    assert compiles == [(f, F), (g, F)]
     assert not decide.big_entails([g, r], f).holds
-    assert compiles[2:] == [(f, F, False), (g, F, False), (r, F, False)]
+    assert compiles[2:] == [(f, F), (g, F), (r, F)]
     compiles.clear()
     h, k = _fresh(parse("G2NEL", "q ~> p")), _fresh(parse("G2NEL", "q"))
     for _ in range(2):
         assert not decide.g2_entails("G2NEL", [k], h).holds
-    assert compiles == [(h, int, True), (k, int, True)]
+    assert compiles == [(h, int), (k, int)]
 
 
 def test_layer_evaluation_compiles_once_per_formula_and_layer(compiles):
@@ -113,7 +113,7 @@ def test_layer_evaluation_compiles_once_per_formula_and_layer(compiles):
         for layer, f in (("MCB", mcb), ("NMCB", nmcb)):
             val = {"vplus": bm.vplus, "vminus": bm.vminus}
             assert eval_layer(bm, layer, f) == oracles.layer_value(layer, f, 2, val, mu)
-    assert compiles == [(qg, F, False), (mcb, F, False), (nmcb, F, True)]
+    assert compiles == [(qg, F), (mcb, F), (nmcb, F)]
 
 
 def test_frame_validation_compiles_once_over_every_frame(compiles):
@@ -130,7 +130,7 @@ def test_frame_validation_compiles_once_over_every_frame(compiles):
         assert valid == oracles.measure_property(states, mu, prop)[0]
         if i == 10:
             eval_qg(UncertaintyModel(states, {"p": 1, "q": 0}, mu), f)
-    assert compiles == [(f, int, False), (f, F, False)]
+    assert compiles == [(f, int), (f, F)]
 
 
 def _random_formulas(rng, lang, atoms, unary, binary, count):
@@ -272,10 +272,10 @@ def test_compile_keys_by_the_type_of_top():
     Fractions, on the same node."""
     f = parse("QG", "(B(p) -> B(q)) & (B(q) -< B(p))")
     for top, kind in ((1, int), (ONE, F), (1, int)):
-        inners, (ev,) = measures._compile("QG", [f], top)
+        inners, (ev,) = measures._compile([f], top)
         assert sorted(map(print_formula, inners)) == ["p", "q"]
         truth, falsity = ev([(top, 0), (top, 0)])
         assert (truth, falsity) == (0, 1)
         assert type(truth) is kind and type(falsity) is kind
-    assert measures._compile("QG", [f], 1) is measures._compile("QG", [f], 1)
-    assert measures._compile("QG", [f], ONE) is not measures._compile("QG", [f], 1)
+    assert measures._compile([f], 1) is measures._compile([f], 1)
+    assert measures._compile([f], ONE) is not measures._compile([f], 1)

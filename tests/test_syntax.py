@@ -305,3 +305,18 @@ def test_parse_shares_equal_subformulas(monkeypatch):
         parse("BD", f"x{i} & neg x{i}")
         assert len(syntax._PARSED) <= 8 + 3
     assert parse("BD", "(p | q) & (p | q)") is not f
+
+
+def test_each_outer_variant_has_its_languages_connectives():
+    """A language's outer variant has its connectives, with variables for
+    its modal atoms, and is its own outer variant; each Hilbert calculus
+    but HQP reads its language's."""
+    assert sorted(syntax.OUTER) == ["BIG", "G2NEL", "G2ORD", "MCB", "NMCB", "QG"]
+    for lang, outer in syntax.OUTER.items():
+        assert syntax.OUTER[outer] == outer
+        assert syntax.PRIMITIVE_KINDS[lang] - syntax.MODAL_KINDS | {"var"} == \
+            syntax.PRIMITIVE_KINDS[outer], lang
+        assert syntax.SUGAR_KINDS[lang] == syntax.SUGAR_KINDS[outer], lang
+    assert {calc: calculi.VARIANT.get(calc) for calc in calculi.CALCULI} == {
+        calc: "QP" if calc == "HQP" else syntax.OUTER.get(calculi.CALC_LANG[calc])
+        for calc in calculi.CALCULI}
