@@ -42,8 +42,8 @@ CALC_LANG = {
     "HQP": "QP", "HMCB": "MCB", "HNMCB": "NMCB", "RFDE": "BD",
 }
 
-#: each Hilbert calculus' propositional variant, its language's outer one (QP's own): its
-#: propositional rows and necessitation are read in it, and modus ponens detaches its implication
+#: each Hilbert calculus' propositional variant, its language's outer variant (HQP's is QP):
+#: its rows and necessitation are read in the variant, and modus ponens detaches its implication
 VARIANT = {c: syntax.OUTER.get(lang, lang) for c, lang in CALC_LANG.items() if c != "RFDE"}
 
 #: the implication and co-implication of each variant; QP has no co-implication
