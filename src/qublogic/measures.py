@@ -50,9 +50,10 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache
 from itertools import combinations, product
-from math import comb
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from math import comb, lcm
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from . import bd
 from .algebra import ONE, ZERO, RankPair, TwistValue, compile_twist, parse_fraction, unit
@@ -267,7 +268,7 @@ def eval_qg(m: UncertaintyModel, alpha: Formula) -> Fraction:
         raise LanguageError("eval_qg expects a QG formula")
     inners, (ev,) = _compile([alpha], ONE)
     supports = _supports("QG", inners, {"v": m.v}, m.full)
-    return unit(ev(next(_valuations("QG", supports, m.states, 1, m.mu)))[0])
+    return unit(ev(_atom_values("QG", [m.mu[s] for s in supports]))[0])
 
 
 def eval_layer(m: BeliefModel, variant: str, alpha: Formula) -> TwistValue:
@@ -280,7 +281,7 @@ def eval_layer(m: BeliefModel, variant: str, alpha: Formula) -> TwistValue:
         raise LanguageError(f"eval_layer expects an {variant} formula")
     inners, (ev,) = _compile([alpha], ONE)
     supports = _supports(variant, inners, {"vplus": m.vplus, "vminus": m.vminus}, m.full)
-    return TwistValue(*ev(next(_valuations(variant, supports, m.states, 1, m.pi))))
+    return TwistValue(*ev(_atom_values(variant, [m.pi[s] for s in supports])))
 
 
 def _compile(formulas: Sequence[Formula], top) -> tuple[tuple[Formula, ...], tuple[Callable, ...]]:
@@ -289,7 +290,7 @@ def _compile(formulas: Sequence[Formula], top) -> tuple[tuple[Formula, ...], tup
     Returns the inner formulas of the modal atoms of all of them, in slot
     order, and each formula compiled over those slots, by its language's
     clauses, by :func:`qublogic.algebra.compile_twist`.  A compiled formula
-    maps the atoms' values (:func:`_valuations`) to a (truth, falsity) pair;
+    maps the atoms' values (:func:`_atom_values`) to a (truth, falsity) pair;
     QG atoms enter as (value, 0) and a QG value is the truth coordinate.
 
     A single formula's compilation is kept on its node
@@ -313,7 +314,7 @@ def _supports(layer: str, inners: Sequence[Formula], val: Mapping[str, Mapping[s
     support sets in turn (MCB/NMCB), under an inner valuation given as the
     keyword arguments of the layer's model, with ``full`` the mask of all
     states: one recursion per inner formula.  On bit-sliced valuations
-    (:func:`_frame_supports`) each set holds every valuation's at once."""
+    (:func:`_frame`) each set holds every valuation's at once."""
     if layer == "QG":
         v = val["v"]
         return [cpl_truth_set(inner, v, full) for inner in inners]
@@ -321,42 +322,28 @@ def _supports(layer: str, inners: Sequence[Formula], val: Mapping[str, Mapping[s
     return [s for inner in inners for s in masks(inner)]
 
 
-def _valuations(layer: str, supports: Sequence[int], states: int, count: int,
-                rank: Mapping[int, object] | Sequence) -> Iterator[tuple]:
-    """The atoms' values under each of ``count`` valuations in turn, read
-    lazily from their bit-sliced ``supports``: for ``rank`` the measure on
-    the chain, the measure of each atom's truth set, or of its two support
-    sets, as a tuple of (truth, falsity) pairs by slot.  Past 64 valuations
-    the masks are cut into words of 64 valuations, so that no slice shifts
-    a long mask."""
-    chunks: Iterable[Sequence[int]] = [supports]
-    if count > 64:
-        size = 8 * states  # bytes of 64 valuations
-        data = [s.to_bytes(count * states // 8, "little") for s in supports]
-        chunks = ([int.from_bytes(d[i:i + size], "little") for d in data]
-                  for i in range(0, len(data[0]), size))
-    low = (1 << states) - 1
-    offsets = range(0, min(count, 64) * states, states)
-    for words in chunks:
-        if layer == "QG":
-            for o in offsets:
-                yield tuple([(rank[w >> o & low], 0) for w in words])
-        else:
-            pairs = list(zip(words[::2], words[1::2]))
-            for o in offsets:
-                yield tuple([(rank[pos >> o & low], rank[neg >> o & low]) for pos, neg in pairs])
+def _atom_values(layer: str, values: Sequence) -> tuple:
+    """The atoms' values from the measure of their sets (:func:`_supports`):
+    a tuple of (truth, falsity) pairs by slot, (value, 0) for a QG atom's
+    truth set, and the values of an MCB/NMCB atom's two support sets."""
+    if layer == "QG":
+        return tuple([(v, 0) for v in values])
+    return tuple(zip(values[::2], values[1::2]))
 
 
-def _ranks(mu: Mapping[int, Fraction]) -> dict[int, int]:
-    """The measure on integer ranks: 0 and 1 go to 0 and ``_RANK_TOP``, and
-    the values between them to 1, 2, ... in ascending order."""
-    by_value: dict = {}
-    for x, v in mu.items():  # hashes each value once: Fraction hashes are slow
-        by_value.setdefault(v, []).append(x)
-    rank = dict.fromkeys(by_value.pop(ZERO, ()), 0)
-    rank.update(dict.fromkeys(by_value.pop(ONE, ()), _RANK_TOP))
-    for i, v in enumerate(sorted(by_value), 1):
-        rank.update(dict.fromkeys(by_value[v], i))
+def _ranks(mu: Mapping[int, Fraction]) -> list[int]:
+    """The measure on integer ranks, by subset: 0 and 1 go to 0 and
+    ``_RANK_TOP``, and the values between them to 1, 2, ... in ascending
+    order.  The values are sorted once, as integers over their least
+    common denominator: neither compared nor hashed as Fractions."""
+    ratios = [v.as_integer_ratio() for v in mu.values()]
+    one = lcm(*[d for _, d in ratios])
+    rank = [0] * len(ratios)
+    r, last = 0, 0
+    for value, x in sorted([(n * (one // d), x) for x, (n, d) in zip(mu, ratios)]):
+        if value != last:
+            r, last = _RANK_TOP if value == one else r + 1, value
+        rank[x] = r
     return rank
 
 
@@ -521,11 +508,10 @@ def frame_validates(states: int, measure: Mapping[int, Fraction], formula: Formu
     on every call."""
     _check_layer(layer, [formula])
     _check_measure(states, measure)
-    names = sorted(vars_of(formula))
+    names = memo(formula, "measures.frame_validates", lambda: tuple(sorted(vars_of(formula))))
     inners, (ev,) = _compile([formula], _RANK_TOP)
-    count, supports = _frame_supports(layer, inners, names, states)
-    a = _countervaluation(layer, lambda atoms: _designated(layer, ev(atoms)), supports, states,
-                          count, _ranks(measure))
+    frame = _frame(layer, inners, names, states)
+    a = _countervaluation(lambda atoms: _designated(layer, ev(atoms)), frame, _ranks(measure))
     return (True, None) if a is None else (False, _inner_valuation(layer, names, states, a))
 
 
@@ -542,10 +528,11 @@ def _check_layer(layer: str, formulas: Sequence[Formula]) -> None:
 # per variable in QG and two (vplus, vminus) interleaved in MCB/NMCB, in
 # product order, the last coordinate fastest.  Valuation ``a`` then gives
 # coordinate ``c`` of ``k`` the subset in bits ``(k-1-c)*states`` up of
-# ``a``.  They are bit-sliced: a state set over all valuations at once is a
-# mask with bit ``a*states + x`` for state ``x`` under valuation ``a``, so one
-# run of the inner recursion gives each inner formula's sets under all of
-# them, and valuation ``a`` reads its slice.
+# ``a``.  They are bit-sliced state-major: a state set over all ``count``
+# valuations at once is a mask with bit ``x*count + a`` for state ``x`` under
+# valuation ``a``, so one run of the inner recursion gives each inner
+# formula's sets under all of them, and the valuations whose set holds
+# state ``x`` are its ``x``-th slice of ``count`` bits, a shift away.
 
 def _coordinates(layer: str, names: Sequence[str]) -> int:
     return len(names) if layer == "QG" else 2 * len(names)
@@ -568,7 +555,7 @@ def _inner_valuation(layer: str, names: Sequence[str], states: int,
     ``vplus`` and ``vminus`` for MCB/NMCB."""
     k = _coordinates(layer, names)
     if a is None:
-        coords = [bd._coordinate_mask(states, k - 1 - c, k) for c in range(k)]
+        coords = _sliced_coordinates(k, states)
     else:
         coords = [a >> (k - 1 - c) * states & (1 << states) - 1 for c in range(k)]
     if layer == "QG":
@@ -576,30 +563,98 @@ def _inner_valuation(layer: str, names: Sequence[str], states: int,
     return {"vplus": dict(zip(names, coords[::2])), "vminus": dict(zip(names, coords[1::2]))}
 
 
-def _frame_supports(layer: str, inners: Sequence[Formula], names: Sequence[str],
-                    states: int) -> tuple[int, list[int]]:
-    """The number of inner valuations, refused over the cap, and the inner
-    formulas' sets under all of them, bit-sliced."""
+@cache
+def _sliced_coordinates(k: int, states: int) -> tuple[int, ...]:
+    """The bit-sliced subsets of each of ``k`` coordinates on ``states``
+    states, state-major; kept for each shape, at most 2^16 * states bits a
+    mask (:func:`_frame_size`)."""
+    count = 1 << k * states
+    return tuple(sum(bd._coordinate_mask(1, (k - 1 - c) * states + x, k * states) << x * count
+                     for x in range(states)) for c in range(k))
+
+
+class _Frame(NamedTuple):
+    """The inner valuations of a frame search on one state count: their
+    number, and for each atom set (:func:`_supports`) its slices, the
+    valuations under which it holds each state, and the valuations under
+    which it is each subset of states (:func:`_split`)."""
+
+    layer: str
+    states: int
+    count: int
+    slices: list[list[int]]
+    splits: list[list[int]]
+
+
+def _frame(layer: str, inners: Sequence[Formula], names: Sequence[str], states: int) -> _Frame:
+    """The inner formulas' sets under every inner valuation of ``names`` on
+    ``states`` states, refused over the cap, split by subset."""
     count = _frame_size(layer, names, states)
     val = _inner_valuation(layer, names, states)
-    return count, _supports(layer, inners, val, (1 << count * states) - 1)
+    low = (1 << count) - 1
+    slices = [[s >> x * count & low for x in range(states)]
+              for s in _supports(layer, inners, val, (1 << count * states) - 1)]
+    return _Frame(layer, states, count, slices, [_split(held, low) for held in slices])
 
 
-def _countervaluation(layer: str, test: Callable[[tuple], bool], supports: Sequence[int],
-                      states: int, count: int,
-                      rank: Mapping[int, int] | Sequence[int]) -> int | None:
-    """The index of the first of ``count`` inner valuations whose atom
-    values on the measure's ranks fail ``test``, or None.
+def _split(slices: Sequence[int], low: int) -> list[int]:
+    """The valuations, of the mask ``low``, under which a set with these
+    slices is each subset of states, as a mask by subset: each slice splits
+    the valuations in two."""
+    parts = [low]
+    for held in slices:
+        inside = [m & held for m in parts]
+        parts = [m ^ i for m, i in zip(parts, inside)] + inside
+    return parts
+
+
+def _countervaluation(test: Callable[[tuple], bool], frame: _Frame,
+                      rank: Sequence[int]) -> int | None:
+    """The least of the frame's inner valuations whose atom values on the
+    measure's ranks ``rank`` fail ``test``, or None.
 
     This is the one loop of the frame searches.  The outer layer reads a
-    valuation only through its atoms' values, so ``test`` runs once per
-    distinct tuple of them: a tuple already seen passed, and is skipped."""
-    passed: set[tuple] = set()
-    for a, atoms in enumerate(_valuations(layer, supports, states, count, rank)):
-        if atoms not in passed:
-            if not test(atoms):
-                return a
-            passed.add(atoms)
+    valuation only through its atoms' values, so the valuations fall into
+    classes, one per tuple of those values, and ``test`` runs once per
+    class, in order of its least valuation: the order in which a walk over
+    the valuations meets each tuple first.  Each set's masks by subset are
+    grouped by the subset's rank, and the classes are the non-empty
+    intersections of one group of each set, found set by set.  Placing a
+    class in a set's groups costs an intersection per group tried, so a
+    single valuation is placed by reading its subset off the set's slices,
+    an intersection per state, where the set has more groups than twice
+    the states: that keeps the loop linear in the valuations on measures
+    of many values."""
+    groups = []
+    for parts in frame.splits:
+        by_rank: dict[int, int] = {}
+        for r, m in zip(rank, parts):
+            if m:
+                by_rank[r] = by_rank.get(r, 0) | m
+        groups.append(list(by_rank.items()))
+    reads = [len(g) > 2 * frame.states for g in groups]
+    classes = []
+    depth = len(groups)
+    stack = [((1 << frame.count) - 1, 0, ())]
+    while stack:
+        m, k, ranks = stack.pop()
+        if k == depth:
+            classes.append(((m & -m).bit_length() - 1, ranks))
+        elif reads[k] and m.bit_count() == 1:
+            x = sum([1 << i for i, held in enumerate(frame.slices[k]) if held & m])
+            stack.append((m, k + 1, (*ranks, rank[x])))
+        else:
+            for r, group in groups[k]:
+                part = m & group
+                if part:
+                    stack.append((part, k + 1, (*ranks, r)))
+                    m ^= part
+                    if not m:
+                        break
+    classes.sort()
+    for a, ranks in classes:
+        if not test(_atom_values(frame.layer, ranks)):
+            return a
     return None
 
 
@@ -700,13 +755,13 @@ def _frame_search(search: str, layer: str, formulas: Sequence[Formula],
     test = lambda atoms: kept([ev(atoms) for ev in evs])
     read = 0
     for states in range(1, max_states + 1):
-        count, supports = _frame_supports(layer, inners, names, states)
+        frame = _frame(layer, inners, names, states)
         for m in range(denominator):
             for rank in _rank_functions(states, m, capacity):
-                a = _countervaluation(layer, test, supports, states, count, rank)
+                a = _countervaluation(test, frame, rank)
                 val = None if a is None else _inner_valuation(layer, names, states, a)
                 yield states, m, rank, val
-                read += count
+                read += frame.count
                 if read > _MAX_SEARCH_VALUATIONS:
                     raise ValueError(
                         f"{search} undecided: stopped on {states} states at denominator {m + 1} "

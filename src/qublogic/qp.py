@@ -66,10 +66,20 @@ class GardenforsModel:
 
     @classmethod
     def from_json(cls, obj: dict) -> "GardenforsModel":
-        weights = {int(x): tuple(map(parse_fraction, bd._checked(w, list, "a weight vector")))
-                   for x, w in bd._checked(obj["weights"], dict, "'weights'").items()}
         states = bd._checked(obj["states"], int, "'states'")
+        weights = {_state_key(x, states): tuple(map(parse_fraction,
+                                                    bd._checked(w, list, "a weight vector")))
+                   for x, w in bd._checked(obj["weights"], dict, "'weights'").items()}
         return cls(states, weights, bd._masks_from_json(obj, "v"))
+
+
+def _state_key(key: str, states: int) -> int:
+    """The state a ``weights`` key names: only the state numbers 0..states-1
+    as written by :meth:`GardenforsModel.to_json`, so that no two keys name
+    one state."""
+    if not (key.isdecimal() and str(int(key)) == key and int(key) < states):
+        raise ValueError(f"'weights' is keyed by the state numbers 0..{states - 1}, not {key!r}")
+    return int(key)
 
 
 _COMPARE = {"leq": operator.le, "approx": operator.eq, "less": operator.lt}

@@ -459,6 +459,20 @@ def test_malformed_or_conflicting_models_exit_2(capsys, model, error):
     assert error in _input_error(capsys, ["eval-qg", "--model", json.dumps(model), "B(p | ~p)"])
 
 
+@pytest.mark.parametrize("weights,key", [
+    # two spellings of state 0, in either order: neither vector wins silently
+    ({"0": ["1/2"], "00": ["1"]}, "00"),
+    ({"00": ["1"], "0": ["1/2"]}, "00"),
+    ({"+0": ["1"]}, "+0"),
+    ({" 0": ["1"]}, " 0"),
+    ({"0": ["1"], "1": ["1"]}, "1"),
+])
+def test_gardenfors_weights_are_keyed_by_state_numbers(capsys, weights, key):
+    model = json.dumps({"states": 1, "weights": weights, "v": {"p": [0]}})
+    assert _input_error(capsys, ["qp", "sat", "--model", model, "p <= p"]) == \
+        f"ValueError: 'weights' is keyed by the state numbers 0..0, not {key!r}"
+
+
 @pytest.mark.parametrize("value,error", [
     ("1e99999", "number 1e99999 has too large an exponent"),
     ("1e-99999", "number 1e-99999 has too large an exponent"),

@@ -1,5 +1,6 @@
 import copy
 import gc
+import itertools
 import json
 import pickle
 import random
@@ -286,9 +287,9 @@ def test_frame_searches_evaluate_each_measure_order_type_once(monkeypatch):
     calls = []
     real = measures._countervaluation
 
-    def counted(layer, test, supports, states, count, rank):
-        calls.append(states)
-        return real(layer, test, supports, states, count, rank)
+    def counted(test, frame, rank):
+        calls.append(frame.states)
+        return real(test, frame, rank)
 
     monkeypatch.setattr(measures, "_countervaluation", counted)
     assert find_frame_countermodel([], parse("QG", "B(p & q) -> B(p)"), "QG", 3, 4) is None
@@ -671,6 +672,98 @@ def test_frame_loop_finds_the_first_countervaluation_where_no_tuple_repeats():
     assert first == {"vplus": {"p": 7, "q": 0}, "vminus": {"p": 0, "q": 0}}
     assert frame_validates(3, mu, f, "MCB") == (False, first)
     assert frame_validates(3, mu, parse("MCB", "delta1 (C(p & q) -> C(q))"), "MCB") == (True, None)
+
+
+def _loop_oracle(layer, f, states):
+    """What the class loop must do on one frame, from a plain walk over the
+    inner valuations whose atom sets come from the per-state oracle: for a
+    rank function, the atom-rank tuples in order of first occurrence up to
+    the first failing one, and that valuation's index or None."""
+    names = sorted(vars_of(f))
+    inners, (ev,) = measures._compile([f], measures._RANK_TOP)
+    printed = {a.children[0]: print_formula(a) for a in modal_atoms(f)}
+    keys = [printed[inner] for inner in inners]
+    sets = [[oracles.layer_atom_sets(layer, [f], states, val)[key] for key in keys]
+            for val in oracles.inner_valuations(layer, states, names)]
+    test = lambda atoms: measures._designated(layer, ev(atoms))
+
+    def expect(rank):
+        seen, order = set(), []
+        for a, row in enumerate(sets):
+            atoms = tuple((rank[x], 0) if layer == "QG" else (rank[x[0]], rank[x[1]]) for x in row)
+            if atoms not in seen:
+                seen.add(atoms)
+                order.append(atoms)
+                if not test(atoms):
+                    return order, a
+        return order, None
+
+    return measures._frame(layer, inners, names, states), test, expect
+
+
+def _loop_cases(layer, states, variables, ranks, seed):
+    """The layer's correspondence formulas over ``variables`` variables,
+    generated formulas over as many that pass the first valuation on some
+    of the frames ``ranks``, three in all, and one atom over p, which fails
+    there on every frame: p empty."""
+    rng = random.Random(seed)
+    out = [f for f in (parse(lay, text) for lay, text, _ in measures.CORRESPONDENCES.values()
+                       if lay == layer) if len(vars_of(f)) == variables][:1]
+    while len(out) < 3:
+        f = _layer_formula(rng, layer, 3)
+        if len(vars_of(f)) == variables and f not in out:
+            expect = _loop_oracle(layer, f, states)[2]
+            if any(expect(rank)[1] != 0 for rank in ranks[::50]):
+                out.append(f)
+    return out + [parse(layer, "B(p)" if layer == "QG" else "C(p)")]
+
+
+@pytest.mark.parametrize("layer", ["QG", "MCB", "NMCB"])
+def test_class_loop_tests_each_rank_tuple_in_walk_order(layer):
+    """On every monotone order type up to 3 states (MCB/NMCB over one
+    variable there, two on fewer states), and on 4 states for QG over two
+    variables (the first 40 order types of each interior count), the loop
+    hands ``test`` exactly the distinct atom-rank tuples that a walk over
+    the valuations meets, in that order, up to the first failing one, and
+    returns that valuation; sampled frames agree with the Fraction oracle
+    too."""
+    frames = [(states, [r for m in range((1 << states) - 1)
+                        for r in measures._rank_functions(states, m)]) for states in (1, 2, 3)]
+    if layer == "QG":
+        frames.append((4, [r for m in range(15)
+                           for r in itertools.islice(measures._rank_functions(4, m), 40)]))
+    first_fails = 0
+    for states, ranks in frames:
+        variables = 1 if layer != "QG" and states == 3 else 2
+        for f in _loop_cases(layer, states, variables, ranks, 61 + states):
+            frame, test, expect = _loop_oracle(layer, f, states)
+            for i, rank in enumerate(ranks):
+                tested = []
+                got = measures._countervaluation(lambda atoms: tested.append(atoms) or test(atoms),
+                                                 frame, rank)
+                assert (tested, got) == expect(rank), (print_formula(f), rank)
+                first_fails += got == 0 and len(tested) == 1
+                if i % 97 == 0:
+                    mu = {x: F(r, measures._RANK_TOP) for x, r in enumerate(rank)}
+                    want = oracles.frame_countervaluation(layer, f, states, mu)
+                    assert want == (None if got is None else measures._inner_valuation(
+                        layer, sorted(vars_of(f)), states, got)), print_formula(f)
+    assert first_fails >= sum(len(ranks) for _, ranks in frames)
+
+
+@pytest.mark.parametrize("layer", ["QG", "MCB", "NMCB"])
+def test_sliced_inner_valuations_are_state_major(layer):
+    """Bit ``x * count + a`` of a bit-sliced coordinate is state ``x`` of
+    that coordinate under valuation ``a``: read at every ``a``, the sliced
+    valuation is valuation ``a`` itself."""
+    for names in (["p"], ["p", "q"]):
+        for states in (1, 2, 3):
+            count = 1 << states * measures._coordinates(layer, names)
+            sliced = measures._inner_valuation(layer, names, states)
+            for a in range(count):
+                read = {side: {p: sum((mask >> x * count + a & 1) << x for x in range(states))
+                               for p, mask in masks.items()} for side, masks in sliced.items()}
+                assert read == measures._inner_valuation(layer, names, states, a)
 
 
 def test_frame_validation_on_four_states_within_its_budget():
