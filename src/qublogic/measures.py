@@ -26,21 +26,23 @@ return carries Fractions.  One model's evaluation runs the same compiled
 formula on the measure's own values.
 
 Inner truth is statewise and does not depend on the measure, so frame
-searches bit-slice the inner valuations: one mask over (valuation, state)
-bits per coordinate, one run of :func:`cpl_truth_set` or of the BD support
-recursion per inner formula on those masks, and each valuation reads its
-atoms' sets as a slice, 64 valuations at a time, so that frame validity
-still stops at the first failing valuation.  The countermodel search and
-the correspondence test do this once per state count and reuse the sets
-for every order type.  A state count with more than ``_MAX_FRAME_VALUATIONS``
-inner valuations is refused before it starts, with its count.
+searches bit-slice the inner valuations: one mask over (state, valuation)
+bits per coordinate, state-major, and one run of :func:`cpl_truth_set` or
+of the BD support recursion per inner formula on those masks.  Each atom
+set is then split into one valuation mask per subset of states.  The
+countermodel search and the correspondence test do this once per state
+count and reuse the masks for every order type.  A state count with more
+than ``_MAX_FRAME_VALUATIONS`` inner valuations is refused before it
+starts, with its count.
 
 Frame validity, the correspondence test and the countermodel search share
 one loop, :func:`_countervaluation`.  The outer value at a valuation
-depends only on the ranks of the atoms' values, so it runs the caller's
-test once per distinct tuple of them and returns the first failing
-valuation's index.  The countermodel search and the correspondence test
-also share the loop around it, :func:`_frame_search`, which stops past
+depends only on the ranks of the atoms' values, so the loop groups each
+set's masks by the rank of their subset, intersects one group of each
+set, and runs the caller's test once per non-empty intersection, a class
+of valuations, in order of its least valuation, which it returns on a
+failure.  The countermodel search and the correspondence test also share
+the loop around it, :func:`_frame_search`, which stops past
 ``_MAX_SEARCH_VALUATIONS`` inner valuations, stating where.  The measure
 properties of :func:`check_property` compare ranks too, and refuse past
 ``_MAX_PROPERTY_TUPLES`` tuples of subsets."""
@@ -493,8 +495,12 @@ def check_property(states: int, measure: Mapping[int, Fraction], prop: str,
 
 #: inner valuations per state count that a frame search admits: 2 MCB/NMCB
 #: or 4 QG variables on 4 states.  At the cap one frame validation took
-#: 0.07-0.34 s of CPU on 4 states and 0.6 s on 16 (python 3.11, shared
-#: 2-core VM), and each mask has 2^16 * states bits, at most 128 KiB
+#: 0.013-0.018 s of CPU for mcb_ii on 4 states with mu(X) = |X|/4 (1,225
+#: classes), and up to 1.0 s where each valuation is a class of its own
+#: (python 3.11, shared 2-core VM).  A support has 2^16 * states bits, at
+#: most 128 KiB, and a set's masks by subset up to 2^16 * 2^states bits:
+#: for one QG variable on 16 states whose measure takes 65,536 values,
+#: 3.4 s and a peak of 1.6 GiB
 _MAX_FRAME_VALUATIONS = 1 << 16
 
 
@@ -502,10 +508,12 @@ def frame_validates(states: int, measure: Mapping[int, Fraction], formula: Formu
                     layer: str) -> tuple[bool, dict | None]:
     """Validity of a two-layered formula on the frame (all inner valuations).
 
-    The formula is compiled on ranks once and kept on its node
-    (:func:`_compile`), so validating it on many frames compiles it once;
-    the measure's ranks and the inner formulas' bit-sliced sets are computed
-    on every call."""
+    The formula's compilation on ranks and its variable names are kept on
+    its node (:func:`_compile`, :func:`qublogic.syntax.memo`), so validating
+    it on many frames compiles it once; the measure's ranks, the inner
+    formulas' bit-sliced sets and their masks by subset are computed on
+    every call, and :func:`_countervaluation` tests each class of
+    valuations once."""
     _check_layer(layer, [formula])
     _check_measure(states, measure)
     names = memo(formula, "measures.frame_validates", lambda: tuple(sorted(vars_of(formula))))
@@ -736,8 +744,10 @@ def _grid_measures(rank: Sequence[int], m: int, denominator: int) -> Iterator[di
         yield {x: ONE if rank[x] == _RANK_TOP else value[rank[x]] for x in order}
 
 
-#: inner valuations a frame search may read over all its order types: about
-#: 3 s of CPU for 2 MCB variables on 3 states (python 3.11, 2-core VM)
+#: inner valuations a frame search may read over all its order types,
+#: counted in full for each order type though each class of them is tested
+#: once: 0.13 s of CPU for 2 MCB variables on 3 states (python 3.11, shared
+#: 2-core VM)
 _MAX_SEARCH_VALUATIONS = 1 << 21
 
 

@@ -9,13 +9,16 @@ or ``canonical_qg_model(witness, formulas)``, fails its queries there.
 The calls that only the traced run makes (``decide.qg_merge_atoms``
 through ``grid_points``, and ``algebra.eval_big`` and ``algebra.eval_g2``
 on ``probe_pairs``) are made here in this process, on one round's
-queries, as ``bench/run.py --trace 1`` makes them.  No digest is pinned:
-the determinism self-check compares those between two trees.  Within one
-tree, the decide-refute and models rounds run again under a second
-PYTHONHASHSEED and must give the same input and output digests: their
-formulas' atoms are collected in sets (``measures._compile`` takes its
-slots in set order), so a key, slot or witness that leaks hash order fails
-here.
+queries, as ``bench/run.py --trace 1`` makes them.
+
+The input and output digests of each workload's seed-1 round are pinned in
+``tests/data/workload_digests.json``: a change that moves a printed
+witness, verdict or report fails here, and one that means to updates that
+file and names the outputs it moved.  Within one tree, the decide-refute
+and models rounds run again under a second PYTHONHASHSEED and must give
+the same digests: their formulas' atoms are collected in sets
+(``measures._compile`` takes its slots in set order), so a key, slot or
+witness that leaks hash order fails here.
 """
 
 import json
@@ -28,6 +31,8 @@ from types import SimpleNamespace
 import pytest
 
 WORKER = pathlib.Path(__file__).resolve().parents[1] / "bench" / "worker.py"
+DIGESTS = json.loads((pathlib.Path(__file__).resolve().parent / "data"
+                      / "workload_digests.json").read_text())
 
 
 def _dump(workload: str, env: dict) -> tuple[dict, str]:
@@ -42,6 +47,7 @@ def _dump(workload: str, env: dict) -> tuple[dict, str]:
 def test_one_round_of_each_workload_has_no_failed_query(workload):
     report, stderr = _dump(workload, dict(os.environ))
     assert report["queries"] > 0 and report["failed"] == 0, (report, stderr)
+    assert {k: report[k] for k in ("queries", "inputs", "outputs")} == DIGESTS[workload], report
     if workload in ("decide-refute", "models"):
         # unset, the first run's hash seed was random; either way this one differs
         seed = "2" if os.environ.get("PYTHONHASHSEED") == "1" else "1"
