@@ -26,23 +26,26 @@ return carries Fractions.  One model's evaluation runs the same compiled
 formula on the measure's own values.
 
 Inner truth is statewise and does not depend on the measure, so frame
-searches bit-slice the inner valuations: one mask over (state, valuation)
-bits per coordinate, state-major, and one run of :func:`cpl_truth_set` or
-of the BD support recursion per inner formula on those masks.  Each atom
-set is then split into one valuation mask per subset of states.  The
+searches run :func:`cpl_truth_set` or the BD support recursion once per
+inner formula on every inner valuation at once, laid out twice in one
+integer: bit-sliced, a mask over (state, valuation) bits, state-major, and
+a byte lane per valuation holding its subset.  Each atom set then comes
+with a table of its subset under each valuation and, where the valuations
+outnumber the subsets of states, one valuation mask per subset.  The
 countermodel search and the correspondence test do this once per state
-count and reuse the masks for every order type.  A state count with more
-than ``_MAX_FRAME_VALUATIONS`` inner valuations is refused before it
-starts, with its count.
+count and reuse it for every order type.  A state count with more than
+``_MAX_FRAME_VALUATIONS`` inner valuations is refused before it starts,
+with its count.
 
 Frame validity, the correspondence test and the countermodel search share
 one loop, :func:`_countervaluation`.  The outer value at a valuation
-depends only on the ranks of the atoms' values, so the loop groups each
-set's masks by the rank of their subset, intersects one group of each
-set, and runs the caller's test once per non-empty intersection, a class
-of valuations, in order of its least valuation, which it returns on a
-failure.  The countermodel search and the correspondence test also share
-the loop around it, :func:`_frame_search`, which stops past
+depends only on the ranks of the atoms' values, so the loop cuts the
+valuations set by set into classes with one tuple of atom ranks, by
+intersecting them with each set's masks grouped by the rank of their
+subset, reads a single valuation's subsets off the tables, and runs the
+caller's test once per class, in order of its least valuation, which it
+returns on a failure.  The countermodel search and the correspondence test
+also share the loop around it, :func:`_frame_search`, which stops past
 ``_MAX_SEARCH_VALUATIONS`` inner valuations, stating where.  The measure
 properties of :func:`check_property` compare ranks too, and refuse past
 ``_MAX_PROPERTY_TUPLES`` tuples of subsets."""
@@ -50,11 +53,14 @@ properties of :func:`check_property` compare ranks too, and refuse past
 from __future__ import annotations
 
 import json
+import sys
+from array import array
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
 from itertools import combinations, product
-from math import comb, lcm
+from math import comb
+from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from . import bd
@@ -336,16 +342,19 @@ def _atom_values(layer: str, values: Sequence) -> tuple:
 def _ranks(mu: Mapping[int, Fraction]) -> list[int]:
     """The measure on integer ranks, by subset: 0 and 1 go to 0 and
     ``_RANK_TOP``, and the values between them to 1, 2, ... in ascending
-    order.  The values are sorted once, as integers over their least
-    common denominator: neither compared nor hashed as Fractions."""
-    ratios = [v.as_integer_ratio() for v in mu.values()]
-    one = lcm(*[d for _, d in ratios])
-    rank = [0] * len(ratios)
-    r, last = 0, 0
-    for value, x in sorted([(n * (one // d), x) for x, (n, d) in zip(mu, ratios)]):
-        if value != last:
-            r, last = _RANK_TOP if value == one else r + 1, value
-        rank[x] = r
+    order.  The subsets are grouped by the integer ratio of their value
+    (Fractions are normalised, so equal ratios are equal values), and only
+    the distinct values are sorted: no Fraction is hashed."""
+    by_ratio: dict[tuple[int, int], list] = {}
+    for x, v in mu.items():
+        by_ratio.setdefault(v.as_integer_ratio(), [v]).append(x)
+    rank = [0] * len(mu)
+    by_ratio.pop((0, 1), None)
+    for x in by_ratio.pop((1, 1), [ONE])[1:]:
+        rank[x] = _RANK_TOP
+    for r, (_, *xs) in enumerate(sorted(by_ratio.values(), key=itemgetter(0)), 1):
+        for x in xs:
+            rank[x] = r
     return rank
 
 
@@ -495,12 +504,13 @@ def check_property(states: int, measure: Mapping[int, Fraction], prop: str,
 
 #: inner valuations per state count that a frame search admits: 2 MCB/NMCB
 #: or 4 QG variables on 4 states.  At the cap one frame validation took
-#: 0.013-0.018 s of CPU for mcb_ii on 4 states with mu(X) = |X|/4 (1,225
-#: classes), and up to 1.0 s where each valuation is a class of its own
-#: (python 3.11, shared 2-core VM).  A support has 2^16 * states bits, at
-#: most 128 KiB, and a set's masks by subset up to 2^16 * 2^states bits:
-#: for one QG variable on 16 states whose measure takes 65,536 values,
-#: 3.4 s and a peak of 1.6 GiB
+#: 0.010 s of CPU for mcb_ii on 4 states with mu(X) = |X|/4 (1,225
+#: classes), 0.4 s where each valuation is a class of its own (mcb_ii with
+#: 16 distinct measure values), and 0.3 s and a peak RSS of 49 MiB for one
+#: QG variable on 16 states whose measure takes 65,536 values (python 3.11,
+#: shared 2-core VM).  A set's table is at most 2^16 lanes of 2 bytes, and
+#: its masks by subset, made only where the valuations outnumber the
+#: subsets, at most 2^8 masks of 2^16 bits
 _MAX_FRAME_VALUATIONS = 1 << 16
 
 
@@ -510,10 +520,10 @@ def frame_validates(states: int, measure: Mapping[int, Fraction], formula: Formu
 
     The formula's compilation on ranks and its variable names are kept on
     its node (:func:`_compile`, :func:`qublogic.syntax.memo`), so validating
-    it on many frames compiles it once; the measure's ranks, the inner
-    formulas' bit-sliced sets and their masks by subset are computed on
-    every call, and :func:`_countervaluation` tests each class of
-    valuations once."""
+    it on many frames compiles it once; the measure's ranks and the inner
+    formulas' sets, their tables and masks by subset (:func:`_frame`), are
+    computed on every call, and :func:`_countervaluation` tests each class
+    of valuations once."""
     _check_layer(layer, [formula])
     _check_measure(states, measure)
     names = memo(formula, "measures.frame_validates", lambda: tuple(sorted(vars_of(formula))))
@@ -536,11 +546,13 @@ def _check_layer(layer: str, formulas: Sequence[Formula]) -> None:
 # per variable in QG and two (vplus, vminus) interleaved in MCB/NMCB, in
 # product order, the last coordinate fastest.  Valuation ``a`` then gives
 # coordinate ``c`` of ``k`` the subset in bits ``(k-1-c)*states`` up of
-# ``a``.  They are bit-sliced state-major: a state set over all ``count``
-# valuations at once is a mask with bit ``x*count + a`` for state ``x`` under
-# valuation ``a``, so one run of the inner recursion gives each inner
-# formula's sets under all of them, and the valuations whose set holds
-# state ``x`` are its ``x``-th slice of ``count`` bits, a shift away.
+# ``a``.  They are laid out twice in one integer per coordinate, so that
+# one run of the inner recursion gives each inner formula's sets under all
+# of them.  The low ``count * states`` bits are bit-sliced state-major: bit
+# ``x*count + a`` is state ``x`` under valuation ``a``, and the valuations
+# whose set holds state ``x`` are its ``x``-th slice of ``count`` bits.
+# Above them each valuation has a lane of ``_lane(states)`` bytes, lane
+# ``a`` holding valuation ``a``'s subset, so a set's lanes are its table.
 
 def _coordinates(layer: str, names: Sequence[str]) -> int:
     return len(names) if layer == "QG" else 2 * len(names)
@@ -559,11 +571,11 @@ def _frame_size(layer: str, names: Sequence[str], states: int) -> int:
 def _inner_valuation(layer: str, names: Sequence[str], states: int,
                      a: int | None = None) -> dict[str, dict[str, int]]:
     """Inner valuation ``a`` of ``names``, or with ``a`` None all of them
-    bit-sliced, as the keyword arguments of the layer's model: ``v`` for QG,
-    ``vplus`` and ``vminus`` for MCB/NMCB."""
+    (:func:`_frame_coordinates`), as the keyword arguments of the layer's
+    model: ``v`` for QG, ``vplus`` and ``vminus`` for MCB/NMCB."""
     k = _coordinates(layer, names)
     if a is None:
-        coords = _sliced_coordinates(k, states)
+        coords = _frame_coordinates(k, states)[0]
     else:
         coords = [a >> (k - 1 - c) * states & (1 << states) - 1 for c in range(k)]
     if layer == "QG":
@@ -571,38 +583,65 @@ def _inner_valuation(layer: str, names: Sequence[str], states: int,
     return {"vplus": dict(zip(names, coords[::2])), "vminus": dict(zip(names, coords[1::2]))}
 
 
+def _lane(states: int) -> int:
+    """The bytes of a lane, which holds one subset of states."""
+    return 1 if states <= 8 else 2
+
+
 @cache
-def _sliced_coordinates(k: int, states: int) -> tuple[int, ...]:
-    """The bit-sliced subsets of each of ``k`` coordinates on ``states``
-    states, state-major; kept for each shape, at most 2^16 * states bits a
-    mask (:func:`_frame_size`)."""
-    count = 1 << k * states
-    return tuple(sum(bd._coordinate_mask(1, (k - 1 - c) * states + x, k * states) << x * count
-                     for x in range(states)) for c in range(k))
+def _frame_coordinates(k: int, states: int) -> tuple[tuple[int, ...], int]:
+    """All inner valuations of ``k`` coordinates on ``states`` states, one
+    integer per coordinate, and the set of all states, laid out alike.
+    Kept for each shape, ``k * count * (states + 8 * lane)`` bits, at most
+    1.2 MiB (16 coordinates on one state): that saves 3-4 us of a 35 us
+    frame-QG validation and 15 us of a 180 us frame-MCB one (python 3.11,
+    shared 2-core VM)."""
+    count, lane = 1 << k * states, _lane(states)
+    top = count * states
+    coords = []
+    for c in range(k):
+        run = 1 << (k - 1 - c) * states
+        cycle = b"".join([x.to_bytes(lane, "little") * run for x in range(1 << states)])
+        lanes = int.from_bytes(cycle * (count // (run << states)), "little")
+        sliced = sum(bd._coordinate_mask(1, (k - 1 - c) * states + x, k * states) << x * count
+                     for x in range(states))
+        coords.append(sliced | lanes << top)
+    full = int.from_bytes(((1 << states) - 1).to_bytes(lane, "little") * count, "little")
+    return tuple(coords), (1 << top) - 1 | full << top
 
 
 class _Frame(NamedTuple):
     """The inner valuations of a frame search on one state count: their
-    number, and for each atom set (:func:`_supports`) its slices, the
-    valuations under which it holds each state, and the valuations under
-    which it is each subset of states (:func:`_split`)."""
+    number, and for each atom set (:func:`_supports`) its table and, where
+    the valuations outnumber the subsets of states, its masks by subset
+    (:func:`_split`)."""
 
     layer: str
     states: int
     count: int
-    slices: list[list[int]]
-    splits: list[list[int]]
+    tables: list[Sequence[int]]
+    splits: list[list[int]] | None
 
 
 def _frame(layer: str, inners: Sequence[Formula], names: Sequence[str], states: int) -> _Frame:
     """The inner formulas' sets under every inner valuation of ``names`` on
-    ``states`` states, refused over the cap, split by subset."""
+    ``states`` states, refused over the cap.  Masks by subset are made only
+    where the valuations outnumber the subsets: for two coordinates or
+    more, so on at most 8 states, at most 2^8 masks of 2^16 bits a set."""
     count = _frame_size(layer, names, states)
-    val = _inner_valuation(layer, names, states)
-    low = (1 << count) - 1
-    slices = [[s >> x * count & low for x in range(states)]
-              for s in _supports(layer, inners, val, (1 << count * states) - 1)]
-    return _Frame(layer, states, count, slices, [_split(held, low) for held in slices])
+    low, top, lane = (1 << count) - 1, count * states, _lane(states)
+    full = _frame_coordinates(_coordinates(layer, names), states)[1]
+    sets = _supports(layer, inners, _inner_valuation(layer, names, states), full)
+    tables: list = [(s >> top).to_bytes(lane * count, "little") for s in sets]
+    if lane == 2:
+        tables = [array("H", table) for table in tables]
+        if sys.byteorder == "big":
+            for table in tables:
+                table.byteswap()
+    splits = None
+    if count > 1 << states:
+        splits = [_split([s >> x * count & low for x in range(states)], low) for s in sets]
+    return _Frame(layer, states, count, tables, splits)
 
 
 def _split(slices: Sequence[int], low: int) -> list[int]:
@@ -625,40 +664,46 @@ def _countervaluation(test: Callable[[tuple], bool], frame: _Frame,
     valuation only through its atoms' values, so the valuations fall into
     classes, one per tuple of those values, and ``test`` runs once per
     class, in order of its least valuation: the order in which a walk over
-    the valuations meets each tuple first.  Each set's masks by subset are
-    grouped by the subset's rank, and the classes are the non-empty
-    intersections of one group of each set, found set by set.  Placing a
-    class in a set's groups costs an intersection per group tried, so a
-    single valuation is placed by reading its subset off the set's slices,
-    an intersection per state, where the set has more groups than twice
-    the states: that keeps the loop linear in the valuations on measures
-    of many values."""
+    the valuations meets each tuple first.  The classes are found set by
+    set.  A set's masks by subset are merged by the rank of their subset,
+    and a class is cut by the set one part at a time: its greatest
+    valuation's subset, read off the set's table, names the group to
+    intersect it with next, so a cut costs one intersection per non-empty
+    part, however many groups the set has.  A single valuation reads its
+    remaining sets off their tables, and so does every valuation of a
+    frame without masks, each tuple keeping its least valuation."""
+    depth = len(frame.tables)
     groups = []
-    for parts in frame.splits:
+    for parts in frame.splits or ():
         by_rank: dict[int, int] = {}
         for r, m in zip(rank, parts):
             if m:
                 by_rank[r] = by_rank.get(r, 0) | m
-        groups.append(list(by_rank.items()))
-    reads = [len(g) > 2 * frame.states for g in groups]
+        groups.append(by_rank)
     classes = []
-    depth = len(groups)
     stack = [((1 << frame.count) - 1, 0, ())]
     while stack:
         m, k, ranks = stack.pop()
+        a = m.bit_length() - 1
         if k == depth:
             classes.append(((m & -m).bit_length() - 1, ranks))
-        elif reads[k] and m.bit_count() == 1:
-            x = sum([1 << i for i, held in enumerate(frame.slices[k]) if held & m])
-            stack.append((m, k + 1, (*ranks, rank[x])))
+        elif m == 1 << a:
+            classes.append((a, (*ranks, *[rank[table[a]] for table in frame.tables[k:]])))
+        elif not groups:
+            tails: dict[tuple, int] = {}
+            while m:  # from the greatest valuation down, so the least is kept
+                tails[tuple([rank[table[a]] for table in frame.tables])] = a
+                m ^= 1 << a
+                a = m.bit_length() - 1
+            classes += [(a, tail) for tail, a in tails.items()]
         else:
-            for r, group in groups[k]:
-                part = m & group
-                if part:
-                    stack.append((part, k + 1, (*ranks, r)))
-                    m ^= part
-                    if not m:
-                        break
+            table, by_rank = frame.tables[k], groups[k]
+            while m:
+                r = rank[table[a]]
+                part = m & by_rank[r]
+                stack.append((part, k + 1, (*ranks, r)))
+                m ^= part
+                a = m.bit_length() - 1
     classes.sort()
     for a, ranks in classes:
         if not test(_atom_values(frame.layer, ranks)):
@@ -746,7 +791,7 @@ def _grid_measures(rank: Sequence[int], m: int, denominator: int) -> Iterator[di
 
 #: inner valuations a frame search may read over all its order types,
 #: counted in full for each order type though each class of them is tested
-#: once: 0.13 s of CPU for 2 MCB variables on 3 states (python 3.11, shared
+#: once: 0.14 s of CPU for 2 MCB variables on 3 states (python 3.11, shared
 #: 2-core VM)
 _MAX_SEARCH_VALUATIONS = 1 << 21
 

@@ -6,6 +6,7 @@ import pickle
 import random
 import re
 import time
+import tracemalloc
 from fractions import Fraction as F
 
 import pytest
@@ -753,23 +754,94 @@ def test_class_loop_tests_each_rank_tuple_in_walk_order(layer):
 
 @pytest.mark.parametrize("layer", ["QG", "MCB", "NMCB"])
 def test_sliced_inner_valuations_are_state_major(layer):
-    """Bit ``x * count + a`` of a bit-sliced coordinate is state ``x`` of
-    that coordinate under valuation ``a``: read at every ``a``, the sliced
+    """Bit ``x * count + a`` of a coordinate of every inner valuation is
+    state ``x`` of that coordinate under valuation ``a``, and lane ``a``
+    above those bits holds its subset: read either way at every ``a``, the
     valuation is valuation ``a`` itself."""
     for names in (["p"], ["p", "q"]):
         for states in (1, 2, 3):
             count = 1 << states * measures._coordinates(layer, names)
-            sliced = measures._inner_valuation(layer, names, states)
+            top, lane = count * states, 8 * measures._lane(states)
+            every = measures._inner_valuation(layer, names, states)
             for a in range(count):
-                read = {side: {p: sum((mask >> x * count + a & 1) << x for x in range(states))
-                               for p, mask in masks.items()} for side, masks in sliced.items()}
-                assert read == measures._inner_valuation(layer, names, states, a)
+                sliced = {side: {p: sum((mask >> x * count + a & 1) << x for x in range(states))
+                                 for p, mask in masks.items()} for side, masks in every.items()}
+                laned = {side: {p: mask >> top + lane * a & (1 << lane) - 1
+                                for p, mask in masks.items()} for side, masks in every.items()}
+                assert sliced == laned == measures._inner_valuation(layer, names, states, a)
+
+
+@pytest.mark.parametrize("states", [1, 2, 3, 4, 9, 10])
+def test_class_loop_reads_frames_without_masks_by_subset(states):
+    """One QG variable has as many valuations as subsets of states, so its
+    frames have no masks by subset and the loop reads every valuation off
+    the tables, two bytes a lane past 8 states: on rank functions with
+    every value distinct, few values, or random ones, it hands ``test`` the
+    walk's tuples in the walk's order and returns the walk's valuation."""
+    rng = random.Random(states)
+    subsets = 1 << states
+    ranks = [list(range(subsets)), [bin(x).count("1") for x in range(subsets)],
+             *([rng.randrange(4) for _ in range(subsets)] for _ in range(3))]
+    for text in ("B(p)", "(B(p) & B(~p)) -> B(p)", "delta B(p) <-> snot B(~p)",
+                 "snot B(p | ~p) | (B(p) -> B(~p))"):
+        f = parse("QG", text)
+        frame, test, expect = _loop_oracle("QG", f, states)
+        assert frame.splits is None and frame.count == subsets
+        for rank in ranks:
+            tested = []
+            got = measures._countervaluation(lambda atoms: tested.append(atoms) or test(atoms),
+                                             frame, rank)
+            assert (tested, got) == expect(rank), (text, rank)
+
+
+def test_frame_validation_of_one_variable_on_sixteen_states_within_its_peak():
+    """One QG variable on 16 states has 65,536 valuations, and a measure
+    with a distinct value on each subset makes each one a class of its own.
+    The loop reads them off the sets' tables, and the validation allocates
+    17 MiB at its peak; masks by subset, one per subset of states, would
+    take 512 MiB a set."""
+    mu = {x: F(sum(8 ** i for i in range(16) if x >> i & 1), sum(8 ** i for i in range(16)))
+          for x in range(1 << 16)}
+    f = parse("QG", "(B(p) & B(~p)) -> B(p)")
+    tracemalloc.start()
+    try:
+        assert frame_validates(16, mu, f, "QG") == (True, None)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 << 20, peak
+
+
+def test_ranks_keep_the_order_of_the_values():
+    """Ranks order the subsets as their values do, 0 and 1 at 0 and the top;
+    on 16 states with 65,536 distinct denominators, 1/(x + 1), they are
+    found with a small peak, where scaling the values to their least common
+    denominator would hold 65,536 numbers of 94,000 bits."""
+    rng = random.Random(5)
+    for _ in range(200):
+        mu = {x: F(rng.randrange(7), 6) for x in range(8)}
+        rank = measures._ranks(mu)
+        for x, y in itertools.product(range(8), repeat=2):
+            assert (mu[x] < mu[y]) == (rank[x] < rank[y])
+            assert (mu[x] == mu[y]) == (rank[x] == rank[y])
+        assert all((rank[x] == 0) == (mu[x] == 0) for x in range(8))
+        assert all((rank[x] == measures._RANK_TOP) == (mu[x] == 1) for x in range(8))
+    mu = {x: F(1, x + 1) for x in range(1 << 16)}
+    tracemalloc.start()
+    try:
+        rank = measures._ranks(mu)
+        peak = tracemalloc.get_traced_memory()[1]
+        assert check_property(16, mu, "monotone")[0] is False
+    finally:
+        tracemalloc.stop()
+    assert rank[0] == measures._RANK_TOP and rank[1:] == list(range(65535, 0, -1))
+    assert peak < 32 << 20, peak
 
 
 def test_frame_validation_on_four_states_within_its_budget():
     """0.15 s of CPU for the 2^16 valuations of mcb_ii on 4 states.  They
     fall into 1,225 classes of atom ranks, each tested once, and one
-    validation takes 0.012-0.018 s (python 3.11, shared 2-core VM), where a
+    validation takes 0.010-0.014 s (python 3.11, shared 2-core VM), where a
     walk over every valuation took 0.08-0.17 s; the fastest of five runs
     is held to the budget, so a load spike on one run does not fail it.
     Each run validates a fresh copy of the formula, whose memo is empty, so
