@@ -575,9 +575,12 @@ def _inner_valuation(layer: str, names: Sequence[str], states: int,
     model: ``v`` for QG, ``vplus`` and ``vminus`` for MCB/NMCB."""
     k = _coordinates(layer, names)
     if a is None:
-        coords = _frame_coordinates(k, states)[0]
-    else:
-        coords = [a >> (k - 1 - c) * states & (1 << states) - 1 for c in range(k)]
+        return _valuation(layer, names, _frame_coordinates(k, states)[0])
+    return _valuation(layer, names, [a >> (k - 1 - c) * states & (1 << states) - 1
+                                     for c in range(k)])
+
+
+def _valuation(layer: str, names: Sequence[str], coords: Sequence[int]) -> dict[str, dict[str, int]]:
     if layer == "QG":
         return {"v": dict(zip(names, coords))}
     return {"vplus": dict(zip(names, coords[::2])), "vminus": dict(zip(names, coords[1::2]))}
@@ -630,8 +633,8 @@ def _frame(layer: str, inners: Sequence[Formula], names: Sequence[str], states: 
     more, so on at most 8 states, at most 2^8 masks of 2^16 bits a set."""
     count = _frame_size(layer, names, states)
     low, top, lane = (1 << count) - 1, count * states, _lane(states)
-    full = _frame_coordinates(_coordinates(layer, names), states)[1]
-    sets = _supports(layer, inners, _inner_valuation(layer, names, states), full)
+    coords, full = _frame_coordinates(_coordinates(layer, names), states)
+    sets = _supports(layer, inners, _valuation(layer, names, coords), full)
     tables: list = [(s >> top).to_bytes(lane * count, "little") for s in sets]
     if lane == 2:
         tables = [array("H", table) for table in tables]
@@ -698,11 +701,13 @@ def _countervaluation(test: Callable[[tuple], bool], frame: _Frame,
             classes += [(a, tail) for tail, a in tails.items()]
         else:
             table, by_rank = frame.tables[k], groups[k]
-            while m:
+            while True:
                 r = rank[table[a]]
                 part = m & by_rank[r]
                 stack.append((part, k + 1, (*ranks, r)))
                 m ^= part
+                if not m:
+                    break
                 a = m.bit_length() - 1
     classes.sort()
     for a, ranks in classes:
