@@ -6,8 +6,11 @@ logic.  The twist-product logics use denominator 2k+1 so every relative
 ordering of the 2k coordinates is realizable; the test suite cross-checks
 this against an independent order-type oracle.  The twist decision runs
 on integer ranks and visits only the first grid point of each order type
-(:func:`g2_entails`); the biG decision runs every grid point, on the
-grid's Fractions.  Both compile each formula once, by
+(:func:`g2_entails`).  The biG decision walks the grid's Fractions in
+product order and skips each prefix on which a disjunct of the goal is
+already 1 (:func:`big_entails`); cuts on premises, which would shorten a
+refuted QG query's witness scan, and cuts in the twist walk are not made.
+Both compile each formula once, by
 :func:`qublogic.algebra.compile_twist`.  A query over more atoms than a
 grid decision admits (in QG, a refuted query's witness scan) is refused
 with a ValueError that states the number of points of its grid.
@@ -109,7 +112,14 @@ def big_entails(gamma: Sequence[Formula], f: Formula) -> Verdict:
     The grid is walked in product order, keys sorted, up to its first
     countervaluation.  Each formula is compiled once over the keys at top 1
     (:func:`_compiled`) and run on the pairs (value, 0), whose truth is its
-    biG value."""
+    biG value.  The walk is cut into segments at the goal's disjuncts that
+    read only the keys before some cut (:func:`_cuts`), and a prefix on
+    which one of them is 1 is skipped: the goal is 1 on every point that
+    extends it, so none of them refutes, and the first countervaluation is
+    the full grid's.  A prelinearity cycle over sorted keys reaches 1,200
+    of its 10^8 points on 8 atoms.  Premises are read at complete points
+    only and take no cuts, so a goal without such disjuncts, such as one
+    atom, is walked point by point up to the first countervaluation."""
     _check_langs([*gamma, f], ("BIG", "QG"), "a biG decision")
     keys = _atom_keys([*gamma, f])
     k = len(keys)
@@ -117,11 +127,52 @@ def big_entails(gamma: Sequence[Formula], f: Formula) -> Verdict:
         raise ValueError(f"grid decision over {k} atoms (> {MAX_BIG_ATOMS}): "
                          f"{(k + 2) ** k:,} grid points")
     goal, *premises = (_compiled(g, keys, ONE) for g in (f, *gamma))
-    for combo in product(_big_pairs(k), repeat=k):
-        t = goal(combo)[0]
-        if t != ONE and all(g(combo)[0] > t for g in premises):
-            return Verdict("fails", {key: v for key, (v, _) in zip(keys, combo)})
-    return HOLDS
+    point = _first_countervaluation(goal, premises, _big_pairs(k), _cuts(f, keys))
+    if point is None:
+        return HOLDS
+    return Verdict("fails", {key: v for key, (v, _) in zip(keys, point)})
+
+
+def _cuts(f: Formula, keys: tuple[str, ...]) -> tuple[tuple[int, tuple], ...]:
+    """The segments of the walk for the goal ``f`` over ``keys``: each
+    segment's number of keys, with the goal's disjuncts that the keys up to
+    its end close (all their atoms among them), compiled.  Disjuncts that
+    read the last key are not compiled: the last segment closes none.  The
+    segments are kept on the goal's node for that key order."""
+    def build() -> tuple[tuple[int, tuple], ...]:
+        closers: dict[int, list] = {}
+        for part in dict.fromkeys(_parts(f, "or", "delta")):
+            reads = _atom_keys([part])
+            end = keys.index(reads[-1]) + 1 if reads else 0
+            if end < len(keys):
+                closers.setdefault(end, []).append(_compiled(part, keys, ONE))
+        segments, start = [], 0
+        for end in sorted(closers):
+            segments.append((end - start, tuple(closers[end])))
+            start = end
+        return (*segments, (len(keys) - start, ()))
+    return syntax.memo(f, ("decide._cuts", keys), build)
+
+
+def _first_countervaluation(goal, premises, pairs, segments, prefix: tuple = ()) -> tuple | None:
+    """The first point in product order that extends ``prefix`` by the
+    ``segments`` on ``pairs`` and at which the goal is below 1 and every
+    premise above it, or None.  A prefix on which a disjunct that its
+    segment closes is 1 is skipped: the goal is 1 on every point that
+    extends it."""
+    (width, closers), *rest = segments
+    for combo in product(pairs, repeat=width):
+        point = prefix + combo
+        if rest:
+            if not any(ev(point)[0] == ONE for ev in closers):
+                found = _first_countervaluation(goal, premises, pairs, rest, point)
+                if found is not None:
+                    return found
+            continue
+        t = goal(point)[0]
+        if t != ONE and all(g(point)[0] > t for g in premises):
+            return point
+    return None
 
 
 @cache
@@ -360,7 +411,8 @@ def qg_entails(xi: Sequence[Formula], alpha: Formula, with_cap: bool = False) ->
     if _outer_search(saturation, curried(premises, goal), keys, names, "QG entailment").holds:
         return HOLDS
     verdict = big_entails([*premises, *saturation], goal)
-    assert not verdict.holds, "the grid and the order-type search disagree"
+    if verdict.holds:
+        raise AssertionError("the grid and the order-type search disagree")
     return Verdict("fails", {name: verdict.witness[v] for name, v in names.items()})
 
 

@@ -184,7 +184,8 @@ def kentails(gamma: Sequence[Formula], f: Formula) -> tuple[bool, G2KripkeModel 
         return True, None, None
     e = {p: TwistValue(v, ZERO) if lang == "BIG" else v for p, v in verdict.witness.items()}
     found = _refutation(e, gamma, f)
-    assert found, "the search's witness refutes at no state of its chain model"
+    if not found:
+        raise AssertionError("the search's witness refutes at no state of its chain model")
     while found:
         e, m, state = found
         values = sorted({ZERO, ONE} | {x for v in e.values() for x in v})

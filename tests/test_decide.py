@@ -3,8 +3,12 @@ import copy
 import gc
 import json
 import math
+import os
 import pathlib
 import random
+import subprocess
+import sys
+import textwrap
 import time
 from fractions import Fraction as F
 from functools import partial, reduce
@@ -83,6 +87,83 @@ def test_big_entails_matches_the_grid_oracle():
         statuses.add(expected.status)
         widest = max(widest, len(names))
     assert statuses == {"holds", "fails"} and widest == 4
+
+
+def _disjunctive_queries(seed, count, lang):
+    """biG queries over variables, or QG queries over B-atoms, on 1 to 5
+    atoms: 0-2 premises of depth at most 2, and a goal that joins 2 to 4
+    disjuncts of depth at most 2, each over the first atoms in key order,
+    the last ones or all of them, and some under delta."""
+    inner = ("p", "q", "r", "~p", "p & q", "p | r", "q => r", "Top")
+    rng = random.Random(seed)
+    queries = []
+    for _ in range(count):
+        k = rng.randint(1, 5)
+        if lang == "BIG":
+            atoms = [var("BIG", n) for n in sorted(rng.sample("abcdefg", k))]
+        else:
+            atoms = sorted((mk("QG", "bmod", parse("CPL", t)) for t in rng.sample(inner, k)),
+                           key=print_formula)
+        disjuncts = []
+        for _ in range(rng.randint(2, 4)):
+            cut = rng.randint(1, k)
+            pool = rng.choice([atoms[:cut], atoms[cut - 1:], atoms])
+            g = _outer_qg(rng, pool, 2, lang)
+            disjuncts.append(mk(lang, "delta", g) if rng.random() < 0.3 else g)
+        f = reduce(lambda x, y: mk(lang, "or", x, y), disjuncts)
+        if rng.random() < 0.2:
+            f = mk(lang, "delta", f)
+        gamma = [_outer_qg(rng, atoms, 2, lang) for _ in range(rng.randint(0, 2))]
+        queries.append((gamma, f))
+    return queries
+
+
+@pytest.mark.parametrize("lang", ["BIG", "QG"])
+def test_cut_walk_matches_the_grid_oracle(lang):
+    """Goals whose disjuncts close a prefix of the keys: verdict and witness
+    are the chain oracle's first countervaluation over the whole grid, for
+    queries that hold and fail, with premises and without."""
+    seen, widest, cut = set(), 0, 0
+    for gamma, f in _disjunctive_queries(30 if lang == "BIG" else 31, 120, lang):
+        names = list(decide._atom_keys([*gamma, f]))
+        witness = oracles.oracle_big_entails(gamma, f, names)
+        expected = Verdict("holds") if witness is None else Verdict("fails", witness)
+        assert big_entails(gamma, f) == expected, [print_formula(g) for g in [*gamma, f]]
+        seen.add((expected.status, bool(gamma)))
+        widest = max(widest, len(names))
+        cut += len(decide._cuts(f, tuple(names))) > 1
+    assert seen == {(status, premised) for status in ("holds", "fails")
+                    for premised in (False, True)}
+    assert widest == 5 and cut > 40
+
+
+def _cycle(k, coimp=None):
+    """The prelinearity cycle (a -> b) | (b -> c) | ... over the first ``k``
+    letters, its ``coimp``-th implication turned into -<."""
+    names = "abcdefgh"[:k]
+    return parse("BIG", " | ".join(
+        f"({x} {'-<' if i == coimp else '->'} {names[(i + 1) % k]})" for i, x in enumerate(names)))
+
+
+@pytest.mark.parametrize("k", [6, 7, 8])
+def test_prelinearity_cycles_hold_within_their_budget(k):
+    """(10^8 points on 8 atoms; the walk skips each prefix on which a link
+    between its keys is 1, and reaches 1,200 of them.)"""
+    start = time.process_time()
+    assert big_valid(_cycle(k)).holds
+    elapsed = time.process_time() - start
+    assert elapsed < 0.5, elapsed
+
+
+@pytest.mark.parametrize("k", range(2, 9))
+def test_a_cycle_with_a_coimplication_fails(k):
+    for i in range(k):
+        f = _cycle(k, i)
+        verdict = big_valid(f)
+        assert not verdict.holds
+        assert oracles.chain_eval_big(f, verdict.witness, ONE) < ONE
+        if k <= 5:
+            assert verdict.witness == oracles.oracle_big_entails([], f, sorted(verdict.witness))
 
 
 @pytest.mark.parametrize("with_cap", [False, True])
@@ -1004,3 +1085,31 @@ def test_refusals_state_the_grid_size(capsys):
     assert captured.out == ""
     assert json.loads(captured.err) == {
         "error": "ValueError: twist grid decision over 4 atoms (> 3): 100,000,000 grid points"}
+
+
+def test_route_checks_survive_python_optimize():
+    """The checks between two routes raise AssertionError also under
+    ``python -O``, which strips assert statements: the grid that holds
+    where the search refutes a QG query, and a Kripke witness that refutes
+    at no state."""
+    script = textwrap.dedent("""
+        from qublogic import decide, kripke
+        from qublogic.syntax import parse
+        assert False, "assert statements run"
+        decide.big_entails = lambda gamma, f: decide.HOLDS
+        kripke._refutation = lambda e, gamma, f: None
+        for name, call in (
+                ("qg_entails", lambda: decide.qg_entails([parse("QG", "B(p)")], parse("QG", "B(q)"))),
+                ("kentails", lambda: kripke.kentails([parse("BIG", "p")], parse("BIG", "q")))):
+            try:
+                call()
+            except AssertionError as error:
+                print(name, error)
+    """)
+    src = pathlib.Path(decide.__file__).resolve().parents[1]
+    done = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(src)}, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines() == [
+        "qg_entails the grid and the order-type search disagree",
+        "kentails the search's witness refutes at no state of its chain model"]

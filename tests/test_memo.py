@@ -98,6 +98,27 @@ def test_grid_decisions_compile_once_per_formula_and_slot_order(compiles):
     assert compiles == [(h, int), (k, int)]
 
 
+def test_cut_walk_compiles_each_prefix_closing_disjunct_once_per_key_order(compiles):
+    """The biG walk compiles the goal's disjuncts that close a proper
+    prefix of the keys, once for each key order, and none that reads the
+    last key."""
+    f = _fresh(parse("BIG", "(p -> q) | delta (q -> r) | (r -> s) | (s -< p)"))
+    pq, qr, rs, sp = decide._parts(f, "or", "delta")
+    g = _fresh(parse("BIG", "q"))
+    compiles.clear()
+    for _ in range(2):
+        decide.big_entails([g], f)
+    assert compiles == [(f, F), (g, F), (pq, F), (qr, F)]
+    # the table of cuts itself is kept on the goal, for that key order
+    assert decide._cuts(f, ("p", "q", "r", "s")) is decide._cuts(f, ("p", "q", "r", "s"))
+    # a key sorting first moves every cut; one sorting last closes them all
+    for extra, closers in (("a", [pq, qr]), ("t", [pq, qr, rs, sp])):
+        compiles.clear()
+        for _ in range(2):
+            decide.big_entails([g, parse("BIG", extra)], f)
+        assert compiles[:2] == [(f, F), (g, F)] and compiles[3:] == [(c, F) for c in closers]
+
+
 def test_layer_evaluation_compiles_once_per_formula_and_layer(compiles):
     rng = random.Random(5)
     qg = _fresh(parse("QG", "snot delta(B(p & ~q) -> B(~p & q)) | B(p)"))
