@@ -162,7 +162,7 @@ def _atoms(f: Formula) -> list[Formula]:
 RankPair = tuple[int, int]
 
 
-def compile_twist(f: Formula, slots: Mapping[str | Formula, int], top: int) \
+def compile_twist(f: Formula, slots: Mapping[str, int], top: int) \
         -> tuple[Callable[[Sequence[RankPair]], RankPair], int, int]:
     """Compile a twist or QG formula to a function of (truth, falsity) pairs,
     with the atom coordinates that the truth and the falsity of its value
@@ -176,9 +176,9 @@ def compile_twist(f: Formula, slots: Mapping[str | Formula, int], top: int) \
     Fraction 1, values in [0, 1] (:func:`eval_g2`); dividing the ranks'
     result by ``top`` gives the value on the ranks divided by ``top``.  A QG
     formula's value is the truth coordinate; it reads only truth
-    coordinates.  ``slots`` maps each atom, or its key (a variable's name, a
-    modal atom's printed form), to its index.  Atoms are resolved once, here;
-    an atom without a slot raises :class:`UnboundVariableError`.
+    coordinates.  ``slots`` maps each atom's key (a variable's name, a modal
+    atom's printed form) to its index.  Atoms are resolved once, here; an
+    atom without a slot raises :class:`UnboundVariableError`.
 
     The reads are bitmasks over the coordinates, bit ``2 * slot`` an atom's
     truth and bit ``2 * slot + 1`` its falsity, and each clause states them
@@ -291,12 +291,11 @@ def _conj(a: RankPair, b: RankPair) -> RankPair:
     return (a[0] if a[0] < b[0] else b[0]), (a[1] if a[1] > b[1] else b[1])
 
 
-def _slot(atom: Formula, slots: Mapping[str | Formula, int]) -> int:
-    slot = slots.get(atom)
+def _slot(atom: Formula, slots: Mapping[str, int]) -> int:
+    key = _key(atom)
+    slot = slots.get(key)
     if slot is None:
-        slot = slots.get(_key(atom))
-        if slot is None:
-            raise UnboundVariableError(f"no slot for atom {_key(atom)!r}")
+        raise UnboundVariableError(f"no slot for atom {key!r}")
     return slot
 
 

@@ -71,10 +71,7 @@ class BDModel:
     def __post_init__(self):
         if not 1 <= self.states <= MAX_STATES:
             raise ValueError(f"state count must be in 1..{MAX_STATES}")
-        full = self.full
-        for v in [*self.vplus.values(), *self.vminus.values()]:
-            if v & ~full:
-                raise ValueError("valuation references states outside the model")
+        _check_valuation(self.states, self.vplus, self.vminus)
 
     @property
     def full(self) -> int:
@@ -91,6 +88,15 @@ class BDModel:
     def from_json(cls, obj: dict) -> "BDModel":
         return cls(_checked(obj["states"], int, "'states'"),
                    _masks_from_json(obj, "vplus"), _masks_from_json(obj, "vminus"))
+
+
+def _check_valuation(states: int, *valuations: Mapping[str, int]) -> None:
+    """Refuse a valuation, of names to state masks, that names a state past
+    the model's ``states``."""
+    for valuation in valuations:
+        for name, mask in valuation.items():
+            if mask >> states:
+                raise ValueError(f"valuation of {name!r} references unknown states")
 
 
 def _mask_to_list(mask: int) -> list[int]:
@@ -125,29 +131,22 @@ def _list_to_mask(states: Sequence[int]) -> int:
     return mask
 
 
-def _support_masks(vplus: Mapping[str, int], vminus: Mapping[str, int],
-                   other: Callable[[Formula, Callable], tuple[int, int]] | None = None
-                   ) -> Callable[[Formula], tuple[int, int]]:
-    """The positive and negative support masks of formulas, memoized.
+class _SupportMasks:
+    """The positive and negative support masks of formulas, memoized, as a
+    function of the formula.
 
     This is the one recursion over the BD connectives.  A variable bound on
     one side only is supported nowhere on the other; one bound on neither
     side raises :class:`KeyError`.  Any kind other than ``var``, ``dneg``,
-    ``and`` and ``or`` goes to ``other`` with the formula and the returned
-    function itself, which Kripke semantics uses for its implications.
-    """
-    return _SupportMasks(vplus, vminus, other)
-
-
-class _SupportMasks:
-    """The function :func:`_support_masks` returns.  It recurses through
+    ``and`` and ``or`` goes to ``other`` with the formula and this object,
+    which Kripke semantics uses for its implications.  It recurses through
     itself as an object, not through a closure cell, so it holds no
     reference to itself and leaves no reference cycle behind."""
 
     __slots__ = ("vplus", "vminus", "other", "memo")
 
     def __init__(self, vplus: Mapping[str, int], vminus: Mapping[str, int],
-                 other: Callable[[Formula, Callable], tuple[int, int]] | None) -> None:
+                 other: Callable[[Formula, Callable], tuple[int, int]] | None = None) -> None:
         self.vplus, self.vminus, self.other = vplus, vminus, other
         self.memo: dict[Formula, tuple[int, int]] = {}
 
@@ -188,7 +187,7 @@ class _ReleasingMasks(_SupportMasks):
 
     def __init__(self, vplus: Mapping[str, int], vminus: Mapping[str, int],
                  roots: Sequence[Formula]) -> None:
-        super().__init__(vplus, vminus, None)
+        super().__init__(vplus, vminus)
         self.reads = Counter(roots)
         seen: set[Formula] = set()
         todo = list(roots)
@@ -211,12 +210,12 @@ class _ReleasingMasks(_SupportMasks):
 
 def truth_sets(m: BDModel, f: Formula) -> tuple[int, int]:
     """Positive and negative interpretations |f|+ and |f|- as bitmasks."""
-    return _support_masks(m.vplus, m.vminus)(f)
+    return _SupportMasks(m.vplus, m.vminus)(f)
 
 
 def support_table(m: BDModel, formulas: Iterable[Formula]) -> dict[Formula, tuple[int, int]]:
     """Truth-set masks for many formulas, sharing subformula work."""
-    masks = _support_masks(m.vplus, m.vminus)
+    masks = _SupportMasks(m.vplus, m.vminus)
     return {f: masks(f) for f in formulas}
 
 
@@ -230,7 +229,7 @@ def support(m: BDModel, s: int, f: Formula) -> tuple[bool, bool]:
 
 def sequent_valid_on_model(m: BDModel, phi: Formula, chi: Formula) -> bool:
     """|phi|+ contained in |chi|+ and |chi|- contained in |phi|-."""
-    masks = _support_masks(m.vplus, m.vminus)
+    masks = _SupportMasks(m.vplus, m.vminus)
     (p1, n1), (p2, n2) = masks(phi), masks(chi)
     return (p1 & ~p2) == 0 and (n2 & ~n1) == 0
 

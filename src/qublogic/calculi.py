@@ -42,6 +42,15 @@ CALC_LANG = {
     "HQP": "QP", "HMCB": "MCB", "HNMCB": "NMCB", "RFDE": "BD",
 }
 
+
+def calculus_lang(calc: str) -> str:
+    """The language of a calculus' formulas; a ValueError that names an
+    unknown calculus and the known ones."""
+    if calc not in CALCULI:
+        raise ValueError(f"unknown calculus {calc!r}; the calculi are {', '.join(CALCULI)}")
+    return CALC_LANG[calc]
+
+
 #: each Hilbert calculus' propositional variant, its language's outer variant (HQP's is QP):
 #: its rows and necessitation are read in the variant, and modus ponens detaches its implication
 VARIANT = {c: syntax.OUTER.get(lang, lang) for c, lang in CALC_LANG.items() if c != "RFDE"}
@@ -263,11 +272,10 @@ def _side(text: str) -> Callable[[Mapping[str, Formula]], bool]:
 def schema_table(calc: str) -> list[Schema]:
     """The calculus' axiom schemas in table order: its variant's
     propositional rows, then its modal rows."""
-    if calc not in CALCULI:
-        raise ValueError(f"unknown calculus {calc!r}")
+    lang = calculus_lang(calc)
     if calc == "RFDE":
         return []
-    lang, variant = CALC_LANG[calc], VARIANT[calc]
+    variant = VARIANT[calc]
     rows = [(name, _pattern(variant, text, lang), None) for name, text in _ROWS[variant]]
     rows += [(name, _pattern(lang, text, lang), side and _side(side))
              for calcs, name, text, side in _MODAL if calc in calcs.split()]
@@ -377,9 +385,7 @@ def match_axiom(calc: str, f: Formula) -> tuple[str, dict] | None:
     that build it (``m`` and the two lists); PC (for the QP calculus)
     matches any propositional tautology over comparison-abstracted atoms.
     """
-    if calc not in CALCULI:
-        raise ValueError(f"unknown calculus {calc!r}")
-    lang = CALC_LANG[calc]
+    lang = calculus_lang(calc)
     if f.lang != lang:
         raise LanguageError(f"{calc} checks {lang} formulas, got {f.lang}")
     matches = _schema_matches(calc, f)
@@ -439,9 +445,7 @@ class Derivation:
         if not isinstance(obj, dict):
             raise ValueError(f"a derivation is a JSON object, not {obj!r}")
         calc = obj["calculus"]
-        if calc not in CALCULI:
-            raise ValueError(f"unknown calculus {calc!r}")
-        lang = CALC_LANG[calc]
+        lang = calculus_lang(calc)
 
         def formula(text):
             if not isinstance(text, str):
@@ -589,8 +593,7 @@ def _hilbert_step(calc: str, steps: Sequence[Step], i: int, prem: Sequence,
     return f"unknown justification {sorted(just)!r}", True
 
 
-def check_derivation(calc: str, derivation: Derivation,
-                     premises: Sequence | None = None) -> CheckReport:
+def check_derivation(calc: str, derivation: Derivation) -> CheckReport:
     """Verify a Hilbert or R_fde derivation step by step.
 
     Each step is checked against the *stated* lines of the steps it cites,
@@ -601,13 +604,12 @@ def check_derivation(calc: str, derivation: Derivation,
     """
     if calc != derivation.calculus:
         raise ValueError("calculus mismatch")
-    prem = list(premises if premises is not None else derivation.premises)
     check_step = _sequent_step if calc == "RFDE" else _hilbert_step
     report = CheckReport(True)
     tainted: list[bool] = []
     for i in range(len(derivation.steps)):
         try:
-            reason, taint = check_step(calc, derivation.steps, i, prem, tainted)
+            reason, taint = check_step(calc, derivation.steps, i, derivation.premises, tainted)
         except (ValueError, LanguageError, KeyError) as exc:
             reason, taint = f"malformed justification: {exc}", True
         except RecursionError:  # desugar and the oracles recurse once per node

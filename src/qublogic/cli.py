@@ -422,7 +422,7 @@ def _param_json(value):
 def _dispatch_prove(args) -> int:
     if args.what == "match-axiom":
         calc = args.calculus.upper()
-        f = syntax.parse(calculi.CALC_LANG[calc], args.text)
+        f = syntax.parse(calculi.calculus_lang(calc), args.text)
         try:
             hit = calculi.match_axiom(calc, f)
         except RecursionError:  # desugar and the tautology check recurse once per node

@@ -74,12 +74,6 @@ class Verdict:
 HOLDS = Verdict("holds")
 
 
-def grid(denominator: int) -> list[Fraction]:
-    if denominator < 1:
-        raise ValueError("grid denominator must be >= 1")
-    return [Fraction(i, denominator) for i in range(denominator + 1)]
-
-
 # ---------------------------------------------------------------------------
 # Atom collection
 # ---------------------------------------------------------------------------
@@ -177,8 +171,8 @@ def _first_countervaluation(goal, premises, pairs, segments, prefix: tuple = ())
 
 @cache
 def _big_pairs(k: int) -> tuple[tuple[Fraction, Fraction], ...]:
-    """The biG grid values for ``k`` atoms as pairs (value, 0)."""
-    return tuple((v, ZERO) for v in grid(k + 1))
+    """The biG grid {0, 1/(k+1), ..., 1} for ``k`` atoms as pairs (value, 0)."""
+    return tuple((Fraction(i, k + 1), ZERO) for i in range(k + 2))
 
 
 def _compiled(f: Formula, keys: tuple[str, ...], top):

@@ -48,12 +48,9 @@ class G2KripkeModel:
             raise ValueError("at least one state required")
         if len(self.order) != self.states or sorted(self.order) != list(range(self.states)):
             raise ValueError(f"order must be a permutation of ranks 0..{self.states - 1}")
-        valuation = [*self.vplus.items(), *self.vminus.items()]
-        for name, mask in valuation:
-            if mask >> self.states:
-                raise ValueError(f"valuation of {name!r} references unknown states")
+        bd._check_valuation(self.states, self.vplus, self.vminus)
         _, ups = _rank_closures(self.order)
-        for name, mask in valuation:
+        for name, mask in [*self.vplus.items(), *self.vminus.items()]:
             if mask not in ups:
                 raise ValueError(f"valuation of {name!r} is not upward closed")
 
@@ -133,7 +130,7 @@ def _support_masks(m: G2KripkeModel) -> Callable[[Formula], tuple[int, int]]:
             neg = n1 | p2
         return pos, neg
 
-    return bd._support_masks({RESERVED_VAR: 0, **m.vplus}, m.vminus, clause)
+    return bd._SupportMasks({RESERVED_VAR: 0, **m.vplus}, m.vminus, clause)
 
 
 def support_table(m: G2KripkeModel, formulas: Iterable[Formula]) -> dict[Formula, tuple[int, int]]:

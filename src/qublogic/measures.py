@@ -122,20 +122,15 @@ def measure_nontrivial(states: int, mu: Mapping[int, Fraction]) -> tuple[bool, t
     return (True, None) if mu[full] > mu[0] else (False, (0, full))
 
 
-def measure_capacity(states: int, mu: Mapping[int, Fraction]) -> tuple[bool, tuple | None]:
-    return _capacity(states, mu, ONE)
-
-
-def _capacity(states: int, mu: Mapping, one=_RANK_TOP) -> tuple[bool, tuple | None]:
-    """Monotone, 0 at the empty set and ``one`` (by default the rank of 1)
-    at the full one."""
+def _capacity(states: int, mu: Mapping) -> tuple[bool, tuple | None]:
+    """Monotone on ranks, 0 at the empty set and the rank of 1 at the full one."""
     ok, wit = measure_monotone(states, mu)
     if not ok:
         return ok, wit
     full = (1 << states) - 1
     if mu[0] != 0:
         return False, (0,)
-    if mu[full] != one:
+    if mu[full] != _RANK_TOP:
         return False, (full,)
     return True, None
 
@@ -150,9 +145,7 @@ class UncertaintyModel:
 
     def __post_init__(self):
         _check_measure(self.states, self.mu)
-        for name, mask in self.v.items():
-            if mask >> self.states:
-                raise ValueError(f"valuation of {name!r} references unknown states")
+        bd._check_valuation(self.states, self.v)
 
     @property
     def full(self) -> int:
@@ -185,9 +178,7 @@ class BeliefModel:
 
     def __post_init__(self):
         _check_measure(self.states, self.pi)
-        for name, mask in [*self.vplus.items(), *self.vminus.items()]:
-            if mask >> self.states:
-                raise ValueError(f"valuation of {name!r} references unknown states")
+        bd._check_valuation(self.states, self.vplus, self.vminus)
 
     @property
     def full(self) -> int:
@@ -256,9 +247,10 @@ def assignment_masks(names: Sequence) -> dict:
     """Variable masks of the model whose states are the assignments to
     ``names``: state ``a`` makes ``names[i]`` true iff ``a >> i & 1``.
     Its full mask is ``(1 << (1 << len(names))) - 1``."""
-    if len(names) > MAX_CPL_VARS:
-        raise ValueError(f"too many variables (> {MAX_CPL_VARS})")
-    return {p: bd._coordinate_mask(1, i, len(names)) for i, p in enumerate(names)}
+    n = len(names)
+    if n > MAX_CPL_VARS:
+        raise ValueError(f"assignments to {n} variables (> {MAX_CPL_VARS}): {1 << n:,} states")
+    return {p: bd._coordinate_mask(1, i, n) for i, p in enumerate(names)}
 
 
 def truth_set(m: UncertaintyModel, f: Formula) -> int:
@@ -301,14 +293,15 @@ def _compile(formulas: Sequence[Formula], top) -> tuple[tuple[Formula, ...], tup
     maps the atoms' values (:func:`_atom_values`) to a (truth, falsity) pair;
     QG atoms enter as (value, 0) and a QG value is the truth coordinate.
 
-    A single formula's compilation is kept on its node
+    The atoms are slotted in the order of their printed forms, the keys
+    they are compiled by.  A single formula's compilation is kept on its node
     (:func:`qublogic.syntax.memo`), by the type and value of ``top``: 1 and
     the Fraction 1 are equal keys, but compile to ints and to Fractions.
     """
     def build():
-        atoms = list(set().union(*map(modal_atoms, formulas)))
-        slots = {a: i for i, a in enumerate(atoms)}
-        return (tuple(a.children[0] for a in atoms),
+        atoms = {print_formula(a): a for f in formulas for a in modal_atoms(f)}
+        slots = {key: i for i, key in enumerate(sorted(atoms))}
+        return (tuple(atoms[key].children[0] for key in slots),
                 tuple(compile_twist(f, slots, top)[0] for f in formulas))
 
     if len(formulas) == 1:
@@ -326,7 +319,7 @@ def _supports(layer: str, inners: Sequence[Formula], val: Mapping[str, Mapping[s
     if layer == "QG":
         v = val["v"]
         return [cpl_truth_set(inner, v, full) for inner in inners]
-    masks = bd._support_masks(val["vplus"], val["vminus"])
+    masks = bd._SupportMasks(val["vplus"], val["vminus"])
     return [s for inner in inners for s in masks(inner)]
 
 
@@ -398,8 +391,10 @@ def _mu_kps(states: int, mu, m: int):
     A violation is one pair with mu(X) < mu(Y) plus m pairs with
     mu(X_j) <= mu(Y_j) whose membership-count difference vectors cancel.
     """
-    if states > 6 or m > 8 or (2 * m + 3) ** states > 2_000_000:
-        raise ValueError("muKPS bounds exceeded (states <= 6, m <= 8, joint cost bound)")
+    cost = (2 * m + 3) ** states
+    if states > 6 or m > 8 or cost > 2_000_000:
+        raise ValueError(f"muKPS with m = {m} on {states} states: a cost of {cost:,} "
+                         "(bounds: states <= 6, m <= 8, cost (2m + 3)^states <= 2,000,000)")
     le_vecs: dict[tuple[int, ...], tuple[int, int]] = {}
     lt_vecs: dict[tuple[int, ...], tuple[int, int]] = {}
     for x, y in product(range(1 << states), repeat=2):
@@ -490,7 +485,8 @@ def check_property(states: int, measure: Mapping[int, Fraction], prop: str,
     try:
         fn = _PROPS[prop]
     except KeyError:
-        raise ValueError(f"unknown property {prop!r}") from None
+        raise ValueError(f"unknown property {prop!r}; the properties are "
+                         f"{', '.join(['mukps', *_PROPS])}") from None
     tuples = 1 << states * _ARITY.get(prop, 1)
     if tuples > _MAX_PROPERTY_TUPLES:
         raise ValueError(f"property {prop} on {states} states: {tuples:,} tuples of subsets "
@@ -569,13 +565,10 @@ def _frame_size(layer: str, names: Sequence[str], states: int) -> int:
 
 
 def _inner_valuation(layer: str, names: Sequence[str], states: int,
-                     a: int | None = None) -> dict[str, dict[str, int]]:
-    """Inner valuation ``a`` of ``names``, or with ``a`` None all of them
-    (:func:`_frame_coordinates`), as the keyword arguments of the layer's
-    model: ``v`` for QG, ``vplus`` and ``vminus`` for MCB/NMCB."""
+                     a: int) -> dict[str, dict[str, int]]:
+    """Inner valuation ``a`` of ``names``, as the keyword arguments of the
+    layer's model: ``v`` for QG, ``vplus`` and ``vminus`` for MCB/NMCB."""
     k = _coordinates(layer, names)
-    if a is None:
-        return _valuation(layer, names, _frame_coordinates(k, states)[0])
     return _valuation(layer, names, [a >> (k - 1 - c) * states & (1 << states) - 1
                                      for c in range(k)])
 
@@ -832,6 +825,9 @@ def correspondence_test(cond: str, max_states: int, denominator: int) -> dict:
     """Compare frame validity of the named formula with its measure property
     on every monotone nontrivial frame within the bounds: each order type
     once, counted as its grid measures, each mismatching one listed as them."""
+    if cond not in CORRESPONDENCES:
+        raise ValueError(f"unknown condition {cond!r}; the conditions are "
+                         f"{', '.join(CORRESPONDENCES)}")
     layer, text, prop = CORRESPONDENCES[cond]
     formula = parse(layer, text)
     _check_bounds(max_states, denominator)
@@ -959,9 +955,10 @@ def _canonical_model(e: Mapping, formulas: Sequence[Formula], belief: bool):
     full and empty sets take 1 and 0."""
     atoms = sorted(set().union(*map(modal_atoms, formulas)), key=print_formula)
     count = len(set().union(*(vars_of(a.children[0]) for a in atoms)))
-    if (4 if belief else 2) ** count > MAX_DENSE_STATES:
-        raise ValueError(f"too many {'literals' if belief else 'inner variables'} "
-                         "for a dense canonical model")
+    size = (4 if belief else 2) ** count
+    if size > MAX_DENSE_STATES:
+        raise ValueError(f"dense canonical model over {count} inner variables: {size:,} states "
+                         f"(> {MAX_DENSE_STATES})")
     states, val, sets = canonical_frame(atoms)
 
     def values() -> Iterator[tuple[int, Fraction, str]]:

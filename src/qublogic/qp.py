@@ -45,9 +45,7 @@ class GardenforsModel:
                 raise ValueError("weights must be nonnegative")
             if sum(w) != ONE:
                 raise ValueError(f"weights at state {x} do not sum to 1")
-        for name, mask in self.v.items():
-            if mask >> self.states:
-                raise ValueError(f"valuation of {name!r} references unknown states")
+        bd._check_valuation(self.states, self.v)
 
     @property
     def full(self) -> int:
@@ -293,7 +291,7 @@ def represent_order_lp(order: OrderInstance) -> MeasureWitness | None:
     """
     n = order.ground_size
     if n > 12:
-        raise ValueError("ground sets beyond 12 atoms are not supported")
+        raise ValueError(f"order LP over a ground set of {n} atoms (> 12): {1 << n:,} sets")
     strict_pairs, equal_pairs = order.consecutive_pairs()
 
     def row(mask_lo: int, mask_hi: int, eps_coeff: int) -> list[int]:

@@ -490,13 +490,22 @@ def formula_to_json(f: Formula) -> dict:
 
 def formula_from_json(lang: str, obj: dict) -> Formula:
     """The formula of a JSON AST.  A node that is no object with a string
-    ``kind`` and a string ``var`` or a list of ``children`` raises a ValueError."""
+    ``kind`` and a string ``var`` or a list of ``children`` raises a
+    ValueError, and so does a ``var`` that the parser does not read as one
+    variable, so that the printed formula parses back to it."""
     kind = obj.get("kind") if isinstance(obj, dict) else None
     key, shape = ("var", str) if kind == "var" else ("children", list)
     if not isinstance(kind, str) or not isinstance(obj.get(key, []), shape):
         raise ValueError(f"a formula node has a string 'kind' and a 'var' string or 'children' list, not {obj!r}")
     if kind == "var":
-        return var(lang, obj["var"])
+        name = obj["var"]
+        try:
+            tokens = [tok[:2] for tok in _tokenize(name)]
+        except FormulaSyntaxError:
+            tokens = []
+        if tokens != [("var", name)]:
+            raise ValueError(f"{name!r} is not a variable name")
+        return var(lang, name)
     sublang = INNER_LANG.get(kind, lang)
     return mk(lang, kind, *(formula_from_json(sublang, c) for c in obj.get("children", [])))
 

@@ -141,7 +141,7 @@ def test_bd_entails_keeps_only_the_masks_still_to_be_read():
             tracemalloc.stop()
 
     def keep_every_mask():
-        masks = bd._support_masks(*bd.valuation_masks(x))
+        masks = bd._SupportMasks(*bd.valuation_masks(x))
         return masks(phi), masks(chi)
 
     (p1, n1), (p2, n2) = keep_every_mask()
@@ -243,6 +243,26 @@ def test_both_valuations_are_range_checked(build):
     # a variable bound in both maps used to be checked in its negative map only
     with pytest.raises(ValueError):
         build()
+
+
+_PAST = {"p": 0b10}  # state 1, past a one-state model
+
+
+@pytest.mark.parametrize("build", [
+    lambda: UncertaintyModel(1, _PAST, {0: ZERO, 1: ONE}),
+    lambda: BeliefModel(1, _PAST, {}, {0: ZERO, 1: ONE}),
+    lambda: BeliefModel(1, {}, _PAST, {0: ZERO, 1: ONE}),
+    lambda: BDModel(1, _PAST, {}),
+    lambda: BDModel(1, {}, _PAST),
+    lambda: G2KripkeModel(1, (0,), _PAST, {}),
+    lambda: G2KripkeModel(1, (0,), {}, _PAST),
+    lambda: GardenforsModel(1, {0: (ONE,)}, _PAST),
+], ids=["UncertaintyModel", "BeliefModel+", "BeliefModel-", "BDModel+", "BDModel-",
+        "G2KripkeModel+", "G2KripkeModel-", "GardenforsModel"])
+def test_every_model_refuses_a_state_past_it_with_one_message(build):
+    with pytest.raises(ValueError) as refused:
+        build()
+    assert str(refused.value) == "valuation of 'p' references unknown states"
 
 
 def test_model_json_round_trip():

@@ -16,9 +16,9 @@ The input and output digests of each workload's seed-1 round are pinned in
 witness, verdict or report fails here, and one that means to updates that
 file and names the outputs it moved.  Within one tree, the decide-refute
 and models rounds run again under a second PYTHONHASHSEED and must give
-the same digests: their formulas' atoms are collected in sets
-(``measures._compile`` takes its slots in set order), so a key, slot or
-witness that leaks hash order fails here.
+the same digests: their formulas' atoms are collected in sets, and ordered
+after that (``measures._compile`` slots them by their printed forms), so a
+key, slot or witness that leaks hash order fails here.
 """
 
 import json

@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import json
 import pathlib
 import random
@@ -431,8 +432,8 @@ def test_modus_ponens_steps():
 def test_monotone_in_premises():
     obj = _load("deriv_additivity.json")
     deriv = Derivation.from_json(obj)
-    extra = [*deriv.premises, parse("QG", "B(p)")]
-    assert check_derivation(deriv.calculus, deriv, premises=extra).accepted
+    more = dataclasses.replace(deriv, premises=(*deriv.premises, parse("QG", "B(p)")))
+    assert check_derivation(more.calculus, more).accepted
 
 
 def test_hqp_derivation_with_nec():

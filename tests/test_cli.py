@@ -215,6 +215,26 @@ def test_prove_match_axiom_prints_family_parameters_that_check(capsys):
 
 _BD_MODEL = '{"states":1,"vplus":{"p":[0]},"vminus":{}}'
 
+_BOUNDS = "state bound and grid denominator must be >= 1"
+
+#: malformed inputs whose error line must also contain a text: the value it
+#: names, or the refusal that the command has to reach
+_NAMED_ERRORS = [
+    # variable names the parser would not read back as that one variable
+    *((["print", "--lang", "cpl", json.dumps({"kind": "var", "var": name})],
+       f"{name!r} is not a variable name") for name in ("Top", "P", "p q", "neg", "B")),
+    # unknown names, listed with the known ones
+    (["model", "correspondence", "--cond", "nope"],
+     "unknown condition 'nope'; the conditions are cond_i, "),
+    (["prove", "match-axiom", "--calculus", "nope", "p"],
+     "unknown calculus 'NOPE'; the calculi are HBIG, "),
+    # negative bounds, refused before any search is sized
+    *((["model", "correspondence", "--cond", "cond_iii", flag, "-1"], _BOUNDS)
+      for flag in ("--max-states", "--grid")),
+    *((["model", "search-countermodel", "--layer", "qg", flag, "-1", "B(p)"], _BOUNDS)
+      for flag in ("--max-states", "--grid")),
+]
+
 _MALFORMED = [
     ["kripke", "support", "--model",
      '{"states":2,"order":[0,1],"vplus":{"p":[1]},"vminus":{}}', "--state", "5", "p"],
@@ -278,6 +298,7 @@ _MALFORMED = [
     # a search past its node cap, refused with the size it stopped at
     ["kripke", "entails", "--lang", "big",
      "((a | b | c | d) -> (e | f | g | h)) | ((e | f | g | h) -> (a | b | c | d))"],
+    *(argv for argv, _ in _NAMED_ERRORS),
 ]
 
 #: the address space of each swept process: an input that allocates for its
@@ -308,6 +329,7 @@ def test_cli_processes_exit_2_with_one_json_line_on_input_errors():
                           text=True, timeout=60, check=True).stdout.strip()
     deep = json.dumps({"calculus": "HQP", "steps": [{"formula": a4_6, "just": {"axiom": "any"}}]})
     deep_match = ["prove", "match-axiom", "--calculus", "hqp", a4_6]
+    named = {tuple(argv): text for argv, text in _NAMED_ERRORS}
     for argv in _MALFORMED + matches + [["prove", "check", deep], deep_match]:
         done = subprocess.run([sys.executable, "-m", "qublogic.cli", *argv], env=env,
                               capture_output=True, text=True, timeout=60,
@@ -326,6 +348,8 @@ def test_cli_processes_exit_2_with_one_json_line_on_input_errors():
         assert len(lines) == 1 and set(json.loads(lines[0])) == {"error"}, argv
         if argv == deep_match:
             assert json.loads(lines[0]) == {"error": "formula nests too deeply"}
+        if tuple(argv) in named:
+            assert named[tuple(argv)] in json.loads(lines[0])["error"], argv
         if argv[0] == "print" and len(argv[-1]) > 10_000:
             assert json.loads(lines[0]) == {"error": "input nests too deeply"}
 

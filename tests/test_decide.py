@@ -20,8 +20,8 @@ from helpers import gen_big, gen_g2, instantiate_schema, layer_instances
 
 from qublogic import algebra, bd, calculi, cli, decide, kripke, measures, syntax
 from qublogic.algebra import ONE, TwistValue, UnboundVariableError, compile_twist, eval_g2
-from qublogic.decide import (Verdict, big_entails, big_valid, g2_entails, g2_valid, grid,
-                             qg_entails, qg_merge_atoms, qg_saturation)
+from qublogic.decide import (Verdict, big_entails, big_valid, g2_entails, g2_valid, qg_entails,
+                             qg_merge_atoms, qg_saturation)
 from qublogic.syntax import (BINARY_KINDS, NULLARY_KINDS, PRIMITIVE_KINDS, SUGAR_KINDS,
                              UNARY_KINDS, LanguageError, mk, modal_atoms, parse, print_formula, var,
                              vars_of)
@@ -187,9 +187,8 @@ def test_qg_witnesses_match_the_grid_oracle(with_cap):
 
 
 def test_grid():
-    assert grid(3) == [F(0), F(1, 3), F(2, 3), F(1)]
-    with pytest.raises(ValueError):
-        grid(0)
+    assert decide._big_pairs(2) == tuple((v, F(0)) for v in (F(0), F(1, 3), F(2, 3), F(1)))
+    assert decide._big_pairs(0) == ((F(0), F(0)), (F(1), F(0)))
 
 
 def test_g2_entails_examples():

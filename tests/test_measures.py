@@ -180,14 +180,14 @@ def test_frame_searches_run_the_inner_recursion_once_per_inner_formula(monkeypat
         finally:
             depth[0] -= 1
 
-    real_bd = bd._support_masks
+    real_bd = bd._SupportMasks
 
     def support_masks(vplus, vminus, other=None):
         rec = real_bd(vplus, vminus, other)
         return lambda f: calls.append(f) or rec(f)
 
     monkeypatch.setattr(measures, "cpl_truth_set", cpl_truth_set)
-    monkeypatch.setattr(bd, "_support_masks", support_masks)
+    monkeypatch.setattr(bd, "_SupportMasks", support_masks)
     mu = {0: F(0), 1: F(1, 2), 2: F(1, 2), 3: F(1)}
     for cond in ("cond_ii", "mcb_i", "mcb_iii"):
         layer, text, _ = measures.CORRESPONDENCES[cond]
@@ -631,10 +631,9 @@ def test_check_property_on_ranks_matches_the_fraction_definitions():
         for m in range(4):
             assert check_property(states, mu, "mukps", m) == \
                 oracles.measure_property(states, mu, "mukps", m), (m, mu)
-    # the public checks keep their value semantics
+    # the public check keeps its value semantics
     for states, mu in frames:
         assert measures.measure_monotone(states, mu) == oracles.measure_property(states, mu, "monotone")
-        assert measures.measure_capacity(states, mu) == oracles.measure_property(states, mu, "capacity")
 
 
 def _mcb_ii_on_four_states():
@@ -760,9 +759,10 @@ def test_sliced_inner_valuations_are_state_major(layer):
     valuation is valuation ``a`` itself."""
     for names in (["p"], ["p", "q"]):
         for states in (1, 2, 3):
-            count = 1 << states * measures._coordinates(layer, names)
+            k = measures._coordinates(layer, names)
+            count = 1 << states * k
             top, lane = count * states, 8 * measures._lane(states)
-            every = measures._inner_valuation(layer, names, states)
+            every = measures._valuation(layer, names, measures._frame_coordinates(k, states)[0])
             for a in range(count):
                 sliced = {side: {p: sum((mask >> x * count + a & 1) << x for x in range(states))
                                  for p, mask in masks.items()} for side, masks in every.items()}
